@@ -34,6 +34,6 @@ class SurveyOptions:
 
     strict: bool = False  # fail fast on a required per-record check
     with_lattice_checks: bool = False  # cross-validate b_p via the SNF path
-    with_abhyankar: bool = True  # factor the Abhyankar polynomial mod p
+    with_abhyankar: bool = True  # test whether the Abhyankar polynomial splits mod p
     jobs: int = 1
     c_k: int = 1  # constant-field degree input for CM density reports

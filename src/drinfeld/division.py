@@ -12,16 +12,18 @@ from .errors import (
     EvenCharacteristicError,
     RankError,
 )
+from .amatrix import discriminant
 from .fields import FFElem
 from .invariants import (
     Rank2Invariants,
+    WeilPolynomial,
     invariant_factors,
     rank2_invariants,
     rank2_invariants_reduced,
     weil_general,
 )
-from .modules import DrinfeldModule, reduce_at
-from .polys import Poly, factorize, poly_gcd
+from .modules import DrinfeldModule, ReducedModule, reduce_at
+from .polys import Poly, poly_gcd, splits_into_linear_factors
 from .quotients import QuotElem, QuotRing
 
 
@@ -76,9 +78,7 @@ def frobenius_class_matrix(psi: DrinfeldModule, p: Poly, a: Poly) -> FrobeniusCl
 def class_matrix_from_invariants(
     inv: Rank2Invariants, a: Poly, psi: DrinfeldModule
 ) -> FrobeniusClassMatrix:
-    base = psi.base
-    one = base.one_elem()
-    inv2 = (one + one).inv()
+    inv2 = psi.tower.from_int(2).inv()
     ring = QuotRing(a.monic())
     m00 = (-inv.a_p).scale(inv2)
     m01 = (inv.delta_p * inv.b_p).scale(inv2)
@@ -90,7 +90,7 @@ def class_matrix_from_invariants(
         raise DrinfeldError("class matrix trace mismatch")  # unreachable
     det = entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
     # det = (a_p^2 - delta b^2)/4 = (a_p^2 - d)/4 = u_p p
-    if det != ring.reduce((inv.a_p * inv.a_p - inv.d).scale((one + one + one + one).inv())):
+    if det != ring.reduce((inv.a_p * inv.a_p - inv.d).scale(inv2 * inv2)):
         raise DrinfeldError("class matrix determinant mismatch")  # unreachable
     return FrobeniusClassMatrix(modulus=ring.modulus, ring=ring, entries=entries)
 
@@ -101,9 +101,7 @@ def splits_completely(psi: DrinfeldModule, p: Poly, a: Poly) -> bool:
     _check_torsion_modulus(p.monic(), a)
     red = reduce_at(psi, p)
     inv = rank2_invariants_reduced(red)
-    base = psi.base
-    two = base.one_elem() + base.one_elem()
-    cond1 = ((inv.a_p + Poly.constant(two)) % a).is_zero()
+    cond1 = ((inv.a_p + Poly.constant(psi.tower.from_int(2))) % a).is_zero()
     cond2 = (inv.b_p % a).is_zero()
     return cond1 and cond2
 
@@ -112,10 +110,12 @@ def module_structure(psi: DrinfeldModule, p: Poly) -> ModuleStructure:
     """^psi F_p = A/d1 x A/d2 with d1 = gcd(b/2, a/2 + 1), d2 = P(1)/d1."""
     _require_rank2_odd(psi)
     red = reduce_at(psi, p)
-    inv = rank2_invariants_reduced(red)
-    base = psi.base
-    one = base.one_elem()
-    inv2 = (one + one).inv()
+    return module_structure_reduced(red, rank2_invariants_reduced(red))
+
+
+def module_structure_reduced(red: ReducedModule, inv: Rank2Invariants) -> ModuleStructure:
+    base = red.source.base
+    inv2 = red.source.tower.from_int(2).inv()
     half_b = inv.b_p.scale(inv2)  # b_p is monic, never zero
     half_a_plus_1 = inv.a_p.scale(inv2) + Poly.one(base)
     d1 = poly_gcd(half_b, half_a_plus_1)
@@ -177,58 +177,65 @@ def _verify_abhyankar_identity(psi: DrinfeldModule, f: AbhyankarPolynomial):
 
 
 def abhyankar_splits_mod(psi: DrinfeldModule, p: Poly) -> tuple[bool, dict]:
-    """Does f_psi split into linear factors mod p?  Cross-checked against
-    T | b_{p,1}, and (when split) against T^2 | disc(P)."""
-    p = p.monic()
-    if p == Poly.x(psi.base):
-        raise DrinfeldError("the prime T is excluded from the Abhyankar law")
+    """Does f_psi split into linear factors mod p?  See abhyankar_splits_reduced."""
     red = reduce_at(psi, p)
+    if psi.rank == 2 and psi.tower.q % 2:
+        inv = rank2_invariants_reduced(red)
+        return abhyankar_splits_reduced(red, inv.b_p, inv)
+    return abhyankar_splits_reduced(red, b_p_first(psi, p))
+
+
+def abhyankar_splits_reduced(
+    red: ReducedModule,
+    b1: Poly,
+    inv: Rank2Invariants | None = None,
+    weil: WeilPolynomial | None = None,
+) -> tuple[bool, dict]:
+    """Test whether f_psi splits into linear factors mod p (one powmod on the
+    radical of f mod p), cross-checked against T | b_{p,1}; on a split prime,
+    also against T^2 | disc(P).
+
+    In rank 2 with odd q, ``inv`` gives disc(P) = d and the square witness;
+    otherwise disc(P) comes from ``weil``, run through weil_general on a split
+    prime when it is not given.
+    """
+    psi = red.source
+    T = Poly.x(psi.base)
+    if red.prime == T:
+        raise DrinfeldError("the prime T is excluded from the Abhyankar law")
     f = abhyankar_poly(psi)
     fbar = Poly(red.ctx, [red.residue.reduce(c) for c in f.coeffs])
     if fbar.degree() != f.degree():
         raise DrinfeldError("Abhyankar polynomial drops degree mod p")  # g_r unit mod p
-    fac = factorize(fbar)
-    splits = all(g.degree() == 1 for g, _ in fac.factors)
-    b1 = b_p_first(psi, p)
-    t_divides = (b1 % Poly.x(psi.base)).is_zero()
-    if splits != t_divides:
+    splits = splits_into_linear_factors(fbar)
+    if splits != (b1 % T).is_zero():
         raise DrinfeldError(
             "Abhyankar splitting disagrees with the T | b_1 criterion"
         )
     report: dict = {"splits": splits, "b_1": b1}
     if splits:
-        disc = _weil_discriminant(psi, p, red)
-        tsq = Poly.x(psi.base) * Poly.x(psi.base)
-        if not (disc % tsq).is_zero():
+        if inv is not None:
+            disc = inv.d
+        else:
+            weil = weil or weil_general(psi, red.prime)
+            disc = discriminant(weil.x_coeff_list(), psi.base)
+        if not (disc % (T * T)).is_zero():
             raise DrinfeldError("split prime without T^2 | disc(P)")
         report["disc"] = disc
-        if psi.rank == 2 and psi.tower.q % 2:
-            report["witness"] = _square_witness(psi, red)
+        if inv is not None:
+            report["witness"] = _square_witness(red, inv)
     return splits, report
 
 
-def _weil_discriminant(psi: DrinfeldModule, p: Poly, red) -> Poly:
-    if psi.rank == 2 and psi.tower.q % 2:
-        return rank2_invariants_reduced(red).d
-    from .amatrix import discriminant
-
-    weil = weil_general(psi, p)
-    return discriminant(weil.x_coeff_list(), psi.base)
-
-
-def _square_witness(psi: DrinfeldModule, red) -> dict:
+def _square_witness(red: ReducedModule, inv: Rank2Invariants) -> dict:
     """p = u alpha^2 + T^2 beta with u a unit, from d = a_p^2 - 4 u_p p."""
-    inv = rank2_invariants_reduced(red)
-    base = psi.base
-    one = base.one_elem()
-    inv2 = (one + one).inv()
-    four_inv = (inv2 * inv2)
+    base = red.source.base
+    inv2 = red.source.tower.from_int(2).inv()
     alpha = inv.a_p.scale(inv2)
     u = inv.u_p.inv()
     tsq = Poly.x(base) * Poly.x(base)
-    beta = (-inv.d.scale(four_inv)).exact_div(tsq).scale(inv.u_p.inv())
-    lhs = alpha * alpha
-    p_check = lhs.scale(u) + tsq * beta
+    beta = (-inv.d.scale(inv2 * inv2)).exact_div(tsq).scale(u)
+    p_check = (alpha * alpha).scale(u) + tsq * beta
     if p_check != red.prime:
         raise DrinfeldError("square witness identity failed")  # unreachable
     return {"u": u, "alpha": alpha, "beta": beta}

@@ -29,6 +29,7 @@ from .errors import (
     TowerMembershipError,
     ZeroInputError,
 )
+from .polys import int_prime_factors
 
 TABLE_LIMIT = 1 << 14
 
@@ -41,20 +42,6 @@ class FieldId:
     char: int
     degree: int
     modulus: tuple[int, ...]
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +136,7 @@ def _np_is_irreducible(f: np.ndarray, p: int, small_sieve) -> bool:
     red = _reduction_rows(f, p)
     x = np.zeros(d, dtype=np.int64)
     x[1] = 1
-    checkpoints = {d // ell for ell in _prime_factors(d)}
+    checkpoints = {d // ell for ell in int_prime_factors(d)}
     h = x.copy()
     for k in range(1, d + 1):
         # h <- h^p mod f
@@ -273,7 +260,7 @@ class _FieldCtx:
     def _build_tables(self):
         n = self.order
         one = (1,) + (0,) * (self.degree - 1)
-        fac = _prime_factors(n - 1) if n > 2 else []
+        fac = int_prime_factors(n - 1) if n > 2 else []
         gen = None
         for code in range(2, n):
             cand = np.array(self.dec(code), dtype=np.int64)
@@ -646,7 +633,7 @@ class FieldTower:
         if self._z_cache is None:
             ctx = self.base_field
             n = ctx.order
-            fac = _prime_factors(n - 1) if n > 2 else []
+            fac = int_prime_factors(n - 1) if n > 2 else []
             for code in range(1, n):
                 cand = FFElem(ctx, ctx.dec(code))
                 if cand.is_zero():

@@ -64,6 +64,7 @@ class Rank2Invariants:
     b_p: Poly  # monic conductor
     delta_p: Poly  # exact d / b_p^2 (not monic)
     supersingular: bool
+    weil: WeilPolynomial | None = None  # the P(x) these were computed from
 
     @property
     def delta_monic(self) -> Poly:
@@ -242,9 +243,7 @@ def rank2_invariants_reduced(red: ReducedModule) -> Rank2Invariants:
     base = tower.base_field
     weil = weil_rank2_reduced(red)
     a_p, u_p = weil.coeffs[1], weil.unit
-    one = base.one_elem()
-    four = one + one + one + one
-    d = a_p * a_p - red.prime.scale(u_p * four)
+    d = a_p * a_p - red.prime.scale(u_p * tower.from_int(4))
     split = squarefree_split(d)
     b_p = Poly.one(base)
     for ell, mult in factorize(split.conductor_part).factors:
@@ -264,17 +263,15 @@ def rank2_invariants_reduced(red: ReducedModule) -> Rank2Invariants:
         b_p=b_p.monic(),
         delta_p=delta,
         supersingular=a_p.is_zero(),
+        weil=weil,
     )
 
 
 def _membership(red: ReducedModule, a_p: Poly, m: Poly) -> bool:
     """(2 pi + a_p)/m lies in End(psi x F_p), by skew right-division."""
     ctx = red.ctx
-    two = red.source.tower.base_field.one_elem()
-    two = two + two
-    elt = SkewPoly.tau_power(ctx, red.deg_p).scale_left(
-        red.source.tower.embed(two, ctx)
-    ) + red.psibar_of(a_p)
+    two = red.source.tower.from_int(2, ctx)
+    elt = SkewPoly.tau_power(ctx, red.deg_p).scale_left(two) + red.psibar_of(a_p)
     _, rem = skew_right_divmod(elt, red.psibar_of(m))
     return rem.is_zero()
 

@@ -178,6 +178,6 @@ class ReducedModule:
 
 
 def reduce_at(psi: DrinfeldModule, p: Poly) -> ReducedModule:
-    if not is_irreducible(p):
-        raise NotIrreducibleError("reduction needs a prime modulus")
+    """The reduction at p; raises NotIrreducibleError for a non-prime p and
+    BadReductionError when p divides g_r (one prime test, in the constructor)."""
     return ReducedModule(psi, p)

@@ -318,7 +318,7 @@ def is_irreducible(f: Poly) -> bool:
         return False
     q = f.field.order
     x = Poly.x(f.field)
-    checkpoints = {d // ell for ell in _int_prime_factors(d)}
+    checkpoints = {d // ell for ell in int_prime_factors(d)}
     h = x
     for k in range(1, d + 1):
         h = powmod(h, q, f)
@@ -330,7 +330,8 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _int_prime_factors(n: int) -> list[int]:
+def int_prime_factors(n: int) -> list[int]:
+    """The distinct prime divisors of the integer n, increasing."""
     out = []
     d = 2
     while d * d <= n:
@@ -417,6 +418,16 @@ def squarefree_split(f: Poly) -> SquarefreeSplit:
         if m // 2:
             c = c * powint(g, m // 2)
     return SquarefreeSplit(unit, c.monic(), d0.monic())
+
+
+def splits_into_linear_factors(f: Poly) -> bool:
+    """f splits over its coefficient field F_Q iff its radical s (the product
+    of the squarefree parts) divides x^Q - x: one powmod, no factoring."""
+    s = Poly.one(f.field)
+    for g, _ in squarefree_decomposition(f):
+        s = s * g
+    x = Poly.x(f.field)
+    return powmod(x, f.field.order, s) == x % s
 
 
 def powint(f: Poly, k: int) -> Poly:
@@ -567,7 +578,7 @@ def enumerate_monic_irreducibles(field, deg: int) -> Iterator[Poly]:
 
 def int_mobius(n: int) -> int:
     out = 1
-    for ell in _int_prime_factors(n):
+    for ell in int_prime_factors(n):
         if n % (ell * ell) == 0:
             return 0
         out = -out

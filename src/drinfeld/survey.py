@@ -8,6 +8,8 @@ runs and can cross process boundaries under --jobs; emission order is always
 
 from __future__ import annotations
 
+import dataclasses
+import logging
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -16,22 +18,24 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .config import SurveyOptions
-from .errors import DrinfeldError, EvenCharacteristicError
+from .errors import BadReductionError, DrinfeldError, EvenCharacteristicError
 from .fields import FieldTower
 from .invariants import (
-    invariant_factors,
+    end_lattice_reduced,
+    invariant_factors_from_lattice,
     rank2_invariants_reduced,
     weil_general,
     weil_identity_holds,
-    weil_rank2_reduced,
 )
-from .division import abhyankar_splits_mod, module_structure
+from .division import abhyankar_splits_reduced, module_structure_reduced
 from .modules import DrinfeldModule, good_reduction_at, reduce_at
 from .polys import Poly, count_monic_irreducibles, enumerate_monic_irreducibles, powint
 from .textio import poly_to_text, fq_to_text
-from .torsion import module_structure_oracle
+from .torsion import module_structure_oracle_reduced
 
 REQUIRED_CHECKS = ("weil_identity", "structure_oracle")
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -53,45 +57,17 @@ class SurveyRecord:
     skipped: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "psi": self.psi,
-            "p": self.p,
-            "deg_p": self.deg_p,
-            "a_p": self.a_p,
-            "u_p": self.u_p,
-            "b_invariants": self.b_invariants,
-            "delta_p": self.delta_p,
-            "supersingular": self.supersingular,
-            "d1": self.d1,
-            "d2": self.d2,
-            "splits_abhyankar": self.splits_abhyankar,
-            "checks_passed": self.checks_passed,
-            "warnings": self.warnings,
-            "skipped": self.skipped,
-        }
+        return dataclasses.asdict(self)
 
 
-CSV_COLUMNS = [
-    "q",
-    "psi",
-    "p",
-    "deg_p",
-    "a_p",
-    "u_p",
-    "b_invariants",
-    "delta_p",
-    "supersingular",
-    "d1",
-    "d2",
-    "splits_abhyankar",
-    "checks_passed",
-    "warnings",
-    "skipped",
-]
+CSV_COLUMNS = [f.name for f in dataclasses.fields(SurveyRecord)]
 
 
 def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> SurveyRecord:
+    """One record for the prime p.  The reduction at p and the invariants are
+    computed once and shared by every check.  A failure becomes the record
+    warning ``error: ...``, so one bad prime never aborts a survey; an
+    unexpected exception also logs its traceback."""
     tower = psi.tower
     psi_texts = [poly_to_text(g) for g in psi.g]
     base = psi.base
@@ -110,41 +86,37 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
         splits_abhyankar=None,
         checks_passed=[],
     )
-    if not good_reduction_at(psi, p):
-        rec.skipped = "bad_reduction"
-        return rec
     try:
         red = reduce_at(psi, p)
         checks = []
         if psi.rank == 2 and tower.q % 2:
             inv = rank2_invariants_reduced(red)
-            weil = weil_rank2_reduced(red)
             rec.a_p = poly_to_text(inv.a_p)
             rec.u_p = fq_to_text(inv.u_p, tower)
             rec.b_invariants = [poly_to_text(inv.b_p)]
             rec.delta_p = poly_to_text(inv.delta_p)
             rec.supersingular = inv.supersingular
-            if weil_identity_holds(red, weil):
+            if weil_identity_holds(red, inv.weil):
                 checks.append("weil_identity")
             if 2 * inv.a_p.degree() <= p.degree():
                 checks.append("rh_bound")
             if inv.d == inv.b_p * inv.b_p * inv.delta_p:
                 checks.append("disc_factorization")
-            ms = module_structure(psi, p)
+            ms = module_structure_reduced(red, inv)
             rec.d1 = poly_to_text(ms.d1)
             rec.d2 = poly_to_text(ms.d2)
-            oracle = module_structure_oracle(psi, p)
+            oracle = module_structure_oracle_reduced(red)
             mine = [f for f in (ms.d1, ms.d2) if f.degree() >= 1]
             if [f.coeffs for f in oracle] == [f.coeffs for f in mine]:
                 checks.append("structure_oracle")
             if options.with_lattice_checks:
-                lat_b = invariant_factors(psi, p).factors
+                lat_b = invariant_factors_from_lattice(end_lattice_reduced(red)).factors
                 if lat_b == [inv.b_p]:
                     checks.append("b_lattice_agreement")
                 else:
                     rec.warnings.append("lattice b_p disagrees with conductor b_p")
             if options.with_abhyankar and p != Poly.x(base):
-                splits, _ = abhyankar_splits_mod(psi, p)
+                splits, _ = abhyankar_splits_reduced(red, inv.b_p, inv)
                 rec.splits_abhyankar = splits
                 checks.append("abhyankar_consistency")
         else:
@@ -152,25 +124,31 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
             rec.a_p = poly_to_text(weil.coeffs[-1])
             rec.u_p = fq_to_text(weil.unit, tower)
             checks.append("weil_identity")  # asserted inside weil_general
-            bfac = invariant_factors(psi, p).factors
+            bfac = invariant_factors_from_lattice(end_lattice_reduced(red)).factors
             rec.b_invariants = [poly_to_text(b) for b in bfac]
             if all(
                 (bfac[i + 1] % bfac[i]).is_zero() for i in range(len(bfac) - 1)
             ):
                 checks.append("divisibility_chain")
-            oracle = module_structure_oracle(psi, p)
+            oracle = module_structure_oracle_reduced(red)
             if sum(f.degree() for f in oracle) == p.degree():
                 checks.append("structure_oracle")
             if options.with_abhyankar and p != Poly.x(base):
-                splits, _ = abhyankar_splits_mod(psi, p)
+                b1 = bfac[0] if bfac else Poly.one(base)
+                splits, _ = abhyankar_splits_reduced(red, b1, weil=weil)
                 rec.splits_abhyankar = splits
                 checks.append("abhyankar_consistency")
         rec.checks_passed = checks
         for required in REQUIRED_CHECKS:
             if required not in checks:
                 rec.warnings.append(f"required check failed: {required}")
+    except BadReductionError:
+        rec.skipped = "bad_reduction"
     except DrinfeldError as exc:
         rec.warnings.append(f"error: {exc}")
+    except Exception as exc:
+        logger.exception("unexpected error in the survey record for p=%s", rec.p)
+        rec.warnings.append(f"error: {type(exc).__name__}: {exc}")
     return rec
 
 

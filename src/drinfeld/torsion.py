@@ -484,12 +484,14 @@ def _greedy_module_basis(a, t_action, base, r, q, k_q) -> list[list[FFElem]]:
 
 
 def module_structure_oracle(psi: DrinfeldModule, p: Poly) -> list[Poly]:
-    """Invariant factors of the A-module psi acting on F_p, by brute force.
+    """Invariant factors of the A-module psi acting on F_p, by brute force."""
+    return module_structure_oracle_reduced(reduce_at(psi, p))
 
-    Builds the matrix of psibar_T as an F_q-linear operator on F_p and takes
+
+def module_structure_oracle_reduced(red: ReducedModule) -> list[Poly]:
+    """Builds the matrix of psibar_T as an F_q-linear operator on F_p and takes
     the Smith normal form of T*I - M over A; nonunit factors are returned.
     """
-    red = reduce_at(psi, p)
     tower = red.source.tower
     p0 = tower.char
     e = tower.base_degree

@@ -1,15 +1,26 @@
 """Randomized property suites (hypothesis drives the case generation)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld.fields import FieldTower
-from drinfeld.polys import Poly, crt, poly_gcd
+from drinfeld.polys import Poly, crt, factorize, poly_gcd, splits_into_linear_factors
 from drinfeld.skew import SkewPoly, skew_right_divmod
 
 TOWER3 = FieldTower(3, max_degree=64)
 TOWER9 = FieldTower(9, max_degree=64)
 F9 = TOWER9.base_field
 F36 = TOWER3.field(6)
+TOWER2 = FieldTower(2, max_degree=64)
+TOWER5 = FieldTower(5, max_degree=64)
+# F_5, F_4, F_8, and F_9 both as an extension of F_3 and as the base of q = 9
+SPLIT_FIELDS = {
+    "F5": TOWER5.base_field,
+    "F4": TOWER2.field(2),
+    "F8": TOWER2.field(3),
+    "F9_ext": TOWER3.field(2),
+    "F9_base": F9,
+}
 
 
 def elem(ctx):
@@ -107,3 +118,28 @@ def test_psi_ring_homomorphism(data):
     pa, pb = psi_of(psi, a), psi_of(psi, b)
     assert psi_of(psi, a * b) == pa * pb
     assert pa * pb == pb * pa
+
+
+@st.composite
+def factored_poly(draw, ctx):
+    """A unit times monic factors of degree <= 3, each with multiplicity 1, 2,
+    3 or char (a p-th power)."""
+    f = Poly.constant(draw(elem(ctx).filter(lambda c: not c.is_zero())))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        tail = draw(st.lists(elem(ctx), min_size=1, max_size=3))
+        g = Poly(ctx, tail + [ctx.one_elem()])
+        f = f * g ** draw(st.sampled_from([1, 2, 3, ctx.char]))
+    return f
+
+
+@pytest.mark.parametrize("name", list(SPLIT_FIELDS))
+def test_split_predicate_matches_factorization(name):
+    ctx = SPLIT_FIELDS[name]
+
+    @given(f=factored_poly(ctx))
+    @settings(max_examples=300, deadline=None)
+    def check(f):
+        expected = all(g.degree() == 1 for g, _ in factorize(f).factors)
+        assert splits_into_linear_factors(f) == expected
+
+    check()

@@ -1,0 +1,113 @@
+"""Survey records against committed golden output, the work one record does
+on the rank-2 path, and per-record fault tolerance."""
+
+import logging
+import sys
+from pathlib import Path
+
+import pytest
+
+from drinfeld import survey
+from drinfeld.cli import main
+from drinfeld.config import SurveyOptions
+from drinfeld.errors import DrinfeldError
+from drinfeld.fields import FieldTower
+from drinfeld.textio import module_from_text, poly_from_text
+
+DATA = Path(__file__).parent / "data"
+
+# (golden file, CLI survey arguments that produce it).  The rank-2 file has 32
+# records, 4 of them Abhyankar-split, so it pins the T^2 | disc and
+# square-witness branch; the rank-3 file pins the general-rank route.
+GOLDEN = [
+    ("survey_q3_t2_deg1-4.jsonl", ["--q", "3", "--psi", "T+0*t+1*t^2", "--deg", "1,2,3,4"]),
+    ("survey_q2_r3_deg1-2.jsonl", ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1,2"]),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name,args", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_survey_matches_golden_file(name, args, jobs, capsys, monkeypatch):
+    monkeypatch.delenv("DF_MAX_EXT_DEGREE", raising=False)
+    assert main(["survey", *args, "--format", "json", "--jobs", str(jobs)]) == 0
+    assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")
+
+
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Count calls of module.name through every drinfeld namespace bound to it."""
+    original = getattr(module, name)
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.split(".")[0] == "drinfeld":
+            if mod.__dict__.get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("prime", ["T^4+T^3+2*T+1", "T^3+2*T+1"], ids=["split", "nonsplit"])
+def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
+    from drinfeld import invariants, modules, polys
+
+    tower = FieldTower(3, max_degree=64)
+    psi = module_from_text("T+0*t+1*t^2", tower)
+    p = poly_from_text(prime, tower)
+    counts = {
+        "reduce_at": _count_calls(monkeypatch, modules, "reduce_at"),
+        "is_irreducible": _count_calls(monkeypatch, polys, "is_irreducible"),
+        "rank2_invariants_reduced": _count_calls(monkeypatch, invariants, "rank2_invariants_reduced"),
+        "weil_rank2_reduced": _count_calls(monkeypatch, invariants, "weil_rank2_reduced"),
+        "factorize": _count_calls(monkeypatch, polys, "factorize"),  # the conductor only
+    }
+    rec = survey.compute_record(psi, p, SurveyOptions())
+    assert rec.skipped is None and not rec.warnings
+    assert rec.splits_abhyankar is (prime == "T^4+T^3+2*T+1")
+    assert {k: c[0] for k, c in counts.items()} == dict.fromkeys(counts, 1)
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("injected failure")
+
+
+def test_unexpected_error_becomes_record_warning(monkeypatch, caplog, capsys):
+    tower = FieldTower(3, max_degree=64)
+    psi = module_from_text("T+1*t+1*t^2", tower)
+    monkeypatch.setattr(survey, "module_structure_oracle_reduced", _fail)
+    with caplog.at_level(logging.ERROR, logger="drinfeld.survey"):
+        recs = list(survey.run_survey(psi, [1, 2], SurveyOptions(jobs=1)))
+    assert len(recs) == 3 + 3
+    for rec in recs:
+        assert rec.warnings[0] == "error: RuntimeError: injected failure"
+        assert rec.checks_passed == []
+    assert len(caplog.records) == 6
+    assert all(r.exc_info and r.exc_info[0] is RuntimeError for r in caplog.records)
+    assert capsys.readouterr().out == ""
+    with pytest.raises(DrinfeldError, match="strict mode"):
+        list(survey.run_survey(psi, [1], SurveyOptions(strict=True)))
+
+
+def test_unexpected_error_in_worker_is_kept_per_record(monkeypatch, caplog):
+    monkeypatch.setattr(survey, "_WORKER_STATE", {})
+    monkeypatch.setattr(survey, "module_structure_oracle_reduced", _fail)
+    opt_kwargs = {"strict": False, "with_lattice_checks": False, "with_abhyankar": True,
+                  "jobs": 1, "c_k": 1}
+    survey._worker_init(3, 64, [[1], [1]], opt_kwargs)  # psi_T = T + tau + tau^2
+    with caplog.at_level(logging.ERROR, logger="drinfeld.survey"):
+        idx, d = survey._worker_run((7, [1, 1]))  # p = T + 1
+    assert idx == 7
+    assert d["p"] == "T+1" and d["skipped"] is None
+    assert d["warnings"] == ["error: RuntimeError: injected failure"]
+    assert len(caplog.records) == 1
+
+
+def test_cli_strict_exits_2_on_unexpected_error(monkeypatch, capsys):
+    monkeypatch.setattr(survey, "module_structure_oracle_reduced", _fail)
+    argv = ["survey", "--q", "3", "--psi", "T+1*t+1*t^2", "--deg", "1", "--strict"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RuntimeError: injected failure" in captured.err
