@@ -1,7 +1,7 @@
 """Exact Frobenius invariants of Drinfeld F_q[T]-modules at primes of good
 reduction, with brute-force oracles for every computed quantity."""
 
-from .config import LatticeConfig, SurveyOptions, TorsionConfig, WeilConfig
+from .config import SurveyOptions, TorsionConfig, WeilConfig
 from .division import (
     AbhyankarPolynomial,
     FrobeniusClassMatrix,

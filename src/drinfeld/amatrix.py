@@ -150,56 +150,14 @@ def ring_det(m: list[list]) -> object:
     return acc
 
 
-def _lp_add(a: list, b: list, zero):
-    out = [zero] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return out
-
-
-def _lp_mul(a: list, b: list, zero):
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _lp_neg(a: list):
-    return [-c for c in a]
-
-
-def charpoly(m: list[list], one, zero) -> list:
-    """Coefficients (low first, monic) of det(xI - M) over a commutative ring."""
+def charpoly(m: list[list]) -> Poly:
+    """det(xI - M), a monic Poly over the ring of M's entries (QuotElem or FFElem)."""
     n = len(m)
-    xmat = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cs = [-m[i][j]]
-            if i == j:
-                cs.append(one)
-            row.append(cs)
-        xmat.append(row)
-
-    def det(mm):
-        k = len(mm)
-        if k == 1:
-            return mm[0][0]
-        acc = None
-        for j in range(k):
-            minor = [[mm[i][t] for t in range(k) if t != j] for i in range(1, k)]
-            term = _lp_mul(mm[0][j], det(minor), zero)
-            if j % 2:
-                term = _lp_neg(term)
-            acc = term if acc is None else _lp_add(acc, term, zero)
-        return acc
-
-    return det(xmat)
+    ring = Poly.constant(m[0][0]).field
+    x, zero = Poly.x(ring), Poly.zero(ring)
+    return ring_det(
+        [[(x if i == j else zero) - Poly.constant(m[i][j]) for j in range(n)] for i in range(n)]
+    )
 
 
 def resultant(p: list[Poly], q: list[Poly], field) -> Poly:

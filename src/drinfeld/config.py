@@ -21,14 +21,6 @@ class WeilConfig:
 
 
 @dataclass(frozen=True)
-class LatticeConfig:
-    """Stabilization-window policy for the endomorphism-lattice search."""
-
-    window_growth: int | None = None  # defaults to 2r at call time
-    hard_cap_factor: int = 4  # cap D <= factor * (n + r^2)
-
-
-@dataclass(frozen=True)
 class SurveyOptions:
     """Options for the prime-survey engine."""
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    ConfigurationError,
     DrinfeldError,
     ResourceLimitError,
     RingMismatchError,
@@ -513,9 +514,16 @@ class FieldTower:
     prime field; registration is serialized, reads are lock-free.  The cap
     ``max_degree`` bounds the degree over the prime field of any field that
     may be created (default 64).
+
+    Supported domain: q <= ``TABLE_LIMIT``, so that F_q has log tables
+    (``z_generator`` and ``dlog_z`` walk F_q), the lex search for moduli stays
+    short, and int64 products of prime coordinates cannot overflow.  A larger
+    q raises ConfigurationError.
     """
 
     def __init__(self, q: int, max_degree: int = 64):
+        if q > TABLE_LIMIT:
+            raise ConfigurationError(f"q = {q} exceeds the supported maximum {TABLE_LIMIT}")
         p, e = _split_prime_power(q)
         self.q = q
         self.char = p
@@ -598,16 +606,15 @@ class FieldTower:
         return Embedding(sub.fid, sup.fid, m)
 
     def _lex_min_root(self, sub: _FieldCtx, sup: _FieldCtx) -> FFElem:
-        from .polys import Poly, roots_in_field  # deferred to avoid an import cycle
+        from .polys import Poly, lex_min_root  # deferred to avoid an import cycle
 
         coeffs = [
             FFElem(sup, ((int(c) % self.char,) + (0,) * (sup.degree - 1)))
             for c in sub.fid.modulus
         ]
-        rs = roots_in_field(Poly(sup, coeffs))
-        if len(rs) != sub.degree:
-            raise DrinfeldError("subfield modulus does not split in the superfield")
-        return min(rs, key=lambda r: r.int_code())
+        return lex_min_root(
+            Poly(sup, coeffs), "subfield modulus does not split in the superfield"
+        )
 
     # -- element constructors ------------------------------------------------------
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .amatrix import charpoly, discriminant, ring_det, smith_normal_form
-from .config import LatticeConfig, WeilConfig
+from .config import WeilConfig
 from .errors import (
     ConfigurationError,
     DrinfeldError,
@@ -204,7 +204,7 @@ def weil_general(
     residues: list[list[Poly]] = []  # residues[i][j]: c_j mod moduli[i]
     for m in moduli:
         tb = torsion_basis_reduced(red, m, config.torsion)
-        cp = charpoly(tb.frobenius_matrix, tb.ring.one_elem(), tb.ring.zero_elem())
+        cp = charpoly(tb.frobenius_matrix)
         residues.append([cp[j].rep for j in range(r)])
     coeffs = []
     for j in range(r):
@@ -279,13 +279,13 @@ def _membership(red: ReducedModule, a_p: Poly, m: Poly) -> bool:
 # ---------------------------------------------------------------------------
 # the endomorphism lattice by centralizer linear algebra
 
+# The tau-degree window D grows by 2r per step and is capped at 4 (n + r^2).
+WINDOW_GROWTH_PER_RANK = 2
+WINDOW_CAP_FACTOR = 4
 
-def end_lattice(
-    psi: DrinfeldModule, p: Poly, config: LatticeConfig | None = None
-) -> EndLattice:
-    config = config or LatticeConfig()
-    red = reduce_at(psi, p)
-    return end_lattice_reduced(red, config)
+
+def end_lattice(psi: DrinfeldModule, p: Poly) -> EndLattice:
+    return end_lattice_reduced(reduce_at(psi, p))
 
 
 def _commutant_nullspace(red: ReducedModule, D: int) -> list[SkewPoly]:
@@ -363,12 +363,11 @@ class _SpanTracker:
         return self.space.contains(self.vec(s))
 
 
-def end_lattice_reduced(red: ReducedModule, config: LatticeConfig | None = None) -> EndLattice:
-    config = config or LatticeConfig()
+def end_lattice_reduced(red: ReducedModule) -> EndLattice:
     n = red.deg_p
     r = red.rank
-    growth = config.window_growth or 2 * r
-    cap = config.hard_cap_factor * (n + r * r)
+    growth = WINDOW_GROWTH_PER_RANK * r
+    cap = WINDOW_CAP_FACTOR * (n + r * r)
     D = n + 2 * r
 
     while True:
@@ -490,8 +489,8 @@ def _coords_mul(lat: EndLattice, a: list[Poly], b: list[Poly]) -> list[Poly]:
     return out
 
 
-def invariant_factors(psi: DrinfeldModule, p: Poly, config: LatticeConfig | None = None) -> InvariantFactors:
-    lat = end_lattice(psi, p, config)
+def invariant_factors(psi: DrinfeldModule, p: Poly) -> InvariantFactors:
+    lat = end_lattice(psi, p)
     return invariant_factors_from_lattice(lat)
 
 
@@ -509,13 +508,11 @@ def invariant_factors_from_lattice(lat: EndLattice) -> InvariantFactors:
     return InvariantFactors(factors=[f.monic() for f in factors[1:]])
 
 
-def disc_check(
-    psi: DrinfeldModule, p: Poly, config: LatticeConfig | None = None
-) -> tuple[bool, dict]:
+def disc_check(psi: DrinfeldModule, p: Poly) -> tuple[bool, dict]:
     """Discriminant identity disc(P) A = disc(E) (b_1 ... b_{r-1})^2."""
     if psi.rank % psi.tower.char == 0:
         raise DrinfeldError("disc identity needs gcd(r, q) = 1")
-    lat = end_lattice(psi, p, config)
+    lat = end_lattice(psi, p)
     red = lat.red
     base = psi.base
     if psi.rank == 2:

@@ -1,8 +1,15 @@
 """Dense exact linear algebra over a prime field F_p, on int64 numpy arrays.
 
-All matrices hold entries in 0..p-1.  Entry growth inside a single
-matmul/convolution is at most n*(p-1)^2, far below int64 range for the
-desk-scale dimensions used here, so one reduction per product is exact.
+This is the one linear-algebra kernel of the package.  Work over F_q or an
+extension field comes here in prime coordinates: an element of F_{p^e} is
+its e coordinates (``FFElem.coords``), a vector over it is the concatenation
+of those e-blocks, and an F_{p^e}-span is the prime span of the multiples
+v, y v, ..., y^(e-1) v of its vectors by the field generator y.
+
+All matrices hold entries in 0..p-1.  Entry growth inside a single matrix
+product is at most n*(p-1)^2, far below int64 range for the desk-scale
+dimensions used here (F_q is table-sized, so p <= 2^14), so one reduction per
+product is exact.
 """
 
 from __future__ import annotations
@@ -12,10 +19,6 @@ import numpy as np
 
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=np.int64)
-
-
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
 
 
 def matpow(a: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -28,13 +31,6 @@ def matpow(a: np.ndarray, k: int, p: int) -> np.ndarray:
         base = (base @ base) % p
         k >>= 1
     return out
-
-
-def polymul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product of coefficient vectors (low degree first), reduced mod p."""
-    if len(a) == 0 or len(b) == 0:
-        return zeros(0)
-    return np.convolve(a, b) % p
 
 
 def _inv_mod(x: int, p: int) -> int:
@@ -99,21 +95,6 @@ def solve(m: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     return x[:, 0] if vec else x
 
 
-def rank(m: np.ndarray, p: int) -> int:
-    if m.size == 0:
-        return 0
-    return len(rref(m, p)[1])
-
-
-def in_rowspace(basis_rref: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> bool:
-    """Membership of v in the row space given by an rref basis with pivot list."""
-    w = v % p
-    for i, pc in enumerate(pivots):
-        if w[pc]:
-            w = (w - w[pc] * basis_rref[i]) % p
-    return not w.any()
-
-
 class RowSpace:
     """Incrementally maintained row space mod p (rref form)."""
 
@@ -123,16 +104,22 @@ class RowSpace:
         self.basis = zeros((0, dim))
         self.pivots: list[int] = []
 
-    def contains(self, v: np.ndarray) -> bool:
-        return in_rowspace(self.basis, self.pivots, v, self.p)
-
-    def add(self, v: np.ndarray) -> bool:
-        """Insert v; returns True if the space grew."""
+    def _reduce(self, v: np.ndarray) -> np.ndarray:
+        """v minus its components along the pivots: zero iff v is in the space."""
         p = self.p
         w = v % p
         for i, pc in enumerate(self.pivots):
             if w[pc]:
                 w = (w - w[pc] * self.basis[i]) % p
+        return w
+
+    def contains(self, v: np.ndarray) -> bool:
+        return not self._reduce(v).any()
+
+    def add(self, v: np.ndarray) -> bool:
+        """Insert v; returns True if the space grew."""
+        p = self.p
+        w = self._reduce(v)
         nz = np.nonzero(w)[0]
         if len(nz) == 0:
             return False

@@ -19,7 +19,7 @@ from .errors import (
     ZeroInputError,
 )
 from .fields import FFElem, FieldTower, _FieldCtx
-from .polys import Poly, is_irreducible
+from .polys import Poly, is_irreducible, lex_min_root
 from .skew import AOverField, SkewPoly
 
 
@@ -102,13 +102,8 @@ class ResidueField:
         self._basis_inv = inv
 
     def _find_t_image(self) -> FFElem:
-        from .polys import roots_in_field
-
         coeffs = [self.tower.embed(c, self.ctx) for c in self.prime.coeffs]
-        roots = roots_in_field(Poly(self.ctx, coeffs))
-        if len(roots) != self.deg_p:
-            raise DrinfeldError("prime does not split in its residue field")
-        return min(roots, key=lambda r: r.int_code())
+        return lex_min_root(Poly(self.ctx, coeffs), "prime does not split in its residue field")
 
     def reduce(self, f: Poly) -> FFElem:
         """Image of f in F_p (evaluate at the T-image)."""

@@ -546,6 +546,18 @@ def roots_in_field(f: Poly) -> list:
     return sorted(roots, key=lambda r: r.int_code())
 
 
+def lex_min_root(f: Poly, error: str):
+    """The root of f with the smallest integer code.
+
+    f must split into distinct linear factors over its coefficient field;
+    otherwise DrinfeldError(error) is raised.
+    """
+    roots = roots_in_field(f)
+    if len(roots) != f.degree():
+        raise DrinfeldError(error)
+    return roots[0]
+
+
 def mobius(m: Poly) -> int:
     """Mobius function on monic polynomials in A."""
     if m.is_zero():

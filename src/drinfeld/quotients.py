@@ -192,22 +192,3 @@ def mat_trace(m, ring: QuotRing) -> QuotElem:
     for i in range(len(m)):
         acc = acc + m[i][i]
     return acc
-
-
-def mat_det(m, ring) -> QuotElem:
-    """Cofactor-expansion determinant (small matrices over any commutative ring)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = None
-    for j in range(n):
-        if hasattr(m[0][j], "is_zero") and m[0][j].is_zero():
-            continue
-        minor = [[m[i][t] for t in range(n) if t != j] for i in range(1, n)]
-        term = m[0][j] * mat_det(minor, ring)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return ring.zero_elem()
-    return acc

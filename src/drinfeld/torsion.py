@@ -7,10 +7,18 @@ The candidate degrees s = 1, 2, 3, ... are walked in order (each step is one
 matrix-vector product), then the one splitting field F_{p^s} is built in the
 tower and the kernel is extracted by linear algebra over the prime field.
 
-Generators are chosen greedily: walk kernel elements in deterministic
-coordinate order, keep the first element whose A-order modulo the current
-span is a, and repeat r times; Frobenius images are expressed through the
-evaluation map (A/aA)^r -> psi[a] by solving one linear system.
+All linear algebra here runs on the prime-field kernel in ``linalg``.  With
+q = p0^e, an F_q-vector of length k is written as its k blocks of e prime
+coordinates (the ``FFElem.coords`` of each entry), and the F_q-span of some
+vectors is the prime span of their multiples v, y v, ..., y^(e-1) v by the
+generator y of F_q.  T and Frobenius act on an F_q-basis of the kernel by
+prime matrices on these blocks.
+
+Generators are chosen greedily: walk kernel elements by code (the base-p0
+digits of the code, low digit first, are the block coordinates), keep the
+first element whose A-order modulo the current span is a, and repeat r times;
+Frobenius images are expressed through the evaluation map (A/aA)^r -> psi[a]
+by solving one linear system.
 """
 
 from __future__ import annotations
@@ -29,115 +37,9 @@ from .errors import (
 from .fields import FFElem, FieldId, _FieldCtx
 from .modules import DrinfeldModule, ReducedModule, reduce_at
 from .polys import Poly, factorize, poly_gcd
-from .quotients import QuotElem, QuotRing, mat_det
+from .quotients import QuotElem, QuotRing
 from .skew import skew_eval
-from .amatrix import smith_normal_form
-
-
-# ---------------------------------------------------------------------------
-# small exact linear algebra over F_q with FFElem entries
-
-
-class FqRowSpace:
-    """Row space over F_q, kept in reduced echelon form."""
-
-    def __init__(self, dim: int, field: _FieldCtx):
-        self.dim = dim
-        self.field = field
-        self.rows: list[list[FFElem]] = []
-        self.pivots: list[int] = []
-
-    def _reduce(self, v: list[FFElem]) -> list[FFElem]:
-        w = list(v)
-        for row, pc in zip(self.rows, self.pivots):
-            c = w[pc]
-            if not c.is_zero():
-                w = [wi - c * ri for wi, ri in zip(w, row)]
-        return w
-
-    def contains(self, v: list[FFElem]) -> bool:
-        return all(c.is_zero() for c in self._reduce(v))
-
-    def add(self, v: list[FFElem]) -> bool:
-        w = self._reduce(v)
-        pc = next((i for i, c in enumerate(w) if not c.is_zero()), None)
-        if pc is None:
-            return False
-        inv = w[pc].inv()
-        w = [c * inv for c in w]
-        for i, row in enumerate(self.rows):
-            c = row[pc]
-            if not c.is_zero():
-                self.rows[i] = [ri - c * wi for ri, wi in zip(row, w)]
-        at = sum(1 for q in self.pivots if q < pc)
-        self.rows.insert(at, w)
-        self.pivots.insert(at, pc)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def fq_mat_vec(m: list[list[FFElem]], v: list[FFElem]) -> list[FFElem]:
-    return [
-        _fq_dot(row, v)
-        for row in m
-    ]
-
-
-def _fq_dot(row, v):
-    acc = None
-    for a, b in zip(row, v):
-        t = a * b
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def poly_apply_matrix(m_poly: Poly, mat: list[list[FFElem]], v: list[FFElem]) -> list[FFElem]:
-    """m(M) @ v by Horner; m has F_q coefficients, M and v live over F_q."""
-    field = m_poly.field
-    zero = field.zero_elem()
-    acc = [zero] * len(v)
-    if m_poly.is_zero():
-        return acc
-    for k in range(m_poly.degree(), -1, -1):
-        acc = fq_mat_vec(mat, acc)
-        c = m_poly[k]
-        if not c.is_zero():
-            acc = [ai + c * vi for ai, vi in zip(acc, v)]
-    return acc
-
-
-def fq_solve(columns: list[list[FFElem]], rhs: list[FFElem]) -> list[FFElem] | None:
-    """Solve sum_j x_j*columns[j] = rhs over F_q (unique-solution systems)."""
-    field = rhs[0].ctx
-    n = len(rhs)
-    k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [rhs[i]] for i in range(n)]
-    # Gaussian elimination
-    pr = 0
-    piv_cols = []
-    for c in range(k):
-        ir = next((i for i in range(pr, n) if not aug[i][c].is_zero()), None)
-        if ir is None:
-            continue
-        aug[pr], aug[ir] = aug[ir], aug[pr]
-        inv = aug[pr][c].inv()
-        aug[pr] = [x * inv for x in aug[pr]]
-        for i in range(n):
-            if i != pr and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[pr])]
-        piv_cols.append(c)
-        pr += 1
-    for i in range(pr, n):
-        if not aug[i][k].is_zero():
-            return None
-    out = [field.zero_elem()] * k
-    for i, c in enumerate(piv_cols):
-        out[c] = aug[i][k]
-    return out
+from .amatrix import ring_det, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +145,8 @@ class TorsionBasis:
     generators: list[FFElem]
     frobenius_matrix: list[list[QuotElem]]
     ring: QuotRing
-    # abstract F_q-model of the torsion module (used by oracle predicates)
-    t_action: list[list[FFElem]]
-    frob_action: list[list[FFElem]]
+    # an F_q-basis b_1..b_k of psi[a] inside the splitting field; F_q-vectors
+    # in the kernel are coordinates in this basis, written as e-blocks
     kernel_basis: list[FFElem]
 
 
@@ -312,76 +213,53 @@ def torsion_basis_reduced(
             f"kernel has prime-dimension {len(null)}, expected {e * k_q}"
         )
 
-    basis_vecs = _fq_basis_from_nullspace(null, tower, L, k_q)
-    # expanded solve matrix: columns (i, t) = y^t * b_i
-    y = tower.embed(tower.gen(tower.base_field), L)
-    my = L.mult_matrix(y.coords)
-    expanded = np.zeros((L.degree, k_q * e), dtype=np.int64)
-    for i, b in enumerate(basis_vecs):
-        cur = b
-        for t in range(e):
-            expanded[:, i * e + t] = cur
-            if t < e - 1:
-                cur = (my @ cur) % p0
     base = tower.base_field
+    y = tower.gen(base)
+    my_L = L.mult_matrix(tower.embed(y, L).coords)
+    basis_vecs = _fq_basis_from_nullspace(null, my_L, e, p0, k_q)
+    # columns (i, t) = y^t b_i: block coordinates -> prime coordinates in L
+    expanded = np.stack(_orbits(basis_vecs, my_L, e, p0), axis=1)
+    # multiplication by y on block coordinates
+    my_blocks = np.kron(np.eye(k_q, dtype=np.int64), base.mult_matrix(y.coords))
 
-    def coords_of(vs: np.ndarray) -> list[list[FFElem]]:
-        sol = linalg.solve(expanded, vs, p0)
-        if sol is None:
+    def on_kernel(op: np.ndarray) -> np.ndarray:
+        mat = linalg.solve(expanded, (op @ expanded) % p0, p0)
+        if mat is None:
             raise DrinfeldError("image leaves the kernel")  # unreachable
-        cols = []
-        for jcol in range(vs.shape[1]):
-            col = []
-            for i in range(k_q):
-                block = sol[i * e : (i + 1) * e, jcol]
-                col.append(FFElem(base, tuple(int(c) for c in block)))
-            cols.append(col)
-        return cols
+        return mat
 
-    t_op = _linearized_operator(red, list(red.psibar_T.coeffs), L)
-    frob_op = L.frob_p_matrix((e * n) % L.degree)
-    imgs_t = (t_op @ np.stack(basis_vecs, axis=1)) % p0
-    imgs_f = (frob_op @ np.stack(basis_vecs, axis=1)) % p0
-    t_cols = coords_of(imgs_t)
-    f_cols = coords_of(imgs_f)
-    t_action = [[t_cols[j][i] for j in range(k_q)] for i in range(k_q)]
-    frob_action = [[f_cols[j][i] for j in range(k_q)] for i in range(k_q)]
+    t_mat = on_kernel(_linearized_operator(red, list(red.psibar_T.coeffs), L))
+    frob_on_kernel = on_kernel(L.frob_p_matrix((e * n) % L.degree))
 
-    gens_abs = _greedy_module_basis(a, t_action, base, r, q, k_q)
+    gens = _greedy_module_basis(a, t_mat, my_blocks, base, r)
 
-    # evaluation map (A/aA)^r -> kernel and the Frobenius matrix in that basis
+    # evaluation map (A/aA)^r -> kernel, columns (i, k, t) = y^t T^k g_i, and
+    # the Frobenius matrix in that basis
     da = a.degree()
-    eval_cols: list[list[FFElem]] = []
-    for g in gens_abs:
-        cur = g
-        for _ in range(da):
-            eval_cols.append(cur)
-            cur = fq_mat_vec(t_action, cur)
+    eval_mat = np.stack(_orbits(_orbits(gens, t_mat, da, p0), my_blocks, e, p0), axis=1)
+    sol = linalg.solve(eval_mat, (frob_on_kernel @ np.stack(gens, axis=1)) % p0, p0)
+    if sol is None:
+        raise DrinfeldError("Frobenius image outside the generated span")
+    # blocks[i, k, :, j]: the coefficient of T^k g_i in Frob(g_j)
+    blocks = sol.reshape(r, da, e, r)
     ring = QuotRing(a)
-    frob_mat: list[list[QuotElem]] = [[None] * r for _ in range(r)]
-    for j, g in enumerate(gens_abs):
-        img = fq_mat_vec(frob_action, g)
-        sol = fq_solve(eval_cols, img)
-        if sol is None:
-            raise DrinfeldError("Frobenius image outside the generated span")
-        for i in range(r):
-            rep = Poly(base, sol[i * da : (i + 1) * da])
-            frob_mat[i][j] = ring.reduce(rep)
+    frob_mat: list[list[QuotElem]] = [
+        [
+            ring.reduce(
+                Poly(base, [FFElem(base, tuple(int(c) for c in blocks[i, k, :, j])) for k in range(da)])
+            )
+            for j in range(r)
+        ]
+        for i in range(r)
+    ]
 
-    det = mat_det(frob_mat, ring)
-    if not det.is_unit():
+    if not ring_det(frob_mat).is_unit():
         raise DrinfeldError("torsion Frobenius matrix is not invertible")
 
     # concrete generators inside L, sanity-killed by psibar_a
     gens_L = []
-    for g in gens_abs:
-        v = np.zeros(L.degree, dtype=np.int64)
-        for i, c in enumerate(g):
-            if c.is_zero():
-                continue
-            cl = tower.embed(c, L)
-            v = (v + (L.mult_matrix(cl.coords) @ basis_vecs[i])) % p0
-        el = FFElem(L, tuple(int(c) for c in v))
+    for g in gens:
+        el = FFElem(L, tuple(int(c) for c in (expanded @ g) % p0))
         if not skew_eval(sk, el).is_zero():
             raise DrinfeldError("generator is not killed by psi_a")  # unreachable
         gens_L.append(el)
@@ -394,8 +272,6 @@ def torsion_basis_reduced(
         generators=gens_L,
         frobenius_matrix=frob_mat,
         ring=ring,
-        t_action=t_action,
-        frob_action=frob_action,
         kernel_basis=kernel_basis,
     )
 
@@ -415,25 +291,33 @@ def _linearized_operator(red: ReducedModule, coeffs: list[FFElem], L: _FieldCtx)
     return out
 
 
+def _orbits(vectors, mat: np.ndarray, length: int, p0: int) -> list[np.ndarray]:
+    """v, M v, ..., M^(length-1) v for each v in turn.
+
+    With M the multiplication by the generator y of F_q and length e, their
+    prime span is the F_q-span of the vectors.
+    """
+    out = []
+    for v in vectors:
+        for t in range(length):
+            out.append(v)
+            if t < length - 1:
+                v = (mat @ v) % p0
+    return out
+
+
 def _fq_basis_from_nullspace(
-    null: np.ndarray, tower, L: _FieldCtx, k_q: int
+    null: np.ndarray, my: np.ndarray, e: int, p0: int, k_q: int
 ) -> list[np.ndarray]:
-    e = tower.base_degree
-    p0 = tower.char
-    if e == 1:
-        return [null[i].copy() for i in range(k_q)]
-    y = tower.embed(tower.gen(tower.base_field), L)
-    my = L.mult_matrix(y.coords)
-    space = linalg.RowSpace(L.degree, p0)
+    """The first k_q null vectors that are F_q-independent of the earlier ones."""
+    space = linalg.RowSpace(null.shape[1], p0)
     out = []
     for row in null:
         if space.contains(row):
             continue
         out.append(row.copy())
-        cur = row
-        for _ in range(e):
-            space.add(cur)
-            cur = (my @ cur) % p0
+        for w in _orbits([row], my, e, p0):
+            space.add(w)
         if len(out) == k_q:
             break
     if len(out) != k_q:
@@ -441,42 +325,48 @@ def _fq_basis_from_nullspace(
     return out
 
 
-def _greedy_module_basis(a, t_action, base, r, q, k_q) -> list[list[FFElem]]:
-    """r kernel elements whose A-span is free, greedily by element order."""
-    fac = factorize(a)
-    maximal_divisors = [a.exact_div(g) for g, _ in fac.factors]
-    span = FqRowSpace(k_q, base)
-    gens: list[list[FFElem]] = []
-    da = a.degree()
-    order = base.order
+def _greedy_module_basis(
+    a: Poly, t_mat: np.ndarray, my_blocks: np.ndarray, base: _FieldCtx, r: int
+) -> list[np.ndarray]:
+    """r kernel elements whose A-span is free, greedily by element order.
+
+    Candidates are walked by code; the base-p digits of the code, low digit
+    first, are the block coordinates of the candidate.  It is kept when no
+    maximal divisor d of a kills it modulo the current span.
+    """
+    p0 = base.char
+    dim = my_blocks.shape[0]
+    divisor_mats = [_poly_at(a.exact_div(g), t_mat, base) for g, _ in factorize(a).factors]
+    span = linalg.RowSpace(dim, p0)
+    digit_weights = [p0**i for i in range(dim)]
+    gens: list[np.ndarray] = []
     while len(gens) < r:
         found = None
-        for code in range(1, order**k_q):
-            c = code
-            v = []
-            for _ in range(k_q):
-                v.append(base.dec_elem(c % order))
-                c //= order
+        for code in range(1, p0**dim):
+            v = np.array([(code // w) % p0 for w in digit_weights], dtype=np.int64)
             if span.contains(v):
                 continue
-            ok = True
-            for d in maximal_divisors:
-                if span.contains(poly_apply_matrix(d, t_action, v)):
-                    ok = False
-                    break
-            if ok:
+            if not any(span.contains((d @ v) % p0) for d in divisor_mats):
                 found = v
                 break
         if found is None:
             raise DrinfeldError("no element of maximal order found")  # unreachable
         gens.append(found)
-        cur = found
-        for _ in range(da):
-            span.add(cur)
-            cur = fq_mat_vec(t_action, cur)
-    if span.rank != k_q:
+        for w in _orbits(_orbits([found], t_mat, a.degree(), p0), my_blocks, base.degree, p0):
+            span.add(w)
+    if span.rank != dim:
         raise DrinfeldError("torsion module basis does not span")  # unreachable
     return gens
+
+
+def _poly_at(d: Poly, t_mat: np.ndarray, base: _FieldCtx) -> np.ndarray:
+    """Prime matrix of d(T) on block coordinates, by Horner."""
+    p0 = base.char
+    eye = np.eye(t_mat.shape[0] // base.degree, dtype=np.int64)
+    out = np.zeros_like(t_mat)
+    for c in reversed(d.coeffs):
+        out = (t_mat @ out + np.kron(eye, base.mult_matrix(c.coords))) % p0
+    return out
 
 
 # ---------------------------------------------------------------------------

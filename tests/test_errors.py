@@ -88,3 +88,18 @@ def test_strict_gate_raises():
     with pytest.raises(DrinfeldError):
         _strict_gate(rec, SurveyOptions(strict=True))
     _strict_gate(rec, SurveyOptions(strict=False))  # non-strict passes through
+
+
+def test_field_tower_rejects_q_above_table_limit():
+    from drinfeld.fields import TABLE_LIMIT, FieldTower
+
+    # 4294967291 would overflow int64 products; 3037000453 would hang in the
+    # lex search for a degree-2 modulus
+    for q in (4294967291, 3037000453):
+        with pytest.raises(ConfigurationError):
+            FieldTower(q)
+    assert TABLE_LIMIT == 1 << 14
+    largest = 16381  # the largest prime q <= 2^14
+    tower = FieldTower(largest)
+    x = tower.from_int(largest - 1)
+    assert (x * x).coords == (1,)

@@ -195,6 +195,31 @@ def test_smith_normal_form_properties(tower3):
         assert prod == det.monic()
 
 
+def test_charpoly_coefficients_over_quotients(tower3):
+    """det(xI - M) = x^3 - tr x^2 + (sum of principal 2-minors) x - det, over a
+    field A/(T^2+1) and over the non-domain A/(T^2)."""
+    from drinfeld.amatrix import charpoly, ring_det
+    from drinfeld.quotients import QuotRing
+
+    F = tower3.base_field
+    rng = random.Random(7)
+    for modulus in ([1, 0, 1], [0, 0, 1]):
+        ring = QuotRing(Poly.from_ints(F, modulus))
+        for _ in range(10):
+            m = [[ring.dec_elem(rng.randrange(ring.order)) for _ in range(3)] for _ in range(3)]
+            cp = charpoly(m)
+            minors = ring.zero_elem()
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    minors = minors + ring_det([[m[i][i], m[i][j]], [m[j][i], m[j][j]]])
+            assert cp.degree() == 3 and cp[3].is_one()
+            assert cp[2] == -(m[0][0] + m[1][1] + m[2][2])
+            assert cp[1] == minors
+            assert cp[0] == -ring_det(m)
+        a = ring.dec_elem(5)
+        assert charpoly([[a]]).coeffs == (-a, ring.one_elem())
+
+
 def test_rcf_examples(tower3):
     F = tower3.base_field
     T, one, zero = Poly.x(F), Poly.one(F), Poly.zero(F)

@@ -168,7 +168,8 @@ def test_survey_nonprime_q(tower9):
     """q = 9 exercises the e > 1 paths: z-power texts, F_q-block extraction."""
     from drinfeld.invariants import weil_rank2
     from drinfeld.modules import DrinfeldModule
-    from drinfeld.quotients import mat_det, mat_trace
+    from drinfeld.amatrix import ring_det
+    from drinfeld.quotients import mat_trace
     from drinfeld.torsion import torsion_basis
 
     F9 = tower9.base_field
@@ -183,7 +184,7 @@ def test_survey_nonprime_q(tower9):
     tb = torsion_basis(psi, p, a)
     w = weil_rank2(psi, p)
     assert mat_trace(tb.frobenius_matrix, tb.ring) == tb.ring.reduce(-w.a_p)
-    assert mat_det(tb.frobenius_matrix, tb.ring) == tb.ring.reduce(w.coeffs[0])
+    assert ring_det(tb.frobenius_matrix) == tb.ring.reduce(w.coeffs[0])
 
 
 # ---------------------------------------------------------------------------
