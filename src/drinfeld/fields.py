@@ -12,6 +12,12 @@ larger fields use numpy convolution against a cached reduction matrix.
 
 Wherever a deterministic element choice is needed (embedding roots, torsion
 generators), elements are ordered by their integer codes sum(c_i * p^i).
+An embedding of the degree-a field into the degree-b field sends x to the
+smallest root of the degree-a modulus m.  Those roots are the a conjugates
+r^(p^i) of any one root r, so ``polys.lex_min_root`` checks m | x^(p^a) - x
+over the prime field, splits off one root r inside the degree-a subfield of
+the bigger field, and takes the smallest conjugate; the other roots are
+never searched for.  The prime field (modulus x) embeds without a root.
 """
 
 from __future__ import annotations
@@ -596,24 +602,29 @@ class FieldTower:
             lo = self._embeddings[(sub.degree, mids[0])]
             hi = self._embeddings[(mids[0], sup.degree)]
             return Embedding(sub.fid, sup.fid, (hi.matrix @ lo.matrix) % self.char)
-        root = self._lex_min_root(sub, sup)
-        m = np.zeros((sup.degree, sub.degree), dtype=np.int64)
+        # column j is root^j; the prime field (modulus x) has the one column 1
         cur = FFElem(sup, sup.one_coords())
-        for j in range(sub.degree):
-            m[:, j] = cur.vec()
-            if j < sub.degree - 1:
+        cols = [cur.coords]
+        if sub.degree > 1:
+            root = self._lex_min_root(sub, sup)
+            for _ in range(sub.degree - 1):
                 cur = cur * root
-        return Embedding(sub.fid, sup.fid, m)
+                cols.append(cur.coords)
+        return Embedding(sub.fid, sup.fid, np.array(cols, dtype=np.int64).T)
 
     def _lex_min_root(self, sub: _FieldCtx, sup: _FieldCtx) -> FFElem:
+        """The lex-smallest root in sup of sub's modulus, a polynomial over
+        the prime field; its coefficients c enter sup as (c, 0, ..., 0)."""
         from .polys import Poly, lex_min_root  # deferred to avoid an import cycle
 
-        coeffs = [
-            FFElem(sup, ((int(c) % self.char,) + (0,) * (sup.degree - 1)))
-            for c in sub.fid.modulus
-        ]
+        prime = self.field(1)
+        f = Poly(prime, [FFElem(prime, (int(c),)) for c in sub.fid.modulus])
+        pad = (0,) * (sup.degree - 1)
         return lex_min_root(
-            Poly(sup, coeffs), "subfield modulus does not split in the superfield"
+            f,
+            sup,
+            lambda c: FFElem(sup, c.coords + pad),
+            "subfield modulus does not split in the superfield",
         )
 
     # -- element constructors ------------------------------------------------------

@@ -4,7 +4,10 @@ reductions modulo primes of A.
 A residue field F_p = A/p is realized inside the tower's canonical field of
 degree deg(p)*[F_q:prime]; the image of T is the lex-smallest root of p
 there, and canonical representatives (degree < deg p) are recovered through a
-cached change-of-basis matrix, so reductions round-trip exactly.
+cached change-of-basis matrix, so reductions round-trip exactly.  The roots
+of p are the Frobenius orbit r, r^q, ..., r^(q^(n-1)) of any one root r
+(n = deg p), so ``polys.lex_min_root`` tests p | x^(q^n) - x over F_q, finds
+one root in F_p and returns the smallest element of its orbit.
 """
 
 from __future__ import annotations
@@ -102,8 +105,12 @@ class ResidueField:
         self._basis_inv = inv
 
     def _find_t_image(self) -> FFElem:
-        coeffs = [self.tower.embed(c, self.ctx) for c in self.prime.coeffs]
-        return lex_min_root(Poly(self.ctx, coeffs), "prime does not split in its residue field")
+        return lex_min_root(
+            self.prime,
+            self.ctx,
+            lambda c: self.tower.embed(c, self.ctx),
+            "prime does not split in its residue field",
+        )
 
     def reduce(self, f: Poly) -> FFElem:
         """Image of f in F_p (evaluate at the T-image)."""

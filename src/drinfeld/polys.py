@@ -19,6 +19,8 @@ import hashlib
 import random
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import (
     DrinfeldError,
     NotMonicError,
@@ -447,30 +449,31 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     if f.degree() == d:
         return [f]
     field = f.field
-    q = field.order
-    p = field.char
     while True:
         t = _random_poly(field, f.degree(), rng)
         if t.degree() < 1:
             continue
-        if p == 2:
-            # trace map over F_2
-            w = q.bit_length() - 1  # q = 2^w
-            s = t
-            cur = t
-            for _ in range(d * w - 1):
-                cur = (cur * cur) % f
-                s = s + cur
-            g = poly_gcd(s, f)
-        else:
-            s = powmod(t, (q**d - 1) // 2, f) - Poly.one(field)
-            g = poly_gcd(s, f)
+        g = _split_gcd(t, f, field.order**d)
         if 0 < g.degree() < f.degree():
             return sorted(
                 _equal_degree_split(g, d, rng)
                 + _equal_degree_split(f.exact_div(g), d, rng),
                 key=Poly.lex_key,
             )
+
+
+def _split_gcd(t: Poly, f: Poly, order: int) -> Poly:
+    """gcd(h, f), where the roots of f lie in the field with ``order``
+    elements and h maps each root r to 0 for about half of the random t:
+    h = Tr(t) to F_2 in characteristic 2, else h = t^((order-1)/2) - 1."""
+    if f.field.char == 2:
+        h = cur = t
+        for _ in range(order.bit_length() - 2):  # order = 2^w: w - 1 squarings
+            cur = (cur * cur) % f
+            h = h + cur
+    else:
+        h = powmod(t, (order - 1) // 2, f) - Poly.one(f.field)
+    return poly_gcd(h, f)
 
 
 class FactorizationA:
@@ -530,7 +533,11 @@ def factorize(f: Poly) -> FactorizationA:
 
 
 def roots_in_field(f: Poly) -> list:
-    """All distinct roots of f in its own coefficient field, sorted."""
+    """All distinct roots of f in its own coefficient field, sorted.
+
+    A full equal-degree split over that field; the package finds roots by
+    ``lex_min_root``, and this is the independent route the tests compare it to.
+    """
     if f.is_zero():
         raise ZeroInputError("roots of zero")
     field = f.field
@@ -546,16 +553,68 @@ def roots_in_field(f: Poly) -> list:
     return sorted(roots, key=lambda r: r.int_code())
 
 
-def lex_min_root(f: Poly, error: str):
-    """The root of f with the smallest integer code.
+def lex_min_root(f: Poly, field, embed, error: str):
+    """The root of f in the tower field ``field`` with the smallest integer code.
 
-    f must split into distinct linear factors over its coefficient field;
-    otherwise DrinfeldError(error) is raised.
+    f lies over its own coefficient field K = F_s, a tower field, and ``embed``
+    maps K into ``field`` (F).  f must be irreducible of a degree m with
+    F_(s^m) inside F; otherwise DrinfeldError(error) is raised.  Its roots are
+    then the m conjugates r, r^s, ..., r^(s^(m-1)) of any one root r, and all
+    of them lie in the subfield L = F_(s^m) of F.  So the split test
+    f | x^(s^m) - x runs over K, one root is split off over L (Rabin's root
+    finding), and the answer is the smallest of its conjugates.
     """
-    roots = roots_in_field(f)
-    if len(roots) != f.degree():
+    K = f.field
+    m = f.degree()
+    if m < 1 or field.degree % (m * K.degree):
         raise DrinfeldError(error)
-    return roots[0]
+    f = f.monic()
+    x = Poly.x(K)
+    if powmod(x, K.order**m, f) != x % f:
+        raise DrinfeldError(error)
+    root = _one_root(f.map_coeffs(embed, field), m * K.degree, _poly_seed_rng(f, b"root"))
+    frob = field.frob_p_matrix(K.degree)  # y -> y^s on F
+    v = root.vec()
+    codes = {root.int_code()}
+    for _ in range(m - 1):
+        v = (frob @ v) % field.char
+        codes.add(field.enc(tuple(int(c) for c in v)))
+    if len(codes) != m:
+        raise DrinfeldError(error)
+    return field.dec_elem(min(codes))
+
+
+def _one_root(g: Poly, deg_L: int, rng: random.Random):
+    """A root of the monic g over a tower field F, where g is a product of
+    distinct linear factors over the subfield L of F of degree deg_L over the
+    prime field.
+
+    Equal-degree splitting into linear factors with the random coefficients
+    drawn from L, as the relative trace Tr_{F/L} of random elements of F, and
+    the exponent (or, for p = 2, the trace length) taken from |L|.  Only the
+    smaller factor is kept after each split.
+    """
+    from .fields import FFElem  # deferred: fields imports this module
+
+    F = g.field
+    p, d = F.char, F.degree
+    sigma = F.frob_p_matrix(deg_L) if deg_L < d else None  # y -> y^|L| on F
+    while g.degree() > 1:
+        k = g.degree()
+        a = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(d)], dtype=np.int64)
+        if sigma is not None:
+            acc, cur = a, a
+            for _ in range(d // deg_L - 1):
+                cur = (sigma @ cur) % p
+                acc = acc + cur
+            a = acc % p
+        t = Poly(F, [FFElem(F, tuple(int(c) for c in a[:, j])) for j in range(k)])
+        if t.degree() < 1:
+            continue
+        c = _split_gcd(t, g, p**deg_L)
+        if 0 < c.degree() < k:
+            g = c if 2 * c.degree() <= k else g.exact_div(c)
+    return -g.coeffs[0]
 
 
 def mobius(m: Poly) -> int:

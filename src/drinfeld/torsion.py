@@ -45,19 +45,29 @@ from .amatrix import ring_det, smith_normal_form
 # ---------------------------------------------------------------------------
 # the quotient ring R = F_p[x]/(f) over the prime field, flattened
 
+# Largest prime dimension N = q^(r deg a) * [F_p:prime] of R.  The splitting
+# search builds dense N x N int64 matrices (N = 4096 is 128 MB each) and
+# raises them to a power, so a larger R is refused before any is built.
+MAX_QUOTIENT_DIM = 4096
+
 
 class _LinearizedQuotient:
     """Numpy model of F_p[x]/(f) for the monic x-polynomial f = psibar_a."""
 
     def __init__(self, ctx: _FieldCtx, skew_coeffs: list[FFElem], q: int):
+        self.D = q ** (len(skew_coeffs) - 1)
+        self.m = ctx.degree
+        D, m = self.D, self.m
+        if D * m > MAX_QUOTIENT_DIM:
+            raise ResourceLimitError(
+                f"torsion quotient F_p[x]/(psibar_a) has prime dimension {D * m}, "
+                f"above the cap {MAX_QUOTIENT_DIM}"
+            )
         self.ctx = ctx
         self.p0 = ctx.char
-        self.m = ctx.degree
         lead = skew_coeffs[-1]
         inv = lead.inv()
         coeffs = [c * inv for c in skew_coeffs]
-        self.D = q ** (len(skew_coeffs) - 1)
-        D, m = self.D, self.m
         # dense monic f, blocks of F_p coordinates; exponents are q^i (and
         # q^0 = 1 never collides with q^i for i > 0 since the x-coefficient
         # lands at exponent 1 and q >= 2)

@@ -1,6 +1,9 @@
 """Shared towers and reference modules; session-scoped so field tables,
 residue fields, and splitting extensions are built once."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from drinfeld.fields import FieldTower
@@ -52,3 +55,24 @@ def psi2_rank3(tower2):
     """psi_T = T + tau + tau^3 over F_2."""
     F = tower2.base_field
     return DrinfeldModule(tower2, [Poly.one(F), Poly.zero(F), Poly.one(F)])
+
+
+@contextmanager
+def _within(seconds):
+    def fail(signum, frame):
+        raise AssertionError(f"did not return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(s):`` fails the test if the block runs longer than s
+    seconds, instead of letting a hang stall the suite."""
+    return _within

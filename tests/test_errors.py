@@ -103,3 +103,18 @@ def test_field_tower_rejects_q_above_table_limit():
     tower = FieldTower(largest)
     x = tower.from_int(largest - 1)
     assert (x * x).coords == (1,)
+
+
+def test_torsion_quotient_size_cap(capsys, deadline):
+    """Rank 3 at q = 4 with a degree-2 auxiliary modulus needs R = F_p[x]/(psibar_a)
+    of prime dimension 4^6 * 2 = 8192; the cap refuses it before any matrix is
+    built, and the CLI reports the error (exit code 1, as for every error)."""
+    from drinfeld.cli import main
+    from drinfeld.torsion import MAX_QUOTIENT_DIM
+
+    assert MAX_QUOTIENT_DIM < 8192
+    with deadline(20):
+        rc = main(["weil", "--q", "4", "--psi", "T+1*t+1*t^3", "--p", "T"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "prime dimension 8192" in err and f"cap {MAX_QUOTIENT_DIM}" in err

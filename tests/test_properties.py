@@ -3,8 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drinfeld.errors import DrinfeldError
 from drinfeld.fields import FieldTower
-from drinfeld.polys import Poly, crt, factorize, poly_gcd, splits_into_linear_factors
+from drinfeld.polys import (
+    Poly,
+    crt,
+    enumerate_monic_irreducibles,
+    factorize,
+    lex_min_root,
+    poly_gcd,
+    roots_in_field,
+    splits_into_linear_factors,
+)
 from drinfeld.skew import SkewPoly, skew_right_divmod
 
 TOWER3 = FieldTower(3, max_degree=64)
@@ -143,3 +153,77 @@ def test_split_predicate_matches_factorization(name):
         assert splits_into_linear_factors(f) == expected
 
     check()
+
+
+# q -> (tower, largest [F:K] for the roots_in_field oracle; F stays table-sized)
+ROOT_TOWERS = {
+    2: (TOWER2, 12),
+    3: (TOWER3, 8),
+    4: (FieldTower(4, max_degree=64), 5),
+    5: (TOWER5, 5),
+    9: (TOWER9, 4),
+}
+_IRREDUCIBLES: dict = {}
+
+
+def _irreducibles(q, m):
+    if (q, m) not in _IRREDUCIBLES:
+        base = ROOT_TOWERS[q][0].base_field
+        _IRREDUCIBLES[(q, m)] = list(enumerate_monic_irreducibles(base, m))
+    return _IRREDUCIBLES[(q, m)]
+
+
+def _lex_min_root_into(tower, f, big):
+    return lex_min_root(f, big, lambda c: tower.embed(c, big), "no split")
+
+
+@pytest.mark.parametrize("q", list(ROOT_TOWERS))
+def test_lex_min_root_matches_roots_in_field(q, deadline):
+    """The orbit route returns the smallest of all roots of f over F, for F
+    equal to L = F_(q^m) and for proper extensions of L."""
+    tower, cap = ROOT_TOWERS[q]
+    e = tower.base_degree
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def check(data):
+        m = data.draw(st.integers(min_value=1, max_value=min(cap, 4)))
+        j = data.draw(st.integers(min_value=1, max_value=cap // m))
+        f = data.draw(st.sampled_from(_irreducibles(q, m)))
+        big = tower.field(e * m * j)
+        roots = roots_in_field(f.map_coeffs(lambda c: tower.embed(c, big), big))
+        assert len(roots) == m
+        assert _lex_min_root_into(tower, f, big) == min(roots, key=lambda r: r.int_code())
+
+    with deadline(120):
+        check()
+
+
+def _f(tower, *ints):
+    return Poly.from_ints(tower.base_field, ints)
+
+
+@pytest.mark.parametrize(
+    "tower,f,big_degree",
+    [
+        (TOWER3, _f(TOWER3, 0, 1, 1), 2),  # x(x+1): splits over F_9, reducible
+        (TOWER3, _f(TOWER3, 1, 0, 1) * _f(TOWER3, 2, 1, 1), 4),  # two quadratics, split over F_81
+        (TOWER2, _f(TOWER2, 0, 1, 1), 2),  # x(x+1) over F_2, into F_4
+        (TOWER3, _f(TOWER3, 1, 2, 0, 1), 2),  # an irreducible cubic: 3 does not divide [F_9:F_3]
+        (TOWER3, _f(TOWER3, 1, 2, 0, 1), 4),  # ... nor [F_81:F_3]
+        (TOWER3, _f(TOWER3, 1, 2, 1), 2),  # (x+1)^2: a repeated root
+        (TOWER3, _f(TOWER3, 1, 0, 1) ** 2, 4),  # the square of an irreducible quadratic
+        (TOWER2, _f(TOWER2, 1, 0, 1), 2),  # (x+1)^2 over F_2, into F_4
+        # degree 5 divides [F:K], but neither factor splits over F_(3^5)
+        (TOWER3, _f(TOWER3, 1, 0, 1) * _f(TOWER3, 1, 2, 0, 1), 5),
+    ],
+    ids=[
+        "reducible-q3", "two-quadratics-q3", "reducible-q2", "cubic-into-F9",
+        "cubic-into-F81", "repeated-root-q3", "square-q3", "repeated-root-q2",
+        "no-split-q3",
+    ],
+)
+def test_lex_min_root_rejects_at_once(tower, f, big_degree, deadline):
+    big = tower.field(big_degree)
+    with deadline(10), pytest.raises(DrinfeldError, match="no split"):
+        _lex_min_root_into(tower, f, big)
