@@ -1,7 +1,7 @@
 """Exact Frobenius invariants of Drinfeld F_q[T]-modules at primes of good
 reduction, with brute-force oracles for every computed quantity."""
 
-from .config import SurveyOptions, TorsionConfig, WeilConfig
+from .config import SurveyOptions, TorsionConfig
 from .division import (
     AbhyankarPolynomial,
     FrobeniusClassMatrix,
@@ -27,6 +27,7 @@ from .invariants import (
     u_invariant,
     weil_general,
     weil_identity_holds,
+    weil_motive,
     weil_rank2,
 )
 from .modules import DrinfeldModule, ReducedModule, good_reduction_at, psi_of, reduce_at

@@ -24,7 +24,14 @@ from .division import (
 )
 from .errors import DrinfeldError, UsageError
 from .fields import FieldTower
-from .invariants import rank2_invariants, weil_general, weil_rank2
+from .invariants import (
+    end_lattice_reduced,
+    invariant_factors_from_lattice,
+    rank2_invariants,
+    weil_motive,
+    weil_rank2,
+)
+from .modules import reduce_at
 from .polys import Poly
 from .survey import (
     CSV_COLUMNS,
@@ -148,7 +155,7 @@ def _cmd_weil(args) -> int:
     tower = _tower(args.q)
     psi = _module(args, tower)
     p = _prime(args, tower)
-    weil = weil_rank2(psi, p) if psi.rank == 2 else weil_general(psi, p)
+    weil = weil_rank2(psi, p) if psi.rank == 2 else weil_motive(reduce_at(psi, p))
     print(weil_to_text(weil))
     return 0
 
@@ -167,13 +174,13 @@ def _cmd_invariants(args) -> int:
             "supersingular": inv.supersingular,
         }
     else:
-        from .invariants import invariant_factors
-
-        weil = weil_general(psi, p)
+        red = reduce_at(psi, p)
+        weil = weil_motive(red)
+        bfac = invariant_factors_from_lattice(end_lattice_reduced(red)).factors
         out = {
             "weil": [poly_to_text(c) for c in weil.coeffs],
             "u_p": fq_to_text(weil.unit, tower),
-            "b_invariants": [poly_to_text(b) for b in invariant_factors(psi, p).factors],
+            "b_invariants": [poly_to_text(b) for b in bfac],
         }
     print(json.dumps(out, sort_keys=False))
     return 0

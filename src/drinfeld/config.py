@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -10,14 +10,6 @@ class TorsionConfig:
     """Caps for the brute-force torsion oracle."""
 
     max_splitting_steps: int = 10_000  # cap on the splitting-extension search
-
-
-@dataclass(frozen=True)
-class WeilConfig:
-    """Auxiliary-modulus budget for the general-rank Weil polynomial."""
-
-    aux_modulus_degree_cap: int = 2  # per-modulus degree cap (keeps kernels small)
-    torsion: TorsionConfig = field(default_factory=TorsionConfig)
 
 
 @dataclass(frozen=True)

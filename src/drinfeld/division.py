@@ -20,7 +20,7 @@ from .invariants import (
     invariant_factors,
     rank2_invariants,
     rank2_invariants_reduced,
-    weil_general,
+    weil_motive,
 )
 from .modules import DrinfeldModule, ReducedModule, reduce_at
 from .polys import Poly, poly_gcd, splits_into_linear_factors
@@ -196,7 +196,7 @@ def abhyankar_splits_reduced(
     also against T^2 | disc(P).
 
     In rank 2 with odd q, ``inv`` gives disc(P) = d and the square witness;
-    otherwise disc(P) comes from ``weil``, run through weil_general on a split
+    otherwise disc(P) comes from ``weil``, computed by weil_motive on a split
     prime when it is not given.
     """
     psi = red.source
@@ -217,7 +217,7 @@ def abhyankar_splits_reduced(
         if inv is not None:
             disc = inv.d
         else:
-            weil = weil or weil_general(psi, red.prime)
+            weil = weil or weil_motive(red)
             disc = discriminant(weil.x_coeff_list(), psi.base)
         if not (disc % (T * T)).is_zero():
             raise DrinfeldError("split prime without T^2 | disc(P)")

@@ -2,23 +2,23 @@
 b_p and discriminant delta_p, the endomorphism lattice, and its invariant
 factors.
 
-Two independent routes exist wherever the theory allows one: the rank-2 Weil
-coefficient comes from the closed recursion mod p, while the general-rank
-polynomial is rebuilt from torsion Frobenius matrices by CRT; the conductor
-comes from skew right-division membership, while the invariant factors come
-from the lattice and a Smith normal form.  The cross-checks between the
-routes are part of the test suite's acceptance gate.
+The Weil polynomial of any rank is the characteristic polynomial of
+Frobenius on the Anderson motive; in rank 2 the closed recursion mod p gives
+it too, and ``weil_general`` (torsion Frobenius matrices glued by CRT) stays
+as the tests' independent oracle.  The conductor comes from skew
+right-division membership, while the invariant factors come from the lattice
+and a Smith normal form; the cross-checks are part of the acceptance gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from . import linalg
 from .amatrix import charpoly, discriminant, ring_det, smith_normal_form
-from .config import WeilConfig
 from .errors import (
     ConfigurationError,
     DrinfeldError,
@@ -157,7 +157,57 @@ def weil_identity_holds(red: ReducedModule, weil: WeilPolynomial) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# general rank via torsion + CRT
+# general rank: Frobenius on the Anderson motive
+
+
+def _checked_weil(red: ReducedModule, coeffs: list[Poly]) -> WeilPolynomial:
+    """WeilPolynomial from c_0 .. c_{r-1}; raises unless c_0 = unit * p and
+    P(tau^deg p) = 0."""
+    quot, rem = divmod(coeffs[0], red.prime)
+    if not rem.is_zero() or quot.degree() != 0:
+        raise DrinfeldError("constant Weil coefficient is not unit * p")
+    weil = WeilPolynomial(prime=red.prime, coeffs=tuple(coeffs), unit=quot[0])
+    if not weil_identity_holds(red, weil):
+        raise DrinfeldError("Weil polynomial fails the skew identity")
+    return weil
+
+
+def weil_motive(red: ReducedModule) -> WeilPolynomial:
+    """Weil polynomial det(x - pi) of Frobenius on the Anderson motive.
+
+    M = F_p{tau} is free over F_p[T] on 1, tau, .., tau^(r-1), T acting by
+    right multiplication by psibar_T.  Row j of A holds tau * tau^j, and
+    tau^r = g_r^-1 (T - t - g_1 tau - .. - g_(r-1) tau^(r-1)).  Left
+    multiplication by tau is q-semilinear, so pi = tau^(deg p) has the matrix
+    A^(n-1) .. A^(1) A, with A^(k) raising each coefficient to the q^k-th
+    power.  The coefficients of det(x - pi) lie in F_q[T].
+    """
+    tower, ctx, base = red.source.tower, red.ctx, red.source.base
+    r = red.rank
+    g = red.psibar_T.coeffs  # t, g_1, .., g_r
+    zero, inv_top = Poly.zero(ctx), g[r].inv()
+    a = [[Poly.one(ctx) if k == j + 1 else zero for k in range(r)] for j in range(r - 1)]
+    a.append(
+        [(Poly.x(ctx) - Poly.constant(g[0])).scale(inv_top)]
+        + [Poly.constant(-g[i] * inv_top) for i in range(1, r)]
+    )
+    pi = a
+    for k in range(1, red.deg_p):
+        ak = [[e.map_coeffs(lambda c: tower.frobenius_power(c, k)) for e in row] for row in a]
+        pi = [[sum((ak[i][l] * pi[l][j] for l in range(r)), zero) for j in range(r)]
+              for i in range(r)]
+    coeffs = []
+    for j in range(r):  # c_j = (-1)^(r-j) * (sum of the principal (r-j)-minors)
+        minors = (ring_det([[pi[u][v] for v in s] for u in s])
+                  for s in combinations(range(r), r - j))
+        c = sum(minors, zero)
+        c = -c if (r - j) % 2 else c
+        coeffs.append(c.map_coeffs(lambda x: tower.project(x, base), base))
+    return _checked_weil(red, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# general rank via torsion + CRT (the test oracle for weil_motive)
 
 
 def _aux_moduli(psi: DrinfeldModule, p: Poly, need: int, cap: int) -> list[Poly]:
@@ -191,19 +241,15 @@ def _aux_moduli(psi: DrinfeldModule, p: Poly, need: int, cap: int) -> list[Poly]
     return [powint(ell, e) for ell, e in zip(pool, exps) if e]
 
 
-def weil_general(
-    psi: DrinfeldModule, p: Poly, config: WeilConfig | None = None
-) -> WeilPolynomial:
+def weil_general(psi: DrinfeldModule, p: Poly) -> WeilPolynomial:
     """Weil polynomial of any rank from torsion Frobenius matrices and CRT."""
-    config = config or WeilConfig()
     red = reduce_at(psi, p)
     n = red.deg_p
     r = psi.rank
-    base = psi.base
-    moduli = _aux_moduli(psi, red.prime, n + 1, config.aux_modulus_degree_cap)
+    moduli = _aux_moduli(psi, red.prime, n + 1, cap=2)  # keeps torsion kernels small
     residues: list[list[Poly]] = []  # residues[i][j]: c_j mod moduli[i]
     for m in moduli:
-        tb = torsion_basis_reduced(red, m, config.torsion)
+        tb = torsion_basis_reduced(red, m)
         cp = charpoly(tb.frobenius_matrix)
         residues.append([cp[j].rep for j in range(r)])
     coeffs = []
@@ -212,15 +258,7 @@ def weil_general(
         if c.degree() > n:
             raise DrinfeldError("reconstructed coefficient exceeds the degree bound")
         coeffs.append(c)
-    c0 = coeffs[0]
-    quot, rem = divmod(c0, red.prime)
-    if not rem.is_zero() or quot.degree() != 0:
-        raise DrinfeldError("constant Weil coefficient is not unit * p")
-    unit = quot[0]
-    weil = WeilPolynomial(prime=red.prime, coeffs=tuple(coeffs), unit=unit)
-    if not weil_identity_holds(red, weil):
-        raise DrinfeldError("reconstructed Weil polynomial fails the skew identity")
-    return weil
+    return _checked_weil(red, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +553,7 @@ def disc_check(psi: DrinfeldModule, p: Poly) -> tuple[bool, dict]:
     lat = end_lattice(psi, p)
     red = lat.red
     base = psi.base
-    if psi.rank == 2:
-        weil = weil_rank2_reduced(red)
-    else:
-        weil = weil_general(psi, p)
+    weil = weil_rank2_reduced(red) if psi.rank == 2 else weil_motive(red)
     disc_p = discriminant(weil.x_coeff_list(), base)
     r = psi.rank
     # trace vector of the regular representation: Tr(e_j) = sum_l t_{j l l}

@@ -40,10 +40,6 @@ class DrinfeldModule:
         self.psi_T = SkewPoly(A, (Poly.x(self.base),) + self.g)
         self._residues: dict = {}
 
-    @property
-    def base_q(self):
-        return self.base.fid
-
     def __repr__(self):
         return f"DrinfeldModule(q={self.tower.q}, r={self.rank})"
 
@@ -173,10 +169,6 @@ class ReducedModule:
 
     def tower_embed_const(self, c: FFElem) -> FFElem:
         return self.source.tower.embed(c, self.residue.ctx)
-
-    def frobenius_skew(self) -> SkewPoly:
-        """The Frobenius endomorphism tau^(deg p) as a skew polynomial."""
-        return SkewPoly.tau_power(self.residue.ctx, self.deg_p)
 
 
 def reduce_at(psi: DrinfeldModule, p: Poly) -> ReducedModule:

@@ -150,10 +150,6 @@ class QuotElem:
 # -- matrices over a quotient ring -------------------------------------------
 
 
-def mat_reduce(m: list[list[Poly]], ring: QuotRing) -> list[list[QuotElem]]:
-    return [[ring.reduce(e) for e in row] for row in m]
-
-
 def mat_mul(a, b, ring: QuotRing):
     n, k, m = len(a), len(b), len(b[0])
     out = [[ring.zero_elem() for _ in range(m)] for _ in range(n)]
@@ -164,10 +160,6 @@ def mat_mul(a, b, ring: QuotRing):
                 acc = acc + a[i][t] * b[t][j]
             out[i][j] = acc
     return out
-
-
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def mat_is_identity(m) -> bool:

@@ -24,8 +24,8 @@ from .invariants import (
     end_lattice_reduced,
     invariant_factors_from_lattice,
     rank2_invariants_reduced,
-    weil_general,
     weil_identity_holds,
+    weil_motive,
 )
 from .division import abhyankar_splits_reduced, module_structure_reduced
 from .modules import DrinfeldModule, good_reduction_at, reduce_at
@@ -120,10 +120,10 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
                 rec.splits_abhyankar = splits
                 checks.append("abhyankar_consistency")
         else:
-            weil = weil_general(psi, p)
+            weil = weil_motive(red)
             rec.a_p = poly_to_text(weil.coeffs[-1])
             rec.u_p = fq_to_text(weil.unit, tower)
-            checks.append("weil_identity")  # asserted inside weil_general
+            checks.append("weil_identity")  # asserted inside weil_motive
             bfac = invariant_factors_from_lattice(end_lattice_reduced(red)).factors
             rec.b_invariants = [poly_to_text(b) for b in bfac]
             if all(

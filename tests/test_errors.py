@@ -2,7 +2,7 @@
 
 import pytest
 
-from drinfeld.config import TorsionConfig, WeilConfig
+from drinfeld.config import TorsionConfig
 from drinfeld.division import frobenius_class_matrix
 from drinfeld.errors import (
     ConfigurationError,
@@ -10,9 +10,11 @@ from drinfeld.errors import (
     NotIrreducibleError,
     ResourceLimitError,
 )
+from drinfeld.fields import FieldTower
 from drinfeld.invariants import weil_general
 from drinfeld.modules import DrinfeldModule, good_reduction_at, reduce_at
-from drinfeld.polys import Poly
+from drinfeld.polys import Poly, is_irreducible
+from drinfeld.textio import module_from_text, poly_from_text
 from drinfeld.torsion import torsion_basis
 
 
@@ -35,11 +37,11 @@ def test_torsion_tower_cap(psi3copy_small=None):
 
 
 def test_weil_general_aux_budget(tower2, psi2_rank3):
-    F = tower2.base_field
-    T = Poly.x(F)
-    p = T * T * T + T + Poly.one(F)  # degree 3, needs total modulus degree 4
+    p = poly_from_text("T^6+T+1", tower2)  # needs total modulus degree 7
+    assert is_irreducible(p)
+    # at the per-modulus cap 2 over F_2 the moduli T^2, (T+1)^2, T^2+T+1 reach 6
     with pytest.raises(ConfigurationError):
-        weil_general(psi2_rank3, p, WeilConfig(aux_modulus_degree_cap=1))
+        weil_general(psi2_rank3, p)
 
 
 def test_even_q_rejected_for_class_matrix(tower2):
@@ -62,14 +64,15 @@ def test_reduction_needs_prime(tower3, psi3):
 def test_env_cap_override(monkeypatch, capsys):
     from drinfeld.cli import main
 
-    # weil at a degree-2 prime for rank 2 never needs big fields; force a tiny
-    # cap through the environment and watch a torsion-hungry call fail...
+    # a degree-3 prime needs the residue field F_27; force a tiny cap through
+    # the environment and watch the call fail...
     monkeypatch.setenv("DF_MAX_EXT_DEGREE", "2")
-    rc = main(["weil", "--q", "3", "--psi", "T+1*t+1*t^3", "--p", "T+1"])
-    assert rc == 1  # rank 3 path needs torsion extensions beyond the cap
+    rc = main(["weil", "--q", "3", "--psi", "T+1*t+1*t^3", "--p", "T^3+2*T+1"])
+    assert rc == 1
+    assert "exceeds the cap 2" in capsys.readouterr().err
     # ...and succeed once the cap is lifted
     monkeypatch.setenv("DF_MAX_EXT_DEGREE", "512")
-    rc = main(["weil", "--q", "3", "--psi", "T+1*t+1*t^3", "--p", "T+1"])
+    rc = main(["weil", "--q", "3", "--psi", "T+1*t+1*t^3", "--p", "T^3+2*T+1"])
     assert rc == 0
     out = capsys.readouterr().out.strip()
     assert out.startswith("x^3")
@@ -108,13 +111,16 @@ def test_field_tower_rejects_q_above_table_limit():
 def test_torsion_quotient_size_cap(capsys, deadline):
     """Rank 3 at q = 4 with a degree-2 auxiliary modulus needs R = F_p[x]/(psibar_a)
     of prime dimension 4^6 * 2 = 8192; the cap refuses it before any matrix is
-    built, and the CLI reports the error (exit code 1, as for every error)."""
+    built.  The CLI takes the motive route and needs no torsion at all."""
     from drinfeld.cli import main
     from drinfeld.torsion import MAX_QUOTIENT_DIM
 
     assert MAX_QUOTIENT_DIM < 8192
+    tower = FieldTower(4)
+    psi = module_from_text("T+1*t+1*t^3", tower)
     with deadline(20):
+        with pytest.raises(ResourceLimitError, match=f"prime dimension 8192.*cap {MAX_QUOTIENT_DIM}"):
+            weil_general(psi, Poly.x(tower.base_field))
         rc = main(["weil", "--q", "4", "--psi", "T+1*t+1*t^3", "--p", "T"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "prime dimension 8192" in err and f"cap {MAX_QUOTIENT_DIM}" in err
+    assert rc == 0
+    assert capsys.readouterr().out == "x^3 + x + T\n"

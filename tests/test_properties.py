@@ -5,11 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from drinfeld.errors import DrinfeldError
 from drinfeld.fields import FieldTower
+from drinfeld.invariants import weil_general, weil_motive, weil_rank2_reduced
+from drinfeld.modules import DrinfeldModule, reduce_at
 from drinfeld.polys import (
     Poly,
     crt,
     enumerate_monic_irreducibles,
     factorize,
+    is_irreducible,
     lex_min_root,
     poly_gcd,
     roots_in_field,
@@ -227,3 +230,55 @@ def test_lex_min_root_rejects_at_once(tower, f, big_degree, deadline):
     big = tower.field(big_degree)
     with deadline(10), pytest.raises(DrinfeldError, match="no split"):
         _lex_min_root_into(tower, f, big)
+
+
+@st.composite
+def module_and_prime(draw, tower, rank, deg_p):
+    """psi_T = T + g_1 tau + ... + g_r tau^r with deg g_i <= 1, and a monic
+    prime p of degree deg_p with good reduction (p does not divide g_r)."""
+    F = tower.base_field
+    gs = [draw(poly(F, max_len=2)) for _ in range(rank - 1)]
+    gs.append(draw(poly(F, max_len=2).filter(lambda g: not g.is_zero())))
+    monic = st.lists(elem(F), min_size=deg_p, max_size=deg_p).map(
+        lambda cs: Poly(F, cs + [F.one_elem()])
+    )
+    p = draw(monic.filter(lambda f: is_irreducible(f) and not (gs[-1] % f).is_zero()))
+    return DrinfeldModule(tower, gs), p
+
+
+# (q, rank, deg p) where one weil_general call stays well under 2 s
+MOTIVE_ORACLE_CASES = [(2, r, d) for r in (2, 3, 4) for d in (1, 2)] + [
+    (3, 2, 1), (3, 3, 1), (4, 2, 1),
+]
+
+
+@pytest.mark.parametrize("q,rank,deg_p", MOTIVE_ORACLE_CASES)
+def test_weil_motive_matches_torsion_crt(q, rank, deg_p, deadline):
+    """The motive route equals the torsion + CRT oracle.  The tower cap is far
+    above the splitting fields these cases need, so no example can end in a
+    ResourceLimitError."""
+    tower = FieldTower(q, max_degree=4096)
+
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def check(data):
+        psi, p = data.draw(module_and_prime(tower, rank, deg_p))
+        assert weil_motive(reduce_at(psi, p)) == weil_general(psi, p)
+
+    with deadline(120):
+        check()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_weil_motive_matches_rank2_recursion(q):
+    tower = ROOT_TOWERS[q][0]
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def check(data):
+        deg_p = data.draw(st.integers(min_value=1, max_value=4))
+        psi, p = data.draw(module_and_prime(tower, 2, deg_p))
+        red = reduce_at(psi, p)
+        assert weil_motive(red) == weil_rank2_reduced(red)
+
+    check()

@@ -18,10 +18,14 @@ DATA = Path(__file__).parent / "data"
 
 # (golden file, CLI survey arguments that produce it).  The rank-2 file has 32
 # records, 4 of them Abhyankar-split, so it pins the T^2 | disc and
-# square-witness branch; the rank-3 file pins the general-rank route.
+# square-witness branch; the rank-3 files pin the general-rank route.  The
+# degree-5 file was written by the torsion + CRT route with the tower cap
+# raised to 1024 (its splitting fields reach degree 315); the motive route
+# reproduces it at the default cap.
 GOLDEN = [
     ("survey_q3_t2_deg1-4.jsonl", ["--q", "3", "--psi", "T+0*t+1*t^2", "--deg", "1,2,3,4"]),
     ("survey_q2_r3_deg1-2.jsonl", ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1,2"]),
+    ("survey_q2_r3_deg5.jsonl", ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "5"]),
 ]
 
 
@@ -67,6 +71,38 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
     assert rec.skipped is None and not rec.warnings
     assert rec.splits_abhyankar is (prime == "T^4+T^3+2*T+1")
     assert {k: c[0] for k, c in counts.items()} == dict.fromkeys(counts, 1)
+
+
+def test_rank3_record_takes_the_motive_route(monkeypatch):
+    """A rank-3 record reduces at p once and never reaches torsion or CRT."""
+    from drinfeld import invariants, modules, polys, torsion
+
+    tower = FieldTower(2, max_degree=64)
+    psi = module_from_text("T+1*t+1*t^3", tower)
+    p = poly_from_text("T^5+T^3+T^2+T+1", tower)
+    counts = {
+        "reduce_at": _count_calls(monkeypatch, modules, "reduce_at"),
+        "weil_motive": _count_calls(monkeypatch, invariants, "weil_motive"),
+        "weil_general": _count_calls(monkeypatch, invariants, "weil_general"),
+        "torsion_basis_reduced": _count_calls(monkeypatch, torsion, "torsion_basis_reduced"),
+        "crt": _count_calls(monkeypatch, polys, "crt"),
+    }
+    rec = survey.compute_record(psi, p, SurveyOptions())
+    assert rec.skipped is None and not rec.warnings
+    assert rec.b_invariants == ["1", "T+1"]
+    assert {k: c[0] for k, c in counts.items()} == {
+        "reduce_at": 1, "weil_motive": 1, "weil_general": 0, "torsion_basis_reduced": 0, "crt": 0,
+    }
+
+
+def test_rank3_survey_beyond_the_torsion_budget(capsys, deadline, monkeypatch):
+    """Degrees 6 and 7 at q = 2: the torsion route had no auxiliary moduli for
+    them within its degree budget, and every record now passes its checks."""
+    monkeypatch.delenv("DF_MAX_EXT_DEGREE", raising=False)
+    argv = ["survey", "--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "6,7", "--strict"]
+    with deadline(60):
+        assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9 + 18
 
 
 def _fail(*args, **kwargs):
