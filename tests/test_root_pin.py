@@ -74,6 +74,17 @@ T_IMAGES_LARGE = [
     (3, [1, 1, 0, 0, 2, 1, 2, 1, 0, 0, 2, 0, 1], 7636),
 ]
 
+# characteristic 2 above the table limit: F_(2^15), F_(2^16) and F_(4^8),
+# where the split gcd takes relative traces by repeated squaring
+T_IMAGES_LARGE_CHAR2 = [
+    (2, [1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 1], 2650),
+    (2, [1, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 0, 1], 3020),
+    (2, [1, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1], 5680),
+    (2, [1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1], 3284),
+    (4, [2, 1, 2, 0, 0, 1, 0, 2, 1], 2745),
+    (4, [3, 0, 0, 3, 1, 1, 0, 3, 1], 9378),
+]
+
 # (q, sub degree, sup degree over the prime field, int codes of the columns
 #  x^j -> root^j of the embedding matrix)
 EMBEDDINGS = [
@@ -90,7 +101,7 @@ EMBEDDINGS = [
 ]
 
 
-@pytest.mark.parametrize("q,prime,code", T_IMAGES + T_IMAGES_LARGE)
+@pytest.mark.parametrize("q,prime,code", T_IMAGES + T_IMAGES_LARGE + T_IMAGES_LARGE_CHAR2)
 def test_t_image_pinned(q, prime, code):
     tower = FieldTower(q, max_degree=64)
     F = tower.base_field
