@@ -6,9 +6,14 @@ are compared by their coefficient tuples read from the highest degree down,
 each coefficient as an integer 0..p-1.  Elements are immutable coordinate
 vectors over the prime field.
 
-Two arithmetic regimes coexist behind one element type: fields with at most
-``TABLE_LIMIT`` elements get discrete-log tables (constant-time products),
-larger fields use numpy convolution against a cached reduction matrix.
+Single elements take one of two regimes behind one element type: fields with
+at most ``TABLE_LIMIT`` elements get discrete-log tables (constant-time
+products), larger fields use numpy convolution against cached reduction rows.
+Polynomials over any tower field F_(p^n) also come as k x n coordinate
+arrays, for ``polys.powmod``: a product packs each array into one Python
+int, does one big-int multiply and folds y^(n+j) back with the same
+reduction rows (Kronecker substitution, von zur Gathen-Gerhard, Modern
+Computer Algebra, §8.4), and ``PolyModulus`` reduces by a Newton inverse.
 
 Wherever a deterministic element choice is needed (embedding roots, torsion
 generators), elements are ordered by their integer codes sum(c_i * p^i).
@@ -116,6 +121,106 @@ def _reduction_rows(f: np.ndarray, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# polynomials over F_(p^n) as k x n coordinate arrays (row i = coefficient of
+# x^i), multiplied by Kronecker substitution
+
+
+_SLOTS = tuple(np.dtype(dt) for dt in ("<u2", "<u4", "<u8"))
+
+
+def _slot_dtype(bound: int) -> np.dtype:
+    """Little-endian unsigned slot type holding integers up to ``bound``."""
+    for dt in _SLOTS:
+        if bound < 1 << (8 * dt.itemsize):
+            return dt
+    raise ResourceLimitError(f"packed coefficient bound {bound} exceeds 64 bits")
+
+
+def _kron_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The product of two polynomials over F_p[y], as a (ka+kb-1) x (2n-1)
+    array mod p, from one big-int product.
+
+    Each array goes into one Python int with x^i y^j in slot i*(2n-1) + j.
+    A product coefficient is a sum of at most min(ka, kb)*n products below
+    p^2, so fixed slots of that width never carry into each other.
+    """
+    (ka, n), kb = a.shape, b.shape[0]
+    w = 2 * n - 1
+    dt = _slot_dtype(min(ka, kb) * n * (p - 1) ** 2)
+
+    def pack(m: np.ndarray) -> int:
+        z = np.zeros((m.shape[0], w), dtype=dt)
+        z[:, :n] = m
+        return int.from_bytes(z.tobytes(), "little")
+
+    pa = pack(a)
+    prod = pa * pa if b is a else pa * pack(b)
+    rows = ka + kb - 1
+    buf = np.frombuffer(prod.to_bytes(rows * w * dt.itemsize, "little"), dtype=dt)
+    return (buf % p).astype(np.int64).reshape(rows, w)
+
+
+class PolyModulus:
+    """Reduction modulo a monic g of degree k >= 1 over a tower field.
+
+    Remainders use h = rev(g)^-1 mod x^m, computed by Newton iteration on
+    the first remainder that needs it (von zur Gathen-Gerhard, Modern
+    Computer Algebra, §9.1): a dividend of length k + m costs two packed
+    products, and the product of two remainders has m <= k - 1.
+    """
+
+    def __init__(self, ctx: "_FieldCtx", g: np.ndarray):
+        self.ctx = ctx
+        self.k = g.shape[0] - 1
+        self.g_low = g[:-1]
+        self._rev = g[::-1]
+        self._h = self._rev[:1]  # rev(g) has constant term 1
+
+    def _series(self, m: int) -> np.ndarray:
+        """rev(g)^-1 mod x^m, by h <- h*(2 - rev(g)*h) at doubling precision;
+        h is kept to at least x^(k-1), the precision every product needs."""
+        ctx = self.ctx
+        h = self._h
+        if len(h) < m:
+            goal = max(m, self.k - 1)
+            while len(h) < goal:
+                prec = min(2 * len(h), goal)
+                t = (-ctx.poly_mul(self._rev[:prec], h)[:prec]) % ctx.char
+                t[0, 0] = (t[0, 0] + 2) % ctx.char
+                h = ctx.poly_mul(h, t)[:prec]
+            self._h = h
+        return h[:m]
+
+    def rem(self, a: np.ndarray) -> np.ndarray:
+        """a mod g, at most k rows, for any number of rows of a.  A shorter
+        a is already reduced and comes back as it is."""
+        k, p = self.k, self.ctx.char
+        m = a.shape[0] - k
+        if m <= 0:
+            return a
+        quot = self.ctx.poly_mul(a[:k - 1:-1], self._series(m))[:m][::-1]
+        return (a[:k] - self.ctx.poly_mul(self.g_low, quot)[:k]) % p
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.rem(self.ctx.poly_mul(a, b))
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e mod g by square-and-multiply; a^0 is 1."""
+        out = None
+        base = self.rem(a)
+        while e:
+            if e & 1:
+                out = base if out is None else self.mul(out, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        if out is None:
+            out = np.zeros((1, self.ctx.degree), dtype=np.int64)
+            out[0, 0] = 1
+        return out
+
+
+# ---------------------------------------------------------------------------
 # lexicographically-smallest irreducible modulus search
 
 
@@ -174,10 +279,14 @@ _LEX_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 def _small_sieve(p: int) -> list[np.ndarray]:
+    """Monic irreducibles of degree 2..4 (p <= 3) or 2..3 over F_p, a degree
+    taken only while its p^d candidates stay within ``TABLE_LIMIT``."""
     if p not in _SIEVE_CACHE:
         max_deg = 4 if p <= 3 else 3
         out = []
         for d in range(2, max_deg + 1):
+            if p**d > TABLE_LIMIT:
+                break
             for code in range(p**d):
                 tail = [(code // p**i) % p for i in range(d)]
                 f = np.array(tail + [1], dtype=np.int64)
@@ -354,6 +463,26 @@ class _FieldCtx:
             la = int(log[self.enc(a)])
             return self.dec(int(exp[(la * k) % (self.order - 1)]))
         return tuple(int(v) for v in self._vpow(np.array(a, dtype=np.int64), k))
+
+    # -- polynomials over this field as coordinate arrays -----------------------
+
+    def coeff_array(self, elems) -> np.ndarray:
+        """The len(elems) x degree array of coordinate rows."""
+        return np.array([c.coords for c in elems], dtype=np.int64).reshape(-1, self.degree)
+
+    def array_elems(self, rows: np.ndarray) -> list["FFElem"]:
+        return [FFElem(self, tuple(r)) for r in rows.tolist()]
+
+    def poly_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of two polynomials given as coordinate arrays: one packed
+        product over F_p[y], then y^(n+j) folded back by the reduction rows."""
+        n = self.degree
+        if not len(a) or not len(b):
+            return np.zeros((0, n), dtype=np.int64)
+        c = _kron_mul(a, b, self.char)
+        if n == 1:
+            return c
+        return (c[:, :n] + c[:, n:] @ self._red[: n - 1]) % self.char
 
     def frob_p_matrix(self, k: int) -> np.ndarray:
         """Matrix of x -> x^(p^k) as a prime-linear map on coordinates."""

@@ -272,7 +272,31 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
+def _packed_modulus(modulus: Poly):
+    """``fields.PolyModulus`` for the monic associate of a modulus of degree
+    >= 1 over a tower field; None for other rings and constant moduli."""
+    from .fields import PolyModulus, _FieldCtx  # deferred: fields imports this module
+
+    F = modulus.field
+    if not isinstance(F, _FieldCtx) or modulus.degree() < 1:
+        return None
+    return PolyModulus(F, F.coeff_array(modulus.monic().coeffs))
+
+
 def powmod(base: Poly, e: int, modulus: Poly) -> Poly:
+    """base^e mod modulus.  Over a tower field the loop runs on packed
+    coordinate arrays; other rings and constant moduli take
+    ``schoolbook_powmod``."""
+    mod = _packed_modulus(modulus)
+    if mod is None:
+        return schoolbook_powmod(base, e, modulus)
+    base._check(modulus)
+    F = base.field
+    return Poly(F, F.array_elems(mod.pow(F.coeff_array(base.coeffs), e)))
+
+
+def schoolbook_powmod(base: Poly, e: int, modulus: Poly) -> Poly:
+    """Square-and-multiply with a Poly product and division per step."""
     out = Poly.one(base.field)
     base = base % modulus
     while e:
@@ -467,10 +491,22 @@ def _split_gcd(t: Poly, f: Poly, order: int) -> Poly:
     elements and h maps each root r to 0 for about half of the random t:
     h = Tr(t) to F_2 in characteristic 2, else h = t^((order-1)/2) - 1."""
     if f.field.char == 2:
-        h = cur = t
-        for _ in range(order.bit_length() - 2):  # order = 2^w: w - 1 squarings
-            cur = (cur * cur) % f
-            h = h + cur
+        squarings = order.bit_length() - 2  # order = 2^w: w - 1 squarings
+        mod = _packed_modulus(f)
+        if mod is None:
+            h = cur = t
+            for _ in range(squarings):
+                cur = (cur * cur) % f
+                h = h + cur
+        else:
+            F = t.field
+            cur = mod.rem(F.coeff_array(t.coeffs))
+            h = np.zeros((mod.k, F.degree), dtype=np.int64)
+            h[: len(cur)] = cur
+            for _ in range(squarings):
+                cur = mod.mul(cur, cur)
+                h[: len(cur)] ^= cur
+            h = Poly(F, F.array_elems(h))
     else:
         h = powmod(t, (order - 1) // 2, f) - Poly.one(f.field)
     return poly_gcd(h, f)

@@ -108,6 +108,20 @@ def test_field_tower_rejects_q_above_table_limit():
     assert (x * x).coords == (1,)
 
 
+def test_largest_q_builds_its_extensions(deadline):
+    """The modulus search's small-factor sieve stops at p^d candidates above
+    the table limit, so q = 16381 reaches its first extensions at once."""
+    p = 16381
+    tower = FieldTower(p)
+    with deadline(20):
+        F2, F3 = tower.field(2), tower.field(3)
+    assert F2.fid.modulus == (2, 0, 1)  # x^2 + 2
+    assert F3.fid.modulus == (2, 0, 0, 1)  # x^3 + 2
+    y = tower.gen(F3)
+    assert (y * y * y).coords == (p - 2, 0, 0)
+    assert (tower.gen(F2) * tower.gen(F2)).coords == (p - 2, 0)
+
+
 def test_torsion_quotient_size_cap(capsys, deadline):
     """Rank 3 at q = 4 with a degree-2 auxiliary modulus needs R = F_p[x]/(psibar_a)
     of prime dimension 4^6 * 2 = 8192; the cap refuses it before any matrix is

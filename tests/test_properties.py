@@ -9,13 +9,16 @@ from drinfeld.invariants import weil_general, weil_motive, weil_rank2_reduced
 from drinfeld.modules import DrinfeldModule, reduce_at
 from drinfeld.polys import (
     Poly,
+    _split_gcd,
     crt,
     enumerate_monic_irreducibles,
     factorize,
     is_irreducible,
     lex_min_root,
     poly_gcd,
+    powmod,
     roots_in_field,
+    schoolbook_powmod,
     splits_into_linear_factors,
 )
 from drinfeld.skew import SkewPoly, skew_right_divmod
@@ -280,5 +283,89 @@ def test_weil_motive_matches_rank2_recursion(q):
         psi, p = data.draw(module_and_prime(tower, 2, deg_p))
         red = reduce_at(psi, p)
         assert weil_motive(red) == weil_rank2_reduced(red)
+
+    check()
+
+
+# (tower, field degree over the prime field): F_(2^16), F_(3^12), F_(5^4),
+# F_(4^5), F_(9^3); the first two are above the table limit
+POWMOD_FIELDS = {
+    "F2^16": (TOWER2, 16),
+    "F3^12": (TOWER3, 12),
+    "F5^4": (TOWER5, 4),
+    "F4^5": (ROOT_TOWERS[4][0], 10),
+    "F9^3": (TOWER9, 6),
+}
+
+
+@st.composite
+def powmod_case(draw, ctx, degrees=(1, 10)):
+    """(base, e, g): g of degree in ``degrees``, monic or not; base of degree
+    up to 2 deg g; e in {0, 1, 2} or below |F|^2."""
+    k = draw(st.integers(min_value=degrees[0], max_value=degrees[1]))
+    lead = draw(elem(ctx).filter(lambda c: not c.is_zero()))
+    g = Poly(ctx, draw(st.lists(elem(ctx), min_size=k, max_size=k)) + [lead])
+    base = draw(poly(ctx, max_len=2 * k + 1))
+    e = draw(st.sampled_from([0, 1, 2]) | st.integers(min_value=0, max_value=ctx.order**2 - 1))
+    return base, e, g
+
+
+@pytest.mark.parametrize("name", list(POWMOD_FIELDS))
+def test_packed_powmod_matches_schoolbook(name):
+    tower, degree = POWMOD_FIELDS[name]
+    ctx = tower.field(degree)
+
+    @given(case=powmod_case(ctx))
+    @settings(max_examples=25, deadline=None)
+    def check(case):
+        base, e, g = case
+        assert powmod(base, e, g) == schoolbook_powmod(base, e, g)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["F2^16", "F4^5"])
+def test_packed_trace_split_matches_schoolbook(name):
+    """The characteristic-2 split gcd takes gcd(t + t^2 + ... + t^(2^(w-1)), g)
+    for |L| = 2^w; here L is the whole field."""
+    tower, degree = POWMOD_FIELDS[name]
+    ctx = tower.field(degree)
+
+    @given(case=powmod_case(ctx))
+    @settings(max_examples=10, deadline=None)
+    def check(case):
+        t, _, g = case
+        trace = Poly.zero(ctx)
+        for i in range(degree):
+            trace = trace + schoolbook_powmod(t, 2**i, g)
+        assert _split_gcd(t, g, ctx.order) == poly_gcd(trace, g)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "p,degrees",
+    [(2, (1, 10)), (3, (1, 10)), (5, (1, 10)), (7, (1, 10)), (16381, (1, 16)), (16381, (17, 20))],
+)
+def test_packed_powmod_matches_sympy(p, degrees):
+    """Prime fields against sympy's gf_pow_mod.  At p = 16381 products of
+    remainders of length 16 just fit 4-byte slots; length 17 needs 8 bytes."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    from drinfeld.fields import _slot_dtype
+
+    assert _slot_dtype(16 * 16380**2).itemsize == 4
+    assert _slot_dtype(17 * 16380**2).itemsize == 8
+    F = FieldTower(p).base_field
+
+    def to_sympy(f):
+        return [c.coords[0] for c in reversed(f.coeffs)]
+
+    @given(case=powmod_case(F, degrees))
+    @settings(max_examples=40, deadline=None)
+    def check(case):
+        base, e, g = case
+        assert to_sympy(powmod(base, e, g)) == gf_pow_mod(to_sympy(base), e, to_sympy(g), p, ZZ)
 
     check()
