@@ -72,6 +72,17 @@ def _prime(args, tower) -> Poly:
     return poly_from_text(args.p, tower).monic()
 
 
+def _degrees(text: str) -> list[int]:
+    """The prime degrees of a comma-separated --deg list, each at least 1."""
+    try:
+        degrees = [int(d) for d in text.split(",") if d]
+    except ValueError:
+        raise UsageError(f"--deg takes comma-separated integers, not {text!r}") from None
+    if not degrees or min(degrees) < 1:
+        raise UsageError(f"--deg needs prime degrees of at least 1, not {text!r}")
+    return degrees
+
+
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -244,7 +255,7 @@ def _cmd_abhyankar(args) -> int:
 def _cmd_survey(args) -> int:
     tower = _tower(args.q)
     psi = _module(args, tower)
-    degrees = [int(d) for d in args.deg.split(",") if d]
+    degrees = _degrees(args.deg)
     options = SurveyOptions(
         strict=args.strict,
         with_lattice_checks=args.full_checks,
@@ -295,7 +306,7 @@ def _cmd_density(args) -> int:
     else:
         if not args.deg:
             raise UsageError("--deg is required for per-degree density kinds")
-        degrees = [int(d) for d in args.deg.split(",") if d]
+        degrees = _degrees(args.deg)
     options = SurveyOptions(jobs=args.jobs)
     records = list(run_survey(psi, degrees, options))
     est = density_report(records, kind, q=args.q, c_k=args.c_k)

@@ -20,4 +20,3 @@ class SurveyOptions:
     with_lattice_checks: bool = False  # cross-validate b_p via the SNF path
     with_abhyankar: bool = True  # test whether the Abhyankar polynomial splits mod p
     jobs: int = 1
-    c_k: int = 1  # constant-field degree input for CM density reports

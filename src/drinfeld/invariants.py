@@ -316,6 +316,12 @@ def _membership(red: ReducedModule, a_p: Poly, m: Poly) -> bool:
 
 # ---------------------------------------------------------------------------
 # the endomorphism lattice by centralizer linear algebra
+#
+# End(psi x F_p) is read off the commutant of psibar_T in tau-degree <= D.
+# The A-span of a candidate basis is one prime matrix, ``_span_columns``: the
+# greedy basis choice and the stability check feed its columns to a RowSpace,
+# and one solve against it, built at the largest target degree, gives the
+# coordinates of the products e_i e_j and of pi = tau^n.
 
 # The tau-degree window D grows by 2r per step and is capped at 4 (n + r^2).
 WINDOW_GROWTH_PER_RANK = 2
@@ -362,48 +368,53 @@ def _commutant_nullspace(red: ReducedModule, D: int) -> list[SkewPoly]:
     return out
 
 
-class _SpanTracker:
-    """Prime row space of the A-span of chosen basis elements up to degree D."""
+def _vec(s: SkewPoly, m: int, D: int) -> np.ndarray:
+    """Prime coordinates of s, one m-block per tau-degree 0..D."""
+    v = np.zeros((D + 1) * m, dtype=np.int64)
+    for d, c in enumerate(s.coeffs):
+        v[d * m : (d + 1) * m] = c.vec()
+    return v
 
-    def __init__(self, red: ReducedModule, D: int):
-        self.red = red
-        self.D = D
-        tower = red.source.tower
-        self.m = red.ctx.degree
-        self.dim = (D + 1) * self.m
-        self.space = linalg.RowSpace(self.dim, tower.char)
-        self.mults: list[list[SkewPoly]] = []
 
-    def vec(self, s: SkewPoly) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
-        for d, c in enumerate(s.coeffs):
-            v[d * self.m : (d + 1) * self.m] = c.vec()
-        return v
+def _span_columns(
+    red: ReducedModule, basis: list[SkewPoly], D: int
+) -> tuple[np.ndarray, list[int]]:
+    """Prime matrix of the A-span of the basis, truncated at tau-degree D.
 
-    def add_generator(self, e: SkewPoly):
-        red = self.red
-        tower = red.source.tower
-        ctx = red.ctx
-        multiples = []
-        cur = e
-        while cur.degree() <= self.D:
-            multiples.append(cur)
+    The columns are y^t psibar_T^u b for each b in turn, every u with
+    tau-degree <= D and t < e, in (b, u, t) order; their prime span is the
+    F_q-span of the psibar_T^u b.  Also returns the number of T-powers u
+    taken for each b.
+    """
+    tower = red.source.tower
+    ctx = red.ctx
+    m = ctx.degree
+    vecs = []
+    counts = []
+    for b in basis:
+        cur = b
+        u = 0
+        while cur.degree() <= D:
+            vecs.append(_vec(cur, m, D))
             cur = red.psibar_T * cur
-        self.mults.append(multiples)
-        zgen = tower.embed(tower.gen(tower.base_field), ctx)
-        for s in multiples:
-            w = s
-            for _ in range(tower.base_degree):
-                self.space.add(self.vec(w))
-                w = w.scale_left(zgen)
+            u += 1
+        counts.append(u)
+    y = tower.embed(tower.gen(tower.base_field), ctx)
+    my_blocks = np.kron(np.eye(D + 1, dtype=np.int64), ctx.mult_matrix(y.coords))
+    cols = linalg.orbits(vecs, my_blocks, tower.base_degree, tower.char)
+    return np.stack(cols, axis=1), counts
 
-    def contains(self, s: SkewPoly) -> bool:
-        return self.space.contains(self.vec(s))
+
+def _add_span(space: linalg.RowSpace, red: ReducedModule, basis: list[SkewPoly], D: int) -> None:
+    for col in _span_columns(red, basis, D)[0].T:
+        space.add(col)
 
 
 def end_lattice_reduced(red: ReducedModule) -> EndLattice:
     n = red.deg_p
     r = red.rank
+    m = red.ctx.degree
+    p0 = red.source.tower.char
     growth = WINDOW_GROWTH_PER_RANK * r
     cap = WINDOW_CAP_FACTOR * (n + r * r)
     D = n + 2 * r
@@ -414,21 +425,17 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
                 f"no stable lattice basis within the window cap {cap}"
             )
         sols = _commutant_nullspace(red, D)
-        tracker = _SpanTracker(red, D)
         basis: list[SkewPoly] = [SkewPoly.one(red.ctx)]  # e_1 = 1 always lies in E
-        tracker.add_generator(basis[0])
+        space = linalg.RowSpace((D + 1) * m, p0)
+        _add_span(space, red, basis, D)
         for s in sols:
             if len(basis) == r:
                 break
-            if tracker.contains(s):
+            if space.contains(_vec(s, m, D)):
                 continue
             basis.append(s)
-            tracker.add_generator(s)
-        if len(basis) < r:
-            D += growth
-            continue
-        leftover = [s for s in sols if not tracker.contains(s)]
-        if leftover:
+            _add_span(space, red, [s], D)
+        if len(basis) < r or any(not space.contains(_vec(s, m, D)) for s in sols):
             D += growth
             continue
         # stability: one more window of 2r brings nothing new
@@ -437,71 +444,39 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
             raise InconclusiveBasisError(
                 f"no stable lattice basis within the window cap {cap}"
             )
-        sols2 = _commutant_nullspace(red, D2)
-        tracker2 = _SpanTracker(red, D2)
-        for e in basis:
-            tracker2.add_generator(e)
-        if any(not tracker2.contains(s) for s in sols2):
+        space2 = linalg.RowSpace((D2 + 1) * m, p0)
+        _add_span(space2, red, basis, D2)
+        if any(not space2.contains(_vec(s, m, D2)) for s in _commutant_nullspace(red, D2)):
             D = D2
             continue
         break
 
-    tensors = [[None] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            tensors[i][j] = _express_in_basis(red, basis, basis[i] * basis[j])
-    pi = SkewPoly.tau_power(red.ctx, n)
-    pi_coords = _express_in_basis(red, basis, pi)
-    return EndLattice(red=red, basis=basis, tensors=tensors, pi_coords=pi_coords, window=D)
-
-
-def _express_in_basis(red: ReducedModule, basis: list[SkewPoly], target: SkewPoly) -> list[Poly]:
-    """A-coordinates of target in the basis, exact; raises if not in the span."""
-    tower = red.source.tower
-    ctx = red.ctx
-    p0 = tower.char
-    e_deg = tower.base_degree
-    m = ctx.degree
-    base = tower.base_field
-    deg_t = target.degree() if not target.is_zero() else 0
-    Dpad = max(deg_t, max(b.degree() for b in basis))
-    dim = (Dpad + 1) * m
-
-    def vec(s: SkewPoly) -> np.ndarray:
-        v = np.zeros(dim, dtype=np.int64)
-        for d, c in enumerate(s.coeffs):
-            v[d * m : (d + 1) * m] = c.vec()
-        return v
-
-    cols = []
-    layout = []  # (basis index, T-power)
-    zgen = tower.embed(tower.gen(base), ctx)
-    for i, b in enumerate(basis):
-        cur = b
-        u = 0
-        while cur.degree() <= Dpad:
-            w = cur
-            for t in range(e_deg):
-                cols.append(vec(w))
-                layout.append((i, u, t))
-                w = w.scale_left(zgen)
-            cur = red.psibar_T * cur
-            u += 1
-    mat = np.stack(cols, axis=1)
-    sol = linalg.solve(mat, vec(target), p0)
+    # coordinates of the r^2 products e_i e_j and of pi = tau^n, by one solve
+    # against the span matrix at the largest target degree; the basis is free
+    # over A, so its columns are independent and the solution is unique
+    targets = [bi * bj for bi in basis for bj in basis] + [SkewPoly.tau_power(red.ctx, n)]
+    top = max(t.degree() for t in targets)
+    mat, counts = _span_columns(red, basis, top)
+    rhs = np.stack([_vec(t, m, top) for t in targets], axis=1)
+    sol = linalg.solve(mat, rhs, p0)
     if sol is None:
         raise InconclusiveBasisError("element does not lie in the A-span of the basis")
-    r = len(basis)
-    max_u = max(u for _, u, _ in layout) + 1
-    acc = [[[0] * e_deg for _ in range(max_u)] for _ in range(r)]
-    for val, (i, u, t) in zip(sol, layout):
-        acc[i][u][t] = int(val)
+    coords = [_coords(sol[:, k], counts, red) for k in range(len(targets))]
+    tensors = [coords[i * r : (i + 1) * r] for i in range(r)]
+    return EndLattice(red=red, basis=basis, tensors=tensors, pi_coords=coords[-1], window=D)
+
+
+def _coords(x: np.ndarray, counts: list[int], red: ReducedModule) -> list[Poly]:
+    """A-coordinates from a solution vector in the (b, u, t) column order."""
+    tower = red.source.tower
+    base = tower.base_field
+    e = tower.base_degree
     out = []
-    for i in range(r):
-        coeffs = []
-        for u in range(max_u):
-            coeffs.append(FFElem(base, tuple(acc[i][u])))
-        out.append(Poly(base, coeffs))
+    pos = 0
+    for k in counts:
+        block = x[pos : pos + k * e].reshape(k, e)
+        pos += k * e
+        out.append(Poly(base, [FFElem(base, tuple(int(c) for c in row)) for row in block]))
     return out
 
 

@@ -33,6 +33,21 @@ def matpow(a: np.ndarray, k: int, p: int) -> np.ndarray:
     return out
 
 
+def orbits(vectors, mat: np.ndarray, length: int, p0: int) -> list[np.ndarray]:
+    """v, M v, ..., M^(length-1) v for each v in turn.
+
+    With M the multiplication by the generator y of F_q and length e, their
+    prime span is the F_q-span of the vectors.
+    """
+    out = []
+    for v in vectors:
+        for t in range(length):
+            out.append(v)
+            if t < length - 1:
+                v = (mat @ v) % p0
+    return out
+
+
 def _inv_mod(x: int, p: int) -> int:
     return pow(int(x), p - 2, p)
 

@@ -198,13 +198,7 @@ def run_survey(
     tasks = [
         (i, [c.int_code() for c in p.coeffs]) for i, p in enumerate(primes)
     ]
-    opt_kwargs = {
-        "strict": options.strict,
-        "with_lattice_checks": options.with_lattice_checks,
-        "with_abhyankar": options.with_abhyankar,
-        "jobs": 1,
-        "c_k": options.c_k,
-    }
+    opt_kwargs = dataclasses.asdict(dataclasses.replace(options, jobs=1))
     results: dict[int, dict] = {}
     with ProcessPoolExecutor(
         max_workers=options.jobs,

@@ -35,6 +35,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fields import FFElem, FieldId, _FieldCtx
+from .linalg import orbits
 from .modules import DrinfeldModule, ReducedModule, reduce_at
 from .polys import Poly, factorize, poly_gcd
 from .quotients import QuotElem, QuotRing
@@ -228,7 +229,7 @@ def torsion_basis_reduced(
     my_L = L.mult_matrix(tower.embed(y, L).coords)
     basis_vecs = _fq_basis_from_nullspace(null, my_L, e, p0, k_q)
     # columns (i, t) = y^t b_i: block coordinates -> prime coordinates in L
-    expanded = np.stack(_orbits(basis_vecs, my_L, e, p0), axis=1)
+    expanded = np.stack(orbits(basis_vecs, my_L, e, p0), axis=1)
     # multiplication by y on block coordinates
     my_blocks = np.kron(np.eye(k_q, dtype=np.int64), base.mult_matrix(y.coords))
 
@@ -246,7 +247,7 @@ def torsion_basis_reduced(
     # evaluation map (A/aA)^r -> kernel, columns (i, k, t) = y^t T^k g_i, and
     # the Frobenius matrix in that basis
     da = a.degree()
-    eval_mat = np.stack(_orbits(_orbits(gens, t_mat, da, p0), my_blocks, e, p0), axis=1)
+    eval_mat = np.stack(orbits(orbits(gens, t_mat, da, p0), my_blocks, e, p0), axis=1)
     sol = linalg.solve(eval_mat, (frob_on_kernel @ np.stack(gens, axis=1)) % p0, p0)
     if sol is None:
         raise DrinfeldError("Frobenius image outside the generated span")
@@ -301,21 +302,6 @@ def _linearized_operator(red: ReducedModule, coeffs: list[FFElem], L: _FieldCtx)
     return out
 
 
-def _orbits(vectors, mat: np.ndarray, length: int, p0: int) -> list[np.ndarray]:
-    """v, M v, ..., M^(length-1) v for each v in turn.
-
-    With M the multiplication by the generator y of F_q and length e, their
-    prime span is the F_q-span of the vectors.
-    """
-    out = []
-    for v in vectors:
-        for t in range(length):
-            out.append(v)
-            if t < length - 1:
-                v = (mat @ v) % p0
-    return out
-
-
 def _fq_basis_from_nullspace(
     null: np.ndarray, my: np.ndarray, e: int, p0: int, k_q: int
 ) -> list[np.ndarray]:
@@ -326,7 +312,7 @@ def _fq_basis_from_nullspace(
         if space.contains(row):
             continue
         out.append(row.copy())
-        for w in _orbits([row], my, e, p0):
+        for w in orbits([row], my, e, p0):
             space.add(w)
         if len(out) == k_q:
             break
@@ -362,7 +348,7 @@ def _greedy_module_basis(
         if found is None:
             raise DrinfeldError("no element of maximal order found")  # unreachable
         gens.append(found)
-        for w in _orbits(_orbits([found], t_mat, a.degree(), p0), my_blocks, base.degree, p0):
+        for w in orbits(orbits([found], t_mat, a.degree(), p0), my_blocks, base.degree, p0):
             span.add(w)
     if span.rank != dim:
         raise DrinfeldError("torsion module basis does not span")  # unreachable

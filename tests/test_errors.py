@@ -7,6 +7,7 @@ from drinfeld.division import frobenius_class_matrix
 from drinfeld.errors import (
     ConfigurationError,
     EvenCharacteristicError,
+    InconclusiveBasisError,
     NotIrreducibleError,
     ResourceLimitError,
 )
@@ -138,3 +139,67 @@ def test_torsion_quotient_size_cap(capsys, deadline):
         rc = main(["weil", "--q", "4", "--psi", "T+1*t+1*t^3", "--p", "T"])
     assert rc == 0
     assert capsys.readouterr().out == "x^3 + x + T\n"
+
+
+def _lattice_windows(monkeypatch, factor):
+    """Set the window cap factor; returns the list of windows D for which the
+    commutant is computed."""
+    from drinfeld import invariants
+
+    monkeypatch.setattr(invariants, "WINDOW_CAP_FACTOR", factor)
+    seen = []
+    inner = invariants._commutant_nullspace
+
+    def spy(red, D):
+        seen.append(D)
+        return inner(red, D)
+
+    monkeypatch.setattr(invariants, "_commutant_nullspace", spy)
+    return seen
+
+
+def test_end_lattice_window_cap_first_check(monkeypatch, tower3, psi3):
+    from drinfeld.invariants import end_lattice
+
+    seen = _lattice_windows(monkeypatch, 0)
+    with pytest.raises(InconclusiveBasisError, match="window cap 0"):
+        end_lattice(psi3, Poly.x(tower3.base_field))
+    assert seen == []
+
+
+def test_end_lattice_window_cap_stability_check(monkeypatch, tower3, psi3):
+    """At p = T the first window D = 5 fits the cap 1 * (1 + 2^2) = 5; the
+    stability window 9 does not."""
+    from drinfeld.invariants import end_lattice
+
+    seen = _lattice_windows(monkeypatch, 1)
+    with pytest.raises(InconclusiveBasisError, match="window cap 5"):
+        end_lattice(psi3, Poly.x(tower3.base_field))
+    assert seen == [5]
+
+
+def test_end_lattice_window_cap_is_a_record_warning(monkeypatch, tower2, psi2_rank3, capsys):
+    from drinfeld.config import SurveyOptions
+    from drinfeld.survey import run_survey
+
+    _lattice_windows(monkeypatch, 0)
+    recs = list(run_survey(psi2_rank3, [1], SurveyOptions()))
+    assert [r.p for r in recs] == ["T", "T+1"]
+    for rec in recs:
+        assert rec.warnings == ["error: no stable lattice basis within the window cap 0"]
+        assert rec.b_invariants == []
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["survey", "density"])
+@pytest.mark.parametrize("deg", ["1,x", "a", "0", "1,-2", ","])
+def test_malformed_deg_is_a_usage_error(capsys, command, deg):
+    from drinfeld.cli import main
+
+    argv = [command, "--q", "3", "--psi", "T+1*t+1*t^2", "--deg", deg]
+    if command == "density":
+        argv += ["--kind", "bp_equals_one"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --deg ")

@@ -14,7 +14,7 @@ from drinfeld.invariants import (
 from drinfeld.modules import DrinfeldModule, reduce_at
 from drinfeld.polys import Poly, enumerate_monic_irreducibles
 from drinfeld.skew import SkewPoly, skew_commutes
-from drinfeld.textio import poly_to_text, weil_to_text
+from drinfeld.textio import module_from_text, poly_to_text, weil_to_text
 
 
 def test_u_invariant_examples(tower3, psi3):
@@ -149,21 +149,37 @@ def _is_square(f):
     return (u ** ((n - 1) // 2)).is_one() if n > 2 else True
 
 
-def test_end_lattice_contains_one_and_pi(tower3, psi3):
+def _assert_coordinates_reconstruct(lat):
+    """Every tensor and pi coordinate, mapped back through psibar, rebuilds
+    its target; this bypasses the solve and its column layout."""
+    red = lat.red
+
+    def combination(coords):
+        acc = SkewPoly.zero(red.ctx)
+        for coeff, e in zip(coords, lat.basis):
+            acc = acc + red.psibar_of(coeff) * e
+        return acc
+
+    for i, bi in enumerate(lat.basis):
+        for j, bj in enumerate(lat.basis):
+            assert combination(lat.tensors[i][j]) == bi * bj
+    assert combination(lat.pi_coords) == SkewPoly.tau_power(red.ctx, red.deg_p)
+
+
+def test_end_lattice_contains_one_and_pi(tower3, psi3, tower9, tower2, psi2_rank3):
     F = tower3.base_field
     T, one = Poly.x(F), Poly.one(F)
-    for p in [T, T + one, T * T + one]:
-        lat = end_lattice(psi3, p)
+    psi9 = module_from_text("T+1*t+1*t^2", tower9)
+    cases = [(psi3, p) for p in (T, T + one, T * T + one)]
+    for psi, degrees in ((psi9, (1, 2)), (psi2_rank3, (1, 2, 3))):
+        cases += [(psi, p) for d in degrees for p in enumerate_monic_irreducibles(psi.base, d)]
+    for psi, p in cases:
+        lat = end_lattice(psi, p)
         assert lat.basis[0] == SkewPoly.one(lat.red.ctx)
-        assert len(lat.basis) == 2
+        assert len(lat.basis) == psi.rank
         for e in lat.basis:
             assert skew_commutes(e, lat.red.psibar_T)
-        # pi coordinates reproduce tau^n exactly
-        n = lat.red.deg_p
-        acc = SkewPoly.zero(lat.red.ctx)
-        for coeff, e in zip(lat.pi_coords, lat.basis):
-            acc = acc + lat.red.psibar_of(coeff) * e
-        assert acc == SkewPoly.tau_power(lat.red.ctx, n)
+        _assert_coordinates_reconstruct(lat)
 
 
 def test_end_lattice_rank3_contains_tau(tower2, psi2_rank3):

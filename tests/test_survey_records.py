@@ -130,7 +130,7 @@ def test_unexpected_error_in_worker_is_kept_per_record(monkeypatch, caplog):
     monkeypatch.setattr(survey, "_WORKER_STATE", {})
     monkeypatch.setattr(survey, "module_structure_oracle_reduced", _fail)
     opt_kwargs = {"strict": False, "with_lattice_checks": False, "with_abhyankar": True,
-                  "jobs": 1, "c_k": 1}
+                  "jobs": 1}
     survey._worker_init(3, 64, [[1], [1]], opt_kwargs)  # psi_T = T + tau + tau^2
     with caplog.at_level(logging.ERROR, logger="drinfeld.survey"):
         idx, d = survey._worker_run((7, [1, 1]))  # p = T + 1
