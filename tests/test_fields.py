@@ -136,3 +136,18 @@ def test_big_field_arithmetic_consistency(tower3):
     assert (x * y) * y == x * (y * y)
     assert x * x.inv() == tower3.one(K)
     assert tower3.frobenius_power(x, 10) == x
+
+
+# coordinates of the text generator z of F_q (FFElem.coords, low first)
+Z_COORDS = {
+    4: (0, 1),
+    9: (1, 1),
+    25: (1, 1),
+    27: (0, 1, 0),
+    16384: (1, 1, 1) + (0,) * 11,
+}
+
+
+@pytest.mark.parametrize("q", sorted(Z_COORDS))
+def test_z_generator_pinned(q):
+    assert FieldTower(q).z_generator().coords == Z_COORDS[q]
