@@ -1,7 +1,7 @@
 """Exact Frobenius invariants of Drinfeld F_q[T]-modules at primes of good
 reduction, with brute-force oracles for every computed quantity."""
 
-from .config import SurveyOptions, TorsionConfig
+from .config import SurveyOptions
 from .division import (
     AbhyankarPolynomial,
     FrobeniusClassMatrix,

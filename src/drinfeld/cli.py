@@ -290,6 +290,8 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    if args.c_k < 1:
+        raise UsageError(f"--c-k needs a positive integer, not {args.c_k}")
     tower = _tower(args.q)
     kind = args.kind
     if kind in ("noncm", "noncm_truncated_sum"):

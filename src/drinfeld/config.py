@@ -1,15 +1,8 @@
-"""Dataclass configuration knobs shared across the package."""
+"""Configuration of the prime-survey engine."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class TorsionConfig:
-    """Caps for the brute-force torsion oracle."""
-
-    max_splitting_steps: int = 10_000  # cap on the splitting-extension search
 
 
 @dataclass(frozen=True)

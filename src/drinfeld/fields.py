@@ -651,7 +651,7 @@ class FieldTower:
     may be created (default 64).
 
     Supported domain: q <= ``TABLE_LIMIT``, so that F_q has log tables
-    (``z_generator`` and ``dlog_z`` walk F_q), the lex search for moduli stays
+    (``z_generator`` and ``dlog_z`` read them), the lex search for moduli stays
     short, and int64 products of prime coordinates cannot overflow.  A larger
     q raises ConfigurationError.
     """
@@ -668,7 +668,6 @@ class FieldTower:
         self._embeddings: dict[tuple[int, int], Embedding] = {}
         self._lock = threading.RLock()
         self.base_field = self.field(e)
-        self._z_cache: FFElem | None = None
 
     # -- registry ---------------------------------------------------------------
 
@@ -776,31 +775,19 @@ class FieldTower:
         return FFElem(ctx, ctx.x_coords())
 
     def z_generator(self) -> FFElem:
-        """Lex-smallest multiplicative generator of F_q (text I/O uses it)."""
-        if self._z_cache is None:
-            ctx = self.base_field
-            n = ctx.order
-            fac = int_prime_factors(n - 1) if n > 2 else []
-            for code in range(1, n):
-                cand = FFElem(ctx, ctx.dec(code))
-                if cand.is_zero():
-                    continue
-                if all(not (cand ** ((n - 1) // ell)).is_one() for ell in fac):
-                    self._z_cache = cand
-                    break
-        return self._z_cache
+        """Lex-smallest multiplicative generator of F_q (text I/O uses it): the
+        generator of F_q's log tables, exp[1]."""
+        ctx = self.base_field
+        exp, _ = ctx._tables
+        return FFElem(ctx, ctx.dec(int(exp[1])))
 
     def dlog_z(self, x: FFElem) -> int:
-        """Discrete log of x in F_q^x base z (F_q is always table-sized)."""
+        """Discrete log of x in F_q^x base z, read from F_q's log table."""
         if x.is_zero():
             raise ZeroInputError("dlog of zero")
-        z = self.z_generator()
-        cur = self.one()
-        for j in range(self.q - 1):
-            if cur == x:
-                return j
-            cur = cur * z
-        raise DrinfeldError("dlog failure")  # unreachable
+        ctx = self.base_field
+        _, log = ctx._tables
+        return int(log[ctx.enc(x.coords)])
 
     # -- maps ------------------------------------------------------------------------
 

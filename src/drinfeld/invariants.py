@@ -27,7 +27,7 @@ from .errors import (
     RankError,
 )
 from .fields import FFElem
-from .modules import DrinfeldModule, ReducedModule, reduce_at
+from .modules import DrinfeldModule, ReducedModule, motive_frobenius, reduce_at
 from .polys import Poly, enumerate_monic_irreducibles, factorize, crt, powint
 from .skew import SkewPoly, skew_right_divmod
 from .torsion import torsion_basis_reduced
@@ -175,27 +175,12 @@ def _checked_weil(red: ReducedModule, coeffs: list[Poly]) -> WeilPolynomial:
 def weil_motive(red: ReducedModule) -> WeilPolynomial:
     """Weil polynomial det(x - pi) of Frobenius on the Anderson motive.
 
-    M = F_p{tau} is free over F_p[T] on 1, tau, .., tau^(r-1), T acting by
-    right multiplication by psibar_T.  Row j of A holds tau * tau^j, and
-    tau^r = g_r^-1 (T - t - g_1 tau - .. - g_(r-1) tau^(r-1)).  Left
-    multiplication by tau is q-semilinear, so pi = tau^(deg p) has the matrix
-    A^(n-1) .. A^(1) A, with A^(k) raising each coefficient to the q^k-th
-    power.  The coefficients of det(x - pi) lie in F_q[T].
+    pi is ``modules.motive_frobenius``, an r x r matrix over F_p[T]; the
+    coefficients of det(x - pi) lie in F_q[T].
     """
-    tower, ctx, base = red.source.tower, red.ctx, red.source.base
-    r = red.rank
-    g = red.psibar_T.coeffs  # t, g_1, .., g_r
-    zero, inv_top = Poly.zero(ctx), g[r].inv()
-    a = [[Poly.one(ctx) if k == j + 1 else zero for k in range(r)] for j in range(r - 1)]
-    a.append(
-        [(Poly.x(ctx) - Poly.constant(g[0])).scale(inv_top)]
-        + [Poly.constant(-g[i] * inv_top) for i in range(1, r)]
-    )
-    pi = a
-    for k in range(1, red.deg_p):
-        ak = [[e.map_coeffs(lambda c: tower.frobenius_power(c, k)) for e in row] for row in a]
-        pi = [[sum((ak[i][l] * pi[l][j] for l in range(r)), zero) for j in range(r)]
-              for i in range(r)]
+    tower, base, r = red.source.tower, red.source.base, red.rank
+    pi = motive_frobenius(red)
+    zero = Poly.zero(red.ctx)
     coeffs = []
     for j in range(r):  # c_j = (-1)^(r-j) * (sum of the principal (r-j)-minors)
         minors = (ring_det([[pi[u][v] for v in s] for u in s])

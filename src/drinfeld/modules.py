@@ -171,6 +171,32 @@ class ReducedModule:
         return self.source.tower.embed(c, self.residue.ctx)
 
 
+def motive_frobenius(red: ReducedModule) -> list[list[Poly]]:
+    """Matrix of pi = tau^(deg p) on the Anderson motive, entries in F_p[T].
+
+    M = F_p{tau} is free over F_p[T] on 1, tau, .., tau^(r-1), T acting by
+    right multiplication by psibar_T.  Row j of A holds tau * tau^j, and
+    tau^r = g_r^-1 (T - t - g_1 tau - .. - g_(r-1) tau^(r-1)).  Left
+    multiplication by tau is q-semilinear, so pi has the matrix
+    A^(n-1) .. A^(1) A, with A^(k) raising each coefficient to the q^k-th
+    power (Anderson, t-motives, Duke Math. J. 53, 1986).
+    """
+    tower, ctx, r = red.source.tower, red.ctx, red.rank
+    g = red.psibar_T.coeffs  # t, g_1, .., g_r
+    zero, inv_top = Poly.zero(ctx), g[r].inv()
+    a = [[Poly.one(ctx) if k == j + 1 else zero for k in range(r)] for j in range(r - 1)]
+    a.append(
+        [(Poly.x(ctx) - Poly.constant(g[0])).scale(inv_top)]
+        + [Poly.constant(-g[i] * inv_top) for i in range(1, r)]
+    )
+    pi = a
+    for k in range(1, red.deg_p):
+        ak = [[e.map_coeffs(lambda c: tower.frobenius_power(c, k)) for e in row] for row in a]
+        pi = [[sum((ak[i][l] * pi[l][j] for l in range(r)), zero) for j in range(r)]
+              for i in range(r)]
+    return pi
+
+
 def reduce_at(psi: DrinfeldModule, p: Poly) -> ReducedModule:
     """The reduction at p; raises NotIrreducibleError for a non-prime p and
     BadReductionError when p divides g_r (one prime test, in the constructor)."""

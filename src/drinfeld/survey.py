@@ -318,6 +318,8 @@ def density_report(
     max_deg: int | None = None,
     c_k: int = 1,
 ) -> DensityEstimate:
+    if c_k < 1:
+        raise DrinfeldError(f"c_K must be a positive integer, not {c_k}")
     if kind in ("noncm", "noncm_truncated_sum"):
         if q is None or max_deg is None:
             raise DrinfeldError("noncm estimator needs q and max_deg")

@@ -1,11 +1,11 @@
 """Brute-force a-torsion of a reduced Drinfeld module, with its Frobenius matrix.
 
-The splitting degree s is found first: inside R = F_p[x]/(psibar_a(x)) the
-|F_p|-power map is a prime-linear operator, and the kernel of psibar_a is full
-over F_{p^s} exactly when that operator's s-th power fixes the class of x.
-The candidate degrees s = 1, 2, 3, ... are walked in order (each step is one
-matrix-vector product), then the one splitting field F_{p^s} is built in the
-tower and the kernel is extracted by linear algebra over the prime field.
+The splitting degree s is found first, as the order of the motive Frobenius
+pi = tau^(deg p) on M/aM (``modules.motive_frobenius`` reduced mod a): m(x)
+pairs M/aM nondegenerately with psi[a], and pi m pairs with x as m with Frob x.
+Then the one splitting field F_{p^s} is built in the tower and the kernel is
+extracted by linear algebra over the prime field; its prime dimension is
+checked, so an s whose field does not hold psi[a] cannot pass.
 
 All linear algebra here runs on the prime-field kernel in ``linalg``.  With
 q = p0^e, an F_q-vector of length k is written as its k blocks of e prime
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import TorsionConfig
 from .errors import (
     CoprimalityError,
     DrinfeldError,
@@ -36,112 +35,17 @@ from .errors import (
 )
 from .fields import FFElem, FieldId, _FieldCtx
 from .linalg import orbits
-from .modules import DrinfeldModule, ReducedModule, reduce_at
+from .modules import DrinfeldModule, ReducedModule, motive_frobenius, reduce_at
 from .polys import Poly, factorize, poly_gcd
-from .quotients import QuotElem, QuotRing
+from .quotients import QuotElem, QuotRing, mat_is_identity, mat_mul
 from .skew import skew_eval
 from .amatrix import ring_det, smith_normal_form
 
 
-# ---------------------------------------------------------------------------
-# the quotient ring R = F_p[x]/(f) over the prime field, flattened
-
-# Largest prime dimension N = q^(r deg a) * [F_p:prime] of R.  The splitting
-# search builds dense N x N int64 matrices (N = 4096 is 128 MB each) and
-# raises them to a power, so a larger R is refused before any is built.
+# Largest prime dimension q^(r deg a) * [F_p:prime] of the torsion problem,
+# i.e. |psi[a]| times the degree of F_p.  ``_greedy_module_basis`` walks up to
+# q^(r deg a) element codes, so a larger psi[a] is refused before any work.
 MAX_QUOTIENT_DIM = 4096
-
-
-class _LinearizedQuotient:
-    """Numpy model of F_p[x]/(f) for the monic x-polynomial f = psibar_a."""
-
-    def __init__(self, ctx: _FieldCtx, skew_coeffs: list[FFElem], q: int):
-        self.D = q ** (len(skew_coeffs) - 1)
-        self.m = ctx.degree
-        D, m = self.D, self.m
-        if D * m > MAX_QUOTIENT_DIM:
-            raise ResourceLimitError(
-                f"torsion quotient F_p[x]/(psibar_a) has prime dimension {D * m}, "
-                f"above the cap {MAX_QUOTIENT_DIM}"
-            )
-        self.ctx = ctx
-        self.p0 = ctx.char
-        lead = skew_coeffs[-1]
-        inv = lead.inv()
-        coeffs = [c * inv for c in skew_coeffs]
-        # dense monic f, blocks of F_p coordinates; exponents are q^i (and
-        # q^0 = 1 never collides with q^i for i > 0 since the x-coefficient
-        # lands at exponent 1 and q >= 2)
-        f = np.zeros((D + 1, m), dtype=np.int64)
-        for i, c in enumerate(coeffs):
-            f[q**i if i > 0 else 1] = np.array(c.coords, dtype=np.int64)
-        self.f = f
-        # x^D mod f = -(low part)
-        fred = (-f[:D]) % self.p0
-        # FRED_OP: coords(c) -> vec(c * x^D mod f), one mult-matrix per block
-        blocks = [self.ctx.mult_matrix(tuple(int(v) for v in fred[j])) for j in range(D)]
-        self.fred_op = np.vstack(blocks)  # (D*m) x m
-        self.N = D * m
-
-    def const_vec(self, c: FFElem) -> np.ndarray:
-        v = np.zeros((self.D, self.m), dtype=np.int64)
-        v[0] = c.vec()
-        return v.reshape(self.N)
-
-    def x_vec(self) -> np.ndarray:
-        v = np.zeros((self.D, self.m), dtype=np.int64)
-        v[1] = np.array(self.ctx.one_coords(), dtype=np.int64)
-        return v.reshape(self.N)
-
-    def shift_reduce(self, w: np.ndarray) -> np.ndarray:
-        """w * x, for w an R-vector reshaped (D, m)."""
-        top = w[-1]
-        out = np.zeros_like(w)
-        out[1:] = w[:-1]
-        if top.any():
-            out += (self.fred_op @ top).reshape(self.D, self.m)
-        return out % self.p0
-
-    def mult_matrix(self, gvec: np.ndarray) -> np.ndarray:
-        """Matrix of u -> g*u on R over the prime field."""
-        D, m, N = self.D, self.m, self.N
-        mx = self.ctx.mult_matrix(self.ctx.x_coords()) if m > 1 else None
-        cols = np.zeros((N, N), dtype=np.int64)
-        w = gvec.reshape(D, m).copy()
-        for k in range(D):
-            wk = w
-            cols[:, k * m] = wk.reshape(N)
-            if m > 1:
-                cur = wk
-                for t in range(1, m):
-                    cur = (cur @ mx.T) % self.p0
-                    cols[:, k * m + t] = cur.reshape(N)
-            if k < D - 1:
-                w = self.shift_reduce(w)
-        return cols
-
-    def q_power_vec(self, q: int) -> np.ndarray:
-        """vec of x^q mod f."""
-        w = np.zeros((self.D, self.m), dtype=np.int64)
-        w[1] = np.array(self.ctx.one_coords(), dtype=np.int64)
-        for _ in range(q - 1):
-            w = self.shift_reduce(w)
-        return w.reshape(self.N)
-
-    def q_frobenius_matrix(self, q: int, e: int) -> np.ndarray:
-        """Matrix of u -> u^q on R (an F_p0-linear ring endomorphism)."""
-        D, m, N = self.D, self.m, self.N
-        h = self.q_power_vec(q)
-        mh = self.mult_matrix(h)
-        frob = self.ctx.frob_p_matrix(e % m if m > 1 else 0)  # q-power on F_p blocks
-        cols = np.zeros((N, N), dtype=np.int64)
-        for t in range(m):
-            v = self.const_vec(FFElem(self.ctx, tuple(int(c) for c in frob[:, t])))
-            for k in range(D):
-                cols[:, k * m + t] = v
-                if k < D - 1:
-                    v = (mh @ v) % self.p0
-        return cols
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +65,11 @@ class TorsionBasis:
     kernel_basis: list[FFElem]
 
 
-def torsion_basis(
-    psi: DrinfeldModule,
-    p: Poly,
-    a: Poly,
-    config: TorsionConfig | None = None,
-) -> TorsionBasis:
-    config = config or TorsionConfig()
-    red = reduce_at(psi, p)
-    return torsion_basis_reduced(red, a, config)
+def torsion_basis(psi: DrinfeldModule, p: Poly, a: Poly) -> TorsionBasis:
+    return torsion_basis_reduced(reduce_at(psi, p), a)
 
 
-def torsion_basis_reduced(
-    red: ReducedModule, a: Poly, config: TorsionConfig | None = None
-) -> TorsionBasis:
-    config = config or TorsionConfig()
+def torsion_basis_reduced(red: ReducedModule, a: Poly) -> TorsionBasis:
     a = a.monic()
     if a.degree() < 1:
         raise DrinfeldError("torsion modulus must be nonconstant")
@@ -193,23 +87,13 @@ def torsion_basis_reduced(
     coeffs = list(sk.coeffs)
     if coeffs[0].is_zero() or len(coeffs) - 1 != r * a.degree():
         raise DrinfeldError("linearized polynomial is not separable of full degree")
-
-    # splitting degree search in R = F_p[x]/(f)
-    R = _LinearizedQuotient(ctx, coeffs, q)
-    sigma_q = R.q_frobenius_matrix(q, e)
-    phi_R = linalg.matpow(sigma_q, n, p0)
-    x0 = R.x_vec()
-    w = x0.copy()
-    s = None
-    for step in range(1, config.max_splitting_steps + 1):
-        w = (phi_R @ w) % p0
-        if np.array_equal(w, x0):
-            s = step
-            break
-    if s is None:
+    dim = q ** (r * a.degree()) * ctx.degree
+    if dim > MAX_QUOTIENT_DIM:
         raise ResourceLimitError(
-            f"splitting degree exceeds the configured cap {config.max_splitting_steps}"
+            f"torsion quotient F_p[x]/(psibar_a) has prime dimension {dim}, "
+            f"above the cap {MAX_QUOTIENT_DIM}"
         )
+    s = _splitting_degree(red, a, tower.max_degree // ctx.degree)
 
     # the splitting field and the kernel inside it
     L = tower.field(ctx.degree * s)
@@ -217,6 +101,8 @@ def torsion_basis_reduced(
         tower.embedding(ctx, L)
     k_q = r * a.degree()
 
+    # the kernel in L has full dimension exactly when L holds psi[a]: a check
+    # on s that does not go through the motive
     lin_op = _linearized_operator(red, coeffs, L)
     null = linalg.nullspace(lin_op, p0)
     if len(null) != e * k_q:
@@ -285,6 +171,26 @@ def torsion_basis_reduced(
         ring=ring,
         kernel_basis=kernel_basis,
     )
+
+
+def _splitting_degree(red: ReducedModule, a: Poly, limit: int) -> int:
+    """Order of pi = tau^(deg p) on M/aM, at most ``limit``.
+
+    That order is the degree s of the splitting field of psi[a] over F_p:
+    the pairing <m, x> = m(x) of M/aM with psi[a] is nondegenerate, and
+    <pi m, x> = <m, Frob x>, since tau^(deg p) is central in F_p{tau}.
+    """
+    ring = QuotRing(a.map_coeffs(red.tower_embed_const, red.ctx))
+    pi = [[ring.reduce(e) for e in row] for row in motive_frobenius(red)]
+    power, s = pi, 1
+    while not mat_is_identity(power):
+        if s >= limit:
+            raise ResourceLimitError(
+                f"splitting degree of psi[a] exceeds {limit}: the tower builds "
+                f"fields up to degree {red.source.tower.max_degree}"
+            )
+        power, s = mat_mul(power, pi, ring), s + 1
+    return s
 
 
 def _linearized_operator(red: ReducedModule, coeffs: list[FFElem], L: _FieldCtx) -> np.ndarray:

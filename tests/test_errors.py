@@ -2,7 +2,6 @@
 
 import pytest
 
-from drinfeld.config import TorsionConfig
 from drinfeld.division import frobenius_class_matrix
 from drinfeld.errors import (
     ConfigurationError,
@@ -19,11 +18,16 @@ from drinfeld.textio import module_from_text, poly_from_text
 from drinfeld.torsion import torsion_basis
 
 
-def test_torsion_splitting_cap(tower3, psi3):
+def test_torsion_splitting_cap(monkeypatch, tower3, psi3):
+    """psi3[T] splits over F_(3^8) at p = T+1: a tower cap of 7 stops the
+    splitting-degree walk before any field is built, a cap of 8 admits it."""
     F = tower3.base_field
     T, one = Poly.x(F), Poly.one(F)
-    with pytest.raises(ResourceLimitError):
-        torsion_basis(psi3, T + one, T, TorsionConfig(max_splitting_steps=2))
+    monkeypatch.setattr(tower3, "max_degree", 7)
+    with pytest.raises(ResourceLimitError, match=r"splitting degree of psi\[a\] exceeds 7"):
+        torsion_basis(psi3, T + one, T)
+    monkeypatch.setattr(tower3, "max_degree", 8)
+    assert torsion_basis(psi3, T + one, T).splitting_s == 8
 
 
 def test_torsion_tower_cap(psi3copy_small=None):
@@ -203,3 +207,19 @@ def test_malformed_deg_is_a_usage_error(capsys, command, deg):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: --deg ")
+
+
+@pytest.mark.parametrize("c_k", ["0", "-1"])
+def test_nonpositive_c_k_is_a_usage_error(capsys, c_k):
+    from drinfeld.cli import main
+    from drinfeld.errors import DrinfeldError
+    from drinfeld.survey import density_report
+
+    argv = ["density", "--kind", "bp_equals_one", "--q", "3", "--psi", "T+1*t+1*t^2",
+            "--deg", "1", "--c-k", c_k]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --c-k ")
+    with pytest.raises(DrinfeldError, match="c_K must be a positive integer"):
+        density_report([], "bp_equals_one", c_k=int(c_k))

@@ -151,3 +151,21 @@ Z_COORDS = {
 @pytest.mark.parametrize("q", sorted(Z_COORDS))
 def test_z_generator_pinned(q):
     assert FieldTower(q).z_generator().coords == Z_COORDS[q]
+
+
+def test_dlog_z_round_trip_at_largest_q(deadline):
+    """z^dlog(x) = x on 300 elements of F_16384, and the text form of each
+    element parses back to it."""
+    from drinfeld.textio import fq_from_text, fq_to_text
+
+    tower = FieldTower(16384)
+    F = tower.base_field
+    z = tower.z_generator()
+    with deadline(10):
+        assert tower.dlog_z(tower.one()) == 0 and tower.dlog_z(z) == 1
+        for code in range(1, F.order, F.order // 300):
+            x = FFElem(F, F.dec(code))
+            j = tower.dlog_z(x)
+            assert 0 <= j < F.order - 1
+            assert z**j == x
+            assert fq_from_text(fq_to_text(x, tower), tower) == x

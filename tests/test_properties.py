@@ -22,6 +22,9 @@ from drinfeld.polys import (
     splits_into_linear_factors,
 )
 from drinfeld.skew import SkewPoly, skew_right_divmod
+from drinfeld.textio import module_from_text, poly_from_text
+from drinfeld.torsion import _splitting_degree, torsion_basis_reduced
+from test_torsion_pin import CASES as TORSION_PIN_CASES
 
 TOWER3 = FieldTower(3, max_degree=64)
 TOWER9 = FieldTower(9, max_degree=64)
@@ -250,8 +253,8 @@ def module_and_prime(draw, tower, rank, deg_p):
 
 
 # (q, rank, deg p) where one weil_general call stays well under 2 s
-MOTIVE_ORACLE_CASES = [(2, r, d) for r in (2, 3, 4) for d in (1, 2)] + [
-    (3, 2, 1), (3, 3, 1), (4, 2, 1),
+MOTIVE_ORACLE_CASES = [(2, r, d) for r in (2, 3, 4) for d in (1, 2, 3)] + [
+    (3, 2, 1), (3, 3, 1), (4, 2, 1), (3, 2, 2), (3, 3, 2),
 ]
 
 
@@ -267,6 +270,86 @@ def test_weil_motive_matches_torsion_crt(q, rank, deg_p, deadline):
     def check(data):
         psi, p = data.draw(module_and_prime(tower, rank, deg_p))
         assert weil_motive(reduce_at(psi, p)) == weil_general(psi, p)
+
+    with deadline(120):
+        check()
+
+
+def _splitting_degree_oracle(red, a):
+    """Least s >= 1 with x^(|F_p|^s) = x mod psibar_a(x), where psibar_a(x) =
+    sum c_i x^(q^i) is read as an ordinary polynomial over F_p."""
+    ctx, q = red.ctx, red.source.tower.q
+    sk = red.psibar_of(a)
+    dense = [ctx.zero_elem()] * (q ** sk.degree() + 1)
+    for i, c in enumerate(sk.coeffs):
+        dense[q**i] = c
+    f, x = Poly(ctx, dense), Poly.x(ctx)
+    h, s = powmod(x, ctx.order, f), 1
+    while h != x:
+        h, s = powmod(h, ctx.order, f), s + 1
+    return s
+
+
+@pytest.mark.parametrize("case", TORSION_PIN_CASES, ids=lambda c: f"q{c[0][5:]}-s{c[4]}")
+def test_splitting_degree_oracle_on_pinned_cases(request, case):
+    tower_name, psi_coeffs, p_ints, a_ints, s = case[:5]
+    tower = request.getfixturevalue(tower_name)
+    F = tower.base_field
+    psi = DrinfeldModule(tower, [Poly.one(F) if c else Poly.zero(F) for c in psi_coeffs])
+    red = reduce_at(psi, Poly.from_ints(F, p_ints))
+    assert _splitting_degree_oracle(red, Poly.from_ints(F, a_ints)) == s
+
+
+@pytest.mark.parametrize(
+    "q,psi_text,p_text,a_text,s",
+    [
+        (2, "T+T*t^2", "T^2+T+1", "T", 1),
+        (2, "T+1*t^2", "T^4+T^3+1", "T+1", 1),
+        (2, "T+T*t+T*t^2", "T^3+T+1", "T", 1),
+        (3, "T+1*t^2", "T+1", "T", 2),
+    ],
+)
+def test_splitting_degree_small(q, psi_text, p_text, a_text, s):
+    """Frobenius fixes psi[a] (s = 1) or nearly so; the oracle and the torsion
+    basis agree."""
+    tower = ROOT_TOWERS[q][0]
+    psi = module_from_text(psi_text, tower)
+    a = poly_from_text(a_text, tower)
+    red = reduce_at(psi, poly_from_text(p_text, tower))
+    assert _splitting_degree_oracle(red, a) == s
+    assert torsion_basis_reduced(red, a).splitting_s == s
+
+
+@st.composite
+def splitting_case(draw):
+    """(psi, p, a): q in {2, 3, 4, 5, 9}, rank 2..3, deg p <= 2, and a monic a
+    of degree <= 2 coprime to p with q^(r deg a) <= 729 (squares included)."""
+    q = draw(st.sampled_from(sorted(ROOT_TOWERS)))
+    rank = draw(st.integers(min_value=2, max_value=3))
+    deg_a = draw(st.integers(min_value=1, max_value=2).filter(lambda d: q ** (rank * d) <= 729))
+    tower = ROOT_TOWERS[q][0]
+    F = tower.base_field
+    psi, p = draw(module_and_prime(tower, rank, draw(st.integers(min_value=1, max_value=2))))
+    a = draw(
+        st.lists(elem(F), min_size=deg_a, max_size=deg_a)
+        .map(lambda cs: Poly(F, cs + [F.one_elem()]))
+        .filter(lambda f: poly_gcd(f, p).degree() == 0)
+    )
+    return psi, p, a
+
+
+def test_splitting_degree_matches_oracle(deadline):
+    """The order of the motive Frobenius mod a equals the least s with
+    x^(|F_p|^s) = x mod psibar_a(x)."""
+
+    @given(case=splitting_case())
+    @settings(max_examples=50, deadline=None)
+    def check(case):
+        psi, p, a = case
+        red = reduce_at(psi, p)
+        # an element of GL(psi[a]) has order below |psi[a]|
+        limit = red.source.tower.q ** (red.rank * a.degree())
+        assert _splitting_degree(red, a, limit) == _splitting_degree_oracle(red, a)
 
     with deadline(120):
         check()
