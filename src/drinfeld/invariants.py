@@ -198,8 +198,10 @@ def weil_motive(red: ReducedModule) -> WeilPolynomial:
 def _aux_moduli(psi: DrinfeldModule, p: Poly, need: int, cap: int) -> list[Poly]:
     """Pairwise-coprime prime-power moduli avoiding p, total degree >= need.
 
-    Greedy by increment cost, each modulus capped at degree ``cap`` so torsion
-    kernels stay desk-sized.
+    Greedy: each step raises the power of the prime whose next power has the
+    smallest degree, ties going to the earlier prime in (degree, lex) order.
+    So a second linear prime comes before the square of the first.  Each
+    modulus is capped at degree ``cap`` so torsion kernels stay desk-sized.
     """
     base = psi.base
     pool: list[Poly] = []
@@ -212,10 +214,10 @@ def _aux_moduli(psi: DrinfeldModule, p: Poly, need: int, cap: int) -> list[Poly]
     while total < need:
         best = None
         for i, ell in enumerate(pool):
-            d = ell.degree()
-            if (exps[i] + 1) * d > cap:
+            cost = (exps[i] + 1) * ell.degree()
+            if cost > cap:
                 continue
-            if best is None or d < pool[best].degree():
+            if best is None or cost < (exps[best] + 1) * pool[best].degree():
                 best = i
         if best is None:
             raise ConfigurationError(

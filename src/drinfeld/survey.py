@@ -14,7 +14,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Iterable, Iterator
 
 from .config import SurveyOptions
@@ -130,8 +130,10 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
                 (bfac[i + 1] % bfac[i]).is_zero() for i in range(len(bfac) - 1)
             ):
                 checks.append("divisibility_chain")
+            # F_p is A/d_1 x ... x A/d_k with k <= r and d_1 ... d_k = P(1) up to a unit
             oracle = module_structure_oracle_reduced(red)
-            if sum(f.degree() for f in oracle) == p.degree():
+            chi = sum(weil.coeffs, Poly.one(base)).monic()
+            if len(oracle) <= psi.rank and prod(oracle, start=Poly.one(base)) == chi:
                 checks.append("structure_oracle")
             if options.with_abhyankar and p != Poly.x(base):
                 b1 = bfac[0] if bfac else Poly.one(base)

@@ -19,6 +19,12 @@ digits of the code, low digit first, are the block coordinates), keep the
 first element whose A-order modulo the current span is a, and repeat r times;
 Frobenius images are expressed through the evaluation map (A/aA)^r -> psi[a]
 by solving one linear system.
+
+The structure oracle gives F_p itself as an A-module through psibar_T, on the
+same block coordinates: det(T - M) from Krylov blocks of the prime matrix M
+of psibar_T, the answer itself when the Krylov space of 1 is all of F_p (the
+cyclic case), and otherwise the elementary divisors from the ranks of f(M)^k
+for the repeated irreducible factors f.  No Smith form over F_q[T] is taken.
 """
 
 from __future__ import annotations
@@ -36,10 +42,10 @@ from .errors import (
 from .fields import FFElem, FieldId, _FieldCtx
 from .linalg import orbits
 from .modules import DrinfeldModule, ReducedModule, motive_frobenius, reduce_at
-from .polys import Poly, factorize, poly_gcd
+from .polys import Poly, factorize, poly_gcd, powint, squarefree_decomposition
 from .quotients import QuotElem, QuotRing, mat_is_identity, mat_mul
 from .skew import skew_eval
-from .amatrix import ring_det, smith_normal_form
+from .amatrix import ring_det
 
 
 # Largest prime dimension q^(r deg a) * [F_p:prime] of the torsion problem,
@@ -276,42 +282,89 @@ def _poly_at(d: Poly, t_mat: np.ndarray, base: _FieldCtx) -> np.ndarray:
 
 
 def module_structure_oracle(psi: DrinfeldModule, p: Poly) -> list[Poly]:
-    """Invariant factors of the A-module psi acting on F_p, by brute force."""
+    """Invariant factors of the A-module psi acting on F_p, by linear algebra on F_p."""
     return module_structure_oracle_reduced(reduce_at(psi, p))
 
 
 def module_structure_oracle_reduced(red: ReducedModule) -> list[Poly]:
-    """Builds the matrix of psibar_T as an F_q-linear operator on F_p and takes
-    the Smith normal form of T*I - M over A; nonunit factors are returned.
-    """
-    tower = red.source.tower
-    p0 = tower.char
-    e = tower.base_degree
-    ctx = red.ctx
-    n = red.deg_p
-    base = tower.base_field
+    """Invariant factors of F_p as an A-module through psibar, nonunits ascending.
 
-    t_op = _linearized_operator(red, list(red.psibar_T.coeffs), ctx)
-    basis = red.residue._basis  # columns (j, t) = y^t T^j
-    imgs = (t_op @ basis) % p0
-    sol = (red.residue._basis_inv @ imgs) % p0
-    # group prime-rows into F_q coefficients: row block i gives the T^i coord
-    cols = []
-    for jcol in range(n * e):
-        col = []
-        for i in range(n):
-            block = sol[i * e : (i + 1) * e, jcol]
-            col.append(FFElem(base, tuple(int(c) for c in block)))
-        cols.append(col)
-    # psibar_T is F_q-linear, so columns for t > 0 are y^t-multiples; keep t = 0
-    mat = [[cols[j * e][i] for j in range(n)] for i in range(n)]
-    T = Poly.x(base)
-    entries = [
-        [
-            (T if i == j else Poly.zero(base)) - Poly.constant(mat[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    factors = smith_normal_form(entries)
-    return [f for f in factors if f.degree() >= 1]
+    psibar_T acts F_q-linearly on F_p; its prime matrix is taken on the F_q
+    basis T^j of F_p (the residue field's lift coordinates) and handed to
+    ``fq_invariant_factors``.
+    """
+    p0 = red.source.tower.char
+    res = red.residue
+    t_op = _linearized_operator(red, list(red.psibar_T.coeffs), red.ctx)
+    mt = (res._basis_inv @ ((t_op @ res._basis) % p0)) % p0
+    return fq_invariant_factors(mt, red.source.tower.base_field)
+
+
+def fq_invariant_factors(mt: np.ndarray, base: _FieldCtx) -> list[Poly]:
+    """Monic nonunit invariant factors d_1 | d_2 | ... of an F_q-linear map.
+
+    ``mt`` is the prime matrix of the map on F_q^n in e-block coordinates
+    (e = [F_q:F_p0]), so it commutes with multiplication by the generator y
+    of F_q on every block.  The factors are those of the Smith form of
+    T*I - M over F_q[T], found without polynomial elimination:
+
+    - chi = det(T - M) is the product of relative minimal polynomials of
+      Krylov blocks.  Walk the unit vectors; each one outside the F_q-span W
+      of the blocks so far starts a block v, Mv, M^2 v, ..., extended until
+      the next vector lies in W + (block); its coordinates in that span give
+      the block's relative minimal polynomial.
+    - If the first block, the Krylov space of the first unit vector, is
+      everything, the module is cyclic and chi is the only factor.
+    - Otherwise each irreducible f of multiplicity m >= 2 in chi gets its
+      partition from the jumps of dim ker f(M)^k, k = 1..m (prime ranks
+      divided by e); f^(lambda_j) goes into the j-th factor from the top.
+      Factors of multiplicity 1 all go into the top one.
+    """
+    p0, e = base.char, base.degree
+    dim = mt.shape[0]
+    n = dim // e
+    my = np.kron(np.eye(n, dtype=np.int64), base.mult_matrix(base.x_coords()))
+    span = linalg.RowSpace(dim, p0)
+    chi = Poly.one(base)
+    for j in range(n):
+        v = np.zeros(dim, dtype=np.int64)
+        v[j * e] = 1
+        if span.contains(v):
+            continue
+        before = span.basis.copy()
+        block: list[np.ndarray] = []
+        while not span.contains(v):
+            block.append(v)
+            for w in orbits([v], my, e, p0):
+                span.add(w)
+            v = (mt @ v) % p0
+        cols = np.concatenate([np.stack(orbits(block, my, e, p0), axis=1), before.T], axis=1)
+        sol = linalg.solve(cols, v, p0)
+        if sol is None:
+            raise DrinfeldError("Krylov vector outside its span")  # unreachable
+        # e solution entries per block vector: the coords of one F_q coefficient
+        low = [-FFElem(base, tuple(int(c) for c in sol[i * e : (i + 1) * e]))
+               for i in range(len(block))]
+        chi = chi * Poly(base, low + [base.one_elem()])
+        if len(block) == n:  # the Krylov space of the first unit vector is everything
+            return [chi]
+    from_top = [Poly.one(base)]
+    for g, m in squarefree_decomposition(chi):
+        if m == 1:
+            from_top[0] = from_top[0] * g
+            continue
+        for f, _ in factorize(g).factors:
+            fm = _poly_at(f, mt, base)
+            power, kernel, at_least = fm, 0, []  # at_least[k]: blocks of size > k
+            for _ in range(m):
+                rank = len(linalg.rref(power, p0)[1])
+                grown = (dim - rank) // e
+                at_least.append((grown - kernel) // f.degree())
+                kernel, power = grown, (power @ fm) % p0
+            if kernel != m * f.degree():
+                raise DrinfeldError("generalized kernel of the wrong dimension")  # unreachable
+            for i in range(at_least[0]):
+                if i == len(from_top):
+                    from_top.append(Poly.one(base))
+                from_top[i] = from_top[i] * powint(f, sum(1 for c in at_least if c > i))
+    return from_top[::-1]

@@ -128,18 +128,22 @@ def test_largest_q_builds_its_extensions(deadline):
 
 
 def test_torsion_quotient_size_cap(capsys, deadline):
-    """Rank 3 at q = 4 with a degree-2 auxiliary modulus needs R = F_p[x]/(psibar_a)
+    """Rank 3 at q = 4 with a degree-2 modulus a = (T+1)^2 needs R = F_p[x]/(psibar_a)
     of prime dimension 4^6 * 2 = 8192; the cap refuses it before any matrix is
-    built.  The CLI takes the motive route and needs no torsion at all."""
+    built.  ``weil_general`` takes two linear moduli there instead, and the
+    CLI takes the motive route and needs no torsion at all."""
     from drinfeld.cli import main
+    from drinfeld.invariants import weil_motive
     from drinfeld.torsion import MAX_QUOTIENT_DIM
 
     assert MAX_QUOTIENT_DIM < 8192
     tower = FieldTower(4)
     psi = module_from_text("T+1*t+1*t^3", tower)
+    T = Poly.x(tower.base_field)
     with deadline(20):
         with pytest.raises(ResourceLimitError, match=f"prime dimension 8192.*cap {MAX_QUOTIENT_DIM}"):
-            weil_general(psi, Poly.x(tower.base_field))
+            torsion_basis(psi, T, poly_from_text("T^2+1", tower))
+        assert weil_general(psi, T) == weil_motive(reduce_at(psi, T))
         rc = main(["weil", "--q", "4", "--psi", "T+1*t+1*t^3", "--p", "T"])
     assert rc == 0
     assert capsys.readouterr().out == "x^3 + x + T\n"

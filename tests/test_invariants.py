@@ -66,6 +66,21 @@ def test_weil_general_agrees_with_rank2(tower3, psi3):
             assert weil_general(psi3, p).coeffs == weil_rank2(psi3, p).coeffs
 
 
+def test_aux_moduli_take_a_second_prime_before_a_square(tower9, deadline):
+    """At q = 9 the two cheapest coprime moduli are T and T + z^4 (81 torsion
+    points each), not T^2, whose torsion quotient is beyond the dimension cap."""
+    from drinfeld.invariants import _aux_moduli, weil_motive
+    from drinfeld.textio import poly_from_text
+
+    psi = module_from_text("T+1*t+1*t^2", tower9)
+    p = poly_from_text("T+1", tower9)
+    assert [poly_to_text(m) for m in _aux_moduli(psi, p, 2, 2)] == ["T", "T+z^4"]
+    with deadline(10):
+        w = weil_general(psi, p)
+    m = weil_motive(reduce_at(psi, p))
+    assert w.coeffs == m.coeffs and w.unit == m.unit
+
+
 def test_rank3_torsion_trace_det_consistency(tower2, psi2_rank3):
     """Trace and det of the torsion matrix match -c_{r-1} and (-1)^r c_0."""
     from drinfeld.amatrix import ring_det

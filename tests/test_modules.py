@@ -155,3 +155,18 @@ def test_module_structure_oracle_examples(tower3, psi3):
     for p in enumerate_monic_irreducibles(F, 3):
         factors = module_structure_oracle(psi3, p)
         assert sum(f.degree() for f in factors) == 3
+
+
+def test_module_structure_oracle_degree_14(tower3, psi3, deadline):
+    """A residue field above the log-table limit: the oracle is one Krylov
+    walk and one solve on a 14 x 14 prime matrix."""
+    from drinfeld.textio import poly_from_text
+    from drinfeld.torsion import module_structure_oracle_reduced
+
+    p = poly_from_text("T^14+2*T^12+T^10+2*T^8+2*T^6+2*T^4+T^3+T+2", tower3)
+    red = reduce_at(psi3, p)
+    with deadline(2):
+        factors = module_structure_oracle_reduced(red)
+    assert [poly_to_text(f) for f in factors] == [
+        "T^14+2*T^12+T^10+2*T^8+T^7+T^6+T^5+2*T^4+2*T^3+2*T^2+2"
+    ]

@@ -1,10 +1,13 @@
 """Randomized property suites (hypothesis drives the case generation)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drinfeld import linalg
+from drinfeld.amatrix import smith_normal_form
 from drinfeld.errors import DrinfeldError
-from drinfeld.fields import FieldTower
+from drinfeld.fields import FFElem, FieldTower
 from drinfeld.invariants import weil_general, weil_motive, weil_rank2_reduced
 from drinfeld.modules import DrinfeldModule, reduce_at
 from drinfeld.polys import (
@@ -23,7 +26,7 @@ from drinfeld.polys import (
 )
 from drinfeld.skew import SkewPoly, skew_right_divmod
 from drinfeld.textio import module_from_text, poly_from_text
-from drinfeld.torsion import _splitting_degree, torsion_basis_reduced
+from drinfeld.torsion import _splitting_degree, fq_invariant_factors, torsion_basis_reduced
 from test_torsion_pin import CASES as TORSION_PIN_CASES
 
 TOWER3 = FieldTower(3, max_degree=64)
@@ -450,5 +453,79 @@ def test_packed_powmod_matches_sympy(p, degrees):
     def check(case):
         base, e, g = case
         assert to_sympy(powmod(base, e, g)) == gf_pow_mod(to_sympy(base), e, to_sympy(g), p, ZZ)
+
+    check()
+
+
+KERNEL_FIELDS = {q: FieldTower(q, max_degree=64).base_field for q in (2, 3, 4, 9, 25)}
+
+
+def _prime_blocks(ctx, rows):
+    """Prime matrix of an F_q matrix on e-block coordinates."""
+    return np.block([[ctx.mult_matrix(c.coords) for c in row] for row in rows])
+
+
+def _block_diag(ctx, *mats):
+    n = sum(len(m) for m in mats)
+    out = [[ctx.zero_elem()] * n for _ in range(n)]
+    at = 0
+    for m in mats:
+        for i, row in enumerate(m):
+            out[at + i][at : at + len(row)] = row
+        at += len(m)
+    return out
+
+
+@st.composite
+def fq_operator(draw, ctx):
+    """A prime block matrix of an F_q-linear map on F_q^n, n <= 6: random, or
+    conjugate to diag(A, A, B) or to diag([[A, I], [0, A]], A, B), so that
+    repeated factors and non-cyclic modules come up at every q."""
+
+    def mat(k):
+        return [[draw(elem(ctx)) for _ in range(k)] for _ in range(k)]
+
+    kind = draw(st.sampled_from(["random", "repeated", "jordan"]))
+    if kind == "random":
+        rows = mat(draw(st.integers(1, 6)))
+    elif kind == "repeated":
+        a = mat(draw(st.integers(1, 2)))
+        rows = _block_diag(ctx, a, a, mat(draw(st.integers(0, 6 - 2 * len(a)))))
+    else:
+        a = mat(1)
+        eye = [[ctx.one_elem()]]
+        jordan = [a[0] + eye[0], [ctx.zero_elem()] + a[0]]
+        rows = _block_diag(ctx, jordan, a, mat(draw(st.integers(0, 3))))
+    mt = _prime_blocks(ctx, rows)
+    p0 = ctx.char
+    conj = _prime_blocks(ctx, mat(len(rows)))
+    inv = linalg.solve(conj, np.eye(len(mt), dtype=np.int64), p0)
+    if inv is not None:
+        mt = (((conj @ mt) % p0) @ inv) % p0
+    return mt
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_FIELDS))
+def test_fq_invariant_factors_match_smith_form(q):
+    """The Krylov and kernel-rank invariant factors equal the nonunit Smith
+    invariant factors of T*I - M over F_q[T]."""
+    ctx = KERNEL_FIELDS[q]
+    e = ctx.degree
+    T = Poly.x(ctx)
+
+    @given(mt=fq_operator(ctx))
+    @settings(max_examples=40, deadline=None)
+    def check(mt):
+        n = len(mt) // e
+        entries = [
+            [FFElem(ctx, tuple(int(c) for c in mt[i * e : (i + 1) * e, j * e])) for j in range(n)]
+            for i in range(n)
+        ]
+        xmat = [
+            [(T if i == j else Poly.zero(ctx)) - Poly.constant(entries[i][j]) for j in range(n)]
+            for i in range(n)
+        ]
+        smith = [f for f in smith_normal_form(xmat) if f.degree() >= 1]
+        assert [f.coeffs for f in fq_invariant_factors(mt, ctx)] == [f.coeffs for f in smith]
 
     check()

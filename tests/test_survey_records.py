@@ -95,6 +95,49 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
     }
 
 
+def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
+    """The structure oracle runs by Krylov blocks and kernel ranks: an odd-q
+    rank-2 record takes no Smith form, a rank-3 record one (its lattice)."""
+    from drinfeld import amatrix
+
+    tower3 = FieldTower(3, max_degree=64)
+    psi2 = module_from_text("T+1*t+1*t^2", tower3)
+    tower2 = FieldTower(2, max_degree=64)
+    psi3 = module_from_text("T+1*t+1*t^3", tower2)
+    calls = _count_calls(monkeypatch, amatrix, "smith_normal_form")
+    for prime in ("T^3+2*T+1", "T^5+2*T^3+T^2+2*T+2"):  # cyclic, non-cyclic F_p
+        rec = survey.compute_record(psi2, poly_from_text(prime, tower3), SurveyOptions())
+        assert "structure_oracle" in rec.checks_passed and not rec.warnings
+    assert calls[0] == 0
+    rec = survey.compute_record(psi3, poly_from_text("T^5+T^3+T^2+T+1", tower2), SurveyOptions())
+    assert "structure_oracle" in rec.checks_passed and not rec.warnings
+    assert calls[0] == 1
+
+
+def test_rank3_structure_check_rejects_a_wrong_oracle(monkeypatch):
+    """Beyond odd-q rank 2, the oracle factors must multiply to P_p(1); factors
+    of the right total degree alone do not pass."""
+    from drinfeld.modules import reduce_at
+    from drinfeld.polys import Poly, powint
+    from drinfeld.torsion import module_structure_oracle_reduced
+
+    tower = FieldTower(2, max_degree=64)
+    psi = module_from_text("T+1*t+1*t^3", tower)
+    p = poly_from_text("T^5+T^3+T^2+T+1", tower)
+    rec = survey.compute_record(psi, p, SurveyOptions())
+    assert "structure_oracle" in rec.checks_passed and not rec.warnings
+
+    def wrong(red):
+        return [powint(Poly.x(red.source.base), red.deg_p)]
+
+    red = reduce_at(psi, p)
+    assert module_structure_oracle_reduced(red) != wrong(red)
+    monkeypatch.setattr(survey, "module_structure_oracle_reduced", wrong)
+    rec = survey.compute_record(psi, p, SurveyOptions())
+    assert "structure_oracle" not in rec.checks_passed
+    assert rec.warnings == ["required check failed: structure_oracle"]
+
+
 def test_rank3_survey_beyond_the_torsion_budget(capsys, deadline, monkeypatch):
     """Degrees 6 and 7 at q = 2: the torsion route had no auxiliary moduli for
     them within its degree budget, and every record now passes its checks."""
