@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from fractions import Fraction
 
@@ -348,14 +349,25 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        try:
+            args = build_parser().parse_args(argv)
+            return _COMMANDS[args.command](args)
+        finally:
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DrinfeldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # stdout closed early (``drinfeld survey ... | head``): send the
+        # unflushed rest to devnull so the exit flush cannot fail again, and
+        # end with the status of a process stopped by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + signal.SIGPIPE
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .errors import (
 from .fields import FFElem
 from .modules import DrinfeldModule, ReducedModule, motive_frobenius, reduce_at
 from .polys import Poly, enumerate_monic_irreducibles, factorize, crt, powint
-from .skew import SkewPoly, skew_right_divmod
+from .skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
 from .torsion import torsion_basis_reduced
 
 
@@ -145,15 +145,17 @@ def weil_rank2_reduced(red: ReducedModule) -> WeilPolynomial:
 
 
 def weil_identity_holds(red: ReducedModule, weil: WeilPolynomial) -> bool:
-    """P(tau^deg p) = 0 in F_p{tau}, checked exactly."""
+    """P(tau^deg p) = tau^(n r) + sum_i psibar(c_i) tau^(n i) = 0 in F_p{tau},
+    checked exactly on one prime-coordinate array."""
     n = red.deg_p
     r = len(weil.coeffs)
-    acc = SkewPoly.tau_power(red.ctx, n * r)
-    for i, c in enumerate(weil.coeffs):
-        if c.is_zero():
-            continue
-        acc = acc + red.psibar_of(c).shift_tau(n * i)
-    return acc.is_zero()
+    terms = [(n * i, red.psibar_array(c)) for i, c in enumerate(weil.coeffs)]
+    rows = max([n * r + 1] + [s + len(x) for s, x in terms])
+    acc = np.zeros((rows, red.ctx.degree), dtype=np.int64)
+    acc[n * r, 0] = 1
+    for s, x in terms:
+        acc[s : s + len(x)] += x
+    return not (acc % red.ctx.char).any()
 
 
 # ---------------------------------------------------------------------------
@@ -319,52 +321,44 @@ def end_lattice(psi: DrinfeldModule, p: Poly) -> EndLattice:
     return end_lattice_reduced(reduce_at(psi, p))
 
 
-def _commutant_nullspace(red: ReducedModule, D: int) -> list[SkewPoly]:
-    """Solutions e of e psibar_T = psibar_T e with tau-degree <= D."""
+def _commutant_nullspace(red: ReducedModule, D: int) -> list[np.ndarray]:
+    """Solutions e of e psibar_T = psibar_T e with tau-degree <= D, as
+    prime-coordinate arrays without zero top rows, in (degree, code) order."""
     tower = red.source.tower
     ctx = red.ctx
     p0 = tower.char
-    e_deg = tower.base_degree
     m = ctx.degree
     r = red.rank
-    gbar = list(red.psibar_T.coeffs)  # g_0 .. g_r (g_0 = T image)
     rows = (D + r + 1) * m
     cols = (D + 1) * m
     big = np.zeros((rows, cols), dtype=np.int64)
     for d in range(D + 1):
-        fr_d = None
-        for j, gj in enumerate(gbar):
-            if gj.is_zero():
+        for j, (gj, kj) in enumerate(zip(red.psibar_T.coeffs, red.psibar_blocks)):
+            if kj is None:
                 continue
             # coefficient at tau^(d+j): e_d * gj^(q^d) - gj * e_d^(q^j)
             twisted = tower.frobenius_power(gj, d)
-            block = (
-                ctx.mult_matrix(twisted.coords)
-                - ctx.mult_matrix(gj.coords) @ ctx.frob_p_matrix((e_deg * j) % m)
-            ) % p0
-            big[(d + j) * m : (d + j + 1) * m, d * m : (d + 1) * m] += block
+            big[(d + j) * m : (d + j + 1) * m, d * m : (d + 1) * m] += (
+                ctx.mult_matrix(twisted.coords) - kj
+            )
     big %= p0
-    null = linalg.nullspace(big, p0)
     out = []
-    for rowv in null:
-        coeffs = []
-        for d in range(D + 1):
-            coeffs.append(FFElem(ctx, tuple(int(c) for c in rowv[d * m : (d + 1) * m])))
-        out.append(SkewPoly(ctx, coeffs))
-    out.sort(key=lambda s: (s.degree(), tuple(c.int_code() for c in s.coeffs)))
+    for rowv in linalg.nullspace(big, p0):
+        x = rowv.reshape(D + 1, m)
+        out.append(x[: np.flatnonzero(x.any(axis=1))[-1] + 1])
+    out.sort(key=lambda x: (len(x), tuple(ctx.enc(row) for row in x.tolist())))
     return out
 
 
-def _vec(s: SkewPoly, m: int, D: int) -> np.ndarray:
-    """Prime coordinates of s, one m-block per tau-degree 0..D."""
-    v = np.zeros((D + 1) * m, dtype=np.int64)
-    for d, c in enumerate(s.coeffs):
-        v[d * m : (d + 1) * m] = c.vec()
-    return v
+def _vec(x: np.ndarray, D: int) -> np.ndarray:
+    """Prime coordinates of a skew array, one m-block per tau-degree 0..D."""
+    v = np.zeros((D + 1, x.shape[1]), dtype=np.int64)
+    v[: len(x)] = x
+    return v.ravel()
 
 
 def _span_columns(
-    red: ReducedModule, basis: list[SkewPoly], D: int
+    red: ReducedModule, basis: list[np.ndarray], D: int
 ) -> tuple[np.ndarray, list[int]]:
     """Prime matrix of the A-span of the basis, truncated at tau-degree D.
 
@@ -375,15 +369,14 @@ def _span_columns(
     """
     tower = red.source.tower
     ctx = red.ctx
-    m = ctx.degree
     vecs = []
     counts = []
     for b in basis:
         cur = b
         u = 0
-        while cur.degree() <= D:
-            vecs.append(_vec(cur, m, D))
-            cur = red.psibar_T * cur
+        while len(cur) <= D + 1:
+            vecs.append(_vec(cur, D))
+            cur = left_mul(red.psibar_blocks, cur, tower.char)
             u += 1
         counts.append(u)
     y = tower.embed(tower.gen(tower.base_field), ctx)
@@ -392,7 +385,7 @@ def _span_columns(
     return np.stack(cols, axis=1), counts
 
 
-def _add_span(space: linalg.RowSpace, red: ReducedModule, basis: list[SkewPoly], D: int) -> None:
+def _add_span(space: linalg.RowSpace, red: ReducedModule, basis: list[np.ndarray], D: int) -> None:
     for col in _span_columns(red, basis, D)[0].T:
         space.add(col)
 
@@ -400,7 +393,8 @@ def _add_span(space: linalg.RowSpace, red: ReducedModule, basis: list[SkewPoly],
 def end_lattice_reduced(red: ReducedModule) -> EndLattice:
     n = red.deg_p
     r = red.rank
-    m = red.ctx.degree
+    ctx = red.ctx
+    m = ctx.degree
     p0 = red.source.tower.char
     growth = WINDOW_GROWTH_PER_RANK * r
     cap = WINDOW_CAP_FACTOR * (n + r * r)
@@ -412,17 +406,17 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
                 f"no stable lattice basis within the window cap {cap}"
             )
         sols = _commutant_nullspace(red, D)
-        basis: list[SkewPoly] = [SkewPoly.one(red.ctx)]  # e_1 = 1 always lies in E
+        basis = [np.array([ctx.one_coords()], dtype=np.int64)]  # e_1 = 1 always lies in E
         space = linalg.RowSpace((D + 1) * m, p0)
         _add_span(space, red, basis, D)
         for s in sols:
             if len(basis) == r:
                 break
-            if space.contains(_vec(s, m, D)):
+            if space.contains(_vec(s, D)):
                 continue
             basis.append(s)
             _add_span(space, red, [s], D)
-        if len(basis) < r or any(not space.contains(_vec(s, m, D)) for s in sols):
+        if len(basis) < r or any(not space.contains(_vec(s, D)) for s in sols):
             D += growth
             continue
         # stability: one more window of 2r brings nothing new
@@ -433,7 +427,7 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
             )
         space2 = linalg.RowSpace((D2 + 1) * m, p0)
         _add_span(space2, red, basis, D2)
-        if any(not space2.contains(_vec(s, m, D2)) for s in _commutant_nullspace(red, D2)):
+        if any(not space2.contains(_vec(s, D2)) for s in _commutant_nullspace(red, D2)):
             D = D2
             continue
         break
@@ -441,16 +435,24 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
     # coordinates of the r^2 products e_i e_j and of pi = tau^n, by one solve
     # against the span matrix at the largest target degree; the basis is free
     # over A, so its columns are independent and the solution is unique
-    targets = [bi * bj for bi in basis for bj in basis] + [SkewPoly.tau_power(red.ctx, n)]
-    top = max(t.degree() for t in targets)
+    tau_n = np.zeros((n + 1, m), dtype=np.int64)
+    tau_n[n, 0] = 1
+    targets = [left_mul(left_blocks(ctx, bi), bj, p0) for bi in basis for bj in basis] + [tau_n]
+    top = max(len(t) for t in targets) - 1
     mat, counts = _span_columns(red, basis, top)
-    rhs = np.stack([_vec(t, m, top) for t in targets], axis=1)
+    rhs = np.stack([_vec(t, top) for t in targets], axis=1)
     sol = linalg.solve(mat, rhs, p0)
     if sol is None:
         raise InconclusiveBasisError("element does not lie in the A-span of the basis")
     coords = [_coords(sol[:, k], counts, red) for k in range(len(targets))]
     tensors = [coords[i * r : (i + 1) * r] for i in range(r)]
-    return EndLattice(red=red, basis=basis, tensors=tensors, pi_coords=coords[-1], window=D)
+    return EndLattice(
+        red=red,
+        basis=[SkewPoly.from_array(ctx, b) for b in basis],
+        tensors=tensors,
+        pi_coords=coords[-1],
+        window=D,
+    )
 
 
 def _coords(x: np.ndarray, counts: list[int], red: ReducedModule) -> list[Poly]:

@@ -12,6 +12,8 @@ one root in F_p and returns the smallest element of its orbit.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import linalg
@@ -23,7 +25,7 @@ from .errors import (
 )
 from .fields import FFElem, FieldTower, _FieldCtx
 from .polys import Poly, is_irreducible, lex_min_root
-from .skew import AOverField, SkewPoly
+from .skew import AOverField, SkewPoly, left_blocks, left_mul
 
 
 class DrinfeldModule:
@@ -156,16 +158,30 @@ class ReducedModule:
     def ctx(self) -> _FieldCtx:
         return self.residue.ctx
 
-    def psibar_of(self, a: Poly) -> SkewPoly:
-        """Image of a under the reduced module (Horner, all arithmetic in F_p)."""
-        ctx = self.residue.ctx
-        acc = SkewPoly.zero(ctx)
+    @cached_property
+    def psibar_blocks(self) -> list:
+        """The blocks K_j = M(g_j) Phi^(e j) of left multiplication by
+        psibar_T (``skew.left_blocks``), built on first use."""
+        return left_blocks(self.ctx, self.psibar_T.array())
+
+    def psibar_array(self, a: Poly) -> np.ndarray:
+        """psibar_a as a prime-coordinate array, by Horner on
+        acc <- psibar_T acc + a_k (A is commutative)."""
+        ctx = self.ctx
         if a.is_zero():
-            return acc
-        for k in range(a.degree(), -1, -1):
-            c = self.tower_embed_const(a[k])
-            acc = acc * self.psibar_T + SkewPoly(ctx, (c,))
+            return np.zeros((0, ctx.degree), dtype=np.int64)
+        p0 = ctx.char
+        emb = self.source.tower.embedding(self.source.base, ctx).matrix
+        consts = (self.source.base.coeff_array(a.coeffs) @ emb.T) % p0
+        acc = consts[-1:]
+        for c in consts[-2::-1]:
+            acc = left_mul(self.psibar_blocks, acc, p0)
+            acc[0] = (acc[0] + c) % p0
         return acc
+
+    def psibar_of(self, a: Poly) -> SkewPoly:
+        """Image of a under the reduced module, all arithmetic in F_p."""
+        return SkewPoly.from_array(self.ctx, self.psibar_array(a))
 
     def tower_embed_const(self, c: FFElem) -> FFElem:
         return self.source.tower.embed(c, self.residue.ctx)

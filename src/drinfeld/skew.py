@@ -4,11 +4,24 @@ The commutation rule is tau*c = c^q*tau, with q the order of the tower's base
 field.  For coefficients in A the q-power map raises the whole coefficient
 polynomial to the q-th power.  Right division is available over field
 coefficients only (leading coefficients of A are not units).
+
+Over a field of degree m over the prime field, the production path keeps a
+skew polynomial of tau-degree k - 1 as a k x m array of prime coordinates.
+Left multiplication by f = f_0 + f_1 tau + ... is then one matrix product
+per coefficient: the term f_j tau^j sends row i to row i + j by the
+prime-linear map K_j = M(f_j) Phi^(e j), with M(f_j) multiplication by f_j,
+Phi the p-power Frobenius matrix and e the base degree (``left_blocks``,
+``left_mul``).  The reduced modules act with psibar_T this way, through its
+per-prime blocks K_0..K_r; ``SkewPoly`` products stay as the tests' oracle
+(cf. Caruso and Le Borgne, "Fast multiplication for skew polynomials",
+ISSAC 2017).
 """
 
 from __future__ import annotations
 
-from .errors import DrinfeldError, RingMismatchError, ZeroInputError
+import numpy as np
+
+from .errors import DrinfeldError, RingMismatchError, TowerMembershipError, ZeroInputError
 from .fields import FFElem, _FieldCtx
 from .polys import NEG_INF, Poly, powint
 
@@ -44,6 +57,18 @@ class SkewPoly:
     def tau_power(cls, ring, n: int) -> "SkewPoly":
         zero, one = _ring_zero(ring), _ring_one(ring)
         return cls(ring, (zero,) * n + (one,), normalize=False)
+
+    @classmethod
+    def from_array(cls, ctx: _FieldCtx, x: np.ndarray) -> "SkewPoly":
+        """The skew polynomial whose tau^i coefficient has prime coordinates
+        x[i]."""
+        return cls(ctx, ctx.array_elems(x))
+
+    def array(self) -> np.ndarray:
+        """The k x m array of prime coordinates, row i for tau^i."""
+        if self.over_A:
+            raise DrinfeldError("coordinate arrays need field coefficients")
+        return self.ring.coeff_array(self.coeffs)
 
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
@@ -118,13 +143,6 @@ class SkewPoly:
 
     def scale_left(self, c) -> "SkewPoly":
         return SkewPoly(self.ring, tuple(c * x for x in self.coeffs))
-
-    def shift_tau(self, k: int) -> "SkewPoly":
-        """Right-multiply by tau^k (a plain shift, no twist)."""
-        if not self.coeffs:
-            return self
-        zero = _ring_zero(self.ring)
-        return SkewPoly(self.ring, (zero,) * k + self.coeffs, normalize=False)
 
     def __repr__(self):
         from .textio import skew_to_text
@@ -226,3 +244,33 @@ def skew_eval(f: SkewPoly, x: FFElem) -> FFElem:
 def skew_commutes(f: SkewPoly, g: SkewPoly) -> bool:
     f._check(g)
     return f * g == g * f
+
+
+# ---------------------------------------------------------------------------
+# skew polynomials over a field as prime-coordinate arrays
+
+
+def left_blocks(ctx: _FieldCtx, f: np.ndarray) -> list:
+    """The blocks K_j = M(f_j) Phi^(e j) of left multiplication by the array
+    f, None where f_j = 0."""
+    e = ctx.tower.base_degree
+    if ctx.degree % e:
+        raise TowerMembershipError("field is not an extension of the base field")
+    return [
+        (ctx.mult_matrix(row) @ ctx.frob_p_matrix(e * j)) % ctx.char if row.any() else None
+        for j, row in enumerate(f)
+    ]
+
+
+def left_mul(blocks: list, x: np.ndarray, p: int) -> np.ndarray:
+    """The array of f * x, for f given by its ``left_blocks``."""
+    k, m = x.shape
+    if not k or not blocks:
+        return np.zeros((0, m), dtype=np.int64)
+    out = np.zeros((k + len(blocks) - 1, m), dtype=np.int64)
+    # an entry sums at most len(blocks) * m products below p^2 < 2^28
+    # (q <= TABLE_LIMIT), far inside int64 for any field the tower can hold
+    for j, kj in enumerate(blocks):
+        if kj is not None:
+            out[j : j + k] += x @ kj.T
+    return out % p

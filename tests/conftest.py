@@ -5,10 +5,17 @@ import signal
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
 
 from drinfeld.fields import FieldTower
 from drinfeld.modules import DrinfeldModule
 from drinfeld.polys import Poly
+
+# Every run draws the same examples (seeded from each test's own code, no
+# example database), so suite time and outcomes do not move between runs of
+# one tree.  Each test keeps its own max_examples and deadline.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 import pytest
 
+from drinfeld.config import SurveyOptions
 from drinfeld.errors import EvenCharacteristicError, RankError
 from drinfeld.invariants import (
+    WeilPolynomial,
     disc_check,
     end_lattice,
     invariant_factors,
@@ -9,12 +11,14 @@ from drinfeld.invariants import (
     u_invariant,
     weil_general,
     weil_identity_holds,
+    weil_motive,
     weil_rank2,
 )
 from drinfeld.modules import DrinfeldModule, reduce_at
 from drinfeld.polys import Poly, enumerate_monic_irreducibles
 from drinfeld.skew import SkewPoly, skew_commutes
-from drinfeld.textio import module_from_text, poly_to_text, weil_to_text
+from drinfeld.survey import compute_record
+from drinfeld.textio import module_from_text, poly_from_text, poly_to_text, weil_to_text
 
 
 def test_u_invariant_examples(tower3, psi3):
@@ -41,6 +45,74 @@ def test_weil_rank2_examples(tower3, psi3, psi3_nog1):
     assert poly_to_text(w3.a_p) == "1"
     assert poly_to_text(w3.coeffs[0]) == "2*T+2"
     assert weil_identity_holds(reduce_at(psi3, T + one), w3)
+
+
+@pytest.mark.parametrize(
+    "tower_name,psi_text,p_text",
+    [
+        ("tower3", "T+1*t+1*t^2", "T"),
+        ("tower3", "T+1*t+1*t^2", "T^2+1"),
+        ("tower3", "T+1*t+1*t^2", "T^10+2*T^2+1"),  # F_p above the table limit
+        ("tower3", "T+1*t^2", "T^3+2*T+1"),  # supersingular: a_p = 0
+        ("tower2", "T+1*t+1*t^3", "T"),
+        ("tower2", "T+1*t+1*t^3", "T^3+T+1"),
+        ("tower2", "T+1*t+T*t^2+1*t^3", "T^4+T+1"),
+    ],
+)
+def test_weil_identity_rejects_wrong_coefficients(request, tower_name, psi_text, p_text):
+    """The skew identity holds for P_p and fails once a_p (the x^(r-1)
+    coefficient) is raised by 1, once any coefficient is, and once c_0 = u p
+    takes another unit u."""
+    tower = request.getfixturevalue(tower_name)
+    psi = module_from_text(psi_text, tower)
+    red = reduce_at(psi, poly_from_text(p_text, tower))
+    weil = weil_motive(red)
+    assert weil_identity_holds(red, weil)
+    one = Poly.one(tower.base_field)
+    for i in range(psi.rank):
+        coeffs = list(weil.coeffs)
+        coeffs[i] = coeffs[i] + one
+        wrong = WeilPolynomial(prime=weil.prime, coeffs=tuple(coeffs), unit=weil.unit)
+        assert not weil_identity_holds(red, wrong), i
+    for u in tower.base_field.elements():
+        if u.is_zero() or u == weil.unit:
+            continue
+        coeffs = (red.prime.scale(u),) + weil.coeffs[1:]
+        assert not weil_identity_holds(red, WeilPolynomial(prime=weil.prime, coeffs=coeffs, unit=u))
+
+
+def test_production_path_makes_no_skew_products(monkeypatch, tower3, tower2):
+    """Survey records (lattice checks on), the skew identity, psibar_a and
+    the endomorphism lattice run on prime-coordinate arrays:
+    ``SkewPoly.__mul__`` is only the tests' oracle."""
+    calls = []
+    oracle_mul = SkewPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return oracle_mul(self, other)
+
+    options = SurveyOptions(with_lattice_checks=True)
+    cases = [
+        (tower3, "T+1*t+1*t^2", ["T", "T^2+1", "T^3+2*T+1"]),
+        (tower2, "T+1*t+1*t^3", ["T", "T^2+T+1", "T^3+T+1"]),
+    ]
+    for tower, psi_text, primes in cases:
+        psi = module_from_text(psi_text, tower)
+        for p_text in primes:
+            p = poly_from_text(p_text, tower)
+            monkeypatch.setattr(SkewPoly, "__mul__", counted)
+            rec = compute_record(psi, p, options)
+            red = reduce_at(psi, p)
+            red.psibar_of(p + Poly.one(tower.base_field))
+            lat = end_lattice(psi, p)
+            monkeypatch.undo()
+            assert not calls and not rec.warnings, (psi_text, p_text)
+            # the oracle: pi = tau^deg p from the lattice coordinates
+            acc = SkewPoly.zero(red.ctx)
+            for coeff, e in zip(lat.pi_coords, lat.basis):
+                acc = acc + red.psibar_of(coeff) * e
+            assert acc == SkewPoly.tau_power(red.ctx, red.deg_p)
 
 
 def test_weil_rank2_rh_bound(tower3, psi3):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from drinfeld import linalg
 from drinfeld.amatrix import smith_normal_form
@@ -24,7 +24,7 @@ from drinfeld.polys import (
     schoolbook_powmod,
     splits_into_linear_factors,
 )
-from drinfeld.skew import SkewPoly, skew_right_divmod
+from drinfeld.skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
 from drinfeld.textio import module_from_text, poly_from_text
 from drinfeld.torsion import _splitting_degree, fq_invariant_factors, torsion_basis_reduced
 from test_torsion_pin import CASES as TORSION_PIN_CASES
@@ -527,5 +527,57 @@ def test_fq_invariant_factors_match_smith_form(q):
         ]
         smith = [f for f in smith_normal_form(xmat) if f.degree() >= 1]
         assert [f.coeffs for f in fq_invariant_factors(mt, ctx)] == [f.coeffs for f in smith]
+
+    check()
+
+
+@st.composite
+def reduced_module(draw, tower, rank, deg_p):
+    """The reduction of psi_T = T + g_1 tau + ... + g_r tau^r (deg g_i <= 1)
+    at the first monic prime of degree deg_p with good reduction, counting up
+    from a drawn code."""
+    F = tower.base_field
+    q = tower.q
+    gs = [draw(poly(F, max_len=2)) for _ in range(rank - 1)]
+    gs.append(draw(poly(F, max_len=2).filter(lambda g: not g.is_zero())))
+    start = draw(st.integers(0, q**deg_p - 1))
+    for k in range(q**deg_p):
+        code = (start + k) % q**deg_p
+        p = Poly(F, [F.dec_elem(code // q**i % q) for i in range(deg_p)] + [F.one_elem()])
+        if is_irreducible(p) and not (gs[-1] % p).is_zero():
+            return reduce_at(DrinfeldModule(tower, gs), p)
+    assume(False)
+
+
+TOWERS_BY_Q = {2: TOWER2, 3: TOWER3, 4: FieldTower(4, max_degree=64), 5: TOWER5, 9: TOWER9}
+# (q, deg p range): residue fields with log tables, and F_(3^10), F_(3^11)
+# above TABLE_LIMIT (2^14)
+ARRAY_CASES = [(2, 1, 5), (3, 1, 4), (4, 1, 3), (5, 1, 3), (9, 1, 2), (3, 10, 11)]
+
+
+@pytest.mark.parametrize("q,lo,hi", ARRAY_CASES)
+def test_array_product_matches_skew_oracle(q, lo, hi):
+    """Left multiplication by psibar_T (and by any f) through its blocks
+    K_j equals the SkewPoly product, and the array psibar_a equals the
+    SkewPoly Horner route, in ranks 2..4."""
+    tower = TOWERS_BY_Q[q]
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def check(data):
+        rank = data.draw(st.integers(2, 4))
+        red = data.draw(reduced_module(tower, rank, data.draw(st.integers(lo, hi))))
+        ctx, p0 = red.ctx, tower.char
+        x = data.draw(skew(ctx, max_deg=5))
+        product = left_mul(red.psibar_blocks, x.array(), p0)
+        assert np.array_equal(product, (red.psibar_T * x).array())
+        f = data.draw(skew(ctx, max_deg=3))
+        product = left_mul(left_blocks(ctx, f.array()), x.array(), p0)
+        assert np.array_equal(product, (f * x).array())
+        a = data.draw(poly(tower.base_field, max_len=4))
+        acc = SkewPoly.zero(ctx)  # the SkewPoly Horner route
+        for c in reversed(a.coeffs):
+            acc = acc * red.psibar_T + SkewPoly(ctx, (red.tower_embed_const(c),))
+        assert np.array_equal(red.psibar_array(a), acc.array())
 
     check()

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +252,22 @@ def test_cli_usage_errors(capsys):
     assert main(["weil", "--q", "3"]) == 1
     assert main(["nonsense"]) == 1
     assert main(["density", "--kind", "noncm", "--q", "3"]) == 1
+
+
+def test_cli_closed_stdout_is_quiet():
+    """A survey whose reader has gone (``drinfeld survey ... | head -1``) ends
+    with no traceback and the exit status of a SIGPIPE stop, 128 + 13."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cmd = [sys.executable, "-m", "drinfeld.cli", "survey", "--q", "3",
+           "--psi", "T+1*t+1*t^2", "--deg", "1,2,3"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the survey's first write meets a broken pipe
+    try:
+        proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_cli_cm_example(capsys):
