@@ -8,6 +8,13 @@ cached change-of-basis matrix, so reductions round-trip exactly.  The roots
 of p are the Frobenius orbit r, r^q, ..., r^(q^(n-1)) of any one root r
 (n = deg p), so ``polys.lex_min_root`` tests p | x^(q^n) - x over F_q, finds
 one root in F_p and returns the smallest element of its orbit.
+
+Those two checks also certify that p is prime: the split test makes p
+squarefree with its roots in F_p, and an orbit of exactly n roots gives the
+root a minimal polynomial of degree n, a factor of p.  So the residue field is
+the prime test of a reduction; a reducible p raises NotIrreducibleError there.
+Rabin's test (``polys.is_irreducible``) runs only where no residue field is
+built: when p divides g_r, or when F_p would exceed the tower cap.
 """
 
 from __future__ import annotations
@@ -70,7 +77,12 @@ def good_reduction_at(psi: DrinfeldModule, p: Poly) -> bool:
 
 
 class ResidueField:
-    """F_p = A/pA realized in the tower, with exact lift/reduce maps."""
+    """F_p = A/pA realized in the tower, with exact lift/reduce maps.
+
+    Building it proves p prime (see the module docstring): a reducible p
+    raises NotIrreducibleError, and a p of degree n with n [F_q : F_p] above
+    the tower cap raises ResourceLimitError.
+    """
 
     def __init__(self, tower: FieldTower, p: Poly):
         p = p.monic()
@@ -107,7 +119,8 @@ class ResidueField:
             self.prime,
             self.ctx,
             lambda c: self.tower.embed(c, self.ctx),
-            "prime does not split in its residue field",
+            "reduction needs a prime modulus",
+            NotIrreducibleError,
         )
 
     def reduce(self, f: Poly) -> FFElem:
@@ -136,15 +149,22 @@ class ReducedModule:
     """The reduction psi (x) F_p, a Drinfeld module over the residue field."""
 
     def __init__(self, source: DrinfeldModule, p: Poly):
-        if not good_reduction_at(source, p):
-            raise BadReductionError(
-                f"bad reduction: p divides the top coefficient g_{source.rank}"
-            )
         self.source = source
         self.prime = p.monic()
+        tower = source.tower
+        # p | g_r or a residue field above the cap: only Rabin's test tells a
+        # composite p from a bad or an oversized prime.  Otherwise the
+        # residue field below proves p prime.
+        if (source.g[-1] % self.prime).is_zero() or (
+            self.prime.degree() * tower.base_degree > tower.max_degree
+        ):
+            if not good_reduction_at(source, p):
+                raise BadReductionError(
+                    f"bad reduction: p divides the top coefficient g_{source.rank}"
+                )
         self.residue = source._residues.get(self.prime.coeffs)
         if self.residue is None:
-            self.residue = ResidueField(source.tower, self.prime)
+            self.residue = ResidueField(tower, self.prime)
             source._residues[self.prime.coeffs] = self.residue
         ctx = self.residue.ctx
         coeffs = [self.residue.t_image] + [self.residue.reduce(g) for g in source.g]
@@ -215,5 +235,7 @@ def motive_frobenius(red: ReducedModule) -> list[list[Poly]]:
 
 def reduce_at(psi: DrinfeldModule, p: Poly) -> ReducedModule:
     """The reduction at p; raises NotIrreducibleError for a non-prime p and
-    BadReductionError when p divides g_r (one prime test, in the constructor)."""
+    BadReductionError when p divides g_r.  The residue field's root proves p
+    prime; Rabin's test runs only when p divides g_r or F_p exceeds the tower
+    cap (see the module docstring)."""
     return ReducedModule(psi, p)

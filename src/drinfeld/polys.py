@@ -11,6 +11,12 @@ deg(0) is the distinguished marker float('-inf'), never an integer.
 Factorization is squarefree decomposition, then distinct-degree, then
 equal-degree splitting driven by a pseudo-random stream seeded from the input
 polynomial bytes, so outputs are reproducible across runs and platforms.
+
+The monic primes of one degree come from a sieve, not from a test per
+candidate: a bitmap over all q^deg monic codes marks the products of smaller
+primes with monic cofactors, formed in numpy batches of prime coordinates
+(``enumerate_monic_irreducibles``).  Rabin's test (``is_irreducible``) serves
+single polynomials, and the tests use it as the sieve's oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 from .errors import (
     DrinfeldError,
     NotMonicError,
+    ResourceLimitError,
     RingMismatchError,
     ZeroInputError,
 )
@@ -589,25 +596,29 @@ def roots_in_field(f: Poly) -> list:
     return sorted(roots, key=lambda r: r.int_code())
 
 
-def lex_min_root(f: Poly, field, embed, error: str):
+def lex_min_root(f: Poly, field, embed, error: str, error_class=DrinfeldError):
     """The root of f in the tower field ``field`` with the smallest integer code.
 
     f lies over its own coefficient field K = F_s, a tower field, and ``embed``
     maps K into ``field`` (F).  f must be irreducible of a degree m with
-    F_(s^m) inside F; otherwise DrinfeldError(error) is raised.  Its roots are
-    then the m conjugates r, r^s, ..., r^(s^(m-1)) of any one root r, and all
-    of them lie in the subfield L = F_(s^m) of F.  So the split test
+    F_(s^m) inside F; otherwise ``error_class(error)`` is raised.  Its roots
+    are then the m conjugates r, r^s, ..., r^(s^(m-1)) of any one root r, and
+    all of them lie in the subfield L = F_(s^m) of F.  So the split test
     f | x^(s^m) - x runs over K, one root is split off over L (Rabin's root
     finding), and the answer is the smallest of its conjugates.
+
+    The two checks prove f irreducible: the split test makes f squarefree
+    with every root in L, and an orbit of exactly m conjugates makes the
+    minimal polynomial of the root, a factor of f, of degree m.
     """
     K = f.field
     m = f.degree()
     if m < 1 or field.degree % (m * K.degree):
-        raise DrinfeldError(error)
+        raise error_class(error)
     f = f.monic()
     x = Poly.x(K)
     if powmod(x, K.order**m, f) != x % f:
-        raise DrinfeldError(error)
+        raise error_class(error)
     root = _one_root(f.map_coeffs(embed, field), m * K.degree, _poly_seed_rng(f, b"root"))
     frob = field.frob_p_matrix(K.degree)  # y -> y^s on F
     v = root.vec()
@@ -616,7 +627,7 @@ def lex_min_root(f: Poly, field, embed, error: str):
         v = (frob @ v) % field.char
         codes.add(field.enc(tuple(int(c) for c in v)))
     if len(codes) != m:
-        raise DrinfeldError(error)
+        raise error_class(error)
     return field.dec_elem(min(codes))
 
 
@@ -667,20 +678,82 @@ def mobius(m: Poly) -> int:
     return -1 if len(fac.factors) % 2 else 1
 
 
+SIEVE_LIMIT = 1 << 24  # monic codes one sieve may cover
+_SIEVE_BATCH = 1 << 18  # prime coordinates per batch of cofactors
+
+
 def enumerate_monic_irreducibles(field, deg: int) -> Iterator[Poly]:
-    """Monic irreducibles of exact degree ``deg`` in lexicographic order."""
+    """Monic irreducibles of exact degree ``deg`` over the tower field F_q, in
+    lexicographic order: by increasing code sum c_i q^i, where c_i is the
+    int code of the coefficient of T^i.
+
+    The primes come from a sieve over all q^deg monic codes
+    (``_irreducible_codes``), so no candidate takes an irreducibility test.
+    A sieve over more than ``SIEVE_LIMIT`` codes raises ResourceLimitError
+    before anything is allocated.
+    """
     if deg < 1:
         raise DrinfeldError("degree must be >= 1")
-    order = field.order
-    for code in range(order**deg):
-        tail = []
-        c = code
-        for _ in range(deg):
-            tail.append(field.dec_elem(c % order))
-            c //= order
-        f = Poly(field, tail + [field.one_elem()], normalize=False)
-        if is_irreducible(f):
-            yield f
+    codes = _irreducible_codes(field, deg)
+    elems = [field.dec_elem(c) for c in range(field.order)]
+    one = field.one_elem()
+    for row in _digits(codes, field.order, deg).tolist():
+        yield Poly(field, [elems[c] for c in row] + [one], normalize=False)
+
+
+def _irreducible_codes(field, deg: int) -> np.ndarray:
+    """Increasing codes of the monic irreducibles of degree deg >= 1.
+
+    A bitmap over the q^deg monic codes marks every product g*h with g monic
+    irreducible of degree k <= deg/2 (from this sieve, recursively) and h any
+    monic polynomial of degree deg - k; a reducible polynomial has such a
+    factor g, so the unmarked codes are the primes.  The cofactors h come in
+    batches of prime-coordinate arrays, multiplied by each coefficient of g
+    through its matrix ``field.mult_matrix``, so prime and prime-power q
+    share one route.
+    """
+    q = field.order
+    if q**deg > SIEVE_LIMIT:
+        raise ResourceLimitError(
+            f"a sieve over {q}^{deg} monic polynomials exceeds the limit {SIEVE_LIMIT}"
+        )
+    composite = np.zeros(q**deg, dtype=bool)
+    for k in range(1, deg // 2 + 1):
+        factors = [
+            [(i, field.mult_matrix(c).T if i < k else None) for i, c in enumerate(g) if c.any()]
+            for g in _monic_coords(field, _irreducible_codes(field, k), k)
+        ]
+        m = deg - k
+        step = max(1, _SIEVE_BATCH // ((m + 1) * field.degree))
+        for lo in range(0, q**m, step):
+            hs = _monic_coords(field, np.arange(lo, min(lo + step, q**m), dtype=np.int64), m)
+            for g in factors:
+                prod = np.zeros((len(hs), deg + 1, field.degree), dtype=np.int64)
+                for i, mat in g:
+                    prod[:, i : i + m + 1] += hs if mat is None else hs @ mat
+                composite[_monic_codes(field, prod % field.char)] = True
+    return np.flatnonzero(~composite)
+
+
+def _monic_coords(field, codes: np.ndarray, m: int) -> np.ndarray:
+    """The (len(codes), m + 1, e) prime-coordinate array of the monic
+    polynomials of degree m with the given codes (e = [F_q : F_p])."""
+    out = np.zeros((len(codes), m + 1, field.degree), dtype=np.int64)
+    out[:, :m] = _digits(_digits(codes, field.order, m), field.char, field.degree)
+    out[:, m, 0] = 1
+    return out
+
+
+def _digits(codes: np.ndarray, base: int, n: int) -> np.ndarray:
+    """The n lowest base-``base`` digits of each code, in a new last axis."""
+    return (codes[..., None] // base ** np.arange(n, dtype=np.int64)) % base
+
+
+def _monic_codes(field, coords: np.ndarray) -> np.ndarray:
+    """Inverse of ``_monic_coords``: the codes of monic prime-coordinate rows."""
+    e, deg = field.degree, coords.shape[1] - 1
+    elems = coords[:, :deg] @ field.char ** np.arange(e, dtype=np.int64)
+    return elems @ field.order ** np.arange(deg, dtype=np.int64)
 
 
 def int_mobius(n: int) -> int:

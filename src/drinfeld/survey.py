@@ -28,7 +28,7 @@ from .invariants import (
     weil_motive,
 )
 from .division import abhyankar_splits_reduced, module_structure_reduced
-from .modules import DrinfeldModule, good_reduction_at, reduce_at
+from .modules import DrinfeldModule, reduce_at
 from .polys import Poly, count_monic_irreducibles, enumerate_monic_irreducibles, powint
 from .textio import poly_to_text, fq_to_text
 from .torsion import module_structure_oracle_reduced
@@ -245,7 +245,7 @@ def cm_example(
     candidates: list[Poly] = []
     for d in range(1, 5):
         candidates.extend(
-            p for p in enumerate_monic_irreducibles(base, d) if good_reduction_at(psi, p)
+            p for p in enumerate_monic_irreducibles(base, d) if not (psi.g[-1] % p).is_zero()
         )
     sample = rng.sample(candidates, min(verify_primes, len(candidates)))
     deltas = set()

@@ -4,6 +4,7 @@ import pytest
 
 from drinfeld.division import frobenius_class_matrix
 from drinfeld.errors import (
+    BadReductionError,
     ConfigurationError,
     EvenCharacteristicError,
     InconclusiveBasisError,
@@ -64,6 +65,45 @@ def test_reduction_needs_prime(tower3, psi3):
         reduce_at(psi3, T * T)
     with pytest.raises(NotIrreducibleError):
         good_reduction_at(psi3, T * (T + Poly.one(F)))
+
+
+def test_residue_field_certifies_the_prime(monkeypatch, tower3, psi3):
+    """Where p does not divide g_r, the residue field is the prime test:
+    T(T+1) splits over F_3 with orbits of one root, not two, and T^2 fails
+    the split test.  Rabin's test is never reached."""
+    from drinfeld import modules
+
+    def no_rabin(p):
+        raise AssertionError("Rabin's test ran")
+
+    monkeypatch.setattr(modules, "is_irreducible", no_rabin)
+    F = tower3.base_field
+    T, one = Poly.x(F), Poly.one(F)
+    for p in (T * (T + one), T * T, (T * T + one) * (T * T + T + Poly.constant(F.dec_elem(2)))):
+        with pytest.raises(NotIrreducibleError):
+            reduce_at(psi3, p)
+
+
+def test_rabin_decides_where_no_residue_field_is_built(tower3):
+    """A p dividing g_r, or one above the tower cap, takes Rabin's test: a
+    reducible p raises NotIrreducibleError, a prime one BadReductionError or
+    ResourceLimitError, as before."""
+    F = tower3.base_field
+    T, one = Poly.x(F), Poly.one(F)
+    reducible = T * (T + one)
+    psi = DrinfeldModule(tower3, [one, reducible * (T * T + one)])
+    with pytest.raises(NotIrreducibleError):
+        reduce_at(psi, reducible)
+    with pytest.raises(BadReductionError):
+        reduce_at(psi, T * T + one)
+    small = FieldTower(3, max_degree=4)
+    Fs = small.base_field
+    Ts, ones = Poly.x(Fs), Poly.one(Fs)
+    psi_small = DrinfeldModule(small, [ones, ones])
+    with pytest.raises(NotIrreducibleError):
+        reduce_at(psi_small, (Ts * Ts + ones) * (Ts * Ts * Ts + Ts + Ts + ones))
+    with pytest.raises(ResourceLimitError):
+        reduce_at(psi_small, poly_from_text("T^5+2*T+1", small))
 
 
 def test_env_cap_override(monkeypatch, capsys):

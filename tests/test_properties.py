@@ -1,12 +1,19 @@
 """Randomized property suites (hypothesis drives the case generation)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from drinfeld import linalg
 from drinfeld.amatrix import smith_normal_form
-from drinfeld.errors import DrinfeldError
+from drinfeld.errors import (
+    BadReductionError,
+    DrinfeldError,
+    NotIrreducibleError,
+    ResourceLimitError,
+)
 from drinfeld.fields import FFElem, FieldTower
 from drinfeld.invariants import weil_general, weil_motive, weil_rank2_reduced
 from drinfeld.modules import DrinfeldModule, reduce_at
@@ -239,6 +246,64 @@ def test_lex_min_root_rejects_at_once(tower, f, big_degree, deadline):
     big = tower.field(big_degree)
     with deadline(10), pytest.raises(DrinfeldError, match="no split"):
         _lex_min_root_into(tower, f, big)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
+def test_sieve_matches_rabin_filter(q):
+    """The sieve yields exactly the monic candidates that pass Rabin's test,
+    in the candidates' code order, for every degree with q^deg <= 4096."""
+    F = FieldTower(q).base_field
+    deg = 1
+    while q**deg <= 4096:
+        candidates = (
+            Poly(F, [F.dec_elem(code // q**i % q) for i in range(deg)] + [F.one_elem()])
+            for code in range(q**deg)
+        )
+        assert list(enumerate_monic_irreducibles(F, deg)) == [f for f in candidates if is_irreducible(f)]
+        deg += 1
+
+
+def test_sieve_size_cap_allocates_nothing(deadline):
+    """2^25 monic codes exceed the sieve's limit: the error comes at once,
+    before the 32 MB bitmap is allocated."""
+    F = TOWER2.base_field
+    tracemalloc.start()
+    try:
+        with deadline(2), pytest.raises(ResourceLimitError, match="exceeds the limit"):
+            next(enumerate_monic_irreducibles(F, 25))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("q", list(ROOT_TOWERS))
+def test_reduce_at_agrees_with_rabin(q):
+    """For a monic p of degree <= 4, reduce_at returns or raises
+    BadReductionError exactly when Rabin's test calls p prime; a composite p
+    raises NotIrreducibleError, whether or not it divides g_r."""
+    tower = ROOT_TOWERS[q][0]
+    F = tower.base_field
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def check(data):
+        deg = data.draw(st.integers(min_value=1, max_value=4))
+        p = Poly(F, data.draw(st.lists(elem(F), min_size=deg, max_size=deg)) + [F.one_elem()])
+        g_r = data.draw(poly(F, max_len=3).filter(lambda g: not g.is_zero()))
+        if data.draw(st.booleans()):
+            g_r = g_r * p
+        psi = DrinfeldModule(tower, [Poly.one(F), g_r])
+        try:
+            reduce_at(psi, p)
+            prime = True
+        except BadReductionError:
+            prime = True
+        except NotIrreducibleError:
+            prime = False
+        assert prime == is_irreducible(p)
+
+    check()
 
 
 @st.composite

@@ -70,7 +70,8 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
     rec = survey.compute_record(psi, p, SurveyOptions())
     assert rec.skipped is None and not rec.warnings
     assert rec.splits_abhyankar is (prime == "T^4+T^3+2*T+1")
-    assert {k: c[0] for k, c in counts.items()} == dict.fromkeys(counts, 1)
+    # the residue field proves p prime, so Rabin's test never runs
+    assert {k: c[0] for k, c in counts.items()} == {**dict.fromkeys(counts, 1), "is_irreducible": 0}
 
 
 def test_rank3_record_takes_the_motive_route(monkeypatch):
