@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 per-record verification failure in
-strict mode.  The environment variable DF_MAX_EXT_DEGREE overrides the field
-tower's degree cap (default 64).
+Exit codes: 0 success, 1 usage or domain error, 2 per-record verification
+failure in strict mode.  The environment variable DF_MAX_EXT_DEGREE overrides
+the field tower's degree cap (default 64).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .division import (
     module_structure,
     splits_completely,
 )
-from .errors import DrinfeldError, UsageError
+from .errors import DrinfeldError, StrictModeError, UsageError
 from .fields import FieldTower
 from .invariants import (
     end_lattice_reduced,
@@ -281,7 +281,7 @@ def _cmd_survey(args) -> int:
                     else:
                         row.append(str(v))
                 print(",".join(row), file=sink)
-    except DrinfeldError as exc:
+    except StrictModeError as exc:
         print(f"survey aborted: {exc}", file=sys.stderr)
         return 2
     finally:

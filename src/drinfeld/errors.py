@@ -60,3 +60,7 @@ class TowerMembershipError(DrinfeldError):
 
 class UsageError(DrinfeldError):
     """Command-line usage error."""
+
+
+class StrictModeError(DrinfeldError):
+    """A survey record failed a required check under ``--strict``."""

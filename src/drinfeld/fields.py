@@ -8,21 +8,27 @@ vectors over the prime field.
 
 Single elements take one of two regimes behind one element type: fields with
 at most ``TABLE_LIMIT`` elements get discrete-log tables (constant-time
-products), larger fields use numpy convolution against cached reduction rows.
-Polynomials over any tower field F_(p^n) also come as k x n coordinate
-arrays, for ``polys.powmod``: a product packs each array into one Python
-int, does one big-int multiply and folds y^(n+j) back with the same
-reduction rows (Kronecker substitution, von zur Gathen-Gerhard, Modern
-Computer Algebra, §8.4), and ``PolyModulus`` reduces by a Newton inverse.
+products) and, on first use, Zech logarithms log(1 + g^k); larger fields use
+numpy convolution against cached reduction rows.  Polynomials over any tower
+field F_(p^n) also come as k x n coordinate arrays, for ``polys.powmod``: a
+product packs each array into one Python int, does one big-int multiply and
+folds y^(n+j) back with the same reduction rows (Kronecker substitution, von
+zur Gathen-Gerhard, Modern Computer Algebra, §8.4), and ``PolyModulus``
+reduces by a Newton inverse.  Above the table limit, polynomial division and
+gcd run on these arrays too: a scalar times an array is one matmul by the
+scalar's Toeplitz matrix, and the gcd takes pseudo-remainders, so it inverts
+one field element in all.
 
 Wherever a deterministic element choice is needed (embedding roots, torsion
 generators), elements are ordered by their integer codes sum(c_i * p^i).
 An embedding of the degree-a field into the degree-b field sends x to the
-smallest root of the degree-a modulus m.  Those roots are the a conjugates
-r^(p^i) of any one root r, so ``polys.lex_min_root`` checks m | x^(p^a) - x
-over the prime field, splits off one root r inside the degree-a subfield of
-the bigger field, and takes the smallest conjugate; the other roots are
-never searched for.  The prime field (modulus x) embeds without a root.
+smallest root of the degree-a modulus m, found by ``polys.lex_min_root``.
+A bigger field with log tables evaluates m at all of its elements at once
+by Horner's rule in discrete logs (``_FieldCtx.root_codes``) and takes the
+smallest of the a roots.  Above the table limit the roots are the a
+conjugates r^(p^i) of any one root r, so it checks m | x^(p^a) - x over the
+prime field, splits off one root r inside the degree-a subfield and takes
+the smallest conjugate.  The prime field (modulus x) embeds without a root.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .errors import (
 from .polys import int_prime_factors
 
 TABLE_LIMIT = 1 << 14
+ZERO_LOG = -(1 << 40)  # the discrete log of 0 in Zech tables, negative after any step
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,12 @@ def _reduction_rows(f: np.ndarray, p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # polynomials over F_(p^n) as k x n coordinate arrays (row i = coefficient of
 # x^i), multiplied by Kronecker substitution
+
+
+def _trim_rows(a: np.ndarray) -> np.ndarray:
+    """a without its zero top rows."""
+    nz = np.flatnonzero(a.any(axis=1))
+    return a[: int(nz[-1]) + 1] if len(nz) else a[:0]
 
 
 _SLOTS = tuple(np.dtype(dt) for dt in ("<u2", "<u4", "<u8"))
@@ -339,6 +352,8 @@ class _FieldCtx:
         self._frob_cache: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
         self._tables = None
+        self._zech = None
+        self._toeplitz = None
         if self.order <= TABLE_LIMIT:
             self._build_tables()
 
@@ -399,6 +414,51 @@ class _FieldCtx:
             log[code] = k
             cur = self._vmul(cur, gen)
         self._tables = (exp, log)
+
+    def _zech_steps(self) -> np.ndarray:
+        """Four periods of the Zech logarithms of a table field, built on
+        first use: entry i is log(1 + g^i) for the generator g of the log
+        tables, or ZERO_LOG where 1 + g^i = 0.  Adding 1 changes only the
+        lowest prime coordinate, the lowest digit of the code.  Entry 0 is 0,
+        the step ``root_codes`` takes from the value 0."""
+        if self._zech is None:
+            exp, log = self._tables
+            codes = exp[: self.order - 1]
+            low = codes % self.char
+            zech = log[codes - low + (low + 1) % self.char]
+            steps = np.tile(np.where(zech < 0, ZERO_LOG, zech), 4)
+            steps[0] = 0
+            self._zech = steps
+        return self._zech
+
+    def root_codes(self, codes: list[int]) -> list[int]:
+        """The codes of the distinct roots in this table field of the monic
+        polynomial whose lower coefficients have the given codes (low
+        first), increasing.
+
+        Horner's rule runs in discrete logs at every nonzero x = g^k at once
+        (Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory
+        36, 1990): acc*x adds k to the log of acc, and acc + c = c(1 + acc/c)
+        has the log of c plus the Zech log of log(acc) - log(c).  Logs are
+        kept in [0, 2n - 1) for n = |F| - 1, and every negative one stands
+        for the value 0.  The root 0 is read off the constant term.
+        """
+        exp, log = self._tables
+        n = self.order - 1
+        steps = self._zech_steps()
+        ks = np.arange(n)
+        acc = np.zeros(n, dtype=np.int64)  # the leading coefficient 1
+        for code in reversed(codes):
+            acc += ks  # times x: a log below 3n - 2, or negative
+            if code:
+                c = int(log[code])
+                # log(acc) - log(c) + n lies in [1, 4n - 2); the value 0 goes to 0
+                np.maximum(acc + (n - c), 0, out=acc)
+                acc = steps[acc] + c
+            else:
+                np.subtract(acc, n, out=acc, where=acc >= n)
+        roots = sorted(exp[np.flatnonzero(acc < 0)].tolist())
+        return [0] + roots if codes and not codes[0] else roots
 
     # -- raw coordinate operations ----------------------------------------------
 
@@ -476,13 +536,74 @@ class _FieldCtx:
     def poly_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of two polynomials given as coordinate arrays: one packed
         product over F_p[y], then y^(n+j) folded back by the reduction rows."""
-        n = self.degree
         if not len(a) or not len(b):
-            return np.zeros((0, n), dtype=np.int64)
-        c = _kron_mul(a, b, self.char)
+            return np.zeros((0, self.degree), dtype=np.int64)
+        return self._fold(_kron_mul(a, b, self.char))
+
+    def _fold(self, c: np.ndarray) -> np.ndarray:
+        """Rows of 2n - 1 coordinates mod p, with y^(n+j) folded back by the
+        reduction rows into n coordinates."""
+        n = self.degree
         if n == 1:
             return c
         return (c[:, :n] + c[:, n:] @ self._red[: n - 1]) % self.char
+
+    def _convolve(self, a: np.ndarray, c) -> np.ndarray:
+        """Every row of a times the element with coordinates c, as products
+        in F_p[y] of 2n - 1 coordinates mod p: one matmul by the Toeplitz
+        matrix of c, gathered through an index built on first use."""
+        n = self.degree
+        if self._toeplitz is None:
+            self._toeplitz = n - 1 + np.arange(2 * n - 1) - np.arange(n)[:, None]
+        padded = np.zeros(3 * n - 2, dtype=np.int64)
+        padded[n - 1 : 2 * n - 1] = c
+        return (a @ padded[self._toeplitz]) % self.char
+
+    def scale(self, a: np.ndarray, c) -> np.ndarray:
+        """Every row of the coordinate array a times the element with
+        coordinates c."""
+        return self._fold(self._convolve(a, c))
+
+    def poly_divmod(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Quotient and remainder of coordinate arrays, b nonzero; both come
+        back trimmed.  One field inversion makes b monic, and each quotient
+        row costs one scalar product of it."""
+        p = self.char
+        a, b = _trim_rows(a), _trim_rows(b)
+        k = len(b)
+        if len(a) < k:
+            return a[:0], a
+        inv = np.array(self.inv(tuple(b[-1].tolist())), dtype=np.int64)
+        b = self.scale(b, inv)
+        r = a.copy()
+        q = np.zeros((len(a) - k + 1, self.degree), dtype=np.int64)
+        for i in range(len(a) - k, -1, -1):
+            c = r[i + k - 1]
+            if c.any():
+                q[i] = c
+                r[i : i + k] = (r[i : i + k] - self.scale(b, c)) % p
+        return self.scale(q, inv), _trim_rows(r[: k - 1])
+
+    def poly_gcd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The monic gcd of two coordinate arrays (no rows for zero).
+
+        Euclid by pseudo-remainders: a <- lc(b) a - lc(a) x^s b, s = deg a -
+        deg b, lowers deg a and keeps gcd(a, b) up to a unit, with no
+        inversion; the one inversion makes the gcd monic.
+        """
+        p = self.char
+        a, b = _trim_rows(a), _trim_rows(b)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b):
+            r = self._convolve(a, b[-1])
+            r[len(a) - len(b) :] -= self._convolve(b, a[-1])
+            a = _trim_rows(self._fold(r % p))
+            if len(a) < len(b):
+                a, b = b, a
+        if not len(a):
+            return a
+        return self.scale(a, np.array(self.inv(tuple(a[-1].tolist())), dtype=np.int64))
 
     def frob_p_matrix(self, k: int) -> np.ndarray:
         """Matrix of x -> x^(p^k) as a prime-linear map on coordinates."""

@@ -6,13 +6,16 @@ degree deg(p)*[F_q:prime]; the image of T is the lex-smallest root of p
 there, and canonical representatives (degree < deg p) are recovered through a
 cached change-of-basis matrix, so reductions round-trip exactly.  The roots
 of p are the Frobenius orbit r, r^q, ..., r^(q^(n-1)) of any one root r
-(n = deg p), so ``polys.lex_min_root`` tests p | x^(q^n) - x over F_q, finds
-one root in F_p and returns the smallest element of its orbit.
+(n = deg p).  ``polys.lex_min_root`` evaluates p at every element of a
+residue field with log tables and needs exactly n roots; above the table
+limit it tests p | x^(q^n) - x over F_q and finds one root in F_p.  It
+returns the smallest root.
 
-Those two checks also certify that p is prime: the split test makes p
-squarefree with its roots in F_p, and an orbit of exactly n roots gives the
-root a minimal polynomial of degree n, a factor of p.  So the residue field is
-the prime test of a reduction; a reducible p raises NotIrreducibleError there.
+These checks also certify that p is prime: n distinct roots, or the split
+test, make p squarefree with its roots in F_p, and an orbit of exactly n
+roots gives the root a minimal polynomial of degree n, a factor of p.  So the
+residue field is the prime test of a reduction; a reducible p raises
+NotIrreducibleError there.
 Rabin's test (``polys.is_irreducible``) runs only where no residue field is
 built: when p divides g_r, or when F_p would exceed the tower cap.
 """

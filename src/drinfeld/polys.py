@@ -8,9 +8,18 @@ are computed.
 
 deg(0) is the distinguished marker float('-inf'), never an integer.
 
+Over a tower field above the table limit, division and gcd run on k x n
+coordinate arrays (``_FieldCtx.poly_divmod``, ``_FieldCtx.poly_gcd``) and
+powmod on packed ones; ``schoolbook_divmod``, ``schoolbook_gcd`` and
+``schoolbook_powmod`` keep the coefficient loops for the other rings and as
+the tests' oracles.
+
 Factorization is squarefree decomposition, then distinct-degree, then
 equal-degree splitting driven by a pseudo-random stream seeded from the input
 polynomial bytes, so outputs are reproducible across runs and platforms.
+Roots in a field with log tables come from evaluating at every element at
+once in discrete logs (``table_roots``); ``lex_min_root`` uses that route
+there and Rabin's root finding above the table limit.
 
 The monic primes of one degree come from a sieve, not from a test per
 candidate: a bitmap over all q^deg monic codes marks the products of smaller
@@ -178,24 +187,18 @@ class Poly:
         return Poly(self.field, (zero,) * k + self.coeffs, normalize=False)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Over a tower field above the table limit the division runs on
+        coordinate arrays; elsewhere it is ``schoolbook_divmod``."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if len(self.coeffs) < len(other.coeffs):
             return Poly.zero(self.field), self
-        inv_lead = other.lead().inv()
-        r = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        q = [self.field.zero_elem()] * (len(r) - db)
-        for i in range(len(r) - db - 1, -1, -1):
-            c = r[i + db]
-            if c.is_zero():
-                continue
-            c = c * inv_lead
-            q[i] = c
-            for j, bc in enumerate(other.coeffs):
-                r[i + j] = r[i + j] - c * bc
-        return Poly(self.field, q), Poly(self.field, r[:db])
+        F = self.field
+        if not _on_arrays(F):
+            return schoolbook_divmod(self, other)
+        q, r = F.poly_divmod(F.coeff_array(self.coeffs), F.coeff_array(other.coeffs))
+        return Poly(F, F.array_elems(q), normalize=False), Poly(F, F.array_elems(r), normalize=False)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -256,9 +259,46 @@ class Poly:
 # gcd machinery
 
 
+def _on_arrays(field) -> bool:
+    """Whether polynomials over ``field`` divide and take gcds on coordinate
+    arrays: tower fields above the table limit (no log tables) do."""
+    return getattr(field, "_tables", ()) is None
+
+
+def schoolbook_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by a nonzero b, one coefficient product
+    at a time."""
+    inv_lead = b.lead().inv()
+    r = list(a.coeffs)
+    db = len(b.coeffs) - 1
+    q = [a.field.zero_elem()] * max(len(r) - db, 0)
+    for i in range(len(r) - db - 1, -1, -1):
+        c = r[i + db]
+        if c.is_zero():
+            continue
+        c = c * inv_lead
+        q[i] = c
+        for j, bc in enumerate(b.coeffs):
+            r[i + j] = r[i + j] - c * bc
+    return Poly(a.field, q), Poly(a.field, r[:db])
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """The monic gcd (zero for two zeros).  Over a tower field above the
+    table limit Euclid runs on coordinate arrays; elsewhere it is
+    ``schoolbook_gcd``."""
+    F = a.field
+    if not _on_arrays(F):
+        return schoolbook_gcd(a, b)
+    a._check(b)
+    g = F.poly_gcd(F.coeff_array(a.coeffs), F.coeff_array(b.coeffs))
+    return Poly(F, F.array_elems(g), normalize=False)
+
+
+def schoolbook_gcd(a: Poly, b: Poly) -> Poly:
+    """Euclid's loop with a ``schoolbook_divmod`` per step."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, schoolbook_divmod(a, b)[1]
     return a.monic() if not a.is_zero() else a
 
 
@@ -596,30 +636,53 @@ def roots_in_field(f: Poly) -> list:
     return sorted(roots, key=lambda r: r.int_code())
 
 
+def table_roots(f: Poly) -> list:
+    """All distinct roots of f in its own coefficient field, a tower field
+    with log tables, sorted by code: f is evaluated at every element at once,
+    by Horner's rule in discrete logs with Zech logarithms for the sums
+    (``_FieldCtx.root_codes``)."""
+    if f.is_zero():
+        raise ZeroInputError("roots of zero")
+    F = f.field
+    codes = F.root_codes([c.int_code() for c in f.monic().coeffs[:-1]])
+    return [F.dec_elem(c) for c in codes]
+
+
 def lex_min_root(f: Poly, field, embed, error: str, error_class=DrinfeldError):
     """The root of f in the tower field ``field`` with the smallest integer code.
 
     f lies over its own coefficient field K = F_s, a tower field, and ``embed``
     maps K into ``field`` (F).  f must be irreducible of a degree m with
     F_(s^m) inside F; otherwise ``error_class(error)`` is raised.  Its roots
-    are then the m conjugates r, r^s, ..., r^(s^(m-1)) of any one root r, and
-    all of them lie in the subfield L = F_(s^m) of F.  So the split test
-    f | x^(s^m) - x runs over K, one root is split off over L (Rabin's root
-    finding), and the answer is the smallest of its conjugates.
+    are then the m conjugates r, r^s, ..., r^(s^(m-1)) of any one root r.
+    A linear f has the one root -f_0.
 
-    The two checks prove f irreducible: the split test makes f squarefree
-    with every root in L, and an orbit of exactly m conjugates makes the
-    minimal polynomial of the root, a factor of f, of degree m.
+    A field with log tables evaluates f at all of its elements at once
+    (``table_roots``) and needs exactly m distinct roots; the answer is the
+    smallest.  A larger field checks f | x^(s^m) - x over K, which makes f
+    squarefree with every root in the subfield L = F_(s^m), splits off one
+    root over L (Rabin's root finding) and takes the smallest of its
+    conjugates.  Either way an orbit of exactly m conjugates makes the
+    minimal polynomial of the root, a factor of f, of degree m, so f is
+    irreducible.
     """
     K = f.field
     m = f.degree()
     if m < 1 or field.degree % (m * K.degree):
         raise error_class(error)
     f = f.monic()
-    x = Poly.x(K)
-    if powmod(x, K.order**m, f) != x % f:
-        raise error_class(error)
-    root = _one_root(f.map_coeffs(embed, field), m * K.degree, _poly_seed_rng(f, b"root"))
+    if m == 1:
+        return embed(-f.coeffs[0])
+    if _on_arrays(field):
+        x = Poly.x(K)
+        if powmod(x, K.order**m, f) != x % f:
+            raise error_class(error)
+        root = _one_root(f.map_coeffs(embed, field), m * K.degree, _poly_seed_rng(f, b"root"))
+    else:
+        roots = table_roots(f.map_coeffs(embed, field))
+        if len(roots) != m:
+            raise error_class(error)
+        root = roots[0]
     frob = field.frob_p_matrix(K.degree)  # y -> y^s on F
     v = root.vec()
     codes = {root.int_code()}

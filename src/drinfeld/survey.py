@@ -18,7 +18,7 @@ from math import comb, prod
 from typing import Iterable, Iterator
 
 from .config import SurveyOptions
-from .errors import BadReductionError, DrinfeldError, EvenCharacteristicError
+from .errors import BadReductionError, DrinfeldError, EvenCharacteristicError, StrictModeError
 from .fields import FieldTower
 from .invariants import (
     end_lattice_reduced,
@@ -217,7 +217,7 @@ def run_survey(
 
 def _strict_gate(rec: SurveyRecord, options: SurveyOptions):
     if options.strict and rec.skipped is None and rec.warnings:
-        raise DrinfeldError(
+        raise StrictModeError(
             f"strict mode: record for p={rec.p} failed checks: {rec.warnings}"
         )
 

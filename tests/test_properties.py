@@ -14,9 +14,9 @@ from drinfeld.errors import (
     NotIrreducibleError,
     ResourceLimitError,
 )
-from drinfeld.fields import FFElem, FieldTower
+from drinfeld.fields import TABLE_LIMIT, FFElem, FieldTower
 from drinfeld.invariants import weil_general, weil_motive, weil_rank2_reduced
-from drinfeld.modules import DrinfeldModule, reduce_at
+from drinfeld.modules import DrinfeldModule, ResidueField, reduce_at
 from drinfeld.polys import (
     Poly,
     _split_gcd,
@@ -28,8 +28,11 @@ from drinfeld.polys import (
     poly_gcd,
     powmod,
     roots_in_field,
+    schoolbook_divmod,
+    schoolbook_gcd,
     schoolbook_powmod,
     splits_into_linear_factors,
+    table_roots,
 )
 from drinfeld.skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
 from drinfeld.textio import module_from_text, poly_from_text
@@ -222,6 +225,70 @@ def _f(tower, *ints):
     return Poly.from_ints(tower.base_field, ints)
 
 
+# (tower, degree of F over the prime field): F_(3^10), F_(2^15) and F_(4^8)
+# lie above TABLE_LIMIT, where lex_min_root takes the split test and Rabin's
+# root finding on coordinate arrays
+LARGE_ROOT_FIELDS = {
+    "F3^10": (TOWER3, 10),
+    "F2^15": (TOWER2, 15),
+    "F4^8": (ROOT_TOWERS[4][0], 16),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_ROOT_FIELDS))
+def test_lex_min_root_matches_roots_in_field_above_table_limit(name, deadline):
+    """The split route returns the smallest of all roots of f over F, for
+    every degree m with F_(q^m) inside F."""
+    tower, degree = LARGE_ROOT_FIELDS[name]
+    big = tower.field(degree)
+    assert big.order > TABLE_LIMIT
+    rel = degree // tower.base_degree
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def check(data):
+        m = data.draw(st.sampled_from([m for m in range(1, rel + 1) if rel % m == 0]))
+        f = data.draw(st.sampled_from(_irreducibles(tower.q, m)))
+        roots = roots_in_field(f.map_coeffs(lambda c: tower.embed(c, big), big))
+        assert len(roots) == m
+        assert _lex_min_root_into(tower, f, big) == min(roots, key=lambda r: r.int_code())
+
+    with deadline(120):
+        check()
+
+
+# table fields for the Zech route: F_4, F_5, F_8, F_9 twice, F_(2^10),
+# F_(3^8), F_(4^5)
+TABLE_ROOT_FIELDS = {
+    **SPLIT_FIELDS,
+    "F2^10": TOWER2.field(10),
+    "F3^8": TOWER3.field(8),
+    "F4^5": ROOT_TOWERS[4][0].field(10),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_ROOT_FIELDS))
+def test_table_roots_match_roots_in_field(name):
+    """The Zech-log evaluation finds exactly the roots of the equal-degree
+    split, for products of linear factors (repeated ones and the root 0
+    included) with a random cofactor."""
+    ctx = TABLE_ROOT_FIELDS[name]
+
+    @given(
+        linear=st.lists(elem(ctx), min_size=0, max_size=8),
+        cofactor=poly(ctx, max_len=5).filter(lambda g: not g.is_zero()),
+    )
+    @settings(max_examples=40, deadline=None)
+    def check(linear, cofactor):
+        f = cofactor
+        for r in linear:
+            f = f * Poly(ctx, [-r, ctx.one_elem()])
+        assert table_roots(f) == roots_in_field(f)
+        assert set(linear) <= set(table_roots(f))
+
+    check()
+
+
 @pytest.mark.parametrize(
     "tower,f,big_degree",
     [
@@ -235,17 +302,103 @@ def _f(tower, *ints):
         (TOWER2, _f(TOWER2, 1, 0, 1), 2),  # (x+1)^2 over F_2, into F_4
         # degree 5 divides [F:K], but neither factor splits over F_(3^5)
         (TOWER3, _f(TOWER3, 1, 0, 1) * _f(TOWER3, 1, 2, 0, 1), 5),
+        # (x^2+x+1)(x^3+x+1) has no root in F_32: its roots lie in F_4 and F_8
+        (TOWER2, _f(TOWER2, 1, 1, 1) * _f(TOWER2, 1, 1, 0, 1), 5),
+        # above TABLE_LIMIT: x(x+1) passes the split test, then its orbit of 1
+        (TOWER3, _f(TOWER3, 0, 1, 1), 10),
+        (TOWER3, _f(TOWER3, 1, 0, 1) * _f(TOWER3, 1, 2, 0, 1), 10),
+        (TOWER2, _f(TOWER2, 0, 1, 0, 1), 15),  # x(x+1)^2: a repeated root
+        (TOWER2, _f(TOWER2, 1, 1, 0, 0, 0, 1), 15),  # (x^2+x+1)(x^3+x^2+1)
+        (ROOT_TOWERS[4][0], _f(ROOT_TOWERS[4][0], 0, 1, 1), 16),  # x(x+1) over F_4
+        (ROOT_TOWERS[4][0], _f(ROOT_TOWERS[4][0], 1, 0, 1), 16),  # (x+1)^2 over F_4
     ],
     ids=[
         "reducible-q3", "two-quadratics-q3", "reducible-q2", "cubic-into-F9",
         "cubic-into-F81", "repeated-root-q3", "square-q3", "repeated-root-q2",
-        "no-split-q3",
+        "no-split-q3", "no-root-q2", "reducible-F3^10", "no-split-F3^10", "repeated-root-F2^15",
+        "no-split-F2^15", "reducible-F4^8", "repeated-root-F4^8",
     ],
 )
 def test_lex_min_root_rejects_at_once(tower, f, big_degree, deadline):
     big = tower.field(big_degree)
     with deadline(10), pytest.raises(DrinfeldError, match="no split"):
         _lex_min_root_into(tower, f, big)
+
+
+# (q, deg p): residue fields with exactly TABLE_LIMIT = 2^14 elements, and
+# F_(2^15) just above it on the split route
+TABLE_LIMIT_CORNERS = [(2, 14), (128, 2), (16384, 1), (2, 15)]
+
+
+@pytest.mark.parametrize("q,deg", TABLE_LIMIT_CORNERS)
+def test_t_image_at_the_table_limit(q, deg, deadline):
+    """At the table limit the T-image is still the smallest root of p, on
+    whichever side of the limit its residue field falls."""
+    with deadline(60):
+        tower = FieldTower(q, max_degree=64)
+        F = tower.base_field
+        if deg == 1:
+            primes = [_f(tower, 0, 1), Poly(F, [F.dec_elem(q - 1), F.one_elem()])]
+        else:
+            found = list(enumerate_monic_irreducibles(F, deg))
+            primes = [found[0], found[len(found) // 2], found[-1]]
+        for p in primes:
+            res = ResidueField(tower, p)
+            assert (res.ctx.order <= TABLE_LIMIT) == (q**deg <= TABLE_LIMIT)
+            roots = roots_in_field(p.map_coeffs(lambda c: tower.embed(c, res.ctx), res.ctx))
+            assert res.t_image == min(roots, key=lambda r: r.int_code())
+
+
+# (tower, field degree over the prime field) above TABLE_LIMIT, where division
+# and gcd run on coordinate arrays: F_(3^10), F_(2^15), F_(4^8), and
+# F_(16381^2) for int64 headroom
+EUCLID_FIELDS = {
+    "F3^10": (TOWER3, 10),
+    "F2^15": (TOWER2, 15),
+    "F4^8": (ROOT_TOWERS[4][0], 16),
+    "F16381^2": (FieldTower(16381), 2),
+}
+
+
+@st.composite
+def euclid_case(draw, ctx):
+    """(a, b): b nonzero with a nonzero lead, so monic or not; a random,
+    shorter than b, zero, or a multiple of b (a zero remainder)."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    lead = draw(elem(ctx).filter(lambda c: not c.is_zero()))
+    b = Poly(ctx, draw(st.lists(elem(ctx), min_size=k - 1, max_size=k - 1)) + [lead])
+    kind = draw(st.sampled_from(["random", "shorter", "zero", "multiple"]))
+    if kind == "random":
+        a = draw(poly(ctx, max_len=12))
+    elif kind == "shorter":
+        a = draw(poly(ctx, max_len=k - 1))
+    elif kind == "zero":
+        a = Poly.zero(ctx)
+    else:
+        a = b * draw(poly(ctx, max_len=5))
+    return a, b
+
+
+@pytest.mark.parametrize("name", list(EUCLID_FIELDS))
+def test_array_euclid_matches_schoolbook(name):
+    """Division and gcd on coordinate arrays equal the coefficient loops,
+    the gcd also on a common factor and on zero operands."""
+    tower, degree = EUCLID_FIELDS[name]
+    ctx = tower.field(degree)
+    assert ctx.order > TABLE_LIMIT
+    zero = Poly.zero(ctx)
+
+    @given(case=euclid_case(ctx), common=poly(ctx, max_len=4))
+    @settings(max_examples=30, deadline=None)
+    def check(case, common):
+        a, b = case
+        assert divmod(a, b) == schoolbook_divmod(a, b)
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, zero)
+        for x, y in [(a, b), (b, a), (a * common, b * common), (a, zero), (zero, a)]:
+            assert poly_gcd(x, y) == schoolbook_gcd(x, y)
+
+    check()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])

@@ -191,3 +191,13 @@ def test_cli_strict_exits_2_on_unexpected_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "RuntimeError: injected failure" in captured.err
+
+
+def test_cli_domain_error_exits_1(capsys):
+    """A survey whose prime sieve exceeds SIEVE_LIMIT is a domain error, not a
+    strict-mode verification failure: status 1 and an ``error:`` line."""
+    argv = ["survey", "--q", "2", "--psi", "T+1*t+1*t^2", "--deg", "25"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a sieve over 2^25 monic polynomials")
