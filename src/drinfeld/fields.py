@@ -26,9 +26,11 @@ smallest root of the degree-a modulus m, found by ``polys.lex_min_root``.
 A bigger field with log tables evaluates m at all of its elements at once
 by Horner's rule in discrete logs (``_FieldCtx.root_codes``) and takes the
 smallest of the a roots.  Above the table limit the roots are the a
-conjugates r^(p^i) of any one root r, so it checks m | x^(p^a) - x over the
-prime field, splits off one root r inside the degree-a subfield and takes
-the smallest conjugate.  The prime field (modulus x) embeds without a root.
+conjugates r^(p^i) of any one root r.  There one p-power matrix on
+F_p[x]/(m) (``polys.FrobeniusStep``) does the work: applied a times to x it
+checks m | x^(p^a) - x, and on the bigger field it gives the traces that
+split off one root r inside the degree-a subfield; the answer is the
+smallest conjugate of r.  The prime field (modulus x) embeds without a root.
 """
 
 from __future__ import annotations

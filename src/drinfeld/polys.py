@@ -3,8 +3,9 @@
 A polynomial's field may be a tower field (`_FieldCtx`) or any object with the
 same small surface (``zero_elem``, ``one_elem``, ``char``, ``order``) whose
 elements support ring operators plus ``inv``/``is_zero`` — quotient fields
-A/lA reuse all of the machinery below, which is how rational canonical forms
-are computed.
+A/lA reuse the division, gcd and power routines below, which is how rational
+canonical forms are computed.  Factorization and root finding need a tower
+field.
 
 deg(0) is the distinguished marker float('-inf'), never an integer.
 
@@ -17,9 +18,15 @@ the tests' oracles.
 Factorization is squarefree decomposition, then distinct-degree, then
 equal-degree splitting driven by a pseudo-random stream seeded from the input
 polynomial bytes, so outputs are reproducible across runs and platforms.
-Roots in a field with log tables come from evaluating at every element at
-once in discrete logs (``table_roots``); ``lex_min_root`` uses that route
-there and Rabin's root finding above the table limit.
+Equal-degree and root splits take no large powers: for a modulus f over a
+tower field, u -> u^p is prime-linear on F[x]/(f), so one matrix of the rows
+x^(jp) mod f (``FrobeniusStep``) gives the trace of a random t to the prime
+field at every factor at once, and a gcd splits off the factors where it
+is 0 (p = 2) or a nonzero square (odd p).  The same step applied to x
+certifies f | x^(s^m) - x for ``lex_min_root``.  Roots in a field with log
+tables come from evaluating at every element at once in discrete logs
+(``table_roots``); ``lex_min_root`` uses that route there and the trace
+splits above the table limit.
 
 The monic primes of one degree come from a sieve, not from a test per
 candidate: a bitmap over all q^deg monic codes marks the products of smaller
@@ -319,26 +326,17 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
-def _packed_modulus(modulus: Poly):
-    """``fields.PolyModulus`` for the monic associate of a modulus of degree
-    >= 1 over a tower field; None for other rings and constant moduli."""
+def powmod(base: Poly, e: int, modulus: Poly) -> Poly:
+    """base^e mod modulus.  Over a tower field the loop runs on packed
+    coordinate arrays (``fields.PolyModulus`` for the monic associate of the
+    modulus); other rings and constant moduli take ``schoolbook_powmod``."""
     from .fields import PolyModulus, _FieldCtx  # deferred: fields imports this module
 
     F = modulus.field
     if not isinstance(F, _FieldCtx) or modulus.degree() < 1:
-        return None
-    return PolyModulus(F, F.coeff_array(modulus.monic().coeffs))
-
-
-def powmod(base: Poly, e: int, modulus: Poly) -> Poly:
-    """base^e mod modulus.  Over a tower field the loop runs on packed
-    coordinate arrays; other rings and constant moduli take
-    ``schoolbook_powmod``."""
-    mod = _packed_modulus(modulus)
-    if mod is None:
         return schoolbook_powmod(base, e, modulus)
     base._check(modulus)
-    F = base.field
+    mod = PolyModulus(F, F.coeff_array(modulus.monic().coeffs))
     return Poly(F, F.array_elems(mod.pow(F.coeff_array(base.coeffs), e)))
 
 
@@ -516,47 +514,128 @@ def powint(f: Poly, k: int) -> Poly:
 
 
 def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Split monic squarefree f that is a product of irreducibles of degree d."""
+    """Split monic squarefree f, a product of irreducibles of degree d over
+    its tower field F.
+
+    Each factor g gives a field F[x]/(g) = L of degree d [F : F_p] over the
+    prime field, and one ``FrobeniusStep`` for f serves every split: the
+    trace h of a random t to F_p at each factor splits g by ``_trace_split``.
+    """
     if f.degree() == d:
         return [f]
-    field = f.field
-    while True:
-        t = _random_poly(field, f.degree(), rng)
-        if t.degree() < 1:
+    F = f.field
+    step = FrobeniusStep(f)
+    done, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if g.degree() == d:
+            done.append(g)
             continue
-        g = _split_gcd(t, f, field.order**d)
-        if 0 < g.degree() < f.degree():
-            return sorted(
-                _equal_degree_split(g, d, rng)
-                + _equal_degree_split(f.exact_div(g), d, rng),
-                key=Poly.lex_key,
-            )
+        t = F.coeff_array(_random_poly(F, g.degree(), rng).coeffs)
+        c = _trace_split(step, t, g, d * F.degree) if t[1:].any() else g
+        todo += [c, g.exact_div(c)] if 0 < c.degree() < g.degree() else [g]
+    return sorted(done, key=Poly.lex_key)
 
 
-def _split_gcd(t: Poly, f: Poly, order: int) -> Poly:
-    """gcd(h, f), where the roots of f lie in the field with ``order``
-    elements and h maps each root r to 0 for about half of the random t:
-    h = Tr(t) to F_2 in characteristic 2, else h = t^((order-1)/2) - 1."""
-    if f.field.char == 2:
-        squarings = order.bit_length() - 2  # order = 2^w: w - 1 squarings
-        mod = _packed_modulus(f)
-        if mod is None:
-            h = cur = t
-            for _ in range(squarings):
-                cur = (cur * cur) % f
-                h = h + cur
-        else:
-            F = t.field
-            cur = mod.rem(F.coeff_array(t.coeffs))
-            h = np.zeros((mod.k, F.degree), dtype=np.int64)
-            h[: len(cur)] = cur
-            for _ in range(squarings):
-                cur = mod.mul(cur, cur)
-                h[: len(cur)] ^= cur
-            h = Poly(F, F.array_elems(h))
-    else:
-        h = powmod(t, (order - 1) // 2, f) - Poly.one(f.field)
-    return poly_gcd(h, f)
+def _x_power_rows(f: Poly) -> tuple[np.ndarray, np.ndarray]:
+    """For f monic of degree m >= 1 over a tower field K of degree e over the
+    prime field: the (m, m, e) array whose row j holds x^(jp) mod f, from
+    x^p mod f and m - 2 packed products, and the m x e array of x mod f."""
+    from .fields import PolyModulus  # deferred: fields imports this module
+
+    K = f.field
+    m = f.degree()
+    mod = PolyModulus(K, K.coeff_array(f.coeffs))
+    x = np.zeros((2, K.degree), dtype=np.int64)
+    x[1, 0] = 1
+    x = mod.rem(x)
+    xp = mod.pow(x, K.char)
+    rows = np.zeros((m, m, K.degree), dtype=np.int64)
+    rows[0, 0, 0] = 1
+    cur = xp
+    for j in range(1, m):
+        rows[j, : len(cur)] = cur
+        if j < m - 1:
+            cur = mod.mul(cur, xp)
+    x_mod = np.zeros((m, K.degree), dtype=np.int64)
+    x_mod[: len(x)] = x
+    return rows, x_mod
+
+
+class FrobeniusStep:
+    """The p-power map u -> u^p on F[x]/(f), as a prime-linear map on m x d
+    coordinate arrays (row j holds the coordinates of the coefficient of x^j).
+
+    f is monic of degree m >= 1 over a tower field K of degree e over the
+    prime field; F, of degree d, contains K through ``embed`` (F = K
+    without one).  u^p = sum_j Frob_p(u_j) x^(jp), and the rows x^(jp) mod f
+    lie over K, so they are built once per f (``_x_power_rows``); ``over``
+    reuses them in a larger field.  Writing the rows as sum_t X_t y^t over
+    the prime field, with y the generator of K, one step is
+    sum_t X_t^T W (M_t Phi)^T for the p-power matrix Phi of F and the matrix
+    M_t of multiplication by the image of y^t: one product of W with the
+    d x ed block row of the (M_t Phi)^T, one with the m x me block row of
+    the X_t^T (Cantor and Zassenhaus, Math. Comp. 36, 1981; von zur Gathen
+    and Shoup, Comput. Complexity 2, 1992).
+    """
+
+    def __init__(self, f: Poly, field=None, embed=None, rows=None):
+        K = f.field
+        F = field or K
+        self.f, self.field, self.m = f, F, f.degree()
+        self._rows = rows if rows is not None else _x_power_rows(f)
+        x_rows, self.x = self._rows
+        p, e = F.char, K.degree
+        phi = F.frob_p_matrix(1)
+        ys = [K.dec_elem(K.char**t) for t in range(e)]  # y^t, the prime basis of K
+        gens = [(embed(y) if embed else y).coords for y in ys]
+        self._b = np.hstack([((F.mult_matrix(g) @ phi) % p).T for g in gens])
+        self._x = x_rows.transpose(1, 0, 2).reshape(self.m, self.m * e)
+
+    def over(self, field, embed) -> "FrobeniusStep":
+        """The same step on F[x]/(f) for a field F that contains K through
+        ``embed``."""
+        return FrobeniusStep(self.f, field, embed, self._rows)
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        p = self.field.char
+        v = (w @ self._b) % p
+        return (self._x @ v.reshape(-1, self.field.degree)) % p
+
+    def trace(self, w: np.ndarray, n: int) -> np.ndarray:
+        """w + w^p + ... + w^(p^(n-1)) for an m x d array w."""
+        acc = cur = w
+        for _ in range(n - 1):
+            cur = self(cur)
+            acc = acc + cur
+        return acc % self.field.char
+
+    def fixes_x(self, n: int) -> bool:
+        """Whether x^(p^n) = x mod f, that is f | x^(p^n) - x; here F = K."""
+        cur = self.x
+        for _ in range(n):
+            cur = self(cur)
+        return np.array_equal(cur, self.x)
+
+
+def _trace_split(step: FrobeniusStep, t: np.ndarray, g: Poly, deg_L: int) -> Poly:
+    """gcd(h, g) for p = 2, else gcd(h^((p-1)/2) - 1, g), for the monic
+    factor g of the step's f over its field F and the trace
+    h = t + t^p + ... + t^(p^(deg_L - 1)) mod f of a coordinate array t of
+    fewer than deg g rows.  When every root r of g lies in a field L of
+    degree deg_L over the prime field (and t(r) lies in L), h(r) is
+    Tr_{L/F_p}(t(r)), an element of the prime field."""
+    from .fields import PolyModulus  # deferred: fields imports this module
+
+    F = step.field
+    p = F.char
+    w = np.zeros((step.m, F.degree), dtype=np.int64)
+    w[: len(t)] = t
+    h = step.trace(w, deg_L)
+    if p > 2:
+        h = PolyModulus(F, F.coeff_array(g.coeffs)).pow(h, (p - 1) // 2)
+        h[0, 0] = (h[0, 0] - 1) % p
+    return poly_gcd(Poly(F, F.array_elems(h)), g)
 
 
 class FactorizationA:
@@ -659,12 +738,13 @@ def lex_min_root(f: Poly, field, embed, error: str, error_class=DrinfeldError):
 
     A field with log tables evaluates f at all of its elements at once
     (``table_roots``) and needs exactly m distinct roots; the answer is the
-    smallest.  A larger field checks f | x^(s^m) - x over K, which makes f
-    squarefree with every root in the subfield L = F_(s^m), splits off one
-    root over L (Rabin's root finding) and takes the smallest of its
-    conjugates.  Either way an orbit of exactly m conjugates makes the
-    minimal polynomial of the root, a factor of f, of degree m, so f is
-    irreducible.
+    smallest.  A larger field builds one ``FrobeniusStep`` for f over K.
+    Applied m [K : F_p] times to x it checks f | x^(s^m) - x, which makes f
+    squarefree with every root in the subfield L = F_(s^m); the same step
+    over F then splits off one root over L by traces (``_one_root``), and
+    the answer is the smallest of its conjugates.  Either way an orbit of
+    exactly m conjugates makes the minimal polynomial of the root, a factor
+    of f, of degree m, so f is irreducible.
     """
     K = f.field
     m = f.degree()
@@ -674,10 +754,11 @@ def lex_min_root(f: Poly, field, embed, error: str, error_class=DrinfeldError):
     if m == 1:
         return embed(-f.coeffs[0])
     if _on_arrays(field):
-        x = Poly.x(K)
-        if powmod(x, K.order**m, f) != x % f:
+        step = FrobeniusStep(f)
+        if not step.fixes_x(m * K.degree):
             raise error_class(error)
-        root = _one_root(f.map_coeffs(embed, field), m * K.degree, _poly_seed_rng(f, b"root"))
+        rng = _poly_seed_rng(f, b"root")
+        root = _one_root(step.over(field, embed), f.map_coeffs(embed, field), m * K.degree, rng)
     else:
         roots = table_roots(f.map_coeffs(embed, field))
         if len(roots) != m:
@@ -694,18 +775,16 @@ def lex_min_root(f: Poly, field, embed, error: str, error_class=DrinfeldError):
     return field.dec_elem(min(codes))
 
 
-def _one_root(g: Poly, deg_L: int, rng: random.Random):
-    """A root of the monic g over a tower field F, where g is a product of
-    distinct linear factors over the subfield L of F of degree deg_L over the
-    prime field.
+def _one_root(step: FrobeniusStep, g: Poly, deg_L: int, rng: random.Random):
+    """A root of g, the monic f of ``step`` over its field F, where g is a
+    product of distinct linear factors over the subfield L of F of degree
+    deg_L over the prime field.
 
-    Equal-degree splitting into linear factors with the random coefficients
-    drawn from L, as the relative trace Tr_{F/L} of random elements of F, and
-    the exponent (or, for p = 2, the trace length) taken from |L|.  Only the
-    smaller factor is kept after each split.
+    Equal-degree splitting into linear factors by ``_trace_split``, with the
+    random coefficients drawn from L as the relative trace Tr_{F/L} of
+    random elements of F.  The traces run mod f, so the one step serves
+    every factor; only the smaller factor is kept after each split.
     """
-    from .fields import FFElem  # deferred: fields imports this module
-
     F = g.field
     p, d = F.char, F.degree
     sigma = F.frob_p_matrix(deg_L) if deg_L < d else None  # y -> y^|L| on F
@@ -718,10 +797,9 @@ def _one_root(g: Poly, deg_L: int, rng: random.Random):
                 cur = (sigma @ cur) % p
                 acc = acc + cur
             a = acc % p
-        t = Poly(F, [FFElem(F, tuple(int(c) for c in a[:, j])) for j in range(k)])
-        if t.degree() < 1:
+        if not a[:, 1:].any():
             continue
-        c = _split_gcd(t, g, p**deg_L)
+        c = _trace_split(step, a.T, g, deg_L)
         if 0 < c.degree() < k:
             g = c if 2 * c.degree() <= k else g.exact_div(c)
     return -g.coeffs[0]

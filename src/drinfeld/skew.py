@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DrinfeldError, RingMismatchError, TowerMembershipError, ZeroInputError
 from .fields import FFElem, _FieldCtx
-from .polys import NEG_INF, Poly, powint
+from .polys import NEG_INF, Poly
 
 
 class SkewPoly:
@@ -102,11 +102,20 @@ class SkewPoly:
             raise RingMismatchError("different coefficient fields")
 
     def _twist(self, c, k: int):
-        """Apply the q-power map k times to a coefficient."""
+        """Apply the q-power map k times to a coefficient.  Over A it is
+        additive, so c^(q^k) = sum_i c_i^(q^k) T^(i q^k): the coefficients
+        of c spread out to every q^k-th power of T."""
         if k == 0:
             return c
         if self.over_A:
-            return powint(c, self.ring.q**k)
+            if c.is_zero():
+                return c
+            F = c.field
+            stride = self.ring.q**k
+            out = [F.zero_elem()] * ((len(c.coeffs) - 1) * stride + 1)
+            for i, ci in enumerate(c.coeffs):
+                out[i * stride] = F.tower.frobenius_power(ci, k)
+            return Poly(F, out, normalize=False)
         return self.ring.tower.frobenius_power(c, k)
 
     def __add__(self, other):

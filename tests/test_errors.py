@@ -167,6 +167,33 @@ def test_largest_q_builds_its_extensions(deadline):
     assert (tower.gen(F2) * tower.gen(F2)).coords == (p - 2, 0)
 
 
+def test_q_at_the_table_limit_builds_and_above_it_is_refused(deadline):
+    """q = 2^14 is the largest supported q: its tower builds, with log
+    tables on F_q.  The next prime, 16411, and the next power of two,
+    2^15, raise ConfigurationError before any field is built."""
+    from drinfeld.fields import TABLE_LIMIT
+
+    with deadline(20):
+        tower = FieldTower(16384)
+    assert tower.base_field.order == TABLE_LIMIT
+    assert tower.dlog_z(tower.z_generator()) == 1
+    for q in (16411, 32768):
+        with deadline(1), pytest.raises(ConfigurationError):
+            FieldTower(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 16381])
+def test_field_at_the_tower_cap_builds_and_above_it_is_refused(q, deadline):
+    """A field of degree exactly the default cap (64 over the prime field)
+    builds; one degree more raises ResourceLimitError at once."""
+    tower = FieldTower(q)
+    with deadline(20):
+        F = tower.field(tower.max_degree)
+    assert tower.max_degree == 64 and F.degree == 64
+    with deadline(1), pytest.raises(ResourceLimitError):
+        tower.field(tower.max_degree + 1)
+
+
 def test_torsion_quotient_size_cap(capsys, deadline):
     """Rank 3 at q = 4 with a degree-2 modulus a = (T+1)^2 needs R = F_p[x]/(psibar_a)
     of prime dimension 4^6 * 2 = 8192; the cap refuses it before any matrix is

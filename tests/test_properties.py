@@ -18,8 +18,8 @@ from drinfeld.fields import TABLE_LIMIT, FFElem, FieldTower
 from drinfeld.invariants import weil_general, weil_motive, weil_rank2_reduced
 from drinfeld.modules import DrinfeldModule, ResidueField, reduce_at
 from drinfeld.polys import (
+    FrobeniusStep,
     Poly,
-    _split_gcd,
     crt,
     enumerate_monic_irreducibles,
     factorize,
@@ -628,21 +628,110 @@ def test_packed_powmod_matches_schoolbook(name):
     check()
 
 
-@pytest.mark.parametrize("name", ["F2^16", "F4^5"])
-def test_packed_trace_split_matches_schoolbook(name):
-    """The characteristic-2 split gcd takes gcd(t + t^2 + ... + t^(2^(w-1)), g)
-    for |L| = 2^w; here L is the whole field."""
-    tower, degree = POWMOD_FIELDS[name]
-    ctx = tower.field(degree)
+# (tower, degree of K, degree of F) over the prime field: f lies over K and
+# the step acts on F[x]/(f).  K = F_4 in F_(4^5) and F_(4^8) is not prime,
+# so the images of its generator enter the step.
+STEP_FIELDS = {
+    "F2^16": (TOWER2, 1, 16),
+    "F4^5": (ROOT_TOWERS[4][0], 2, 10),
+    "F3^10": (TOWER3, 1, 10),
+    "F4^8": (ROOT_TOWERS[4][0], 2, 16),
+    "F16381^2": (EUCLID_FIELDS["F16381^2"][0], 1, 2),
+}
 
-    @given(case=powmod_case(ctx))
-    @settings(max_examples=10, deadline=None)
-    def check(case):
-        t, _, g = case
-        trace = Poly.zero(ctx)
-        for i in range(degree):
-            trace = trace + schoolbook_powmod(t, 2**i, g)
-        assert _split_gcd(t, g, ctx.order) == poly_gcd(trace, g)
+
+@pytest.mark.parametrize("name", list(STEP_FIELDS))
+def test_frobenius_step_trace_matches_schoolbook(name):
+    """t + t^p + ... + t^(p^(n-1)) mod f from the prime-linear Frobenius
+    step, against schoolbook powers t^(p^i) mod f over F."""
+    tower, k_degree, degree = STEP_FIELDS[name]
+    K, F = tower.field(k_degree), tower.field(degree)
+
+    def embed(c):
+        return tower.embed(c, F)
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def check(data):
+        m = data.draw(st.integers(min_value=1, max_value=5))
+        f = Poly(K, data.draw(st.lists(elem(K), min_size=m, max_size=m)) + [K.one_elem()])
+        t = data.draw(poly(F, max_len=m))
+        n = data.draw(st.integers(min_value=1, max_value=degree))
+        f_F = f.map_coeffs(embed, F)
+        expected = Poly.zero(F)
+        for i in range(n):
+            expected = expected + schoolbook_powmod(t, F.char**i, f_F)
+        w = np.zeros((m, degree), dtype=np.int64)
+        w[: len(t.coeffs)] = F.coeff_array(t.coeffs)
+        trace = FrobeniusStep(f).over(F, embed).trace(w, n)
+        assert Poly(F, F.array_elems(trace)) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16381])
+def test_frobenius_step_certificate_matches_powmod(q):
+    """The step applied m [K : F_p] times to x decides f | x^(s^m) - x for
+    f of degree m over K = F_s, as one powmod does, on irreducible f and on
+    products with repeated or foreign factors."""
+    K = (ROOT_TOWERS[q][0] if q in ROOT_TOWERS else EUCLID_FIELDS["F16381^2"][0]).base_field
+    seen = set()
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def check(data):
+        f = Poly.one(K)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            k = data.draw(st.integers(min_value=1, max_value=3))
+            f = f * Poly(K, data.draw(st.lists(elem(K), min_size=k, max_size=k)) + [K.one_elem()])
+        m = f.degree()
+        x = Poly.x(K)
+        expected = powmod(x, K.order**m, f) == x % f
+        assert FrobeniusStep(f).fixes_x(m * K.degree) == expected
+        seen.add(expected)
+        if q < 16381:
+            g = data.draw(st.sampled_from(_irreducibles(q, min(m, 3))))
+            assert FrobeniusStep(g).fixes_x(g.degree() * K.degree)
+
+    check()
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_factorize_matches_sympy(p):
+    """Complete factorizations over prime fields against sympy's gf_factor,
+    an independent route to the equal-degree split."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor
+
+    F = FieldTower(p).base_field
+
+    def to_sympy(f):
+        return [c.coords[0] for c in reversed(f.coeffs)]
+
+    @st.composite
+    def polys_to_degree_10(draw):
+        """A unit times monic factors with multiplicities, or a random f."""
+        if draw(st.booleans()):
+            return draw(poly(F, max_len=11))
+        f = Poly.constant(draw(elem(F).filter(lambda c: not c.is_zero())))
+        while True:
+            k = draw(st.integers(min_value=1, max_value=4))
+            mult = draw(st.sampled_from([1, 2, 3, p]))
+            if f.degree() + k * mult > 10:
+                return f
+            tail = draw(st.lists(elem(F), min_size=k, max_size=k))
+            f = f * Poly(F, tail + [F.one_elem()]) ** mult
+
+    @given(f=polys_to_degree_10())
+    @settings(max_examples=40, deadline=None)
+    def check(f):
+        if f.is_zero():
+            return
+        fac = factorize(f)
+        lead, factors = gf_factor(to_sympy(f), p, ZZ)
+        assert fac.unit.coords[0] == lead
+        assert sorted((to_sympy(g), m) for g, m in fac.factors) == sorted(factors)
 
     check()
 

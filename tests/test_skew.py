@@ -3,7 +3,7 @@ import random
 import pytest
 
 from drinfeld.errors import DrinfeldError, RingMismatchError
-from drinfeld.polys import NEG_INF, Poly
+from drinfeld.polys import NEG_INF, Poly, powint
 from drinfeld.skew import (
     AOverField,
     SkewPoly,
@@ -153,3 +153,22 @@ def test_over_A_reduce_then_multiply(tower3, psi3):
 
 def test_zero_degree_marker(tower3):
     assert SkewPoly.zero(tower3.base_field).degree() == NEG_INF
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_twist_over_A_matches_powint(q):
+    """tau^k c = c^(q^k) tau^k over A: the stretched coefficients equal the
+    power c^(q^k) by repeated squaring, for c = 0, constants and c of
+    degree up to 2."""
+    from drinfeld.fields import FieldTower
+
+    F = FieldTower(q).base_field
+    A = AOverField(F)
+    rng = random.Random(q)
+    cases = [Poly.zero(F), Poly.one(F), Poly.constant(F.dec_elem(q - 1))]
+    cases += [Poly(F, [F.dec_elem(rng.randrange(q)) for _ in range(3)]) for _ in range(3)]
+    for k in range(4):
+        tau_k = SkewPoly.tau_power(A, k)
+        for c in cases:
+            twisted = (tau_k * SkewPoly(A, [c]))[k]
+            assert twisted == powint(c, q**k)
