@@ -12,6 +12,7 @@ and a Smith normal form; the cross-checks are part of the acceptance gate.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -30,6 +31,7 @@ from .fields import FFElem
 from .modules import DrinfeldModule, ReducedModule, motive_frobenius, reduce_at
 from .polys import Poly, enumerate_monic_irreducibles, factorize, crt, powint
 from .skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
+from .textio import poly_to_text
 from .torsion import torsion_basis_reduced
 
 
@@ -306,48 +308,150 @@ def _membership(red: ReducedModule, a_p: Poly, m: Poly) -> bool:
 # ---------------------------------------------------------------------------
 # the endomorphism lattice by centralizer linear algebra
 #
-# End(psi x F_p) is read off the commutant of psibar_T in tau-degree <= D.
-# The A-span of a candidate basis is one prime matrix, ``_span_columns``: the
-# greedy basis choice and the stability check feed its columns to a RowSpace,
-# and one solve against it, built at the largest target degree, gives the
-# coordinates of the products e_i e_j and of pi = tau^n.
+# End(psi x F_p) is read off the commutant of psibar_T = t + g_1 tau + ... +
+# g_r tau^r in tau-degree <= D, solved one tau-coefficient at a time as in
+# Garai and Papikian, "Computing endomorphism rings and Frobenius matrices of
+# Drinfeld modules", J. Number Theory (2022).  For e = sum_k e_k tau^k, the
+# tau^k coefficient of e psibar_T - psibar_T e is
+#
+#     sum_{j=0..r} (M(g_j^(q^(k-j))) - K_j) e_(k-j),
+#
+# with K_j = M(g_j) Phi^(e j) the blocks of psibar_T.  At j = 0 the block is
+# multiplication by t^(q^k) - t, a unit exactly when n = deg p does not
+# divide k.  So e_k follows from e_(k-1), ..., e_(k-r) when n does not divide
+# k.  At k = 0, n, 2n, ... e_k is a free m-block, and the equation at k is a
+# constraint on the blocks below it; so are the r equations at k = D+1..D+r.
+# The solutions are m (floor(D/n) + 1) free prime coordinates cut down by
+# those constraints.  The blocks depend only on k mod n, and the recursion at
+# D is a prefix of the one at any larger window, so one ``Commutant`` per
+# prime (``ReducedModule.commutant``) grows with D.
+#
+# ``_commutant_nullspace`` returns the rref-canonical basis of the dense
+# system e psibar_T = psibar_T e in the prime coordinates of e_0, ..., e_D:
+# for each free column, the solution that is 1 there and 0 at the other free
+# columns.  A column is free exactly when it is the last nonzero coordinate
+# of some solution, i.e. a pivot of the rref of the solutions with their
+# columns reversed; that rref is the canonical basis.
+#
+# The A-span of a candidate basis is one prime matrix, ``_span_columns``.  Its
+# columns y^t psibar_T^u b come from a ``_Krylov`` cache, which forms each
+# product once and grows with the window.  Every column lies in the
+# commutant, so it is the sum of the canonical solutions weighted by its
+# entries at their free columns.  The greedy basis choice and the stability
+# check row-reduce just those entries (``_span_rows``): one number per
+# solution, not (D+1) m.  One solve against the span, built at the largest
+# target degree, gives the coordinates of the products e_i e_j and of
+# pi = tau^n.
 
 # The tau-degree window D grows by 2r per step and is capped at 4 (n + r^2).
 WINDOW_GROWTH_PER_RANK = 2
 WINDOW_CAP_FACTOR = 4
+
+log = logging.getLogger(__name__)
 
 
 def end_lattice(psi: DrinfeldModule, p: Poly) -> EndLattice:
     return end_lattice_reduced(reduce_at(psi, p))
 
 
+def _pad(x: np.ndarray, cols: int) -> np.ndarray:
+    out = np.zeros((x.shape[0], cols), dtype=np.int64)
+    out[:, : x.shape[1]] = x
+    return out
+
+
+class Commutant:
+    """The tau-degree recursion of one reduced module, grown on demand; it
+    lives on the module as ``ReducedModule.commutant``.
+
+    ``steps[i]``, for i = 0..n-1, holds the block M((t^(q^i) - t)^-1) (None
+    at i = 0) and the blocks M(g_j^(q^i)) - K_j, j = 1..r (None where
+    g_j = 0).  ``blocks[k]`` is the m x m (floor(k/n) + 1) prime matrix of e_k
+    in terms of the free blocks e_0, e_n, ..., and ``constraints[c]`` the
+    equation at k = (c + 1) n in the free blocks below k.  ``found`` keeps the
+    solutions of each window asked for.
+    """
+
+    def __init__(self, red: ReducedModule):
+        ctx, tower = red.ctx, red.source.tower
+        self.n, self.r, self.m, self.p0 = red.deg_p, red.rank, ctx.degree, ctx.char
+        n, p0, t = self.n, self.p0, red.residue.t_image
+        # M(g^q) = Phi M(g) Phi^-1 for the q-power map Phi, and Phi^-1 = Phi^(n-1)
+        frob = ctx.frob_p_matrix(tower.base_degree)
+        back = ctx.frob_p_matrix(tower.base_degree * (n - 1))
+        mults = [ctx.mult_matrix(g.coords) for g in red.psibar_T.coeffs[1:]]
+        self.steps = []
+        for i in range(n):
+            inv = None
+            if i:
+                mults = [((frob @ x) % p0 @ back) % p0 for x in mults]
+                inv = ctx.mult_matrix((tower.frobenius_power(t, i) - t).inv().coords)
+            blocks = [
+                None if kj is None else (x - kj) % p0
+                for x, kj in zip(mults, red.psibar_blocks[1:])
+            ]
+            self.steps.append((inv, blocks))
+        self.blocks = [np.eye(self.m, dtype=np.int64)]
+        self.constraints: list[np.ndarray] = []
+        self.found: dict[int, list[np.ndarray]] = {}
+
+    def _equation(self, k: int, lo: int) -> np.ndarray:
+        """The terms j = lo..r (lo >= 1) of the tau^k equation, in the free
+        blocks of e_(k-lo).  An entry sums at most r products of two
+        residues, below r m p^2, so one reduction at the end is exact."""
+        acc = np.zeros((self.m, self.blocks[k - lo].shape[1]), dtype=np.int64)
+        for j in range(lo, min(self.r, k) + 1):
+            bj = self.steps[(k - j) % self.n][1][j - 1]
+            if bj is not None:
+                x = self.blocks[k - j]
+                acc[:, : x.shape[1]] += bj @ x
+        return acc % self.p0
+
+    def _grow(self, D: int) -> None:
+        m, p0 = self.m, self.p0
+        for k in range(len(self.blocks), D + 1):
+            acc = self._equation(k, 1)
+            if k % self.n:
+                self.blocks.append((-(self.steps[k % self.n][0] @ acc)) % p0)
+            else:
+                self.constraints.append(acc)
+                free = np.zeros((m, acc.shape[1] + m), dtype=np.int64)
+                free[:, acc.shape[1]:] = np.eye(m, dtype=np.int64)
+                self.blocks.append(free)
+
+    def solutions(self, D: int) -> list[np.ndarray]:
+        if D in self.found:
+            return list(self.found[D])
+        self._grow(D)
+        m, p0 = self.m, self.p0
+        cols = m * (D // self.n + 1)
+        cons = self.constraints[: D // self.n]
+        cons += [self._equation(k, k - D) for k in range(D + 1, D + self.r + 1)]
+        params = linalg.nullspace(np.concatenate([_pad(c, cols) for c in cons]), p0)
+        lin = np.concatenate([_pad(x, cols) for x in self.blocks[: D + 1]])
+        out = []
+        # an entry of params @ lin.T sums `cols` products below p^2 < 2^28;
+        # the rref with reversed columns is the canonical basis (see above)
+        ech, pivots = linalg.rref(((params @ lin.T) % p0)[:, ::-1], p0)
+        for rowv in ech[: len(pivots), ::-1]:
+            x = rowv.reshape(D + 1, m)
+            out.append(x[: np.flatnonzero(x.any(axis=1))[-1] + 1])
+        # (degree, codes) order: a code sum_i c_i p^i compares as the reversed row
+        out.sort(key=lambda x: (len(x), x[:, ::-1].tolist()))
+        self.found[D] = out
+        return list(out)
+
+
 def _commutant_nullspace(red: ReducedModule, D: int) -> list[np.ndarray]:
     """Solutions e of e psibar_T = psibar_T e with tau-degree <= D, as
-    prime-coordinate arrays without zero top rows, in (degree, code) order."""
-    tower = red.source.tower
-    ctx = red.ctx
-    p0 = tower.char
-    m = ctx.degree
-    r = red.rank
-    rows = (D + r + 1) * m
-    cols = (D + 1) * m
-    big = np.zeros((rows, cols), dtype=np.int64)
-    for d in range(D + 1):
-        for j, (gj, kj) in enumerate(zip(red.psibar_T.coeffs, red.psibar_blocks)):
-            if kj is None:
-                continue
-            # coefficient at tau^(d+j): e_d * gj^(q^d) - gj * e_d^(q^j)
-            twisted = tower.frobenius_power(gj, d)
-            big[(d + j) * m : (d + j + 1) * m, d * m : (d + 1) * m] += (
-                ctx.mult_matrix(twisted.coords) - kj
-            )
-    big %= p0
-    out = []
-    for rowv in linalg.nullspace(big, p0):
-        x = rowv.reshape(D + 1, m)
-        out.append(x[: np.flatnonzero(x.any(axis=1))[-1] + 1])
-    out.sort(key=lambda x: (len(x), tuple(ctx.enc(row) for row in x.tolist())))
-    return out
+    prime-coordinate arrays without zero top rows, in (degree, code) order.
+
+    They are the rref-canonical null-space basis of the dense system in the
+    coordinates of e_0, ..., e_D, solved by the tau-degree recursion (see the
+    comment above); each prime keeps one recursion, grown to the largest
+    window asked for.
+    """
+    return red.commutant.solutions(D)
 
 
 def _vec(x: np.ndarray, D: int) -> np.ndarray:
@@ -357,8 +461,37 @@ def _vec(x: np.ndarray, D: int) -> np.ndarray:
     return v.ravel()
 
 
+class _Krylov:
+    """The y^t psibar_T^u b of each basis candidate b, u = 0, 1, ..., as
+    (e, k, m) stacks over t; each product is formed once, and the sequence
+    grows with the window."""
+
+    def __init__(self, red: ReducedModule):
+        tower = red.source.tower
+        self.red = red
+        y = tower.embed(tower.gen(tower.base_field), red.ctx)
+        self.my_t = red.ctx.mult_matrix(y.coords).T  # x -> y x on the rows of x
+        self.seqs: dict[bytes, list[np.ndarray]] = {}
+
+    def _orbit(self, x: np.ndarray) -> np.ndarray:
+        p0 = self.red.ctx.char
+        out = [x]
+        for _ in range(self.red.source.tower.base_degree - 1):
+            out.append((out[-1] @ self.my_t) % p0)
+        return np.stack(out)
+
+    def powers(self, b: np.ndarray, D: int) -> list[np.ndarray]:
+        """The stacks for every u with tau-degree deg b + r u <= D."""
+        red = self.red
+        seq = self.seqs.setdefault(b.tobytes(), [self._orbit(b)])
+        need = (D + 1 - len(b)) // red.rank + 1
+        while len(seq) < need:
+            seq.append(self._orbit(left_mul(red.psibar_blocks, seq[-1][0], red.ctx.char)))
+        return seq[:need]
+
+
 def _span_columns(
-    red: ReducedModule, basis: list[np.ndarray], D: int
+    krylov: _Krylov, basis: list[np.ndarray], D: int
 ) -> tuple[np.ndarray, list[int]]:
     """Prime matrix of the A-span of the basis, truncated at tau-degree D.
 
@@ -367,27 +500,45 @@ def _span_columns(
     F_q-span of the psibar_T^u b.  Also returns the number of T-powers u
     taken for each b.
     """
-    tower = red.source.tower
-    ctx = red.ctx
-    vecs = []
-    counts = []
-    for b in basis:
-        cur = b
-        u = 0
-        while len(cur) <= D + 1:
-            vecs.append(_vec(cur, D))
-            cur = left_mul(red.psibar_blocks, cur, tower.char)
-            u += 1
-        counts.append(u)
-    y = tower.embed(tower.gen(tower.base_field), ctx)
-    my_blocks = np.kron(np.eye(D + 1, dtype=np.int64), ctx.mult_matrix(y.coords))
-    cols = linalg.orbits(vecs, my_blocks, tower.base_degree, tower.char)
-    return np.stack(cols, axis=1), counts
+    seqs = [krylov.powers(b, D) for b in basis]
+    m = krylov.red.ctx.degree
+    e = krylov.red.source.tower.base_degree
+    mat = np.zeros(((D + 1) * m, e * sum(len(s) for s in seqs)), dtype=np.int64)
+    c = 0
+    for seq in seqs:
+        for stack in seq:
+            rows = stack.shape[1] * m
+            mat[:rows, c : c + e] = stack.reshape(e, rows).T
+            c += e
+    return mat, [len(s) for s in seqs]
 
 
-def _add_span(space: linalg.RowSpace, red: ReducedModule, basis: list[np.ndarray], D: int) -> None:
-    for col in _span_columns(red, basis, D)[0].T:
-        space.add(col)
+def _free_coordinates(sols: list[np.ndarray]) -> list[int]:
+    """The last nonzero coordinate of each canonical solution: it is 1 there
+    and the other solutions are 0, so an element of the commutant is the sum
+    of its entries there times the solutions."""
+    m = sols[0].shape[1]
+    return [(len(x) - 1) * m + int(np.flatnonzero(x[-1])[-1]) for x in sols]
+
+
+def _span_rows(
+    krylov: _Krylov,
+    basis: list[np.ndarray],
+    D: int,
+    free: list[int],
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """The reduced echelon rows of the span columns of the basis at D in
+    solution coordinates, joined to the reduced rows already found."""
+    cols = _span_columns(krylov, basis, D)[0][free].T
+    if rows is not None:
+        cols = np.concatenate([rows, cols])
+    ech, pivots = linalg.rref(cols, krylov.red.ctx.char)
+    return ech[: len(pivots)]
+
+
+def _window_error(cap: int) -> InconclusiveBasisError:
+    return InconclusiveBasisError(f"no stable lattice basis within the window cap {cap}")
 
 
 def end_lattice_reduced(red: ReducedModule) -> EndLattice:
@@ -399,35 +550,39 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
     growth = WINDOW_GROWTH_PER_RANK * r
     cap = WINDOW_CAP_FACTOR * (n + r * r)
     D = n + 2 * r
+    krylov = _Krylov(red)
 
     while True:
         if D > cap:
-            raise InconclusiveBasisError(
-                f"no stable lattice basis within the window cap {cap}"
-            )
+            raise _window_error(cap)
         sols = _commutant_nullspace(red, D)
+        free = _free_coordinates(sols)
+        unit = np.eye(len(sols), dtype=np.int64)
         basis = [np.array([ctx.one_coords()], dtype=np.int64)]  # e_1 = 1 always lies in E
-        space = linalg.RowSpace((D + 1) * m, p0)
-        _add_span(space, red, basis, D)
-        for s in sols:
+        space = _span_rows(krylov, basis, D, free)
+        for s, u in zip(sols, unit):
             if len(basis) == r:
                 break
-            if space.contains(_vec(s, D)):
+            if (space == u).all(axis=1).any():  # u lies in the span: a reduced row is u
                 continue
             basis.append(s)
-            _add_span(space, red, [s], D)
-        if len(basis) < r or any(not space.contains(_vec(s, D)) for s in sols):
+            space = _span_rows(krylov, [s], D, free, space)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "lattice p=%s window D=%d: commutant %d parameter columns, %d constraint "
+                "rows, %d solutions; basis %d of %d",
+                poly_to_text(red.prime), D, m * (D // n + 1), m * (D // n + r),
+                len(sols), len(basis), r,
+            )
+        if len(basis) < r or len(space) < len(sols):
             D += growth
             continue
         # stability: one more window of 2r brings nothing new
         D2 = D + 2 * r
         if D2 > cap:
-            raise InconclusiveBasisError(
-                f"no stable lattice basis within the window cap {cap}"
-            )
-        space2 = linalg.RowSpace((D2 + 1) * m, p0)
-        _add_span(space2, red, basis, D2)
-        if any(not space2.contains(_vec(s, D2)) for s in _commutant_nullspace(red, D2)):
+            raise _window_error(cap)
+        sols2 = _commutant_nullspace(red, D2)
+        if len(_span_rows(krylov, basis, D2, _free_coordinates(sols2))) < len(sols2):
             D = D2
             continue
         break
@@ -437,9 +592,13 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
     # over A, so its columns are independent and the solution is unique
     tau_n = np.zeros((n + 1, m), dtype=np.int64)
     tau_n[n, 0] = 1
-    targets = [left_mul(left_blocks(ctx, bi), bj, p0) for bi in basis for bj in basis] + [tau_n]
+    targets = []
+    for bi in basis:
+        blocks = left_blocks(ctx, bi)
+        targets += [left_mul(blocks, bj, p0) for bj in basis]
+    targets.append(tau_n)
     top = max(len(t) for t in targets) - 1
-    mat, counts = _span_columns(red, basis, top)
+    mat, counts = _span_columns(krylov, basis, top)
     rhs = np.stack([_vec(t, top) for t in targets], axis=1)
     sol = linalg.solve(mat, rhs, p0)
     if sol is None:
@@ -465,7 +624,7 @@ def _coords(x: np.ndarray, counts: list[int], red: ReducedModule) -> list[Poly]:
     for k in counts:
         block = x[pos : pos + k * e].reshape(k, e)
         pos += k * e
-        out.append(Poly(base, [FFElem(base, tuple(int(c) for c in row)) for row in block]))
+        out.append(Poly(base, base.array_elems(block)))
     return out
 
 

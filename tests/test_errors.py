@@ -216,6 +216,31 @@ def test_torsion_quotient_size_cap(capsys, deadline):
     assert capsys.readouterr().out == "x^3 + x + T\n"
 
 
+def test_torsion_quotient_cap_edge(monkeypatch, deadline, tower2, psi2_rank3):
+    """Rank 3 at q = 2 with deg a = 4: at p = T+1 the quotient has prime
+    dimension 2^12 = 4096, exactly the cap, and passes the guard to the
+    splitting degree; at p = T^2+T+1 it has 8192 and is refused before the
+    splitting degree or any torsion matrix is built."""
+    from drinfeld import torsion
+
+    class Reached(Exception):
+        pass
+
+    def sentinel(*args):
+        raise Reached
+
+    F = tower2.base_field
+    a = poly_from_text("T^4", tower2)
+    assert torsion.MAX_QUOTIENT_DIM == 4096
+    monkeypatch.setattr(torsion, "_splitting_degree", sentinel)
+    monkeypatch.setattr(torsion, "_linearized_operator", sentinel)
+    with deadline(20):
+        with pytest.raises(Reached):
+            torsion_basis(psi2_rank3, Poly.x(F) + Poly.one(F), a)
+        with pytest.raises(ResourceLimitError, match="prime dimension 8192, above the cap 4096"):
+            torsion_basis(psi2_rank3, poly_from_text("T^2+T+1", tower2), a)
+
+
 def _lattice_windows(monkeypatch, factor):
     """Set the window cap factor; returns the list of windows D for which the
     commutant is computed."""
