@@ -191,9 +191,10 @@ def abhyankar_splits_reduced(
     inv: Rank2Invariants | None = None,
     weil: WeilPolynomial | None = None,
 ) -> tuple[bool, dict]:
-    """Test whether f_psi splits into linear factors mod p (one powmod on the
-    radical of f mod p), cross-checked against T | b_{p,1}; on a split prime,
-    also against T^2 | disc(P).
+    """Test whether f_psi splits into linear factors mod p
+    (``splits_into_linear_factors``: its roots divided out in logs on a table
+    field, one p-power step above), cross-checked against T | b_{p,1}; on a
+    split prime, also against T^2 | disc(P).
 
     In rank 2 with odd q, ``inv`` gives disc(P) = d and the square witness;
     otherwise disc(P) comes from ``weil``, computed by weil_motive on a split

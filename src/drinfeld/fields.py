@@ -9,15 +9,17 @@ vectors over the prime field.
 Single elements take one of two regimes behind one element type: fields with
 at most ``TABLE_LIMIT`` elements get discrete-log tables (constant-time
 products) and, on first use, Zech logarithms log(1 + g^k); larger fields use
-numpy convolution against cached reduction rows.  Polynomials over any tower
+numpy convolution against cached reduction rows.  Polynomial products,
+division and gcds over a table field run on lists of discrete logs
+(``_FieldCtx.log_poly_mul`` and its siblings).  Polynomials over any tower
 field F_(p^n) also come as k x n coordinate arrays, for ``polys.powmod``: a
 product packs each array into one Python int, does one big-int multiply and
 folds y^(n+j) back with the same reduction rows (Kronecker substitution, von
 zur Gathen-Gerhard, Modern Computer Algebra, §8.4), and ``PolyModulus``
-reduces by a Newton inverse.  Above the table limit, polynomial division and
-gcd run on these arrays too: a scalar times an array is one matmul by the
-scalar's Toeplitz matrix, and the gcd takes pseudo-remainders, so it inverts
-one field element in all.
+reduces by a Newton inverse.  Above the table limit, polynomial products,
+division and gcd run on these arrays too: a scalar times an array is one
+matmul by the scalar's Toeplitz matrix, and the gcd takes pseudo-remainders,
+so it inverts one field element in all.
 
 Wherever a deterministic element choice is needed (embedding roots, torsion
 generators), elements are ordered by their integer codes sum(c_i * p^i).
@@ -355,6 +357,7 @@ class _FieldCtx:
         self._lock = threading.Lock()
         self._tables = None
         self._zech = None
+        self._logs = None
         self._toeplitz = None
         if self.order <= TABLE_LIMIT:
             self._build_tables()
@@ -417,21 +420,31 @@ class _FieldCtx:
             cur = self._vmul(cur, gen)
         self._tables = (exp, log)
 
-    def _zech_steps(self) -> np.ndarray:
-        """Four periods of the Zech logarithms of a table field, built on
-        first use: entry i is log(1 + g^i) for the generator g of the log
-        tables, or ZERO_LOG where 1 + g^i = 0.  Adding 1 changes only the
-        lowest prime coordinate, the lowest digit of the code.  Entry 0 is 0,
-        the step ``root_codes`` takes from the value 0."""
+    def neg_one_log(self) -> int:
+        """log(-1) in a table field: 0 in characteristic 2, (|F| - 1)/2
+        otherwise, since -1 is the one element of order 2."""
+        return 0 if self.char == 2 else (self.order - 1) // 2
+
+    def _zech_logs(self) -> np.ndarray:
+        """One period of the Zech logarithms of a table field, built on first
+        use: entry i is log(1 + g^i) for the generator g of the log tables,
+        or ZERO_LOG at the one i with 1 + g^i = 0, i = log(-1).  Adding 1
+        changes only the lowest prime coordinate, the lowest digit of the
+        code."""
         if self._zech is None:
             exp, log = self._tables
             codes = exp[: self.order - 1]
             low = codes % self.char
             zech = log[codes - low + (low + 1) % self.char]
-            steps = np.tile(np.where(zech < 0, ZERO_LOG, zech), 4)
-            steps[0] = 0
-            self._zech = steps
+            self._zech = np.where(zech < 0, ZERO_LOG, zech)
         return self._zech
+
+    def _zech_steps(self) -> np.ndarray:
+        """Four periods of ``_zech_logs`` with entry 0 set to 0, the step
+        ``root_codes`` takes from the value 0."""
+        steps = np.tile(self._zech_logs(), 4)
+        steps[0] = 0
+        return steps
 
     def root_codes(self, codes: list[int]) -> list[int]:
         """The codes of the distinct roots in this table field of the monic
@@ -461,6 +474,105 @@ class _FieldCtx:
                 np.subtract(acc, n, out=acc, where=acc >= n)
         roots = sorted(exp[np.flatnonzero(acc < 0)].tolist())
         return [0] + roots if codes and not codes[0] else roots
+
+    # -- polynomials over a table field in discrete logs -------------------------
+    #
+    # A polynomial is a list of the logs of its coefficients, low first, with
+    # ZERO_LOG for 0.  A product of coefficients adds logs mod n = |F| - 1, and
+    # a sum a + b = a(1 + b/a) adds the Zech log of log b - log a to log a
+    # (Huber, IEEE Trans. Inf. Theory 36, 1990).  These polynomials have a
+    # handful of coefficients, so plain lists beat numpy's per-call cost.
+
+    def _log_lists(self):
+        """(n, Zech logs, log(-1), coordinates -> log, elements by log) for
+        the log kernel, as Python lists and a dict, built on first use."""
+        if self._logs is None:
+            with self._lock:
+                if self._logs is None:
+                    exp, _ = self._tables
+                    n = self.order - 1
+                    elems = [FFElem(self, self.dec(c)) for c in exp[:n].tolist()]
+                    log_of = {e.coords: k for k, e in enumerate(elems)}
+                    log_of[self.zero_coords()] = ZERO_LOG
+                    zech = self._zech_logs().tolist()
+                    self._logs = (n, zech, self.neg_one_log(), log_of, elems)
+        return self._logs
+
+    def logs_of(self, elems) -> list[int]:
+        """The logs of elements of this table field."""
+        log_of = self._log_lists()[3]
+        return [log_of[c.coords] for c in elems]
+
+    def elems_of(self, logs: list[int]) -> list["FFElem"]:
+        """The elements with the given logs."""
+        elems = self._log_lists()[4]
+        zero = self.zero_elem()
+        return [elems[k] if k >= 0 else zero for k in logs]
+
+    def _log_axpy(self, r: list[int], off: int, c: int, b: list[int]):
+        """r[off + j] += g^c * b[j] in place, for a log c >= 0."""
+        n, zech = self._log_lists()[:2]
+        for j, y in enumerate(b, off):
+            if y < 0:
+                continue
+            t = c + y
+            if t >= n:
+                t -= n
+            o = r[j]
+            if o >= 0:
+                z = zech[t - o]  # a negative index wraps to (t - o) mod n
+                if z < 0:
+                    r[j] = ZERO_LOG
+                    continue
+                t = o + z
+                if t >= n:
+                    t -= n
+            r[j] = t
+
+    def log_poly_mul(self, a: list[int], b: list[int]) -> list[int]:
+        """Product of two trimmed polynomials in logs."""
+        if not a or not b:
+            return []
+        out = [ZERO_LOG] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c >= 0:
+                self._log_axpy(out, i, c, b)
+        return out
+
+    def log_poly_divmod(self, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+        """Quotient and remainder of trimmed polynomials in logs, b nonzero;
+        both come back trimmed.  Each quotient coefficient is the top of the
+        running remainder over lc(b), one log subtraction."""
+        n, _, neg = self._log_lists()[:3]
+        k = len(b) - 1
+        if len(a) <= k:
+            return [], a
+        inv = (n - b[-1]) % n
+        low = b[:k]
+        r = list(a)
+        q = [ZERO_LOG] * (len(a) - k)
+        for i in range(len(q) - 1, -1, -1):
+            c = r[i + k]
+            if c < 0:
+                continue
+            c = (c + inv) % n
+            q[i] = c
+            self._log_axpy(r, i, (c + neg) % n, low)
+        r = r[:k]
+        while r and r[-1] < 0:
+            r.pop()
+        return q, r
+
+    def log_poly_gcd(self, a: list[int], b: list[int]) -> list[int]:
+        """The monic gcd of two trimmed polynomials in logs ([] for two
+        zeros): Euclid by ``log_poly_divmod``, then every log less the top
+        one."""
+        while b:
+            a, b = b, self.log_poly_divmod(a, b)[1]
+        if not a:
+            return a
+        n, top = self.order - 1, a[-1]
+        return [(x - top) % n if x >= 0 else x for x in a]
 
     # -- raw coordinate operations ----------------------------------------------
 

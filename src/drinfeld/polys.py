@@ -9,11 +9,13 @@ field.
 
 deg(0) is the distinguished marker float('-inf'), never an integer.
 
-Over a tower field above the table limit, division and gcd run on k x n
-coordinate arrays (``_FieldCtx.poly_divmod``, ``_FieldCtx.poly_gcd``) and
-powmod on packed ones; ``schoolbook_divmod``, ``schoolbook_gcd`` and
-``schoolbook_powmod`` keep the coefficient loops for the other rings and as
-the tests' oracles.
+Products, division and gcd over a tower field take one of two kernels on
+``_FieldCtx``: on a field with log tables, lists of discrete logs
+(``log_poly_mul``, ``log_poly_divmod``, ``log_poly_gcd``); above the table
+limit, k x n coordinate arrays (``poly_mul``, ``poly_divmod``, ``poly_gcd``),
+and powmod on packed ones.  ``schoolbook_mul``, ``schoolbook_divmod``,
+``schoolbook_gcd`` and ``schoolbook_powmod`` keep the coefficient loops for
+the other rings (quotients A/lA) and as the tests' oracles.
 
 Factorization is squarefree decomposition, then distinct-degree, then
 equal-degree splitting driven by a pseudo-random stream seeded from the input
@@ -169,16 +171,14 @@ class Poly:
             return Poly(self.field, tuple(c * other for c in self.coeffs))
         self._check(other)
         a, b = self.coeffs, other.coeffs
+        F = self.field
         if not a or not b:
-            return Poly.zero(self.field)
-        zero = self.field.zero_elem()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return Poly(self.field, out, normalize=False)
+            return Poly.zero(F)
+        if _on_logs(F):
+            return Poly(F, F.elems_of(F.log_poly_mul(F.logs_of(a), F.logs_of(b))), normalize=False)
+        if _on_arrays(F):
+            return Poly(F, F.array_elems(F.poly_mul(F.coeff_array(a), F.coeff_array(b))))
+        return schoolbook_mul(self, other)
 
     def scale(self, c) -> "Poly":
         return Poly(self.field, tuple(x * c for x in self.coeffs))
@@ -194,18 +194,23 @@ class Poly:
         return Poly(self.field, (zero,) * k + self.coeffs, normalize=False)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Over a tower field above the table limit the division runs on
-        coordinate arrays; elsewhere it is ``schoolbook_divmod``."""
+        """Over a tower field the division runs in logs or on coordinate
+        arrays; over other rings it is ``schoolbook_divmod``."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if len(self.coeffs) < len(other.coeffs):
             return Poly.zero(self.field), self
         F = self.field
-        if not _on_arrays(F):
+        if _on_logs(F):
+            q, r = F.log_poly_divmod(F.logs_of(self.coeffs), F.logs_of(other.coeffs))
+            q, r = F.elems_of(q), F.elems_of(r)
+        elif _on_arrays(F):
+            q, r = F.poly_divmod(F.coeff_array(self.coeffs), F.coeff_array(other.coeffs))
+            q, r = F.array_elems(q), F.array_elems(r)
+        else:
             return schoolbook_divmod(self, other)
-        q, r = F.poly_divmod(F.coeff_array(self.coeffs), F.coeff_array(other.coeffs))
-        return Poly(F, F.array_elems(q), normalize=False), Poly(F, F.array_elems(r), normalize=False)
+        return Poly(F, q, normalize=False), Poly(F, r, normalize=False)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -266,10 +271,30 @@ class Poly:
 # gcd machinery
 
 
+def _on_logs(field) -> bool:
+    """Whether polynomials over ``field`` multiply, divide and take gcds in
+    discrete logs: tower fields with log tables do."""
+    return getattr(field, "_tables", None) is not None
+
+
 def _on_arrays(field) -> bool:
-    """Whether polynomials over ``field`` divide and take gcds on coordinate
-    arrays: tower fields above the table limit (no log tables) do."""
+    """Whether they do so on coordinate arrays: tower fields above the table
+    limit (no log tables) do."""
     return getattr(field, "_tables", ()) is None
+
+
+def schoolbook_mul(a: Poly, b: Poly) -> Poly:
+    """The product of two polynomials, one coefficient product at a time."""
+    if not a.coeffs or not b.coeffs:
+        return Poly.zero(a.field)
+    zero = a.field.zero_elem()
+    out = [zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ai in enumerate(a.coeffs):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + ai * bj
+    return Poly(a.field, out, normalize=False)
 
 
 def schoolbook_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -291,15 +316,18 @@ def schoolbook_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """The monic gcd (zero for two zeros).  Over a tower field above the
-    table limit Euclid runs on coordinate arrays; elsewhere it is
-    ``schoolbook_gcd``."""
+    """The monic gcd (zero for two zeros).  Over a tower field Euclid runs in
+    logs or on coordinate arrays; over other rings it is ``schoolbook_gcd``."""
     F = a.field
-    if not _on_arrays(F):
-        return schoolbook_gcd(a, b)
-    a._check(b)
-    g = F.poly_gcd(F.coeff_array(a.coeffs), F.coeff_array(b.coeffs))
-    return Poly(F, F.array_elems(g), normalize=False)
+    if _on_logs(F):
+        a._check(b)
+        g = F.log_poly_gcd(F.logs_of(a.coeffs), F.logs_of(b.coeffs))
+        return Poly(F, F.elems_of(g), normalize=False)
+    if _on_arrays(F):
+        a._check(b)
+        g = F.poly_gcd(F.coeff_array(a.coeffs), F.coeff_array(b.coeffs))
+        return Poly(F, F.array_elems(g), normalize=False)
+    return schoolbook_gcd(a, b)
 
 
 def schoolbook_gcd(a: Poly, b: Poly) -> Poly:
@@ -492,13 +520,43 @@ def squarefree_split(f: Poly) -> SquarefreeSplit:
 
 
 def splits_into_linear_factors(f: Poly) -> bool:
-    """f splits over its coefficient field F_Q iff its radical s (the product
-    of the squarefree parts) divides x^Q - x: one powmod, no factoring."""
-    s = Poly.one(f.field)
-    for g, _ in squarefree_decomposition(f):
-        s = s * g
-    x = Poly.x(f.field)
-    return powmod(x, f.field.order, s) == x % s
+    """Whether f splits into linear factors over its coefficient field F_Q, a
+    tower field of degree k over F_p; a nonzero constant does.
+
+    With log tables the distinct roots come from evaluating f at every
+    element at once (``table_roots``), and each is divided out as often as it
+    divides, by x - r in logs; f splits iff a constant is left.  Above the
+    table limit, f splits iff f | (x^Q - x)^(p^j) = x^(Q p^j) - x^(p^j) for
+    the least j with p^j >= deg f, which bounds every multiplicity.  One
+    ``FrobeniusStep`` for f applied j times to x gives x^(p^j) mod f, and k
+    more times x^(Q p^j) mod f.  Neither route builds the radical of f.
+    """
+    if f.is_zero():
+        raise ZeroInputError("splitting of zero")
+    F = f.field
+    if f.degree() < 1:
+        return True
+    f = f.monic()
+    if _on_arrays(F):
+        step = FrobeniusStep(f)
+        u = step.x
+        power = 1
+        while power < f.degree():
+            u = step(u)
+            power *= F.char
+        w = u
+        for _ in range(F.degree):
+            w = step(w)
+        return np.array_equal(u, w)
+    a = F.logs_of(f.coeffs)
+    for r in table_roots(f):
+        linear = F.logs_of([-r, F.one_elem()])
+        while len(a) > 1:
+            quot, rem = F.log_poly_divmod(a, linear)
+            if rem:
+                break
+            a = quot
+    return len(a) == 1
 
 
 def powint(f: Poly, k: int) -> Poly:

@@ -32,6 +32,7 @@ from drinfeld.polys import (
     schoolbook_gcd,
     schoolbook_powmod,
     splits_into_linear_factors,
+    squarefree_decomposition,
     table_roots,
 )
 from drinfeld.skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
@@ -164,17 +165,69 @@ def factored_poly(draw, ctx):
     return f
 
 
-@pytest.mark.parametrize("name", list(SPLIT_FIELDS))
+# the split test's two routes: roots in logs on the table fields, and the
+# p-power step above TABLE_LIMIT on F_(3^10) and F_(2^15)
+SPLIT_ROUTE_FIELDS = {**SPLIT_FIELDS, "F3^10": TOWER3.field(10), "F2^15": TOWER2.field(15)}
+
+
+def radical_split_oracle(f):
+    """The earlier split test: the radical s of f (the product of its
+    squarefree parts) divides x^Q - x, checked by one powmod."""
+    s = Poly.one(f.field)
+    for g, _ in squarefree_decomposition(f):
+        s = s * g
+    x = Poly.x(f.field)
+    return powmod(x, f.field.order, s) == x % s
+
+
+@pytest.mark.parametrize("name", list(SPLIT_ROUTE_FIELDS))
 def test_split_predicate_matches_factorization(name):
-    ctx = SPLIT_FIELDS[name]
+    """The split test agrees with the factorization and with the radical
+    predicate, on either side of the table limit."""
+    ctx = SPLIT_ROUTE_FIELDS[name]
 
     @given(f=factored_poly(ctx))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300 if ctx.order <= TABLE_LIMIT else 100, deadline=None)
     def check(f):
         expected = all(g.degree() == 1 for g, _ in factorize(f).factors)
-        assert splits_into_linear_factors(f) == expected
+        assert splits_into_linear_factors(f) == expected == radical_split_oracle(f)
 
     check()
+
+
+@pytest.mark.parametrize("name", list(SPLIT_ROUTE_FIELDS))
+def test_split_predicate_multiplicity_edges(name):
+    """Multiplicities at the edges of the p-power bound: (x - a)^p and
+    (x - a)^(p+1), and degrees p^j and p^j + 1 with and without a factor
+    that does not split."""
+    ctx = SPLIT_ROUTE_FIELDS[name]
+    p = ctx.char
+    x, one = Poly.x(ctx), Poly.one(ctx)
+    a, b = ctx.dec_elem(ctx.order - 1), ctx.dec_elem(1)
+    la, lb = x - Poly.constant(a), x - Poly.constant(b)
+    quad = next(
+        g
+        for c in range(1, ctx.order)
+        for g in [x * x + x + Poly.constant(ctx.dec_elem(c))]
+        if is_irreducible(g)
+    )
+    cases = [
+        (la**p, True),
+        (la ** (p + 1), True),
+        (x**p, True),
+        (la ** (p * p), True),
+        (la ** (p * p + 1), True),
+        (la ** (p * p) * lb, True),
+        (la ** (p - 1) * lb ** (p * p - p + 1), True),
+        (la ** (p * p - 2) * quad, False),
+        (la ** (p * p - 1) * quad, False),
+        (la ** (p - 1) * quad, False),
+        (quad**p, False),
+        (Poly.constant(a), True),
+        (one, True),
+    ]
+    for f, expected in cases:
+        assert splits_into_linear_factors(f) == expected == radical_split_oracle(f), f
 
 
 # q -> (tower, largest [F:K] for the roots_in_field oracle; F stays table-sized)

@@ -1,0 +1,34 @@
+"""The experiment scripts run end to end at their smallest sizes, each in a
+fresh interpreter with the package on ``PYTHONPATH=src``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (script, arguments, a line the report must contain)
+SCRIPTS = [
+    ("abhyankar_scan.py", ["--q", "3", "--max-deg", "3"], "primes scanned : 14"),
+    ("cm_density.py", ["--q", "3", "--max-deg", "1"], "deg  primes"),
+    ("noncm_estimate.py", ["--q", "3", "--max-deg", "1"], "partial sum"),
+]
+
+
+@pytest.mark.parametrize("script,args,marker", SCRIPTS, ids=[s for s, _, _ in SCRIPTS])
+def test_script_runs(script, args, marker):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert marker in proc.stdout
+    assert len(proc.stdout.splitlines()) >= 3
