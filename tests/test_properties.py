@@ -205,12 +205,8 @@ def test_split_predicate_multiplicity_edges(name):
     x, one = Poly.x(ctx), Poly.one(ctx)
     a, b = ctx.dec_elem(ctx.order - 1), ctx.dec_elem(1)
     la, lb = x - Poly.constant(a), x - Poly.constant(b)
-    quad = next(
-        g
-        for c in range(1, ctx.order)
-        for g in [x * x + x + Poly.constant(ctx.dec_elem(c))]
-        if is_irreducible(g)
-    )
+    quads = (x * x + x + Poly.constant(ctx.dec_elem(c)) for c in range(1, ctx.order))
+    quad = next(g for g in quads if is_irreducible(g))
     cases = [
         (la**p, True),
         (la ** (p + 1), True),
