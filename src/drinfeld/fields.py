@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -342,6 +343,16 @@ def lex_irreducible(p: int, d: int) -> tuple[int, ...]:
 # field contexts
 
 
+class _LogLists(NamedTuple):
+    """The tables of a table field's log kernel, as Python objects."""
+
+    n: int  # |F| - 1, the modulus of logs
+    zech: list[int]  # one period of log(1 + g^i), ZERO_LOG at i = log(-1)
+    neg: int  # log(-1)
+    log_of: dict  # coordinates -> log, the zero coordinates -> ZERO_LOG
+    elems: list  # the element g^k at index k
+
+
 class _FieldCtx:
     """Arithmetic context for one tower field (internal)."""
 
@@ -483,9 +494,8 @@ class _FieldCtx:
     # (Huber, IEEE Trans. Inf. Theory 36, 1990).  These polynomials have a
     # handful of coefficients, so plain lists beat numpy's per-call cost.
 
-    def _log_lists(self):
-        """(n, Zech logs, log(-1), coordinates -> log, elements by log) for
-        the log kernel, as Python lists and a dict, built on first use."""
+    def _log_lists(self) -> _LogLists:
+        """The log kernel's tables, built on first use."""
         if self._logs is None:
             with self._lock:
                 if self._logs is None:
@@ -495,23 +505,24 @@ class _FieldCtx:
                     log_of = {e.coords: k for k, e in enumerate(elems)}
                     log_of[self.zero_coords()] = ZERO_LOG
                     zech = self._zech_logs().tolist()
-                    self._logs = (n, zech, self.neg_one_log(), log_of, elems)
+                    self._logs = _LogLists(n, zech, self.neg_one_log(), log_of, elems)
         return self._logs
 
     def logs_of(self, elems) -> list[int]:
         """The logs of elements of this table field."""
-        log_of = self._log_lists()[3]
+        log_of = self._log_lists().log_of
         return [log_of[c.coords] for c in elems]
 
     def elems_of(self, logs: list[int]) -> list["FFElem"]:
         """The elements with the given logs."""
-        elems = self._log_lists()[4]
+        elems = self._log_lists().elems
         zero = self.zero_elem()
         return [elems[k] if k >= 0 else zero for k in logs]
 
     def _log_axpy(self, r: list[int], off: int, c: int, b: list[int]):
         """r[off + j] += g^c * b[j] in place, for a log c >= 0."""
-        n, zech = self._log_lists()[:2]
+        tables = self._log_lists()
+        n, zech = tables.n, tables.zech
         for j, y in enumerate(b, off):
             if y < 0:
                 continue
@@ -543,7 +554,8 @@ class _FieldCtx:
         """Quotient and remainder of trimmed polynomials in logs, b nonzero;
         both come back trimmed.  Each quotient coefficient is the top of the
         running remainder over lc(b), one log subtraction."""
-        n, _, neg = self._log_lists()[:3]
+        tables = self._log_lists()
+        n, neg = tables.n, tables.neg
         k = len(b) - 1
         if len(a) <= k:
             return [], a
@@ -571,7 +583,7 @@ class _FieldCtx:
             a, b = b, self.log_poly_divmod(a, b)[1]
         if not a:
             return a
-        n, top = self.order - 1, a[-1]
+        n, top = self._log_lists().n, a[-1]
         return [(x - top) % n if x >= 0 else x for x in a]
 
     # -- raw coordinate operations ----------------------------------------------
