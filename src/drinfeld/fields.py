@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -888,6 +889,17 @@ class Embedding:
         v = (self.matrix @ x.vec()) % sup_ctx.char
         return FFElem(sup_ctx, tuple(int(c) for c in v))
 
+    @cached_property
+    def left_inverse(self) -> np.ndarray:
+        """d_sub x d_sup matrix L with L @ matrix = 1 mod p: the inverse of
+        d_sub independent rows of ``matrix`` (the pivots of the rref of its
+        transpose), zero on the other columns."""
+        p = self.sub.char
+        _, rows = linalg.rref(self.matrix.T, p)
+        out = linalg.zeros(self.matrix.T.shape)
+        out[:, rows] = linalg.solve(self.matrix[rows], np.eye(len(rows), dtype=np.int64), p)
+        return out
+
 
 class FieldTower:
     """Registry of the fields F_{q^n} with embeddings, based at F_q = F_{p^e}.
@@ -1048,8 +1060,9 @@ class FieldTower:
         if x.ctx.fid == sub.fid:
             return FFElem(sub, x.coords)
         emb = self.embedding(sub, x.ctx)
-        y = linalg.solve(emb.matrix, x.vec(), self.char)
-        if y is None:
+        v = x.vec()
+        y = (emb.left_inverse @ v) % self.char
+        if not np.array_equal((emb.matrix @ y) % self.char, v):
             raise TowerMembershipError("element does not lie in the requested subfield")
         return FFElem(sub, tuple(int(c) for c in y))
 

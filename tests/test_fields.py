@@ -1,6 +1,6 @@
 import pytest
 
-from drinfeld.errors import ResourceLimitError, ZeroInputError
+from drinfeld.errors import ResourceLimitError, TowerMembershipError, ZeroInputError
 from drinfeld.fields import FFElem, FieldTower, lex_irreducible
 
 
@@ -104,6 +104,57 @@ def test_embedding_coherence_chain(tower3):
     # and on all of F_9
     for x in F9.elements():
         assert tower3.embed(x, F81) == tower3.embed(x, F81)
+
+
+# (tower fixture, degree of sub, degree of sup) over the prime field
+PROJECT_PAIRS = [
+    ("tower3", 1, 6),
+    ("tower3", 2, 6),
+    ("tower3", 3, 12),
+    ("tower2", 2, 10),
+    ("tower2", 5, 20),
+    ("tower9", 2, 6),
+    ("tower25", 4, 8),
+]
+
+
+@pytest.mark.parametrize("tower,sub_deg,sup_deg", PROJECT_PAIRS)
+def test_project_inverts_embed(request, tower, sub_deg, sup_deg):
+    """project(embed(x)) = x, on all of a small subfield or 60 random elements."""
+    import random
+
+    tw = request.getfixturevalue(tower)
+    sub, sup = tw.field(sub_deg), tw.field(sup_deg)
+    rng = random.Random(sub_deg * 100 + sup_deg)
+    els = (
+        list(sub.elements())
+        if tw.char**sub_deg <= 81
+        else [FFElem(sub, tuple(rng.randrange(tw.char) for _ in range(sub_deg))) for _ in range(60)]
+    )
+    for x in els:
+        y = tw.project(tw.embed(x, sup), sub)
+        assert y.ctx is sub and y == x
+
+
+@pytest.mark.parametrize("tower,sub_deg,sup_deg", PROJECT_PAIRS)
+def test_project_outside_subfield_raises(request, tower, sub_deg, sup_deg):
+    tw = request.getfixturevalue(tower)
+    sub, sup = tw.field(sub_deg), tw.field(sup_deg)
+    # x generates sup over the prime field, so it lies in no proper subfield
+    with pytest.raises(TowerMembershipError):
+        tw.project(tw.gen(sup), sub)
+
+
+def test_project_accepts_exactly_the_subfield(tower3):
+    """Of the 729 elements of F_{3^6}, the 9 of F_9 project to F_9, the rest raise."""
+    F9, F36 = tower3.field(2), tower3.field(6)
+    image = {tower3.embed(x, F36) for x in F9.elements()}
+    for x in F36.elements():
+        if x in image:
+            assert tower3.embed(tower3.project(x, F9), F36) == x
+        else:
+            with pytest.raises(TowerMembershipError):
+                tower3.project(x, F9)
 
 
 def test_nonprime_base_tower(tower9):

@@ -15,6 +15,7 @@ SCRIPTS = [
     ("abhyankar_scan.py", ["--q", "3", "--max-deg", "3"], "primes scanned : 14"),
     ("cm_density.py", ["--q", "3", "--max-deg", "1"], "deg  primes"),
     ("noncm_estimate.py", ["--q", "3", "--max-deg", "1"], "partial sum"),
+    ("linalg_bench.py", ["--mix", "sample-r2-q3-largefield", "--repeats", "1"], "RowSpace.contains"),
 ]
 
 
