@@ -35,9 +35,10 @@ with XOR at p = 2, here with slot arithmetic mod p).
 - *Why not numpy per pivot, or Python lists.*  The eliminations here are
   many and small (mostly 2 to 15 rows, the largest about a hundred): numpy's
   fixed cost of a few microseconds per call, paid several times per pivot
-  and once per empty column, dominated them.  Lists of Python ints win on
-  the smallest shapes but lose 5-10x at 100 x 90 and 444 x 40; a packed
-  row pays one interpreter step per row operation whatever its length.
+  and once per empty column, dominated them.  Lists of Python ints tie on
+  the smallest shapes but lose 10x or more on random 105 x 90 and 444 x 40
+  matrices, since they pay one interpreter step per entry; a packed row
+  pays one per row operation whatever its length.
 
 Packing and unpacking go through ``tobytes`` / ``int.from_bytes`` once per
 call.
@@ -139,7 +140,8 @@ class _Slots:
 
 @lru_cache(maxsize=None)
 def _byte_table(p: int, scale: int) -> bytes:
-    """The map of one 8-bit slot: v -> (v mod p) * scale mod p."""
+    """The map of one 8-bit slot: v -> (v mod p) * scale mod p.  Slots are
+    8 bits wide only for p <= 13, so there are at most 35 tables."""
     return bytes(v % p * scale % p for v in range(256))
 
 
@@ -200,7 +202,7 @@ def solve(m: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     aug = np.concatenate([m % p, b % p], axis=1)
     r, pivots = rref(aug, p)
     cols = m.shape[1]
-    if pivots and pivots[-1] >= cols:
+    if any(c >= cols for c in pivots):
         return None
     x = zeros((cols, b.shape[1]))
     x[pivots] = r[: len(pivots), cols:]
