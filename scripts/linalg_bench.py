@@ -4,10 +4,11 @@
 
 Each mix is a fixed list of matrix shapes with their counts per pass, as
 recorded from one pass of the benchmark workload of the same name (``rref``
-calls, including those inside ``solve`` and ``nullspace``); ``lattice-deg12``
-holds the two largest shapes of the rank-3 endomorphism lattice at q = 2,
-degree 12.  Matrices are uniform random mod p from a generator seeded by
-``--seed``.  For every matrix m of shape rows x cols the script times
+calls, including those inside ``solve`` and ``nullspace``); the two
+``lattice-deg12`` mixes hold the largest shapes of the rank-3 endomorphism
+lattice at q = 2, degree 12, one each.  Matrices are uniform random mod p
+from a generator seeded by ``--seed``.  For every matrix m of shape
+rows x cols the script times
 
 - ``rref(m)``, ``nullspace(m)``;
 - ``solve`` of the first cols-1 columns against the last one;
@@ -45,7 +46,8 @@ MIXES = {
         (12, 12, 11), (14, 14, 8), (10, 20, 4), (10, 2, 4), (10, 11, 4), (11, 22, 4),
         (12, 24, 4), (13, 26, 4), (14, 28, 4), (14, 2, 4), (14, 15, 4), (13, 13, 3),
     ]),
-    "lattice-deg12": (2, [(444, 40, 1), (18, 300, 1)]),
+    "lattice-deg12-tall": (2, [(444, 40, 1)]),
+    "lattice-deg12-wide": (2, [(18, 300, 1)]),
 }
 
 OPS = ("rref", "solve", "nullspace", "RowSpace.add", "RowSpace.contains")
