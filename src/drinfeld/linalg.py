@@ -31,7 +31,7 @@ with XOR at p = 2, here with slot arithmetic mod p).
   (p-1) + min(rows, cols) (p-1)^2, and ``slot_bits`` picks the least w in
   8, 16, 32, 64 above that bound; no slot ever carries into the next.  A
   bound above 2^64 raises ResourceLimitError.  For p <= 2^14 that needs
-  min(rows, cols) >= 2^36, far beyond any matrix this package builds.
+  min(rows, cols) > 2^36, far beyond any matrix this package builds.
 - *Why not numpy per pivot, or Python lists.*  The eliminations here are
   many and small (mostly 2 to 15 rows, the largest about a hundred): numpy's
   fixed cost of a few microseconds per call, paid several times per pivot
