@@ -6,17 +6,24 @@ are compared by their coefficient tuples read from the highest degree down,
 each coefficient as an integer 0..p-1.  Elements are immutable coordinate
 vectors over the prime field.
 
-Single elements take one of two regimes behind one element type: fields with
-at most ``TABLE_LIMIT`` elements get discrete-log tables (constant-time
-products) and, on first use, Zech logarithms log(1 + g^k); larger fields use
-numpy convolution against cached reduction rows.  Polynomial products,
-division and gcds over a table field run on lists of discrete logs
-(``_FieldCtx.log_poly_mul`` and its siblings).  Polynomials over any tower
-field F_(p^n) also come as k x n coordinate arrays, for ``polys.powmod``: a
-product packs each array into one Python int, does one big-int multiply and
-folds y^(n+j) back with the same reduction rows (Kronecker substitution, von
-zur Gathen-Gerhard, Modern Computer Algebra, §8.4), and ``PolyModulus``
-reduces by a Newton inverse.  Above the table limit, polynomial products,
+Single elements take one of two regimes behind one element type.  Fields
+with at most ``TABLE_LIMIT`` elements get discrete-log tables, and on first
+use the Python lists of ``_LogLists``: the element g^k by k, the log of
+each coordinate tuple, and the Zech logarithms log(1 + g^k).  There an
+element is a shared object ruled by its log: a product adds logs, a sum
+adds a Zech log (Huber, "Some comments on Zech's logarithms", IEEE Trans.
+Inf. Theory 36, 1990), and inverses, powers, the q-power Frobenius,
+embeddings and projections multiply logs, so no operation allocates an
+element or touches coordinates.  Only larger fields compute on
+coordinates, by numpy convolution against cached reduction rows.
+Polynomial products, division and gcds over a table field run on lists of
+discrete logs (``_FieldCtx.log_poly_mul`` and its siblings).
+
+Polynomials over any tower field F_(p^n) also come as k x n coordinate
+arrays, for ``polys.powmod``: a product packs each array into one Python
+int, does one big-int multiply and folds y^(n+j) back with the same
+reduction rows (Kronecker substitution, von zur Gathen-Gerhard, Modern
+Computer Algebra, §8.4), and ``PolyModulus`` reduces by a Newton inverse.  Above the table limit, polynomial products,
 division and gcd run on these arrays too: a scalar times an array is one
 matmul by the scalar's Toeplitz matrix, and the gcd takes pseudo-remainders,
 so it inverts one field element in all.
@@ -351,7 +358,24 @@ class _LogLists(NamedTuple):
     zech: list[int]  # one period of log(1 + g^i), ZERO_LOG at i = log(-1)
     neg: int  # log(-1)
     log_of: dict  # coordinates -> log, the zero coordinates -> ZERO_LOG
-    elems: list  # the element g^k at index k
+    elems: list  # the shared element g^k at index k, for 0 <= k < 2n
+
+    def add(self, a: int, b: int) -> int:
+        """An index into ``elems`` of g^a + g^b, or a negative number for 0,
+        for logs a, b below n (ZERO_LOG for 0): a + Zech(b - a)."""
+        if a < 0:
+            return b
+        if b < 0:
+            return a
+        z = self.zech[b - a]  # a negative index wraps to (b - a) mod n
+        return a + z if z >= 0 else ZERO_LOG
+
+
+def _log(x: "FFElem", lists: _LogLists) -> int:
+    """The log of a table-field element built from coordinates: looked up
+    once in ``log_of`` and kept on the element."""
+    x.log = lists.log_of[x.coords]
+    return x.log
 
 
 class _FieldCtx:
@@ -371,8 +395,12 @@ class _FieldCtx:
         self._zech = None
         self._logs = None
         self._toeplitz = None
-        if self.order <= TABLE_LIMIT:
+        table = self.order <= TABLE_LIMIT
+        if table:
             self._build_tables()
+        # the shared 0 and 1; on a table field their logs need no lists
+        self._zero = FFElem(self, self.zero_coords(), ZERO_LOG if table else None)
+        self._one = FFElem(self, self.one_coords(), 0 if table else None)
 
     # -- encoding -------------------------------------------------------------
 
@@ -495,34 +523,37 @@ class _FieldCtx:
     # (Huber, IEEE Trans. Inf. Theory 36, 1990).  These polynomials have a
     # handful of coefficients, so plain lists beat numpy's per-call cost.
 
-    def _log_lists(self) -> _LogLists:
-        """The log kernel's tables, built on first use."""
-        if self._logs is None:
+    def _log_lists(self) -> _LogLists | None:
+        """The log kernel's tables, built on first use; None above the table
+        limit.  The list of elements holds two periods, so that a sum of two
+        logs indexes it without a reduction mod n."""
+        if self._logs is None and self._tables is not None:
             with self._lock:
                 if self._logs is None:
                     exp, _ = self._tables
                     n = self.order - 1
-                    elems = [FFElem(self, self.dec(c)) for c in exp[:n].tolist()]
+                    codes = exp[1:n].tolist()
+                    elems = [self._one] + [FFElem(self, self.dec(c), k) for k, c in enumerate(codes, 1)]
                     log_of = {e.coords: k for k, e in enumerate(elems)}
                     log_of[self.zero_coords()] = ZERO_LOG
                     zech = self._zech_logs().tolist()
-                    self._logs = _LogLists(n, zech, self.neg_one_log(), log_of, elems)
+                    self._logs = _LogLists(n, zech, self.neg_one_log(), log_of, elems + elems)
         return self._logs
 
     def logs_of(self, elems) -> list[int]:
         """The logs of elements of this table field."""
-        log_of = self._log_lists().log_of
-        return [log_of[c.coords] for c in elems]
+        lists = self._log_lists()
+        return [c.log if c.log is not None else _log(c, lists) for c in elems]
 
     def elems_of(self, logs: list[int]) -> list["FFElem"]:
         """The elements with the given logs."""
         elems = self._log_lists().elems
-        zero = self.zero_elem()
+        zero = self._zero
         return [elems[k] if k >= 0 else zero for k in logs]
 
     def _log_axpy(self, r: list[int], off: int, c: int, b: list[int]):
         """r[off + j] += g^c * b[j] in place, for a log c >= 0."""
-        tables = self._log_lists()
+        tables = self._logs or self._log_lists()
         n, zech = tables.n, tables.zech
         for j, y in enumerate(b, off):
             if y < 0:
@@ -601,13 +632,9 @@ class _FieldCtx:
         p = self.char
         return tuple((-x) % p for x in a)
 
+    # Above the table limit only: table-field elements compute on their logs.
+
     def mul(self, a, b):
-        if self._tables is not None:
-            exp, log = self._tables
-            la, lb = int(log[self.enc(a)]), int(log[self.enc(b)])
-            if la < 0 or lb < 0:
-                return (0,) * self.degree
-            return self.dec(int(exp[la + lb]))
         va = np.array(a, dtype=np.int64)
         vb = np.array(b, dtype=np.int64)
         return tuple(int(c) for c in self._vmul(va, vb))
@@ -615,10 +642,6 @@ class _FieldCtx:
     def inv(self, a):
         if not any(a):
             raise ZeroInputError("inverse of zero")
-        if self._tables is not None:
-            exp, log = self._tables
-            la = int(log[self.enc(a)])
-            return self.dec(int(exp[(self.order - 1 - la) % (self.order - 1)]))
         p = self.char
         r0, r1 = self.modulus.copy(), _np_trim(np.array(a, dtype=np.int64))
         s0 = np.zeros(1, dtype=np.int64)
@@ -643,12 +666,6 @@ class _FieldCtx:
             return self.pow(self.inv(a), -k)
         if k == 0:
             return self.one_coords()
-        if self._tables is not None:
-            if not any(a):
-                return self.zero_coords()
-            exp, log = self._tables
-            la = int(log[self.enc(a)])
-            return self.dec(int(exp[(la * k) % (self.order - 1)]))
         return tuple(int(v) for v in self._vpow(np.array(a, dtype=np.int64), k))
 
     # -- polynomials over this field as coordinate arrays -----------------------
@@ -675,16 +692,22 @@ class _FieldCtx:
             return c
         return (c[:, :n] + c[:, n:] @ self._red[: n - 1]) % self.char
 
-    def _convolve(self, a: np.ndarray, c) -> np.ndarray:
-        """Every row of a times the element with coordinates c, as products
-        in F_p[y] of 2n - 1 coordinates mod p: one matmul by the Toeplitz
-        matrix of c, gathered through an index built on first use."""
+    def _toeplitz_of(self, c) -> np.ndarray:
+        """The n x (2n - 1) matrix whose row j holds the coordinates of
+        c*y^j in F_p[y], unreduced, gathered through an index built on first
+        use."""
         n = self.degree
         if self._toeplitz is None:
             self._toeplitz = n - 1 + np.arange(2 * n - 1) - np.arange(n)[:, None]
         padded = np.zeros(3 * n - 2, dtype=np.int64)
         padded[n - 1 : 2 * n - 1] = c
-        return (a @ padded[self._toeplitz]) % self.char
+        return padded[self._toeplitz]
+
+    def _convolve(self, a: np.ndarray, c) -> np.ndarray:
+        """Every row of a times the element with coordinates c, as products
+        in F_p[y] of 2n - 1 coordinates mod p: one matmul by the Toeplitz
+        matrix of c."""
+        return (a @ self._toeplitz_of(c)) % self.char
 
     def scale(self, a: np.ndarray, c) -> np.ndarray:
         """Every row of the coordinate array a times the element with
@@ -757,18 +780,10 @@ class _FieldCtx:
             return m
 
     def mult_matrix(self, coords) -> np.ndarray:
-        """Matrix of y -> c*y over the prime field."""
-        p, d = self.char, self.degree
-        m = np.zeros((d, d), dtype=np.int64)
-        cur = np.array(coords, dtype=np.int64)
-        for j in range(d):
-            m[:, j] = cur
-            if j < d - 1:
-                top = int(cur[d - 1])
-                cur = np.concatenate([[0], cur[: d - 1]])
-                if top:
-                    cur = (cur + top * self._red[0]) % p
-        return m
+        """Matrix of y -> c*y over the prime field: column j is c*y^j, the
+        Toeplitz matrix of c with y^(n+j) folded back by the reduction rows,
+        that is c contracted with the products y^i*y^j reduced mod m."""
+        return self._fold(self._toeplitz_of(coords)).T
 
     def zero_coords(self):
         return (0,) * self.degree
@@ -781,12 +796,13 @@ class _FieldCtx:
             return ((-int(self.modulus[0])) % self.char,)
         return (0, 1) + (0,) * (self.degree - 2)
 
-    # element constructors shared with the generic polynomial layer
+    # element constructors shared with the generic polynomial layer; 0 and 1
+    # are one shared object each
     def zero_elem(self) -> "FFElem":
-        return FFElem(self, self.zero_coords())
+        return self._zero
 
     def one_elem(self) -> "FFElem":
-        return FFElem(self, self.one_coords())
+        return self._one
 
     def dec_elem(self, code: int) -> "FFElem":
         return FFElem(self, self.dec(code))
@@ -801,13 +817,22 @@ class _FieldCtx:
 
 
 class FFElem:
-    """Immutable element of a tower field."""
+    """Immutable element of a tower field.
 
-    __slots__ = ("ctx", "coords")
+    On a table field an element is ruled by its discrete log ``log`` (ZERO_LOG
+    for 0): every operation is Python-int arithmetic on logs that returns a
+    shared element of the field's ``_LogLists.elems``, so none is allocated.
+    An element built from coordinates looks its log up once, on first use.
+    Only fields above ``TABLE_LIMIT`` compute on coordinates; there ``log``
+    stays None.
+    """
 
-    def __init__(self, ctx: _FieldCtx, coords: tuple[int, ...]):
+    __slots__ = ("ctx", "coords", "log")
+
+    def __init__(self, ctx: _FieldCtx, coords: tuple[int, ...], log: int | None = None):
         self.ctx = ctx
         self.coords = coords
+        self.log = log
 
     @property
     def field(self) -> FieldId:
@@ -817,15 +842,15 @@ class FFElem:
         return not any(self.coords)
 
     def is_one(self) -> bool:
-        return self.coords == self.ctx.one_coords()
+        return self.coords == self.ctx._one.coords
 
     def __bool__(self):
         return any(self.coords)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FFElem)
-            and self.ctx.fid == other.ctx.fid
+            and (self.ctx is other.ctx or self.ctx.fid == other.ctx.fid)
             and self.coords == other.coords
         )
 
@@ -838,30 +863,114 @@ class FFElem:
                 f"elements of {self.ctx} and {other.ctx} cannot be combined"
             )
 
+    # Each operation below takes the log route when the field has log lists
+    # (built on first use) and the coordinate route otherwise.  Logs lie in
+    # [0, n) or are ZERO_LOG, so a sum of two logs is negative exactly when
+    # a factor is 0, and below 2n otherwise, an index into the two periods
+    # of ``elems``.
+
     def __add__(self, other):
-        self._check(other)
-        return FFElem(self.ctx, self.ctx.add(self.coords, other.coords))
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            self._check(other)
+        lists = ctx._logs or ctx._log_lists()
+        if lists is None:
+            return FFElem(ctx, ctx.add(self.coords, other.coords))
+        la, lb = self.log, other.log
+        if la is None:
+            la = _log(self, lists)
+        if lb is None:
+            lb = _log(other, lists)
+        k = lists.add(la, lb)
+        return lists.elems[k] if k >= 0 else ctx._zero
 
     def __sub__(self, other):
-        self._check(other)
-        return FFElem(self.ctx, self.ctx.sub(self.coords, other.coords))
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            self._check(other)
+        lists = ctx._logs or ctx._log_lists()
+        if lists is None:
+            return FFElem(ctx, ctx.sub(self.coords, other.coords))
+        la, lb = self.log, other.log
+        if la is None:
+            la = _log(self, lists)
+        if lb is None:
+            lb = _log(other, lists)
+        lb += lists.neg  # the log of -other; 0 stays negative
+        if lb >= lists.n:
+            lb -= lists.n
+        k = lists.add(la, lb)
+        return lists.elems[k] if k >= 0 else ctx._zero
 
     def __neg__(self):
-        return FFElem(self.ctx, self.ctx.neg(self.coords))
+        ctx = self.ctx
+        lists = ctx._logs or ctx._log_lists()
+        if lists is None:
+            return FFElem(ctx, ctx.neg(self.coords))
+        la = self.log
+        if la is None:
+            la = _log(self, lists)
+        return lists.elems[la + lists.neg] if la >= 0 else self
 
     def __mul__(self, other):
-        self._check(other)
-        return FFElem(self.ctx, self.ctx.mul(self.coords, other.coords))
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            self._check(other)
+        lists = ctx._logs or ctx._log_lists()
+        if lists is None:
+            return FFElem(ctx, ctx.mul(self.coords, other.coords))
+        la, lb = self.log, other.log
+        if la is None:
+            la = _log(self, lists)
+        if lb is None:
+            lb = _log(other, lists)
+        k = la + lb
+        return lists.elems[k] if k >= 0 else ctx._zero
 
     def __truediv__(self, other):
-        self._check(other)
-        return FFElem(self.ctx, self.ctx.mul(self.coords, self.ctx.inv(other.coords)))
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            self._check(other)
+        lists = ctx._logs or ctx._log_lists()
+        if lists is None:
+            return FFElem(ctx, ctx.mul(self.coords, ctx.inv(other.coords)))
+        la, lb = self.log, other.log
+        if la is None:
+            la = _log(self, lists)
+        if lb is None:
+            lb = _log(other, lists)
+        if lb < 0:
+            raise ZeroInputError("inverse of zero")
+        k = la - lb + lists.n
+        return lists.elems[k] if k >= 0 else ctx._zero
 
     def __pow__(self, k: int):
-        return FFElem(self.ctx, self.ctx.pow(self.coords, k))
+        ctx = self.ctx
+        lists = ctx._logs or ctx._log_lists()
+        if lists is None:
+            return FFElem(ctx, ctx.pow(self.coords, k))
+        if k == 0:
+            return ctx._one
+        la = self.log
+        if la is None:
+            la = _log(self, lists)
+        if la < 0:
+            if k < 0:
+                raise ZeroInputError("inverse of zero")
+            return self
+        return lists.elems[la * k % lists.n]
 
     def inv(self) -> "FFElem":
-        return FFElem(self.ctx, self.ctx.inv(self.coords))
+        ctx = self.ctx
+        lists = ctx._logs or ctx._log_lists()
+        if lists is None:
+            return FFElem(ctx, ctx.inv(self.coords))
+        la = self.log
+        if la is None:
+            la = _log(self, lists)
+        if la < 0:
+            raise ZeroInputError("inverse of zero")
+        return lists.elems[lists.n - la]
 
     def frob(self, k: int = 1) -> "FFElem":
         """q-power Frobenius iterated k times (q from the owning tower)."""
@@ -925,6 +1034,7 @@ class FieldTower:
         self.max_degree = max_degree
         self._fields: dict[int, _FieldCtx] = {}
         self._embeddings: dict[tuple[int, int], Embedding] = {}
+        self._log_maps: dict[tuple[int, int], tuple[int, int, int]] = {}
         self._lock = threading.RLock()
         self.base_field = self.field(e)
 
@@ -1017,12 +1127,10 @@ class FieldTower:
     # -- element constructors ------------------------------------------------------
 
     def zero(self, ctx: _FieldCtx | None = None) -> FFElem:
-        ctx = ctx or self.base_field
-        return FFElem(ctx, ctx.zero_coords())
+        return (ctx or self.base_field)._zero
 
     def one(self, ctx: _FieldCtx | None = None) -> FFElem:
-        ctx = ctx or self.base_field
-        return FFElem(ctx, ctx.one_coords())
+        return (ctx or self.base_field)._one
 
     def from_int(self, n: int, ctx: _FieldCtx | None = None) -> FFElem:
         ctx = ctx or self.base_field
@@ -1050,21 +1158,68 @@ class FieldTower:
 
     # -- maps ------------------------------------------------------------------------
 
+    def _log_map(self, sub: _FieldCtx, sup: _FieldCtx) -> tuple[int, int, int]:
+        """For table fields sub inside sup: (c, m, r) with embed(g_sub) =
+        g_sup^c for the fields' log generators, m = n_sup / n_sub and r the
+        inverse of c / m mod n_sub.  The image of g_sub has order n_sub, so c
+        = m * (a unit mod n_sub): an element g_sup^k lies in sub iff m | k,
+        and then it is g_sub^((k / m) r).  Computed once per pair from the
+        embedding matrix."""
+        key = (sub.degree, sup.degree)
+        out = self._log_maps.get(key)
+        if out is None:
+            sub_lists, sup_lists = sub._log_lists(), sup._log_lists()
+            image = self.embedding(sub, sup).apply(sub_lists.elems[1], sup)
+            c = _log(image, sup_lists)
+            m = sup_lists.n // sub_lists.n
+            out = self._log_maps[key] = (c, m, pow(c // m, -1, sub_lists.n))
+        return out
+
     def embed(self, x: FFElem, sup: _FieldCtx) -> FFElem:
-        if x.ctx.fid == sup.fid:
-            return FFElem(sup, x.coords)
-        return self.embedding(x.ctx, sup).apply(x, sup)
+        """The image of x in the bigger field sup: g^k goes to g_sup^(c k) on
+        table fields (``_log_map``), and through the embedding matrix above
+        the table limit."""
+        ctx = x.ctx
+        if ctx is sup:
+            return x
+        if ctx.degree == sup.degree and ctx.fid == sup.fid:
+            return FFElem(sup, x.coords, x.log)
+        lists = sup._logs or sup._log_lists()
+        if lists is None:
+            return self.embedding(ctx, sup).apply(x, sup)
+        la = x.log
+        if la is None:
+            la = _log(x, ctx._log_lists())
+        if la < 0:
+            return sup._zero
+        return lists.elems[la * self._log_map(ctx, sup)[0] % lists.n]
 
     def project(self, x: FFElem, sub: _FieldCtx) -> FFElem:
-        """Inverse of embed, defined on elements of the embedded subfield."""
-        if x.ctx.fid == sub.fid:
-            return FFElem(sub, x.coords)
-        emb = self.embedding(sub, x.ctx)
-        v = x.vec()
-        y = (emb.left_inverse @ v) % self.char
-        if not np.array_equal((emb.matrix @ y) % self.char, v):
+        """Inverse of embed, defined on elements of the embedded subfield;
+        any other element raises TowerMembershipError."""
+        ctx = x.ctx
+        if ctx is sub:
+            return x
+        if ctx.degree == sub.degree and ctx.fid == sub.fid:
+            return FFElem(sub, x.coords, x.log)
+        lists = ctx._logs or ctx._log_lists()
+        if lists is None:
+            emb = self.embedding(sub, ctx)
+            v = x.vec()
+            y = (emb.left_inverse @ v) % self.char
+            if not np.array_equal((emb.matrix @ y) % self.char, v):
+                raise TowerMembershipError("element does not lie in the requested subfield")
+            return FFElem(sub, tuple(int(c) for c in y))
+        _, m, r = self._log_map(sub, ctx)
+        la = x.log
+        if la is None:
+            la = _log(x, lists)
+        if la < 0:
+            return sub._zero
+        if la % m:
             raise TowerMembershipError("element does not lie in the requested subfield")
-        return FFElem(sub, tuple(int(c) for c in y))
+        sub_lists = sub._log_lists()
+        return sub_lists.elems[la // m * r % sub_lists.n]
 
     def frobenius_power(self, x: FFElem, k: int) -> FFElem:
         """x^(q^k); q is the tower base order, k may be 0 or negative."""
@@ -1075,8 +1230,17 @@ class FieldTower:
         kk = k % m
         if kk == 0:
             return x
-        mat = ctx.frob_p_matrix(kk * self.base_degree)
-        return FFElem(ctx, tuple(int(c) for c in (mat @ x.vec()) % self.char))
+        lists = ctx._logs or ctx._log_lists()
+        if lists is None:
+            mat = ctx.frob_p_matrix(kk * self.base_degree)
+            return FFElem(ctx, tuple(int(c) for c in (mat @ x.vec()) % self.char))
+        la = x.log
+        if la is None:
+            la = _log(x, lists)
+        if la < 0:
+            return x
+        n = lists.n
+        return lists.elems[la * pow(self.q, kk, n) % n]
 
     def norm_to_base(self, x: FFElem) -> FFElem:
         ctx = x.ctx

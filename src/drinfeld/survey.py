@@ -57,7 +57,14 @@ class SurveyRecord:
     skipped: str | None = None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields in ``CSV_COLUMNS`` order, as ``dataclasses.asdict``
+        gives them: the list fields (lists of str) are copied, so nothing
+        aliases the record."""
+        out = {}
+        for name in CSV_COLUMNS:
+            value = getattr(self, name)
+            out[name] = value.copy() if type(value) is list else value
+        return out
 
 
 CSV_COLUMNS = [f.name for f in dataclasses.fields(SurveyRecord)]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from drinfeld.errors import ResourceLimitError, TowerMembershipError, ZeroInputError
@@ -187,6 +188,38 @@ def test_big_field_arithmetic_consistency(tower3):
     assert (x * y) * y == x * (y * y)
     assert x * x.inv() == tower3.one(K)
     assert tower3.frobenius_power(x, 10) == x
+
+
+def loop_mult_matrix(ctx, coords):
+    """The matrix of y -> c*y column by column: c*y^j shifted up one place
+    and reduced by x^d mod m at each step."""
+    p, d = ctx.char, ctx.degree
+    m = np.zeros((d, d), dtype=np.int64)
+    cur = np.array(coords, dtype=np.int64)
+    for j in range(d):
+        m[:, j] = cur
+        if j < d - 1:
+            top = int(cur[d - 1])
+            cur = np.concatenate([[0], cur[: d - 1]])
+            if top:
+                cur = (cur + top * ctx._red[0]) % p
+    return m
+
+
+# (q, degree over the prime field): F_2, F_5, F_(3^4), F_(2^14) with tables,
+# F_(3^10) and F_(2^20) above the table limit
+MULT_FIELDS = [(2, 1), (5, 1), (3, 4), (2, 14), (3, 10), (2, 20)]
+
+
+@pytest.mark.parametrize("q,d", MULT_FIELDS)
+def test_mult_matrix_matches_the_column_loop(q, d):
+    ctx = FieldTower(q).field(d)
+    rng = np.random.default_rng(d)
+    cases = [ctx.zero_coords(), ctx.one_coords(), ctx.x_coords(), (q - 1,) * d]
+    cases += [tuple(rng.integers(0, q, d).tolist()) for _ in range(20)]
+    for c in cases:
+        assert np.array_equal(ctx.mult_matrix(c), loop_mult_matrix(ctx, c))
+        assert np.array_equal(ctx.mult_matrix(np.array(c)), loop_mult_matrix(ctx, c))
 
 
 # coordinates of the text generator z of F_q (FFElem.coords, low first)

@@ -16,6 +16,7 @@ SCRIPTS = [
     ("cm_density.py", ["--q", "3", "--max-deg", "1"], "deg  primes"),
     ("noncm_estimate.py", ["--q", "3", "--max-deg", "1"], "partial sum"),
     ("linalg_bench.py", ["--mix", "sample-r2-q3-largefield", "--repeats", "1"], "RowSpace.contains"),
+    ("field_bench.py", ["--ops", "1", "--repeats", "1"], "project"),
 ]
 
 

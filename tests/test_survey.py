@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,10 @@ from drinfeld.config import SurveyOptions
 from drinfeld.errors import DrinfeldError, EvenCharacteristicError
 from drinfeld.polys import Poly, count_monic_irreducibles, enumerate_monic_irreducibles
 from drinfeld.quotients import QuotRing
+from drinfeld import survey
+from drinfeld.fields import FieldTower
 from drinfeld.survey import (
+    CSV_COLUMNS,
     cm_example,
     density_report,
     noncm_truncated_sum,
@@ -50,6 +54,28 @@ def test_survey_determinism_and_jobs(tower3, psi3):
     assert a == b
     c = [json.dumps(r.to_dict()) for r in run_survey(psi3, [1, 2], SurveyOptions(jobs=2))]
     assert a == c
+
+
+def test_record_dict_equals_asdict(tower3, monkeypatch):
+    """``to_dict`` gives what ``dataclasses.asdict`` gives, in CSV_COLUMNS
+    order and with copied lists, on rank-2 and rank-3 records, a skipped
+    (bad reduction) record and records with a warning."""
+    recs = list(run_survey(module_from_text("T+1*t+T*t^2", tower3), [1, 2]))
+    recs += run_survey(module_from_text("T+1*t+1*t^3", FieldTower(2)), [1, 2])
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(survey, "module_structure_oracle_reduced", fail)
+    recs += run_survey(module_from_text("T+1*t+1*t^2", tower3), [1])
+    assert any(r.skipped for r in recs) and any(r.warnings for r in recs)
+    assert {len(r.psi) for r in recs} == {2, 3}
+    for rec in recs:
+        d = rec.to_dict()
+        assert d == dataclasses.asdict(rec) and list(d) == CSV_COLUMNS
+        for name, value in d.items():
+            if isinstance(value, list):
+                assert value is not getattr(rec, name)
 
 
 def test_survey_lattice_checks(tower3, psi3):
