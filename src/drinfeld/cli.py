@@ -23,7 +23,7 @@ from .division import (
     module_structure,
     splits_completely,
 )
-from .errors import DrinfeldError, StrictModeError, UsageError
+from .errors import ConfigurationError, DrinfeldError, StrictModeError, UsageError
 from .fields import FieldTower
 from .invariants import (
     end_lattice_reduced,
@@ -57,8 +57,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tower(q: int) -> FieldTower:
-    cap = int(os.environ.get("DF_MAX_EXT_DEGREE", "64"))
-    return FieldTower(q, max_degree=cap)
+    raw = os.environ.get("DF_MAX_EXT_DEGREE", "64")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ConfigurationError(f"DF_MAX_EXT_DEGREE must be a positive integer, not {raw!r}")
+    return FieldTower(q, max_degree=int(raw))
 
 
 def _module(args, tower):

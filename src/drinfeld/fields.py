@@ -15,18 +15,26 @@ adds a Zech log (Huber, "Some comments on Zech's logarithms", IEEE Trans.
 Inf. Theory 36, 1990), and inverses, powers, the q-power Frobenius,
 embeddings and projections multiply logs, so no operation allocates an
 element or touches coordinates.  Only larger fields compute on
-coordinates, by numpy convolution against cached reduction rows.
-Polynomial products, division and gcds over a table field run on lists of
-discrete logs (``_FieldCtx.log_poly_mul`` and its siblings).
+coordinates, with the kernel of the coordinate arrays below: a product
+scales one row (one matmul by the Toeplitz matrix of the other factor, then
+y^(n+j) folded back by the reduction rows y^(n+j) mod m), a power is
+square-and-multiply on that product, and an inverse is one ``linalg.solve``
+with the element's multiplication matrix.  The log tables come from the
+same product: the rows g^k for k < m times the matrix of g^m give the rows
+for k < 2m.  Polynomial products, division and gcds over a table field run
+on lists of discrete logs (``_FieldCtx.log_poly_mul`` and its siblings).
 
 Polynomials over any tower field F_(p^n) also come as k x n coordinate
 arrays, for ``polys.powmod``: a product packs each array into one Python
-int, does one big-int multiply and folds y^(n+j) back with the same
-reduction rows (Kronecker substitution, von zur Gathen-Gerhard, Modern
-Computer Algebra, §8.4), and ``PolyModulus`` reduces by a Newton inverse.  Above the table limit, polynomial products,
-division and gcd run on these arrays too: a scalar times an array is one
-matmul by the scalar's Toeplitz matrix, and the gcd takes pseudo-remainders,
-so it inverts one field element in all.
+int, does one big-int multiply and folds y^(n+j) back with the reduction
+rows (Kronecker substitution, von zur Gathen-Gerhard, Modern Computer
+Algebra, §8.4), and ``PolyModulus`` reduces by a Newton inverse.  Above the
+table limit, polynomial products, division and gcd run on these arrays
+too: a scalar times an array is one matmul by the scalar's Toeplitz matrix,
+and the gcd takes pseudo-remainders, so it inverts one field element in
+all.  The moduli come from the same kernel: ``lex_irreducible`` runs
+Rabin's test (``polys.rabin_irreducible``, one ``PolyModulus`` per
+candidate) over the prime field.
 
 Wherever a deterministic element choice is needed (embedding roots, torsion
 generators), elements are ordered by their integer codes sum(c_i * p^i).
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +68,7 @@ from .errors import (
     TowerMembershipError,
     ZeroInputError,
 )
-from .polys import int_prime_factors
+from .polys import int_prime_factors, rabin_irreducible
 
 TABLE_LIMIT = 1 << 14
 ZERO_LOG = -(1 << 40)  # the discrete log of 0 in Zech tables, negative after any step
@@ -77,52 +85,8 @@ class FieldId:
 
 
 # ---------------------------------------------------------------------------
-# prime-field polynomial helpers (numpy vectors, low degree first)
-
-
-def _np_trim(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    return a[: int(nz[-1]) + 1] if len(nz) else a[:0]
-
-
-def _np_divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    a = _np_trim(a % p)
-    b = _np_trim(b % p)
-    if len(b) == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return np.zeros(0, dtype=np.int64), a
-    inv_lead = pow(int(b[-1]), p - 2, p)
-    q = np.zeros(len(a) - len(b) + 1, dtype=np.int64)
-    r = a.copy()
-    for i in range(len(a) - len(b), -1, -1):
-        top = int(r[len(b) - 1 + i])
-        if top:
-            c = (top * inv_lead) % p
-            q[i] = c
-            r[i : i + len(b)] = (r[i : i + len(b)] - c * b) % p
-    return q, _np_trim(r)
-
-
-def _np_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a = _np_trim(a % p)
-    b = _np_trim(b % p)
-    while len(b):
-        a, b = b, _np_divmod(a, b, p)[1]
-    if len(a):
-        a = (a * pow(int(a[-1]), p - 2, p)) % p
-    return a
-
-
-def _np_mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
-    """a*b mod f for vectors of length d, where red[j] = x^(d+j) mod f."""
-    d = red.shape[1]
-    c = np.convolve(a, b) % p
-    if len(c) <= d:
-        out = np.zeros(d, dtype=np.int64)
-        out[: len(c)] = c
-        return out
-    return (c[:d] + c[d:] @ red[: len(c) - d]) % p
+# polynomials over F_(p^n) as k x n coordinate arrays (row i = coefficient of
+# x^i), multiplied by Kronecker substitution
 
 
 def _reduction_rows(f: np.ndarray, p: int) -> np.ndarray:
@@ -138,11 +102,6 @@ def _reduction_rows(f: np.ndarray, p: int) -> np.ndarray:
             r = (r + top * rows[0]) % p
         rows[j] = r
     return rows
-
-
-# ---------------------------------------------------------------------------
-# polynomials over F_(p^n) as k x n coordinate arrays (row i = coefficient of
-# x^i), multiplied by Kronecker substitution
 
 
 def _trim_rows(a: np.ndarray) -> np.ndarray:
@@ -250,101 +209,34 @@ class PolyModulus:
 # lexicographically-smallest irreducible modulus search
 
 
-def _np_is_irreducible(f: np.ndarray, p: int, small_sieve) -> bool:
-    """Deterministic Rabin test for monic f over F_p, with small-factor sieve."""
-    d = len(f) - 1
-    if d == 0:
-        return False
-    if d == 1:
-        return True
-    if f[0] == 0:
-        return False
-    for c in range(p):  # linear factors
-        acc = 0
-        for co in f[::-1]:
-            acc = (acc * c + int(co)) % p
-        if acc == 0:
-            return False
-    if small_sieve:
-        for g in small_sieve:
-            if len(g) - 1 >= d:
-                continue
-            if len(_np_divmod(f, g, p)[1]) == 0:
-                return False
-    red = _reduction_rows(f, p)
-    x = np.zeros(d, dtype=np.int64)
-    x[1] = 1
-    checkpoints = {d // ell for ell in int_prime_factors(d)}
-    h = x.copy()
-    for k in range(1, d + 1):
-        # h <- h^p mod f
-        acc = np.zeros(d, dtype=np.int64)
-        acc[0] = 1
-        base = h
-        e = p
-        while e:
-            if e & 1:
-                acc = _np_mulmod(acc, base, red, p)
-            e >>= 1
-            if e:
-                base = _np_mulmod(base, base, red, p)
-        h = acc
-        if k in checkpoints or k == d:
-            diff = h.copy()
-            diff[1] = (diff[1] - 1) % p
-            if k == d:
-                if _np_trim(diff).size:
-                    return False
-            elif len(_np_gcd(diff, f, p)) > 1:
-                return False
-    return True
-
-
-_SIEVE_CACHE: dict[int, list[np.ndarray]] = {}
 _LEX_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
-def _small_sieve(p: int) -> list[np.ndarray]:
-    """Monic irreducibles of degree 2..4 (p <= 3) or 2..3 over F_p, a degree
-    taken only while its p^d candidates stay within ``TABLE_LIMIT``."""
-    if p not in _SIEVE_CACHE:
-        max_deg = 4 if p <= 3 else 3
-        out = []
-        for d in range(2, max_deg + 1):
-            if p**d > TABLE_LIMIT:
-                break
-            for code in range(p**d):
-                tail = [(code // p**i) % p for i in range(d)]
-                f = np.array(tail + [1], dtype=np.int64)
-                if _np_is_irreducible(f, p, None):
-                    out.append(f)
-        _SIEVE_CACHE[p] = out
-    return _SIEVE_CACHE[p]
-
-
 def lex_irreducible(p: int, d: int) -> tuple[int, ...]:
-    """Lex-smallest monic irreducible of degree d over F_p, low-first tuple."""
+    """Lex-smallest monic irreducible of degree d over F_p, low-first tuple:
+    the first candidate with a nonzero constant term, by the code of its
+    coefficients c_(d-1)..c_0 read from the top, that passes Rabin's test
+    (``polys.rabin_irreducible``) over the prime field."""
     if d == 1:
         return (0, 1)
     key = (p, d)
     if key in _LEX_CACHE:
         return _LEX_CACHE[key]
-    sieve = [g for g in _small_sieve(p) if len(g) - 1 < d]
+    prime = _prime_field(p)
     for code in range(p**d):
-        # digits from the most significant are the coefficients c_{d-1}..c_0
-        tail = [0] * d
-        c = code
-        for i in range(d):
-            tail[i] = c % p  # tail[i] = coefficient of x^i
-            c //= p
+        tail = [code // p**i % p for i in range(d)]  # tail[i] = coefficient of x^i
         if tail[0] == 0:
             continue
-        f = np.array(tail + [1], dtype=np.int64)
-        if _np_is_irreducible(f, p, sieve):
-            result = tuple(int(v) for v in f)
-            _LEX_CACHE[key] = result
+        if rabin_irreducible(prime, np.array(tail + [1], dtype=np.int64).reshape(-1, 1)):
+            result = _LEX_CACHE[key] = tuple(tail + [1])
             return result
     raise DrinfeldError(f"no irreducible of degree {d} over F_{p}")  # unreachable
+
+
+@lru_cache(maxsize=None)
+def _prime_field(p: int) -> "_FieldCtx":
+    """The prime field F_p that the modulus search tests candidates over."""
+    return FieldTower(p).base_field
 
 
 # ---------------------------------------------------------------------------
@@ -418,47 +310,29 @@ class _FieldCtx:
             code //= p
         return tuple(out)
 
-    def _vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _np_mulmod(a, b, self._red, self.char)
-
-    def _vpow(self, a: np.ndarray, k: int) -> np.ndarray:
-        out = np.zeros(self.degree, dtype=np.int64)
-        out[0] = 1
-        base = a
-        while k:
-            if k & 1:
-                out = self._vmul(out, base)
-            k >>= 1
-            if k:
-                base = self._vmul(base, base)
-        return out
-
     def _build_tables(self):
-        n = self.order
-        one = (1,) + (0,) * (self.degree - 1)
-        fac = int_prime_factors(n - 1) if n > 2 else []
-        gen = None
-        for code in range(2, n):
-            cand = np.array(self.dec(code), dtype=np.int64)
-            if all(
-                tuple(int(v) for v in self._vpow(cand, (n - 1) // ell)) != one
-                for ell in fac
-            ):
-                gen = cand
-                break
-        if gen is None:
-            gen = np.array(self.dec(n - 1), dtype=np.int64)  # F_2: generator is 1
-        exp = np.zeros(2 * (n - 1), dtype=np.int64)
+        """The exp table (codes of g^k for k < 2(|F| - 1)) and the log table
+        (-1 at 0) for the generator g with the smallest code.  g^k for k < 2m
+        comes from the rows g^k, k < m, times the matrix of g^m: about
+        log2 |F| matmuls in all."""
+        n, p = self.order, self.char
+        one = self.one_coords()
+        fac = int_prime_factors(n - 1)
+        candidates = map(self.dec, range(2, n))
+        gen = next(
+            (c for c in candidates if all(self.pow(c, (n - 1) // ell) != one for ell in fac)),
+            one,  # F_2, whose generator is 1
+        )
+        rows = np.array([one], dtype=np.int64)
+        step = np.array(gen, dtype=np.int64)  # g^len(rows)
+        while len(rows) < n - 1:
+            mat = self.mult_matrix(step)
+            rows = np.concatenate([rows, rows @ mat.T % p])
+            step = mat @ step % p
+        codes = rows[: n - 1] @ p ** np.arange(self.degree, dtype=np.int64)
         log = np.full(n, -1, dtype=np.int64)
-        cur = np.zeros(self.degree, dtype=np.int64)
-        cur[0] = 1
-        for k in range(n - 1):
-            code = self.enc(tuple(int(c) for c in cur))
-            exp[k] = code
-            exp[k + n - 1] = code
-            log[code] = k
-            cur = self._vmul(cur, gen)
-        self._tables = (exp, log)
+        log[codes] = np.arange(n - 1)
+        self._tables = (np.concatenate([codes, codes]), log)
 
     def neg_one_log(self) -> int:
         """log(-1) in a table field: 0 in characteristic 2, (|F| - 1)/2
@@ -632,41 +506,32 @@ class _FieldCtx:
         p = self.char
         return tuple((-x) % p for x in a)
 
-    # Above the table limit only: table-field elements compute on their logs.
+    # Products, inverses and powers on coordinates: the elements above the
+    # table limit, the table build and the tests' oracle for the log route.
 
     def mul(self, a, b):
-        va = np.array(a, dtype=np.int64)
-        vb = np.array(b, dtype=np.int64)
-        return tuple(int(c) for c in self._vmul(va, vb))
+        """One row scaled: a Toeplitz product and a fold."""
+        return tuple(self.scale(np.array([a], dtype=np.int64), b)[0].tolist())
 
     def inv(self, a):
+        """The solution y of a*y = 1, one solve with the matrix of a."""
         if not any(a):
             raise ZeroInputError("inverse of zero")
-        p = self.char
-        r0, r1 = self.modulus.copy(), _np_trim(np.array(a, dtype=np.int64))
-        s0 = np.zeros(1, dtype=np.int64)
-        s1 = np.ones(1, dtype=np.int64)
-        while len(r1):
-            q, r = _np_divmod(r0, r1, p)
-            qs1 = np.convolve(q, s1) % p if len(q) and len(s1) else np.zeros(1, dtype=np.int64)
-            ln = max(len(s0), len(qs1))
-            s = np.zeros(ln, dtype=np.int64)
-            s[: len(s0)] += s0
-            s[: len(qs1)] -= qs1
-            r0, r1 = r1, r
-            s0, s1 = s1, _np_trim(s % p)
-        c = pow(int(r0[-1]), p - 2, p)
-        s0 = (s0 * c) % p
-        out = np.zeros(self.degree, dtype=np.int64)
-        out[: len(s0)] = s0
-        return tuple(int(x) for x in out)
+        one = np.array(self.one_coords(), dtype=np.int64)
+        return tuple(linalg.solve(self.mult_matrix(a), one, self.char).tolist())
 
     def pow(self, a, k: int):
+        """a^k by square-and-multiply on ``mul``; a negative k inverts a."""
         if k < 0:
             return self.pow(self.inv(a), -k)
-        if k == 0:
-            return self.one_coords()
-        return tuple(int(v) for v in self._vpow(np.array(a, dtype=np.int64), k))
+        out, base = self.one_coords(), a
+        while k:
+            if k & 1:
+                out = self.mul(out, base)
+            k >>= 1
+            if k:
+                base = self.mul(base, base)
+        return out
 
     # -- polynomials over this field as coordinate arrays -----------------------
 
@@ -766,14 +631,12 @@ class _FieldCtx:
                 m = np.eye(d, dtype=np.int64)
             else:
                 if 1 not in self._frob_cache:
-                    xp = np.array(self.pow(self.x_coords(), self.char), dtype=np.int64)
+                    # column j is (x^p)^j
+                    xp = self.mult_matrix(self.pow(self.x_coords(), self.char))
                     m1 = np.zeros((d, d), dtype=np.int64)
-                    cur = np.zeros(d, dtype=np.int64)
-                    cur[0] = 1
-                    for j in range(d):
-                        m1[:, j] = cur
-                        if j < d - 1:
-                            cur = self._vmul(cur, xp)
+                    m1[0, 0] = 1
+                    for j in range(1, d):
+                        m1[:, j] = xp @ m1[:, j - 1] % self.char
                     self._frob_cache[1] = m1
                 m = linalg.matpow(self._frob_cache[1], k, self.char) if k > 1 else self._frob_cache[1]
             self._frob_cache[k] = m

@@ -33,8 +33,12 @@ splits above the table limit.
 The monic primes of one degree come from a sieve, not from a test per
 candidate: a bitmap over all q^deg monic codes marks the products of smaller
 primes with monic cofactors, formed in numpy batches of prime coordinates
-(``enumerate_monic_irreducibles``).  Rabin's test (``is_irreducible``) serves
-single polynomials, and the tests use it as the sieve's oracle.
+(``enumerate_monic_irreducibles``).  The package has one Rabin test, for
+polynomials over tower fields: ``rabin_irreducible`` on coordinate arrays,
+which keeps x^(Q^k) mod f as an array under one ``PolyModulus``.  It serves
+single polynomials through ``is_irreducible``, the tower's modulus search
+(``fields.lex_irreducible``) over the prime field, and the tests as the
+sieve's oracle.
 """
 
 from __future__ import annotations
@@ -404,7 +408,8 @@ def _random_poly(field, deg_bound: int, rng: random.Random) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test over the coefficient field."""
+    """Rabin's irreducibility test over the coefficient field, a tower field
+    (``rabin_irreducible`` on the monic associate's coordinate array)."""
     if f.is_zero():
         raise ZeroInputError("irreducibility of zero")
     d = f.degree()
@@ -415,18 +420,35 @@ def is_irreducible(f: Poly) -> bool:
     f = f.monic()
     if f.coeffs[0].is_zero():
         return False
-    q = f.field.order
-    x = Poly.x(f.field)
+    return rabin_irreducible(f.field, f.field.coeff_array(f.coeffs))
+
+
+def rabin_irreducible(F, g: np.ndarray) -> bool:
+    """Rabin's test for a monic g of degree d >= 2 over the tower field F,
+    given as a (d + 1) x [F : F_p] coordinate array: g is irreducible iff
+    g | x^(Q^d) - x and gcd(x^(Q^(d/l)) - x, g) = 1 for every prime l | d,
+    Q = |F| (Rabin, SIAM J. Comput. 9, 1980; von zur Gathen-Gerhard, Modern
+    Computer Algebra, §14.9).  One ``PolyModulus`` serves all d powers
+    x^(Q^k) mod g, which stay arrays."""
+    from .fields import PolyModulus  # deferred: fields imports this module
+
+    d, p = len(g) - 1, F.char
+    mod = PolyModulus(F, g)
     checkpoints = {d // ell for ell in int_prime_factors(d)}
-    h = x
+
+    def minus_x(h: np.ndarray) -> np.ndarray:
+        out = np.zeros((max(len(h), 2), F.degree), dtype=np.int64)
+        out[: len(h)] = h
+        out[1, 0] -= 1
+        return out % p
+
+    h = np.zeros((2, F.degree), dtype=np.int64)
+    h[1, 0] = 1  # x
     for k in range(1, d + 1):
-        h = powmod(h, q, f)
-        if k in checkpoints:
-            if poly_gcd(h - x, f).degree() > 0:
-                return False
-        if k == d and not (h - x).is_zero():
+        h = mod.pow(h, F.order)
+        if k in checkpoints and len(F.poly_gcd(minus_x(h), g)) > 1:
             return False
-    return True
+    return not minus_x(h).any()
 
 
 def int_prime_factors(n: int) -> list[int]:

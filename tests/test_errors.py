@@ -123,6 +123,16 @@ def test_env_cap_override(monkeypatch, capsys):
     assert out.startswith("x^3")
 
 
+@pytest.mark.parametrize("cap", ["abc", "", "0", "-3", "2.5"])
+def test_env_cap_must_be_a_positive_integer(cap, monkeypatch, capsys):
+    from drinfeld.cli import main
+
+    monkeypatch.setenv("DF_MAX_EXT_DEGREE", cap)
+    rc = main(["weil", "--q", "3", "--psi", "T+1*t+1*t^3", "--p", "T^3+2*T+1"])
+    assert rc == 1
+    assert f"error: DF_MAX_EXT_DEGREE must be a positive integer, not {cap!r}" in capsys.readouterr().err
+
+
 def test_strict_gate_raises():
     from drinfeld.config import SurveyOptions
     from drinfeld.errors import DrinfeldError
@@ -154,8 +164,9 @@ def test_field_tower_rejects_q_above_table_limit():
 
 
 def test_largest_q_builds_its_extensions(deadline):
-    """The modulus search's small-factor sieve stops at p^d candidates above
-    the table limit, so q = 16381 reaches its first extensions at once."""
+    """The modulus search runs Rabin's test on its candidates over F_p and
+    enumerates no small factors first, so q = 16381 reaches its first
+    extensions at once."""
     p = 16381
     tower = FieldTower(p)
     with deadline(20):
