@@ -21,8 +21,9 @@ y^(n+j) folded back by the reduction rows y^(n+j) mod m), a power is
 square-and-multiply on that product, and an inverse is one ``linalg.solve``
 with the element's multiplication matrix.  The log tables come from the
 same product: the rows g^k for k < m times the matrix of g^m give the rows
-for k < 2m.  Polynomial products, division and gcds over a table field run
-on lists of discrete logs (``_FieldCtx.log_poly_mul`` and its siblings).
+for k < 2m.  Polynomials over a table field need no kernel of their own:
+the coefficient loops of ``polys`` run on these elements, so in discrete
+logs.
 
 Polynomials over any tower field F_(p^n) also come as k x n coordinate
 arrays, for ``polys.powmod``: a product packs each array into one Python
@@ -244,7 +245,8 @@ def _prime_field(p: int) -> "_FieldCtx":
 
 
 class _LogLists(NamedTuple):
-    """The tables of a table field's log kernel, as Python objects."""
+    """The log tables of a table field as Python objects, which the
+    operations of its elements index."""
 
     n: int  # |F| - 1, the modulus of logs
     zech: list[int]  # one period of log(1 + g^i), ZERO_LOG at i = log(-1)
@@ -389,16 +391,8 @@ class _FieldCtx:
         roots = sorted(exp[np.flatnonzero(acc < 0)].tolist())
         return [0] + roots if codes and not codes[0] else roots
 
-    # -- polynomials over a table field in discrete logs -------------------------
-    #
-    # A polynomial is a list of the logs of its coefficients, low first, with
-    # ZERO_LOG for 0.  A product of coefficients adds logs mod n = |F| - 1, and
-    # a sum a + b = a(1 + b/a) adds the Zech log of log b - log a to log a
-    # (Huber, IEEE Trans. Inf. Theory 36, 1990).  These polynomials have a
-    # handful of coefficients, so plain lists beat numpy's per-call cost.
-
     def _log_lists(self) -> _LogLists | None:
-        """The log kernel's tables, built on first use; None above the table
+        """The field's ``_LogLists``, built on first use; None above the table
         limit.  The list of elements holds two periods, so that a sum of two
         logs indexes it without a reduction mod n."""
         if self._logs is None and self._tables is not None:
@@ -413,84 +407,6 @@ class _FieldCtx:
                     zech = self._zech_logs().tolist()
                     self._logs = _LogLists(n, zech, self.neg_one_log(), log_of, elems + elems)
         return self._logs
-
-    def logs_of(self, elems) -> list[int]:
-        """The logs of elements of this table field."""
-        lists = self._log_lists()
-        return [c.log if c.log is not None else _log(c, lists) for c in elems]
-
-    def elems_of(self, logs: list[int]) -> list["FFElem"]:
-        """The elements with the given logs."""
-        elems = self._log_lists().elems
-        zero = self._zero
-        return [elems[k] if k >= 0 else zero for k in logs]
-
-    def _log_axpy(self, r: list[int], off: int, c: int, b: list[int]):
-        """r[off + j] += g^c * b[j] in place, for a log c >= 0."""
-        tables = self._logs or self._log_lists()
-        n, zech = tables.n, tables.zech
-        for j, y in enumerate(b, off):
-            if y < 0:
-                continue
-            t = c + y
-            if t >= n:
-                t -= n
-            o = r[j]
-            if o >= 0:
-                z = zech[t - o]  # a negative index wraps to (t - o) mod n
-                if z < 0:
-                    r[j] = ZERO_LOG
-                    continue
-                t = o + z
-                if t >= n:
-                    t -= n
-            r[j] = t
-
-    def log_poly_mul(self, a: list[int], b: list[int]) -> list[int]:
-        """Product of two trimmed polynomials in logs."""
-        if not a or not b:
-            return []
-        out = [ZERO_LOG] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c >= 0:
-                self._log_axpy(out, i, c, b)
-        return out
-
-    def log_poly_divmod(self, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-        """Quotient and remainder of trimmed polynomials in logs, b nonzero;
-        both come back trimmed.  Each quotient coefficient is the top of the
-        running remainder over lc(b), one log subtraction."""
-        tables = self._log_lists()
-        n, neg = tables.n, tables.neg
-        k = len(b) - 1
-        if len(a) <= k:
-            return [], a
-        inv = (n - b[-1]) % n
-        low = b[:k]
-        r = list(a)
-        q = [ZERO_LOG] * (len(a) - k)
-        for i in range(len(q) - 1, -1, -1):
-            c = r[i + k]
-            if c < 0:
-                continue
-            c = (c + inv) % n
-            q[i] = c
-            self._log_axpy(r, i, (c + neg) % n, low)
-        r = r[:k]
-        while r and r[-1] < 0:
-            r.pop()
-        return q, r
-
-    def log_poly_gcd(self, a: list[int], b: list[int]) -> list[int]:
-        """The monic gcd of two trimmed polynomials in logs ([] for two
-        zeros): Euclid by ``log_poly_divmod``, then every log less the top
-        one."""
-        while b:
-            a, b = b, self.log_poly_divmod(a, b)[1]
-        if not a:
-            return a
-        n, top = self._log_lists().n, a[-1]
-        return [(x - top) % n if x >= 0 else x for x in a]
 
     # -- raw coordinate operations ----------------------------------------------
 

@@ -102,9 +102,7 @@ def u_invariant(psi: DrinfeldModule, p: Poly) -> FFElem:
 
 
 def _u_from_reduction(red: ReducedModule) -> FFElem:
-    tower = red.source.tower
-    g_top = red.residue.reduce(red.source.g[-1])
-    norm = tower.norm_to_base(g_top)
+    norm = red.source.tower.norm_to_base(red.psibar_T.coeffs[-1])
     u = norm.inv()
     if red.deg_p % 2:
         u = -u
@@ -124,8 +122,7 @@ def weil_rank2_reduced(red: ReducedModule) -> WeilPolynomial:
     ctx = red.ctx
     n = red.deg_p
     u_p = _u_from_reduction(red)
-    g1 = red.residue.reduce(red.source.g[0])
-    g2 = red.residue.reduce(red.source.g[1])
+    g1, g2 = red.psibar_T.coeffs[1:]
     t_img = red.residue.t_image
     s_prev = ctx.one_elem()  # s_0
     s_cur = g1  # s_1

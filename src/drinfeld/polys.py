@@ -9,13 +9,14 @@ field.
 
 deg(0) is the distinguished marker float('-inf'), never an integer.
 
-Products, division and gcd over a tower field take one of two kernels on
-``_FieldCtx``: on a field with log tables, lists of discrete logs
-(``log_poly_mul``, ``log_poly_divmod``, ``log_poly_gcd``); above the table
-limit, k x n coordinate arrays (``poly_mul``, ``poly_divmod``, ``poly_gcd``),
-and powmod on packed ones.  ``schoolbook_mul``, ``schoolbook_divmod``,
-``schoolbook_gcd`` and ``schoolbook_powmod`` keep the coefficient loops for
-the other rings (quotients A/lA) and as the tests' oracles.
+Products, division and gcd take one of two routes.  The coefficient loops
+``schoolbook_mul``, ``schoolbook_divmod`` and ``schoolbook_gcd`` serve the
+quotient rings A/lA and the tower fields with log tables, whose element
+operations are discrete-log lookups.  Above the table limit they run on k x n
+coordinate arrays (``_FieldCtx.poly_mul``, ``poly_divmod``, ``poly_gcd``),
+which are also the tests' independent oracle for the loops on table fields.
+powmod runs on packed arrays over every tower field, and ``schoolbook_powmod``
+keeps its coefficient loop for the other rings and the tests.
 
 Factorization is squarefree decomposition, then distinct-degree, then
 equal-degree splitting driven by a pseudo-random stream seeded from the input
@@ -126,9 +127,6 @@ class Poly:
     def is_one(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0].is_one()
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1].is_one()
 
@@ -178,8 +176,6 @@ class Poly:
         F = self.field
         if not a or not b:
             return Poly.zero(F)
-        if _on_logs(F):
-            return Poly(F, F.elems_of(F.log_poly_mul(F.logs_of(a), F.logs_of(b))), normalize=False)
         if _on_arrays(F):
             return Poly(F, F.array_elems(F.poly_mul(F.coeff_array(a), F.coeff_array(b))))
         return schoolbook_mul(self, other)
@@ -198,23 +194,18 @@ class Poly:
         return Poly(self.field, (zero,) * k + self.coeffs, normalize=False)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Over a tower field the division runs in logs or on coordinate
-        arrays; over other rings it is ``schoolbook_divmod``."""
+        """Above the table limit the division runs on coordinate arrays;
+        over table fields and other rings it is ``schoolbook_divmod``."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if len(self.coeffs) < len(other.coeffs):
             return Poly.zero(self.field), self
         F = self.field
-        if _on_logs(F):
-            q, r = F.log_poly_divmod(F.logs_of(self.coeffs), F.logs_of(other.coeffs))
-            q, r = F.elems_of(q), F.elems_of(r)
-        elif _on_arrays(F):
-            q, r = F.poly_divmod(F.coeff_array(self.coeffs), F.coeff_array(other.coeffs))
-            q, r = F.array_elems(q), F.array_elems(r)
-        else:
+        if not _on_arrays(F):
             return schoolbook_divmod(self, other)
-        return Poly(F, q, normalize=False), Poly(F, r, normalize=False)
+        q, r = F.poly_divmod(F.coeff_array(self.coeffs), F.coeff_array(other.coeffs))
+        return Poly(F, F.array_elems(q), normalize=False), Poly(F, F.array_elems(r), normalize=False)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -275,15 +266,10 @@ class Poly:
 # gcd machinery
 
 
-def _on_logs(field) -> bool:
-    """Whether polynomials over ``field`` multiply, divide and take gcds in
-    discrete logs: tower fields with log tables do."""
-    return getattr(field, "_tables", None) is not None
-
-
 def _on_arrays(field) -> bool:
-    """Whether they do so on coordinate arrays: tower fields above the table
-    limit (no log tables) do."""
+    """Whether polynomials over ``field`` multiply, divide and take gcds on
+    coordinate arrays: tower fields above the table limit (no log tables)
+    do."""
     return getattr(field, "_tables", ()) is None
 
 
@@ -320,15 +306,12 @@ def schoolbook_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """The monic gcd (zero for two zeros).  Over a tower field Euclid runs in
-    logs or on coordinate arrays; over other rings it is ``schoolbook_gcd``."""
+    """The monic gcd (zero for two zeros).  Above the table limit Euclid runs
+    on coordinate arrays; over table fields and other rings it is
+    ``schoolbook_gcd``."""
+    a._check(b)
     F = a.field
-    if _on_logs(F):
-        a._check(b)
-        g = F.log_poly_gcd(F.logs_of(a.coeffs), F.logs_of(b.coeffs))
-        return Poly(F, F.elems_of(g), normalize=False)
     if _on_arrays(F):
-        a._check(b)
         g = F.poly_gcd(F.coeff_array(a.coeffs), F.coeff_array(b.coeffs))
         return Poly(F, F.array_elems(g), normalize=False)
     return schoolbook_gcd(a, b)
@@ -547,7 +530,7 @@ def splits_into_linear_factors(f: Poly) -> bool:
 
     With log tables the distinct roots come from evaluating f at every
     element at once (``table_roots``), and each is divided out as often as it
-    divides, by x - r in logs; f splits iff a constant is left.  Above the
+    divides, by ``divmod(f, x - r)``; f splits iff a constant is left.  Above the
     table limit, f splits iff f | (x^Q - x)^(p^j) = x^(Q p^j) - x^(p^j) for
     the least j with p^j >= deg f, which bounds every multiplicity.  One
     ``FrobeniusStep`` for f applied j times to x gives x^(p^j) mod f, and k
@@ -570,15 +553,14 @@ def splits_into_linear_factors(f: Poly) -> bool:
         for _ in range(F.degree):
             w = step(w)
         return np.array_equal(u, w)
-    a = F.logs_of(f.coeffs)
     for r in table_roots(f):
-        linear = F.logs_of([-r, F.one_elem()])
-        while len(a) > 1:
-            quot, rem = F.log_poly_divmod(a, linear)
-            if rem:
+        linear = Poly(F, (-r, F.one_elem()), normalize=False)
+        while f.degree() > 0:
+            quot, rem = divmod(f, linear)
+            if not rem.is_zero():
                 break
-            a = quot
-    return len(a) == 1
+            f = quot
+    return f.degree() == 0
 
 
 def powint(f: Poly, k: int) -> Poly:

@@ -10,7 +10,7 @@ over (A/aA)[x] unchanged.
 from __future__ import annotations
 
 from .errors import DrinfeldError, RingMismatchError, ZeroInputError
-from .polys import Poly, is_irreducible, poly_xgcd
+from .polys import Poly, poly_xgcd
 
 
 class QuotRing:
@@ -24,13 +24,6 @@ class QuotRing:
         self.char = self.base.char
         self.order = self.base.order ** modulus.degree()
         self.key = ("quot", getattr(self.base, "fid", id(self.base)), self.modulus.coeffs)
-        self._is_field: bool | None = None
-
-    @property
-    def is_field(self) -> bool:
-        if self._is_field is None:
-            self._is_field = is_irreducible(self.modulus)
-        return self._is_field
 
     def reduce(self, f: Poly) -> "QuotElem":
         return QuotElem(self, f % self.modulus)

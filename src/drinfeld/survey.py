@@ -346,6 +346,8 @@ def density_report(
     if not records:
         raise DrinfeldError("this density kind needs survey records")
     live = [r for r in records if r.skipped is None]
+    if not live:
+        raise DrinfeldError(f"no prime of good reduction among the {len(records)} surveyed primes")
     q = live[0].q
     rank = len(live[0].psi)
     degrees = sorted({r.deg_p for r in records})

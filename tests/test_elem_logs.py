@@ -2,9 +2,9 @@
 
 On a field with log tables every ``FFElem`` operation, ``frobenius_power``,
 ``embed`` and ``project`` is a log-list lookup.  The oracle is the
-coordinate/matrix route the fields above the table limit take: the numpy
-product and Euclid inverse of ``_FieldCtx``, the p-power matrix and the
-embedding matrix with its left inverse.  Small fields are checked
+coordinate/matrix route the fields above the table limit take: the
+Toeplitz-row product and the ``linalg.solve`` inverse of ``_FieldCtx``, the
+p-power matrix and the embedding matrix with its left inverse.  Small fields are checked
 exhaustively, bigger table fields by hypothesis."""
 
 import numpy as np

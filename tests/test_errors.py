@@ -330,3 +330,24 @@ def test_nonpositive_c_k_is_a_usage_error(capsys, c_k):
     assert captured.err.startswith("usage error: --c-k ")
     with pytest.raises(DrinfeldError, match="c_K must be a positive integer"):
         density_report([], "bp_equals_one", c_k=int(c_k))
+
+
+def test_density_with_every_prime_skipped_is_an_error(capsys):
+    """psi = T + t + (T^2+T) t^2 has bad reduction at both primes of degree
+    1, so a per-degree density has no record to count."""
+    from drinfeld.cli import main
+    from drinfeld.config import SurveyOptions
+    from drinfeld.errors import DrinfeldError
+    from drinfeld.survey import density_report, run_survey
+
+    psi = module_from_text("T+1*t+(T^2+T)*t^2", FieldTower(2))
+    records = list(run_survey(psi, [1], SurveyOptions()))
+    assert [r.skipped for r in records] == ["bad_reduction"] * 2
+    with pytest.raises(DrinfeldError, match="no prime of good reduction among the 2 surveyed primes"):
+        density_report(records, "bp_equals_one")
+    argv = ["density", "--q", "2", "--psi", "T+1*t+(T^2+T)*t^2", "--deg", "1",
+            "--kind", "bp_equals_one"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no prime of good reduction among the 2 surveyed primes\n"

@@ -1,9 +1,9 @@
-"""The discrete-log polynomial kernel of table fields against its oracles:
-the coefficient loops (``schoolbook_mul``, ``schoolbook_divmod``,
-``schoolbook_gcd``) on prime and extension fields up to the largest table
-field, and sympy's ``galoistools`` over prime fields.  Also the Zech table
-the kernel shares with the root search, and the production path of one
-q = 5 survey record."""
+"""Polynomials over table fields, whose coefficient loops run on elements
+ruled by discrete logs, against two independent oracles: the coordinate-array
+kernel of ``_FieldCtx`` (``poly_mul``, ``poly_divmod``, ``poly_gcd``) on
+prime and extension fields up to the largest table field, and sympy's
+``galoistools`` over prime fields.  Also the Zech table the elements share
+with the root search, and the production path of one q = 5 survey record."""
 
 from collections import Counter
 
@@ -16,14 +16,7 @@ from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul
 from drinfeld import division, polys, survey
 from drinfeld.config import SurveyOptions
 from drinfeld.fields import TABLE_LIMIT, ZERO_LOG, FieldTower
-from drinfeld.polys import (
-    Poly,
-    enumerate_monic_irreducibles,
-    poly_gcd,
-    schoolbook_divmod,
-    schoolbook_gcd,
-    schoolbook_mul,
-)
+from drinfeld.polys import Poly, enumerate_monic_irreducibles, poly_gcd
 from drinfeld.textio import module_from_text
 
 TOWER2 = FieldTower(2, max_degree=64)
@@ -54,10 +47,19 @@ def poly(ctx, max_len):
     )
 
 
+def rows(f: Poly) -> np.ndarray:
+    return f.field.coeff_array(f.coeffs)
+
+
+def from_rows(ctx, a: np.ndarray) -> Poly:
+    return Poly(ctx, ctx.array_elems(a))
+
+
 @pytest.mark.parametrize("name", list(LOG_FIELDS))
 def test_log_kernel_matches_schoolbook(name):
-    """Product, divmod and gcd in logs equal the coefficient loops, on zero
-    operands, non-monic divisors and a common factor too."""
+    """Product, divmod and gcd of ``Poly`` over a table field, the coefficient
+    loops in logs, equal the coordinate-array kernel, on zero operands,
+    non-monic divisors and a common factor too."""
     ctx = LOG_FIELDS[name]
     assert ctx.order <= TABLE_LIMIT
     zero = Poly.zero(ctx)
@@ -66,17 +68,14 @@ def test_log_kernel_matches_schoolbook(name):
     @settings(max_examples=120, deadline=None)
     def check(a, b, common):
         for x, y in [(a, b), (b, a), (a, zero), (zero, b)]:
-            assert x * y == schoolbook_mul(x, y)
+            assert x * y == from_rows(ctx, ctx.poly_mul(rows(x), rows(y)))
         if not b.is_zero():
-            assert divmod(a, b) == schoolbook_divmod(a, b)
+            for x in (a, zero):
+                q, r = ctx.poly_divmod(rows(x), rows(b))
+                assert divmod(x, b) == (from_rows(ctx, q), from_rows(ctx, r))
             assert divmod(a * b, b) == (a, zero)
         for x, y in [(a, b), (b, a), (a * common, b * common), (a, zero), (zero, a), (zero, zero)]:
-            assert poly_gcd(x, y) == schoolbook_gcd(x, y)
-        logs = ctx.logs_of(a.coeffs)
-        assert ctx.log_poly_mul([], logs) == ctx.log_poly_mul(logs, []) == []
-        if logs:
-            assert ctx.log_poly_divmod([], logs) == ([], [])
-        assert ctx.log_poly_gcd([], []) == []
+            assert poly_gcd(x, y) == from_rows(ctx, ctx.poly_gcd(rows(x), rows(y)))
 
     check()
 
@@ -87,7 +86,7 @@ def _high_first(f: Poly) -> list[int]:
 
 @pytest.mark.parametrize("p", SYMPY_PRIMES)
 def test_log_kernel_matches_sympy(p):
-    """Over F_p the kernel agrees with sympy's gf_mul, gf_div and gf_gcd."""
+    """Over F_p, ``Poly`` agrees with sympy's gf_mul, gf_div and gf_gcd."""
     ctx = FieldTower(p).base_field
     assert ctx.order <= TABLE_LIMIT
 
@@ -107,7 +106,7 @@ def test_log_kernel_matches_sympy(p):
 
 @pytest.mark.parametrize("name", list(LOG_FIELDS))
 def test_zech_table(name):
-    """One Zech table serves the kernel and the root search: entry i is
+    """One Zech table serves the elements and the root search: entry i is
     log(1 + g^i), ZERO_LOG exactly at i = log(-1), and the root search's
     steps are four periods of it with entry 0 set to 0."""
     ctx = LOG_FIELDS[name]
@@ -128,11 +127,10 @@ def test_zech_table(name):
 
 
 def test_q5_record_stays_on_the_log_kernel(monkeypatch):
-    """One record of the q = 5 survey with the Abhyankar stage never reaches
-    the coefficient loops, and its split test, on a table field, builds no
-    radical and takes no powmod."""
+    """One record of the q = 5 survey with the Abhyankar stage takes no
+    powmod, and its split test, on a table field, builds no radical."""
     calls = Counter()
-    for name in ("schoolbook_divmod", "schoolbook_gcd", "squarefree_decomposition", "powmod"):
+    for name in ("squarefree_decomposition", "powmod"):
         fn = getattr(polys, name)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
@@ -156,4 +154,4 @@ def test_q5_record_stays_on_the_log_kernel(monkeypatch):
     rec = survey.compute_record(psi, p, SurveyOptions())
     assert rec.skipped is None and rec.splits_abhyankar is not None
     assert splits == [(5**3, Counter())]
-    assert calls["schoolbook_divmod"] == calls["schoolbook_gcd"] == calls["powmod"] == 0
+    assert calls["powmod"] == 0
