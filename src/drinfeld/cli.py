@@ -30,7 +30,6 @@ from .invariants import (
     invariant_factors_from_lattice,
     rank2_invariants,
     weil_motive,
-    weil_rank2,
 )
 from .modules import reduce_at
 from .polys import Poly
@@ -169,7 +168,7 @@ def _cmd_weil(args) -> int:
     tower = _tower(args.q)
     psi = _module(args, tower)
     p = _prime(args, tower)
-    weil = weil_rank2(psi, p) if psi.rank == 2 else weil_motive(reduce_at(psi, p))
+    weil = weil_motive(reduce_at(psi, p))
     print(weil_to_text(weil))
     return 0
 

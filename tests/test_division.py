@@ -9,7 +9,7 @@ from drinfeld.division import (
     module_structure,
     splits_completely,
 )
-from drinfeld.errors import CoprimalityError, DrinfeldError
+from drinfeld.errors import CoprimalityError, DrinfeldError, RankError
 from drinfeld.modules import DrinfeldModule
 from drinfeld.polys import Poly, enumerate_monic_irreducibles
 from drinfeld.quotients import mat_is_identity, mat_is_scalar
@@ -177,3 +177,61 @@ def test_abhyankar_consistency_small_scan(tower3, psi3):
             splits, report = abhyankar_splits_mod(psi3, p)  # raises on inconsistency
             if splits:
                 assert (report["disc"] % (T * T)).is_zero()
+
+
+def test_b1_criteria_need_rank_two(tower3):
+    """J_m = F in rank 1, and the b_{p,1} criteria assume rank >= 2: each
+    entry point raises RankError rather than answering."""
+    from drinfeld.division import abhyankar_splits_reduced, b_p_first
+    from drinfeld.modules import reduce_at
+
+    F = tower3.base_field
+    T, one = Poly.x(F), Poly.one(F)
+    psi1 = DrinfeldModule(tower3, [one])
+    p = T + one
+    for call in (
+        lambda: jm_splits(psi1, p, T),
+        lambda: b_p_first(psi1, p),
+        lambda: abhyankar_splits_mod(psi1, p),
+        lambda: abhyankar_splits_reduced(reduce_at(psi1, p), one),
+    ):
+        with pytest.raises(RankError):
+            call()
+
+
+def test_rank1_commands(capsys):
+    """A rank-1 survey skips the Abhyankar stage and passes --strict; `split
+    --m` raises the typed rank error."""
+    import json
+
+    from drinfeld.cli import main
+
+    args = ["survey", "--q", "3", "--psi", "T+1*t", "--deg", "1,2", "--format", "json"]
+    assert main([*args, "--strict"]) == 0
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(recs) == 6
+    assert all(not r["warnings"] and r["splits_abhyankar"] is None for r in recs)
+    assert all(r["checks_passed"][0] == "weil_identity" for r in recs)
+    assert main(["split", "--q", "3", "--psi", "T+1*t", "--p", "T+1", "--m", "T"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: the b_{p,1} criteria need rank >= 2" in captured.err
+
+
+def test_abhyankar_poly_is_built_once_per_module(tower3, monkeypatch):
+    """A survey reduces f_psi at every prime but builds and verifies it once."""
+    from drinfeld import division
+    from drinfeld.config import SurveyOptions
+    from drinfeld.survey import run_survey
+
+    calls = []
+    verify = division._verify_abhyankar_identity
+    monkeypatch.setattr(
+        division, "_verify_abhyankar_identity", lambda psi, f: calls.append(1) or verify(psi, f)
+    )
+    one = Poly.one(tower3.base_field)
+    psi = DrinfeldModule(tower3, [one, one])
+    recs = list(run_survey(psi, [1, 2], SurveyOptions()))
+    assert sum(r.splits_abhyankar is not None for r in recs) == 5  # the 6 primes but T
+    assert len(calls) == 1
+    assert abhyankar_poly(psi) is abhyankar_poly(psi)

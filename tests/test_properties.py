@@ -1,13 +1,14 @@
 """Randomized property suites (hypothesis drives the case generation)."""
 
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from drinfeld import linalg
-from drinfeld.amatrix import smith_normal_form
+from drinfeld.amatrix import ring_det, smith_normal_form
 from drinfeld.errors import (
     BadReductionError,
     DrinfeldError,
@@ -15,8 +16,8 @@ from drinfeld.errors import (
     ResourceLimitError,
 )
 from drinfeld.fields import TABLE_LIMIT, FFElem, FieldTower
-from drinfeld.invariants import weil_general, weil_motive, weil_rank2_reduced
-from drinfeld.modules import DrinfeldModule, ResidueField, reduce_at
+from drinfeld.invariants import weil_general, weil_motive
+from drinfeld.modules import DrinfeldModule, ResidueField, motive_frobenius, reduce_at
 from drinfeld.polys import (
     FrobeniusStep,
     Poly,
@@ -26,6 +27,7 @@ from drinfeld.polys import (
     is_irreducible,
     lex_min_root,
     poly_gcd,
+    powint,
     powmod,
     roots_in_field,
     schoolbook_divmod,
@@ -625,19 +627,66 @@ def test_splitting_degree_matches_oracle(deadline):
         check()
 
 
+def _motive_minor_sum(red):
+    """c_0 .. c_(r-1) of det(x - pi) over F_p[T], from the sums of principal
+    minors of ``modules.motive_frobenius``, projected to F_q[T]."""
+    tower, base, r = red.source.tower, red.source.base, red.rank
+    pi = motive_frobenius(red)
+    zero = Poly.zero(red.ctx)
+    coeffs = []
+    for j in range(r):  # c_j = (-1)^(r-j) * (sum of the principal (r-j)-minors)
+        minors = (ring_det([[pi[u][v] for v in s] for u in s])
+                  for s in combinations(range(r), r - j))
+        c = sum(minors, zero)
+        c = -c if (r - j) % 2 else c
+        coeffs.append(c.map_coeffs(lambda x: tower.project(x, base), base))
+    return coeffs
+
+
+def _assert_matches_minor_sum(red):
+    weil = weil_motive(red)
+    assert list(weil.coeffs) == _motive_minor_sum(red)
+    assert weil.coeffs[0] == red.prime.scale(weil.unit)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
-def test_weil_motive_matches_rank2_recursion(q):
+def test_weil_motive_matches_motive_minor_sum(q):
+    """The recurrence at T = t equals det(x - pi) over F_p[T] in ranks 1..5,
+    deg p below r - 1 included."""
     tower = ROOT_TOWERS[q][0]
 
     @given(data=st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def check(data):
-        deg_p = data.draw(st.integers(min_value=1, max_value=4))
-        psi, p = data.draw(module_and_prime(tower, 2, deg_p))
-        red = reduce_at(psi, p)
-        assert weil_motive(red) == weil_rank2_reduced(red)
+        rank = data.draw(st.integers(min_value=1, max_value=5))
+        deg_p = data.draw(st.integers(min_value=1, max_value=4 if rank <= 3 else 2))
+        psi, p = data.draw(module_and_prime(tower, rank, deg_p))
+        _assert_matches_minor_sum(reduce_at(psi, p))
 
     check()
+
+
+@pytest.mark.parametrize("psi", ["T+1*t+1*t^2", "T+1*t+T*t^2+1*t^3"])
+def test_weil_motive_matches_motive_minor_sum_above_table_limit(psi):
+    """F_(3^10) computes on coordinates, not on logs."""
+    tower = FieldTower(3, max_degree=64)
+    red = reduce_at(module_from_text(psi, tower), poly_from_text("T^10+2*T^6+2*T^5+2*T^4+T+2", tower))
+    assert red.ctx.order > TABLE_LIMIT
+    _assert_matches_minor_sum(red)
+
+
+def test_weil_motive_raises_on_a_wrong_lift(monkeypatch):
+    """A lift off by T^(n-1) breaks the degree bound or the skew identity."""
+    tower = FieldTower(3, max_degree=64)
+    red = reduce_at(module_from_text("T+1*t+1*t^2", tower), poly_from_text("T^3+2*T+1", tower))
+    lift = ResidueField.lift
+
+    def wrong(self, x):
+        return lift(self, x) + powint(Poly.x(tower.base_field), self.deg_p - 1)
+
+    monkeypatch.setattr(ResidueField, "lift", wrong)
+    with pytest.raises(DrinfeldError):
+        weil_motive(red)
 
 
 # (tower, field degree over the prime field): F_(2^16), F_(3^12), F_(5^4),

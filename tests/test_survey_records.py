@@ -65,17 +65,23 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
         "is_irreducible": _count_calls(monkeypatch, polys, "is_irreducible"),
         "rank2_invariants_reduced": _count_calls(monkeypatch, invariants, "rank2_invariants_reduced"),
         "weil_rank2_reduced": _count_calls(monkeypatch, invariants, "weil_rank2_reduced"),
+        "weil_identity_holds": _count_calls(monkeypatch, invariants, "weil_identity_holds"),
+        "motive_frobenius": _count_calls(monkeypatch, modules, "motive_frobenius"),
         "factorize": _count_calls(monkeypatch, polys, "factorize"),  # the conductor only
     }
     rec = survey.compute_record(psi, p, SurveyOptions())
     assert rec.skipped is None and not rec.warnings
     assert rec.splits_abhyankar is (prime == "T^4+T^3+2*T+1")
-    # the residue field proves p prime, so Rabin's test never runs
-    assert {k: c[0] for k, c in counts.items()} == {**dict.fromkeys(counts, 1), "is_irreducible": 0}
+    # the residue field proves p prime, so Rabin's test never runs, and the
+    # Weil route forms pi at T = t without the motive matrix over F_p[T]
+    assert {k: c[0] for k, c in counts.items()} == {
+        **dict.fromkeys(counts, 1), "is_irreducible": 0, "motive_frobenius": 0,
+    }
 
 
 def test_rank3_record_takes_the_motive_route(monkeypatch):
-    """A rank-3 record reduces at p once and never reaches torsion or CRT."""
+    """A rank-3 record reduces at p once, checks the skew identity once and
+    never reaches the F_p[T] motive matrix, torsion or CRT."""
     from drinfeld import invariants, modules, polys, torsion
 
     tower = FieldTower(2, max_degree=64)
@@ -84,6 +90,8 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
     counts = {
         "reduce_at": _count_calls(monkeypatch, modules, "reduce_at"),
         "weil_motive": _count_calls(monkeypatch, invariants, "weil_motive"),
+        "weil_identity_holds": _count_calls(monkeypatch, invariants, "weil_identity_holds"),
+        "motive_frobenius": _count_calls(monkeypatch, modules, "motive_frobenius"),
         "weil_general": _count_calls(monkeypatch, invariants, "weil_general"),
         "torsion_basis_reduced": _count_calls(monkeypatch, torsion, "torsion_basis_reduced"),
         "crt": _count_calls(monkeypatch, polys, "crt"),
@@ -92,7 +100,8 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
     assert rec.skipped is None and not rec.warnings
     assert rec.b_invariants == ["1", "T+1"]
     assert {k: c[0] for k, c in counts.items()} == {
-        "reduce_at": 1, "weil_motive": 1, "weil_general": 0, "torsion_basis_reduced": 0, "crt": 0,
+        "reduce_at": 1, "weil_motive": 1, "weil_identity_holds": 1, "motive_frobenius": 0,
+        "weil_general": 0, "torsion_basis_reduced": 0, "crt": 0,
     }
 
 
