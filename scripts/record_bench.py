@@ -1,0 +1,128 @@
+"""Time the stages of one survey record, ``survey.compute_record``.
+
+    PYTHONPATH=src python scripts/record_bench.py [--q Q] [--psi PSI] [--deg D,...] [--passes N]
+
+One pass runs ``compute_record`` with the default survey options on every
+prime of the given degrees, for a module built afresh in the pass, so each
+pass builds its residue fields as a survey does; the tower, and with it the
+fields F_(q^n), is shared by the passes.  The stages are timed by plain
+wrappers put in place of these functions in every ``drinfeld`` namespace that
+binds them:
+
+- ``residue field``: ``modules.reduce_at`` (the residue field and the
+  reduction);
+- ``Weil route``: ``invariants.weil_motive``;
+- ``skew identity``: ``invariants.weil_identity_holds``, inside the route;
+- ``rank-2 invariants``: ``invariants.rank2_invariants_reduced``;
+- ``module structure``: ``division.module_structure_reduced``, the closed
+  form the oracle checks;
+- ``structure oracle``: ``torsion.module_structure_oracle_reduced``;
+- ``endomorphism lattice``: ``invariants.end_lattice_reduced`` (rank >= 3);
+- ``Abhyankar``: ``division.abhyankar_splits_reduced``.
+
+A stage's time excludes the stages it calls, and ``other`` is what is left
+of the record.  Cached data goes to the stage that builds it first (the
+blocks of psibar_T, for one, to the skew identity).  The script prints the
+microseconds per record of every stage and its share of the record: the
+least over ``--passes`` passes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from time import perf_counter
+
+from drinfeld import division, invariants, modules, survey, torsion
+from drinfeld.config import SurveyOptions
+from drinfeld.fields import FieldTower
+from drinfeld.polys import enumerate_monic_irreducibles
+from drinfeld.textio import module_from_text
+
+# stage -> (module, function name)
+STAGES = {
+    "residue field": (modules, "reduce_at"),
+    "Weil route": (invariants, "weil_motive"),
+    "skew identity": (invariants, "weil_identity_holds"),
+    "rank-2 invariants": (invariants, "rank2_invariants_reduced"),
+    "module structure": (division, "module_structure_reduced"),
+    "structure oracle": (torsion, "module_structure_oracle_reduced"),
+    "endomorphism lattice": (invariants, "end_lattice_reduced"),
+    "Abhyankar": (division, "abhyankar_splits_reduced"),
+}
+
+
+def install(totals: dict[str, float]) -> None:
+    """Put a timing wrapper in place of every stage function, in every
+    ``drinfeld`` namespace bound to it.  ``stack`` holds, per open stage
+    call, the time spent in the stages it called."""
+    stack: list[float] = []
+
+    def wrap(stage, fn):
+        def timed(*args, **kwargs):
+            stack.append(0.0)
+            t0 = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                dt = perf_counter() - t0
+                totals[stage] += dt - stack.pop()
+                if stack:
+                    stack[-1] += dt
+
+        return timed
+
+    for stage, (module, name) in STAGES.items():
+        fn = getattr(module, name)
+        wrapped = wrap(stage, fn)
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.split(".")[0] == "drinfeld":
+                if mod.__dict__.get(name) is fn:
+                    setattr(mod, name, wrapped)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--q", type=int, default=5)
+    ap.add_argument("--psi", type=str, default="T+1*t+1*t^2")
+    ap.add_argument("--deg", type=str, default="4", help="comma-separated prime degrees")
+    ap.add_argument("--passes", type=int, default=7)
+    args = ap.parse_args(argv)
+
+    tower = FieldTower(args.q)
+    degrees = [int(d) for d in args.deg.split(",")]
+    primes = [p for d in degrees for p in enumerate_monic_irreducibles(tower.base_field, d)]
+    options = SurveyOptions()
+    totals = dict.fromkeys(STAGES, 0.0)
+    install(totals)
+    best = {name: float("inf") for name in [*STAGES, "other", "record"]}
+    records = 0
+    for _ in range(max(1, args.passes)):
+        psi = module_from_text(args.psi, tower)
+        for stage in totals:
+            totals[stage] = 0.0
+        t0 = perf_counter()
+        recs = [survey.compute_record(psi, p, options) for p in primes]
+        wall = perf_counter() - t0
+        records = sum(1 for r in recs if r.skipped is None)
+        errors = sum(1 for r in recs if r.warnings)
+        if errors:
+            print(f"warning: {errors} records carry warnings", file=sys.stderr)
+        times = {**totals, "record": wall, "other": wall - sum(totals.values())}
+        for name, t in times.items():
+            best[name] = min(best[name], t)
+
+    print(f"q={args.q} psi={args.psi} degrees={args.deg}: {records} records, "
+          f"least of {max(1, args.passes)} passes")
+    print(f"{'stage':<22}{'us/record':>10}{'share':>8}")
+    per = max(records, 1)
+    for name in [*STAGES, "other", "record"]:
+        if name in STAGES and best[name] == 0.0:
+            continue
+        us = best[name] / per * 1e6
+        print(f"{name:<22}{us:>10.1f}{best[name] / best['record']:>8.1%}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -96,7 +96,8 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
         red = reduce_at(psi, p)
         inv = rank2_invariants_reduced(red) if psi.rank == 2 and tower.q % 2 else None
         weil = inv.weil if inv is not None else weil_motive(red)
-        rec.a_p = poly_to_text(weil.coeffs[-1])
+        if psi.rank >= 2:  # c_(r-1); in rank 1, c_0 = u_p p is all there is
+            rec.a_p = poly_to_text(weil.coeffs[-1])
         rec.u_p = fq_to_text(weil.unit, tower)
         checks = ["weil_identity"]  # asserted inside weil_motive
         if inv is not None:

@@ -21,14 +21,18 @@ Frobenius images are expressed through the evaluation map (A/aA)^r -> psi[a]
 by solving one linear system.
 
 The structure oracle gives F_p itself as an A-module through psibar_T, on the
-same block coordinates: det(T - M) from Krylov blocks of the prime matrix M
-of psibar_T, the answer itself when the Krylov space of 1 is all of F_p (the
-cyclic case), and otherwise the elementary divisors from the ranks of f(M)^k
-for the repeated irreducible factors f.  No Smith form over F_q[T] is taken.
+same block coordinates.  The prime matrix M of psibar_T is the sum of the
+reduced module's cached blocks M(g_j) Phi^(e j).  det(T - M) comes from
+Krylov blocks, one ``rref`` per start: it is the answer itself when the
+Krylov space of 1, or else of 1 + T + ... + T^(n-1), is all of F_p (the
+cyclic case).  Otherwise the walk goes on over unit starts outside the span,
+and the elementary divisors come from the ranks of f(M)^k for the repeated
+irreducible factors f.  No Smith form over F_q[T] is taken.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,13 +293,13 @@ def module_structure_oracle(psi: DrinfeldModule, p: Poly) -> list[Poly]:
 def module_structure_oracle_reduced(red: ReducedModule) -> list[Poly]:
     """Invariant factors of F_p as an A-module through psibar, nonunits ascending.
 
-    psibar_T acts F_q-linearly on F_p; its prime matrix is taken on the F_q
-    basis T^j of F_p (the residue field's lift coordinates) and handed to
-    ``fq_invariant_factors``.
+    psibar_T acts F_q-linearly on F_p; its prime matrix, the sum of the
+    blocks ``red.psibar_blocks``, is taken on the F_q basis T^j of F_p (the
+    residue field's lift coordinates) and handed to ``fq_invariant_factors``.
     """
     p0 = red.source.tower.char
     res = red.residue
-    t_op = _linearized_operator(red, list(red.psibar_T.coeffs), red.ctx)
+    t_op = sum(k for k in red.psibar_blocks if k is not None) % p0
     mt = (res._basis_inv @ ((t_op @ res._basis) % p0)) % p0
     return fq_invariant_factors(mt, red.source.tower.base_field)
 
@@ -308,14 +312,18 @@ def fq_invariant_factors(mt: np.ndarray, base: _FieldCtx) -> list[Poly]:
     of F_q on every block.  The factors are those of the Smith form of
     T*I - M over F_q[T], found without polynomial elimination:
 
-    - chi = det(T - M) is the product of relative minimal polynomials of
-      Krylov blocks.  Walk the unit vectors; each one outside the F_q-span W
-      of the blocks so far starts a block v, Mv, M^2 v, ..., extended until
-      the next vector lies in W + (block); its coordinates in that span give
-      the block's relative minimal polynomial.
-    - If the first block, the Krylov space of the first unit vector, is
-      everything, the module is cyclic and chi is the only factor.
-    - Otherwise each irreducible f of multiplicity m >= 2 in chi gets its
+    - chi = det(T - M) is the product of the relative minimal polynomials of
+      Krylov blocks (as in Storjohann's Frobenius-form algorithm, ISSAC
+      1998).  Each start costs one elimination: see ``_krylov_blocks``.
+    - Cyclic case: the starts u_0 (the first block unit) and u_0 + ... +
+      u_(n-1) (all block units) are tried in turn, each with its Krylov
+      vectors up to M^n; when the first n are independent, chi is read off
+      the last one and is the only factor.
+    - Otherwise the elimination of the second start also carries the Krylov
+      block of u_0 relative to it, and the block units after the blocks name
+      the first one outside their span, the next start; the walk goes on
+      until the blocks span everything.
+    - Then each irreducible f of multiplicity m >= 2 in chi gets its
       partition from the jumps of dim ker f(M)^k, k = 1..m (prime ranks
       divided by e); f^(lambda_j) goes into the j-th factor from the top.
       Factors of multiplicity 1 all go into the top one.
@@ -323,31 +331,31 @@ def fq_invariant_factors(mt: np.ndarray, base: _FieldCtx) -> list[Poly]:
     p0, e = base.char, base.degree
     dim = mt.shape[0]
     n = dim // e
-    my = np.kron(np.eye(n, dtype=np.int64), base.mult_matrix(base.x_coords()))
-    span = linalg.RowSpace(dim, p0)
-    chi = Poly.one(base)
-    for j in range(n):
-        v = np.zeros(dim, dtype=np.int64)
-        v[j * e] = 1
-        if span.contains(v):
-            continue
-        before = span.basis.copy()
-        block: list[np.ndarray] = []
-        while not span.contains(v):
-            block.append(v)
-            for w in orbits([v], my, e, p0):
-                span.add(w)
-            v = (mt @ v) % p0
-        cols = np.concatenate([np.stack(orbits(block, my, e, p0), axis=1), before.T], axis=1)
-        sol = linalg.solve(cols, v, p0)
-        if sol is None:
-            raise DrinfeldError("Krylov vector outside its span")  # unreachable
-        # e solution entries per block vector: the coords of one F_q coefficient
-        low = [-FFElem(base, tuple(int(c) for c in sol[i * e : (i + 1) * e]))
-               for i in range(len(block))]
-        chi = chi * Poly(base, low + [base.one_elem()])
-        if len(block) == n:  # the Krylov space of the first unit vector is everything
-            return [chi]
+    # y on every block; orbits of length e = 1 never use it
+    my = np.kron(np.eye(n, dtype=np.int64), base.mult_matrix(base.x_coords())) if e > 1 else None
+
+    def krylov(v: np.ndarray, length: int) -> list[np.ndarray]:
+        return orbits(orbits([v], mt, length + 1, p0), my, e, p0)
+
+    starts = np.zeros((2, dim), dtype=np.int64)
+    starts[0, 0] = starts[1, ::e] = 1  # u_0, and the sum of all block units
+    first = krylov(starts[0], n)
+    (chi,), _, _ = _krylov_blocks([], [first], [], base)
+    if chi.degree() == n:
+        return [chi]
+    k = chi.degree()
+    units = list(np.eye(dim, dtype=np.int64)[::e])
+    (chi, rel), span, outside = _krylov_blocks(
+        [], [krylov(starts[1], n), first[: (k + 1) * e]], units, base
+    )
+    if chi.degree() == n:
+        return [chi]
+    chi = chi * rel
+    while outside:
+        (rel,), span, outside = _krylov_blocks(
+            span, [krylov(units[outside[0]], n - len(span) // e)], units, base
+        )
+        chi = chi * rel
     from_top = [Poly.one(base)]
     for g, m in squarefree_decomposition(chi):
         if m == 1:
@@ -368,3 +376,37 @@ def fq_invariant_factors(mt: np.ndarray, base: _FieldCtx) -> list[Poly]:
                     from_top.append(Poly.one(base))
                 from_top[i] = from_top[i] * powint(f, sum(1 for c in at_least if c > i))
     return from_top[::-1]
+
+
+def _krylov_blocks(
+    span: list[np.ndarray], chunks: list[list[np.ndarray]], tail: list[np.ndarray], base: _FieldCtx
+) -> tuple[list[Poly], list[np.ndarray], list[int]]:
+    """One ``rref`` of the columns [span | chunks | tail].
+
+    ``span`` is a prime basis of an M- and y-stable subspace W; each chunk is
+    ``krylov(v, L)`` of one start v, the columns y^t M^i v for i = 0..L, long
+    enough that M^L v lies in W, the earlier chunks and v..M^(L-1) v.  A
+    chunk's pivots are the orbits of its first j vectors, and the column of
+    M^j v holds their coefficients: M^j v = sum_i c_i M^i v modulo the
+    earlier span.  Returns, per chunk, the relative minimal polynomial
+    T^j - sum_i c_i T^i (1 when v is already in the span); the new span
+    basis, the pivot columns left of the tail; and the indices of the tail's
+    pivot columns, ascending, so that the first is the first tail column
+    outside the new span.
+    """
+    p0, e = base.char, base.degree
+    cols = span + [c for chunk in chunks for c in chunk]
+    ech, pivots = linalg.rref(np.array(cols + tail).T, p0)
+    rels = []
+    at = len(span)
+    for chunk in chunks:
+        row = bisect_left(pivots, at)
+        j = (bisect_left(pivots, at + len(chunk)) - row) // e
+        low = -ech[row : row + j * e, at + j * e] % p0
+        rels.append(Poly(base, base.array_elems(low.reshape(j, e)) + [base.one_elem()]))
+        at += len(chunk)
+    return (
+        rels,
+        [cols[c] for c in pivots if c < at],
+        [c - at for c in pivots if c >= at],
+    )

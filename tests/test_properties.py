@@ -881,16 +881,33 @@ def _block_diag(ctx, *mats):
     return out
 
 
+def _companion(ctx, low):
+    """The companion matrix of x^k + low[k-1] x^(k-1) + ... + low[0]:
+    e_i -> e_(i+1) for i < k-1, and e_(k-1) -> -(low[0] e_0 + ... )."""
+    k = len(low)
+    rows = [[ctx.zero_elem()] * k for _ in range(k)]
+    for i in range(1, k):
+        rows[i][i - 1] = ctx.one_elem()
+    for i in range(k):
+        rows[i][k - 1] = -low[i]
+    return rows
+
+
 @st.composite
 def fq_operator(draw, ctx):
     """A prime block matrix of an F_q-linear map on F_q^n, n <= 6: random, or
     conjugate to diag(A, A, B) or to diag([[A, I], [0, A]], A, B), so that
-    repeated factors and non-cyclic modules come up at every q."""
+    repeated factors and non-cyclic modules come up at every q; or diag(A, B)
+    itself, where the first unit vector lies in the invariant subspace of A
+    and so generates only when the module is cyclic and B is empty."""
 
     def mat(k):
         return [[draw(elem(ctx)) for _ in range(k)] for _ in range(k)]
 
-    kind = draw(st.sampled_from(["random", "repeated", "jordan"]))
+    kind = draw(st.sampled_from(["random", "repeated", "jordan", "split"]))
+    if kind == "split":
+        a = mat(draw(st.integers(1, 5)))
+        return _prime_blocks(ctx, _block_diag(ctx, a, mat(draw(st.integers(0, 6 - len(a))))))
     if kind == "random":
         rows = mat(draw(st.integers(1, 6)))
     elif kind == "repeated":
@@ -910,13 +927,41 @@ def fq_operator(draw, ctx):
     return mt
 
 
+def _generates(mt, v, ctx):
+    """Whether the F_q-Krylov space of v under the prime block matrix mt is
+    everything."""
+    e, p0 = ctx.degree, ctx.char
+    my = np.kron(np.eye(len(mt) // e, dtype=np.int64), ctx.mult_matrix(ctx.x_coords()))
+    vecs = linalg.orbits(linalg.orbits([v], mt, len(mt) // e, p0), my, e, p0)
+    return len(linalg.rref(np.array(vecs), p0)[1]) == len(mt)
+
+
 @pytest.mark.parametrize("q", sorted(KERNEL_FIELDS))
 def test_fq_invariant_factors_match_smith_form(q):
     """The Krylov and kernel-rank invariant factors equal the nonunit Smith
-    invariant factors of T*I - M over F_q[T]."""
+    invariant factors of T*I - M over F_q[T].  Besides the drawn matrices,
+    diag(C(T^2 + T), C(T^2 + T + 1)) of companion matrices is cyclic (the two
+    characteristic polynomials are coprime at every q), but neither start of
+    the cyclic case generates it: the first unit vector lies in the first
+    block, and the sum of the unit vectors is 1 + T there, which shares
+    T + 1 with T^2 + T.  diag(C(T^2 + T + 1), C(T)) is generated by the sum
+    but not by the first unit vector."""
     ctx = KERNEL_FIELDS[q]
     e = ctx.degree
     T = Poly.x(ctx)
+    zero, one = ctx.zero_elem(), ctx.one_elem()
+    f, g, h = _companion(ctx, [zero, one]), _companion(ctx, [one, one]), _companion(ctx, [zero])
+    cyclic = [
+        ((f, g), False, (T * T + T) * (T * T + T + Poly.one(ctx))),
+        ((g, h), True, (T * T + T + Poly.one(ctx)) * T),
+    ]
+    for blocks, by_units, chi in cyclic:
+        mt = _prime_blocks(ctx, _block_diag(ctx, *blocks))
+        u0, units = np.zeros((2, len(mt)), dtype=np.int64)
+        u0[0] = units[::e] = 1
+        assert not _generates(mt, u0, ctx)
+        assert _generates(mt, units, ctx) is by_units
+        assert [d.coeffs for d in fq_invariant_factors(mt, ctx)] == [chi.coeffs]
 
     @given(mt=fq_operator(ctx))
     @settings(max_examples=40, deadline=None)

@@ -17,6 +17,7 @@ SCRIPTS = [
     ("noncm_estimate.py", ["--q", "3", "--max-deg", "1"], "partial sum"),
     ("linalg_bench.py", ["--mix", "sample-r2-q3-largefield", "--repeats", "1"], "RowSpace.contains"),
     ("field_bench.py", ["--ops", "1", "--repeats", "1"], "project"),
+    ("record_bench.py", ["--q", "3", "--deg", "1", "--passes", "1"], "structure oracle"),
 ]
 
 

@@ -272,6 +272,20 @@ def test_cli_survey_formats(tmp_path, capsys):
     assert len(csv_out) == 4
 
 
+def test_cli_rank1_survey_leaves_a_p_null(capsys):
+    """A rank-1 Weil polynomial x + u_p p has no x^(r-1) coefficient apart
+    from c_0, so the survey's a_p column stays null and u_p holds the unit."""
+    from drinfeld.cli import main
+
+    assert main(["survey", "--q", "3", "--psi", "T+1*t", "--deg", "1", "--format", "json"]) == 0
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["p"], r["a_p"], r["u_p"]) for r in recs] == [
+        ("T", None, "2"), ("T+1", None, "2"), ("T+2", None, "2"),
+    ]
+    assert main(["survey", "--q", "3", "--psi", "T+1*t+1*t^2", "--deg", "1", "--format", "json"]) == 0
+    assert all(json.loads(line)["a_p"] is not None for line in capsys.readouterr().out.splitlines())
+
+
 def test_cli_usage_errors(capsys):
     from drinfeld.cli import main
 

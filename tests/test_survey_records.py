@@ -124,6 +124,41 @@ def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
     assert calls[0] == 1
 
 
+@pytest.mark.parametrize(
+    "q,prime,rrefs",
+    [(3, "T^3+2*T+1", 1), (5, "T^4+2", 1), (5, "T^4+2*T^2+3", 2)],
+    ids=["q3-by-1", "q5-by-1", "q5-by-units"],
+)
+def test_cyclic_structure_oracle_is_one_elimination_per_start(q, prime, rrefs, monkeypatch):
+    """On a cyclic F_p the oracle makes one rref per start tried: one when 1
+    generates, two when only 1 + T + ... + T^(n-1) does (a pinned q = 5
+    prime).  It factors nothing, builds no RowSpace and takes the matrix of
+    psibar_T from the reduction's cached blocks."""
+    from drinfeld import linalg, polys, torsion
+    from drinfeld.modules import reduce_at
+
+    tower = FieldTower(q, max_degree=64)
+    psi = module_from_text("T+1*t+1*t^2", tower)
+    rec = survey.compute_record(psi, poly_from_text(prime, tower), SurveyOptions())
+    assert "structure_oracle" in rec.checks_passed and not rec.warnings
+    red = reduce_at(psi, poly_from_text(prime, tower))
+    counts = {
+        "rref": _count_calls(monkeypatch, linalg, "rref"),
+        "squarefree_decomposition": _count_calls(monkeypatch, polys, "squarefree_decomposition"),
+        "factorize": _count_calls(monkeypatch, polys, "factorize"),
+        "_linearized_operator": _count_calls(monkeypatch, torsion, "_linearized_operator"),
+    }
+    added = []
+    add = linalg.RowSpace.add
+    monkeypatch.setattr(linalg.RowSpace, "add", lambda self, v: added.append(1) or add(self, v))
+    factors = torsion.module_structure_oracle_reduced(red)
+    assert len(factors) == 1 and factors[0].degree() == red.deg_p
+    assert {k: c[0] for k, c in counts.items()} == {
+        "rref": rrefs, "squarefree_decomposition": 0, "factorize": 0, "_linearized_operator": 0,
+    }
+    assert added == []
+
+
 def test_rank3_structure_check_rejects_a_wrong_oracle(monkeypatch):
     """Beyond odd-q rank 2, the oracle factors must multiply to P_p(1); factors
     of the right total degree alone do not pass."""
