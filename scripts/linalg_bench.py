@@ -4,9 +4,20 @@
 
 Each mix is a fixed list of matrix shapes with their counts per pass, as
 recorded from one pass of the benchmark workload of the same name (``rref``
-calls, including those inside ``solve`` and ``nullspace``); the two
+calls, including those inside ``solve`` and ``nullspace``).  The
 ``lattice-deg12`` mixes hold the largest shapes of the rank-3 endomorphism
-lattice at q = 2, degree 12, one each.  Matrices are uniform random mod p
+lattice at q = 2, degree 12, one each:
+
+- ``lattice-deg12-free``: the final solve as the lattice makes it now, on
+  the rows of the free blocks e_0, e_n, e_2n, ... only: a 48 x 30 system and
+  its 5 targets, one 48 x 35 ``rref``;
+- ``lattice-deg12-tall``: the same solve on every row of tau-degree <= top,
+  with the 10 targets of all nine products and pi, one 444 x 40 ``rref``;
+  the lattice made this shape until it solved on the free blocks;
+- ``lattice-deg12-wide``: the canonical basis of the commutant solutions
+  at the largest window.
+
+Matrices are uniform random mod p
 from a generator seeded by ``--seed``.  For every matrix m of shape
 rows x cols the script times
 
@@ -46,6 +57,7 @@ MIXES = {
         (12, 12, 11), (14, 14, 8), (10, 20, 4), (10, 2, 4), (10, 11, 4), (11, 22, 4),
         (12, 24, 4), (13, 26, 4), (14, 28, 4), (14, 2, 4), (14, 15, 4), (13, 13, 3),
     ]),
+    "lattice-deg12-free": (2, [(48, 35, 1)]),
     "lattice-deg12-tall": (2, [(444, 40, 1)]),
     "lattice-deg12-wide": (2, [(18, 300, 1)]),
 }

@@ -22,9 +22,11 @@ binds them:
 
 A stage's time excludes the stages it calls, and ``other`` is what is left
 of the record.  Cached data goes to the stage that builds it first (the
-blocks of psibar_T, for one, to the skew identity).  The script prints the
-microseconds per record of every stage and its share of the record: the
-least over ``--passes`` passes.
+blocks of psibar_T, for one, to the skew identity).  Every ``linalg.rref``
+call, those made inside ``nullspace`` and ``solve`` included, is counted for
+the innermost stage open at the call.  The script prints, per stage, the
+microseconds per record, its share of the record and the ``rref`` calls per
+record: each the least over ``--passes`` passes.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import argparse
 import sys
 from time import perf_counter
 
-from drinfeld import division, invariants, modules, survey, torsion
+from drinfeld import division, invariants, linalg, modules, survey, torsion
 from drinfeld.config import SurveyOptions
 from drinfeld.fields import FieldTower
 from drinfeld.polys import enumerate_monic_irreducibles
@@ -52,25 +54,34 @@ STAGES = {
 }
 
 
-def install(totals: dict[str, float]) -> None:
+def install(totals: dict[str, float], rrefs: dict[str, int]) -> None:
     """Put a timing wrapper in place of every stage function, in every
-    ``drinfeld`` namespace bound to it.  ``stack`` holds, per open stage
-    call, the time spent in the stages it called."""
-    stack: list[float] = []
+    ``drinfeld`` namespace bound to it, and a counter in place of
+    ``linalg.rref``.  ``stack`` holds, per open stage call, its name and the
+    time spent in the stages it called."""
+    stack: list[list] = []
 
     def wrap(stage, fn):
         def timed(*args, **kwargs):
-            stack.append(0.0)
+            stack.append([stage, 0.0])
             t0 = perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 dt = perf_counter() - t0
-                totals[stage] += dt - stack.pop()
+                totals[stage] += dt - stack.pop()[1]
                 if stack:
-                    stack[-1] += dt
+                    stack[-1][1] += dt
 
         return timed
+
+    rref = linalg.rref
+
+    def counted(*args, **kwargs):
+        rrefs[stack[-1][0] if stack else "other"] += 1
+        return rref(*args, **kwargs)
+
+    linalg.rref = counted
 
     for stage, (module, name) in STAGES.items():
         fn = getattr(module, name)
@@ -93,14 +104,19 @@ def main(argv=None) -> int:
     degrees = [int(d) for d in args.deg.split(",")]
     primes = [p for d in degrees for p in enumerate_monic_irreducibles(tower.base_field, d)]
     options = SurveyOptions()
+    names = [*STAGES, "other", "record"]
     totals = dict.fromkeys(STAGES, 0.0)
-    install(totals)
-    best = {name: float("inf") for name in [*STAGES, "other", "record"]}
+    rrefs = dict.fromkeys(names, 0)
+    install(totals, rrefs)
+    best = dict.fromkeys(names, float("inf"))
+    least_rrefs = dict.fromkeys(names, float("inf"))
     records = 0
     for _ in range(max(1, args.passes)):
         psi = module_from_text(args.psi, tower)
         for stage in totals:
             totals[stage] = 0.0
+        for name in rrefs:
+            rrefs[name] = 0
         t0 = perf_counter()
         recs = [survey.compute_record(psi, p, options) for p in primes]
         wall = perf_counter() - t0
@@ -109,18 +125,21 @@ def main(argv=None) -> int:
         if errors:
             print(f"warning: {errors} records carry warnings", file=sys.stderr)
         times = {**totals, "record": wall, "other": wall - sum(totals.values())}
+        rrefs["record"] = sum(rrefs.values())
         for name, t in times.items():
             best[name] = min(best[name], t)
+            least_rrefs[name] = min(least_rrefs[name], rrefs[name])
 
     print(f"q={args.q} psi={args.psi} degrees={args.deg}: {records} records, "
           f"least of {max(1, args.passes)} passes")
-    print(f"{'stage':<22}{'us/record':>10}{'share':>8}")
+    print(f"{'stage':<22}{'us/record':>10}{'share':>8}{'rref/record':>13}")
     per = max(records, 1)
-    for name in [*STAGES, "other", "record"]:
+    for name in names:
         if name in STAGES and best[name] == 0.0:
             continue
         us = best[name] / per * 1e6
-        print(f"{name:<22}{us:>10.1f}{best[name] / best['record']:>8.1%}")
+        calls = least_rrefs[name] / per
+        print(f"{name:<22}{us:>10.1f}{best[name] / best['record']:>8.1%}{calls:>13.2f}")
     return 0
 
 

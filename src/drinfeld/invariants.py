@@ -313,14 +313,19 @@ def _membership(red: ReducedModule, a_p: Poly, m: Poly) -> bool:
 # The solutions are m (floor(D/n) + 1) free prime coordinates cut down by
 # those constraints.  The blocks depend only on k mod n, and the recursion at
 # D is a prefix of the one at any larger window, so one ``Commutant`` per
-# prime (``ReducedModule.commutant``) grows with D.
+# prime (``ReducedModule.commutant``) grows with D.  A commutant element of
+# tau-degree <= D is therefore fixed by its free blocks e_0, e_n, e_2n, ...
 #
 # ``_commutant_nullspace`` returns the rref-canonical basis of the dense
 # system e psibar_T = psibar_T e in the prime coordinates of e_0, ..., e_D:
 # for each free column, the solution that is 1 there and 0 at the other free
 # columns.  A column is free exactly when it is the last nonzero coordinate
 # of some solution, i.e. a pivot of the rref of the solutions with their
-# columns reversed; that rref is the canonical basis.
+# columns reversed; that rref is the canonical basis.  The commutant at D is
+# the one at any W > D cut to tau-degree <= D, so its canonical basis is the
+# W solutions with at most D+1 rows, and a window below one already solved
+# costs no elimination.  ``end_lattice_reduced`` asks for the stability
+# window D + 2r before D, so each window it visits is eliminated once.
 #
 # The A-span of a candidate basis is one prime matrix, ``_span_columns``.  Its
 # columns y^t psibar_T^u b come from a ``_Krylov`` cache, which forms each
@@ -328,9 +333,9 @@ def _membership(red: ReducedModule, a_p: Poly, m: Poly) -> bool:
 # commutant, so it is the sum of the canonical solutions weighted by its
 # entries at their free columns.  The greedy basis choice and the stability
 # check row-reduce just those entries (``_span_rows``): one number per
-# solution, not (D+1) m.  One solve against the span, built at the largest
-# target degree, gives the coordinates of the products e_i e_j and of
-# pi = tau^n.
+# solution, not (D+1) m.  One solve, on the rows of the free blocks of the
+# span at the largest target degree, gives the coordinates of the products
+# e_i e_j (i, j > 1; e_1 = 1) and of pi = tau^n.
 
 # The tau-degree window D grows by 2r per step and is capped at 4 (n + r^2).
 WINDOW_GROWTH_PER_RANK = 2
@@ -358,7 +363,8 @@ class Commutant:
     g_j = 0).  ``blocks[k]`` is the m x m (floor(k/n) + 1) prime matrix of e_k
     in terms of the free blocks e_0, e_n, ..., and ``constraints[c]`` the
     equation at k = (c + 1) n in the free blocks below k.  ``found`` keeps the
-    solutions of each window asked for.
+    solutions of each window asked for; a window below one already in
+    ``found`` is cut from the least such.
     """
 
     def __init__(self, red: ReducedModule):
@@ -411,6 +417,14 @@ class Commutant:
     def solutions(self, D: int) -> list[np.ndarray]:
         if D in self.found:
             return list(self.found[D])
+        larger = [w for w in self.found if w > D]
+        if larger:
+            # the commutant at D is the one at W > D cut to tau-degree <= D, and
+            # its canonical basis is the W solutions with pivot (last nonzero
+            # coordinate) at most (D+1) m, i.e. with at most D+1 rows
+            out = [x for x in self.found[min(larger)] if len(x) <= D + 1]
+            self.found[D] = out
+            return list(out)
         self._grow(D)
         m, p0 = self.m, self.p0
         cols = m * (D // self.n + 1)
@@ -438,7 +452,7 @@ def _commutant_nullspace(red: ReducedModule, D: int) -> list[np.ndarray]:
     They are the rref-canonical null-space basis of the dense system in the
     coordinates of e_0, ..., e_D, solved by the tau-degree recursion (see the
     comment above); each prime keeps one recursion, grown to the largest
-    window asked for.
+    window asked for, and eliminates only at windows above every one solved.
     """
     return red.commutant.solutions(D)
 
@@ -544,6 +558,10 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
     while True:
         if D > cap:
             raise _window_error(cap)
+        if D + 2 * r <= cap:
+            # eliminate once at the stability window; D, and later the grown D,
+            # are cut from it
+            _commutant_nullspace(red, D + 2 * r)
         sols = _commutant_nullspace(red, D)
         free = _free_coordinates(sols)
         unit = np.eye(len(sols), dtype=np.int64)
@@ -576,29 +594,37 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
             continue
         break
 
-    # coordinates of the r^2 products e_i e_j and of pi = tau^n, by one solve
-    # against the span matrix at the largest target degree; the basis is free
-    # over A, so its columns are independent and the solution is unique
+    # coordinates of the products e_i e_j and of pi = tau^n, by one solve
+    # against the span matrix at the largest target degree.  Every column and
+    # target commutes with psibar_T, and such an element is fixed by its free
+    # blocks e_0, e_n, e_2n, ... (see above), so the solve keeps only their
+    # rows.  The basis is free over A, so the solution is unique.  e_1 = 1, so
+    # the products 1 e_j and e_i 1 are unit vectors and are not solved for.
     tau_n = np.zeros((n + 1, m), dtype=np.int64)
     tau_n[n, 0] = 1
     targets = []
-    for bi in basis:
+    for bi in basis[1:]:
         blocks = left_blocks(ctx, bi)
-        targets += [left_mul(blocks, bj, p0) for bj in basis]
+        targets += [left_mul(blocks, bj, p0) for bj in basis[1:]]
     targets.append(tau_n)
     top = max(len(t) for t in targets) - 1
     mat, counts = _span_columns(krylov, basis, top)
     rhs = np.stack([_vec(t, top) for t in targets], axis=1)
-    sol = linalg.solve(mat, rhs, p0)
+    free_rows = (np.arange(0, top + 1, n)[:, None] * m + np.arange(m)).ravel()
+    sol = linalg.solve(mat[free_rows], rhs[free_rows], p0)
     if sol is None:
         raise InconclusiveBasisError("element does not lie in the A-span of the basis")
-    coords = [_coords(sol[:, k], counts, red) for k in range(len(targets))]
-    tensors = [coords[i * r : (i + 1) * r] for i in range(r)]
+    coords = iter([_coords(sol[:, k], counts, red) for k in range(len(targets))])
+    base = red.source.tower.base_field
+    unit = [[Poly.one(base) if k == i else Poly.zero(base) for k in range(r)] for i in range(r)]
+    tensors = [
+        [unit[i + j] if i == 0 or j == 0 else next(coords) for j in range(r)] for i in range(r)
+    ]
     return EndLattice(
         red=red,
         basis=[SkewPoly.from_array(ctx, b) for b in basis],
         tensors=tensors,
-        pi_coords=coords[-1],
+        pi_coords=next(coords),
         window=D,
     )
 

@@ -272,12 +272,20 @@ def _greedy_module_basis(
 
 
 def _poly_at(d: Poly, t_mat: np.ndarray, base: _FieldCtx) -> np.ndarray:
-    """Prime matrix of d(T) on block coordinates, by Horner."""
+    """Prime matrix of d(T) on block coordinates, by Horner.  A coefficient
+    c adds diag(M(c), ..., M(c)); at e = 1 that is c on the diagonal."""
     p0 = base.char
-    eye = np.eye(t_mat.shape[0] // base.degree, dtype=np.int64)
+    dim = t_mat.shape[0]
+    eye = np.eye(dim // base.degree, dtype=np.int64)
+    diag = np.diag_indices(dim)
     out = np.zeros_like(t_mat)
     for c in reversed(d.coeffs):
-        out = (t_mat @ out + np.kron(eye, base.mult_matrix(c.coords))) % p0
+        out = t_mat @ out
+        if base.degree == 1:
+            out[diag] += int(c.coords[0])
+        else:
+            out += np.kron(eye, base.mult_matrix(c.coords))
+        out %= p0
     return out
 
 

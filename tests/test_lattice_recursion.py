@@ -1,6 +1,7 @@
 """The endomorphism lattice's commutant by the tau-degree recursion, checked
-against the dense commutation system; each Krylov product built once; the
-per-window DEBUG log."""
+against the dense commutation system; the solve on the free blocks, checked
+against the solve on every row; each window eliminated once and each Krylov
+product built once; the per-window DEBUG log."""
 
 import logging
 from pathlib import Path
@@ -10,11 +11,12 @@ import pytest
 
 from drinfeld import invariants, linalg
 from drinfeld.cli import main
-from drinfeld.errors import BadReductionError
+from drinfeld.errors import BadReductionError, InconclusiveBasisError
 from drinfeld.fields import FieldTower
 from drinfeld.modules import reduce_at
 from drinfeld.polys import enumerate_monic_irreducibles
-from drinfeld.textio import module_from_text, poly_from_text
+from drinfeld.skew import left_blocks, left_mul
+from drinfeld.textio import module_from_text, poly_from_text, poly_to_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -63,7 +65,9 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("tower_name,psis,max_deg", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def test_commutant_recursion_matches_dense_oracle(request, tower_name, psis, max_deg):
     """Same arrays in the same order at D = n+2r, n+4r and n+2r+1, asked in
-    that order, so the recursion grows and then answers a smaller window."""
+    that order, so the recursion grows and then answers a smaller window; then,
+    on a fresh reduction, asked largest first, so each smaller window is cut
+    from a larger one without an elimination of its own."""
     tower = request.getfixturevalue(tower_name)
     cases = 0
     for text in psis:
@@ -76,39 +80,148 @@ def test_commutant_recursion_matches_dense_oracle(request, tower_name, psis, max
                 except BadReductionError:
                     continue
                 n = red.deg_p
-                for D in (n + 2 * r, n + 4 * r, n + 2 * r + 1):
-                    got = invariants._commutant_nullspace(red, D)
-                    want = _dense_commutant(red, D)
-                    assert [x.tolist() for x in got] == [x.tolist() for x in want], (text, p, D)
-                    cases += 1
-    assert cases >= 30
+                windows = (n + 2 * r, n + 4 * r, n + 2 * r + 1)
+                want = {D: _dense_commutant(red, D) for D in windows}
+                for order in (windows, sorted(windows, reverse=True)):
+                    red = reduce_at(psi, p)
+                    for D in order:
+                        got = invariants._commutant_nullspace(red, D)
+                        assert [x.tolist() for x in got] == [x.tolist() for x in want[D]], (
+                            text, p, D, order,
+                        )
+                        cases += 1
+    assert cases >= 60
 
 
 def test_lattice_builds_each_krylov_product_once(monkeypatch, tower2, psi2_rank3):
     """At p = T^7+T^3+1 the first window 13 is too small, so the greedy runs
-    at 13 and 19, the stability check at 25 and the solve at the largest
-    target degree; each psibar_T^(u+1) b is still formed once."""
+    at 13 and 19 and the stability check at 25.  Each greedy window first
+    asks for its stability window, so 19 and 25 are eliminated once each and
+    13 and the second 19 are cut from them: one ``linalg.nullspace`` per
+    distinct solved window, of m (D // n + 1) columns.  Each
+    psibar_T^(u+1) b is still formed once."""
     red = reduce_at(psi2_rank3, poly_from_text("T^7+T^3+1", tower2))
-    windows, products = [], []
-    inner_nullspace = invariants._commutant_nullspace
+    n, m = red.deg_p, red.ctx.degree
+    windows, eliminated, products = [], [], []
+    inner_window = invariants._commutant_nullspace
+    inner_nullspace = linalg.nullspace
     inner_mul = invariants.left_mul
 
-    def nullspace_spy(red_, D):
+    def window_spy(red_, D):
         windows.append(D)
-        return inner_nullspace(red_, D)
+        return inner_window(red_, D)
+
+    def nullspace_spy(mat, p):
+        eliminated.append(mat.shape[1])
+        return inner_nullspace(mat, p)
 
     def mul_spy(blocks, x, p):
         if blocks is red.psibar_blocks:
             products.append(x.tobytes())
         return inner_mul(blocks, x, p)
 
-    monkeypatch.setattr(invariants, "_commutant_nullspace", nullspace_spy)
+    monkeypatch.setattr(invariants, "_commutant_nullspace", window_spy)
+    monkeypatch.setattr(linalg, "nullspace", nullspace_spy)
     monkeypatch.setattr(invariants, "left_mul", mul_spy)
     lat = invariants.end_lattice_reduced(red)
-    assert windows == [13, 19, 25] and lat.window == 19
+    assert windows == [19, 13, 25, 19, 25] and lat.window == 19
+    assert eliminated == [m * (D // n + 1) for D in (19, 25)]
+    assert sorted(red.commutant.found) == [13, 19, 25]
     assert products and len(products) == len(set(products))
 
 
+def _all_rows_solve(red, basis, targets):
+    """The oracle: the coordinates of the targets by one solve against every
+    row of the span matrix at the largest target degree, or None."""
+    top = max(len(t) for t in targets) - 1
+    mat, counts = invariants._span_columns(invariants._Krylov(red), basis, top)
+    rhs = np.stack([invariants._vec(t, top) for t in targets], axis=1)
+    sol = linalg.solve(mat, rhs, red.ctx.char)
+    if sol is None:
+        return None
+    return [[poly_to_text(c) for c in invariants._coords(sol[:, k], counts, red)]
+            for k in range(len(targets))]
+
+
+def _lattice_targets(lat):
+    """The basis arrays, and every product e_i e_j (unit ones included) and
+    pi = tau^n, as the lattice solved for them before the free-block solve."""
+    red = lat.red
+    ctx, n, m = red.ctx, red.deg_p, red.ctx.degree
+    basis = [b.array() for b in lat.basis]
+    targets = [left_mul(left_blocks(ctx, bi), bj, ctx.char) for bi in basis for bj in basis]
+    tau_n = np.zeros((n + 1, m), dtype=np.int64)
+    tau_n[n, 0] = 1
+    return basis, targets + [tau_n]
+
+
+# (tower fixture, psi_T texts of ranks 3 and 4, largest deg p)
+SOLVE_CASES = [
+    ("tower2", ["T+1*t+1*t^3", "T+T*t+1*t^3", "T+1*t+1*t^4"], 6),
+    ("tower3", ["T+1*t+1*t^3", "T+1*t^4"], 3),
+    ("tower4", ["T+1*t+1*t^3", "T+z*t+1*t^4"], 3),
+]
+
+
+@pytest.mark.parametrize("tower_name,psis,max_deg", SOLVE_CASES, ids=[c[0] for c in SOLVE_CASES])
+def test_free_block_solve_matches_all_rows_solve(request, tower_name, psis, max_deg):
+    """The lattice's tensors and pi coordinates, solved on the free blocks
+    e_0, e_n, e_2n, ... with the unit products read off, equal the solve
+    against every row for every product; at q = 2 also at p = T^7+T^3+1,
+    where the first window is too small."""
+    tower = request.getfixturevalue(tower_name)
+    cases = 0
+    for text in psis:
+        psi = module_from_text(text, tower)
+        r = psi.rank
+        primes = [p for d in range(1, max_deg + 1)
+                  for p in enumerate_monic_irreducibles(tower.base_field, d)]
+        if tower_name == "tower2":
+            primes.append(poly_from_text("T^7+T^3+1", tower))
+        for p in primes:
+            try:
+                lat = invariants.end_lattice_reduced(reduce_at(psi, p))
+            except BadReductionError:
+                continue
+            want = _all_rows_solve(lat.red, *_lattice_targets(lat))
+            tensors = [[[poly_to_text(c) for c in coords] for coords in row] for row in lat.tensors]
+            assert tensors == [want[i * r : (i + 1) * r] for i in range(r)], (text, p)
+            assert [poly_to_text(c) for c in lat.pi_coords] == want[-1], (text, p)
+            cases += 1
+    assert cases >= 25
+
+
+def test_free_block_solve_raises_outside_the_span(monkeypatch, tower2, psi2_rank3):
+    """A target outside the A-span of the basis still raises: each target is
+    shifted by a unit vector whose free blocks the span columns do not reach,
+    and the all-rows oracle finds no solution either."""
+    red = reduce_at(psi2_rank3, poly_from_text("T^7+T^3+1", tower2))
+    lat = invariants.end_lattice_reduced(red)
+    basis, targets = _lattice_targets(lat)
+    n, m, p0 = red.deg_p, red.ctx.degree, red.ctx.char
+    top = max(len(t) for t in targets) - 1
+    mat = invariants._span_columns(invariants._Krylov(red), basis, top)[0]
+    free = [k * m + i for k in range(0, top + 1, n) for i in range(m)]
+    units = np.eye(len(mat), dtype=np.int64)
+    shift = next(c for c in free if linalg.solve(mat[free], units[free, c], p0) is None)
+    shifted_targets = []
+    for t in targets:
+        x = np.zeros((top + 1, m), dtype=np.int64)
+        x[: len(t)] = t
+        x[shift // m, shift % m] += 1
+        shifted_targets.append(x % p0)
+    assert _all_rows_solve(red, basis, shifted_targets) is None
+
+    inner = invariants._vec
+
+    def shifted(x, D):
+        v = inner(x, D)
+        v[shift] = (v[shift] + 1) % p0
+        return v
+
+    monkeypatch.setattr(invariants, "_vec", shifted)
+    with pytest.raises(InconclusiveBasisError, match="does not lie in the A-span"):
+        invariants.end_lattice_reduced(reduce_at(psi2_rank3, red.prime))
 def test_lattice_logs_each_window_at_debug(caplog, capsys, monkeypatch):
     """DEBUG lines name each window's commutant size and basis; survey stdout
     stays byte-identical to the golden file."""

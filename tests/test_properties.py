@@ -39,7 +39,12 @@ from drinfeld.polys import (
 )
 from drinfeld.skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
 from drinfeld.textio import module_from_text, poly_from_text
-from drinfeld.torsion import _splitting_degree, fq_invariant_factors, torsion_basis_reduced
+from drinfeld.torsion import (
+    _poly_at,
+    _splitting_degree,
+    fq_invariant_factors,
+    torsion_basis_reduced,
+)
 from test_torsion_pin import CASES as TORSION_PIN_CASES
 
 TOWER3 = FieldTower(3, max_degree=64)
@@ -977,6 +982,26 @@ def test_fq_invariant_factors_match_smith_form(q):
         ]
         smith = [f for f in smith_normal_form(xmat) if f.degree() >= 1]
         assert [f.coeffs for f in fq_invariant_factors(mt, ctx)] == [f.coeffs for f in smith]
+
+    check()
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_FIELDS))
+def test_poly_at_matches_kron_horner(q):
+    """``_poly_at`` equals Horner with kron(I, M(c)) added for every
+    coefficient c: at e = 1 (q = 2, 3) it adds c on the diagonal instead, at
+    e = 2 (q = 4, 9, 25) it builds the kron."""
+    ctx = KERNEL_FIELDS[q]
+    p0 = ctx.char
+
+    @given(mt=fq_operator(ctx), d=poly(ctx))
+    @settings(max_examples=30, deadline=None)
+    def check(mt, d):
+        eye = np.eye(len(mt) // ctx.degree, dtype=np.int64)
+        want = np.zeros_like(mt)
+        for c in reversed(d.coeffs):
+            want = (mt @ want + np.kron(eye, ctx.mult_matrix(c.coords))) % p0
+        assert _poly_at(d, mt, ctx).tolist() == want.tolist()
 
     check()
 

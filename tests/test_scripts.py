@@ -10,18 +10,24 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (script, arguments, a line the report must contain)
+# (test id, script, arguments, a line the report must contain)
 SCRIPTS = [
-    ("abhyankar_scan.py", ["--q", "3", "--max-deg", "3"], "primes scanned : 14"),
-    ("cm_density.py", ["--q", "3", "--max-deg", "1"], "deg  primes"),
-    ("noncm_estimate.py", ["--q", "3", "--max-deg", "1"], "partial sum"),
-    ("linalg_bench.py", ["--mix", "sample-r2-q3-largefield", "--repeats", "1"], "RowSpace.contains"),
-    ("field_bench.py", ["--ops", "1", "--repeats", "1"], "project"),
-    ("record_bench.py", ["--q", "3", "--deg", "1", "--passes", "1"], "structure oracle"),
+    ("abhyankar_scan.py", "abhyankar_scan.py", ["--q", "3", "--max-deg", "3"], "primes scanned : 14"),
+    ("cm_density.py", "cm_density.py", ["--q", "3", "--max-deg", "1"], "deg  primes"),
+    ("noncm_estimate.py", "noncm_estimate.py", ["--q", "3", "--max-deg", "1"], "partial sum"),
+    ("linalg_bench.py", "linalg_bench.py", ["--mix", "sample-r2-q3-largefield", "--repeats", "1"],
+     "RowSpace.contains"),
+    ("linalg_bench.py-lattice", "linalg_bench.py", ["--mix", "lattice-deg12-free", "--repeats", "1"],
+     "lattice-deg12-free"),
+    ("field_bench.py", "field_bench.py", ["--ops", "1", "--repeats", "1"], "project"),
+    ("record_bench.py", "record_bench.py", ["--q", "3", "--deg", "1", "--passes", "1"],
+     "structure oracle"),
+    ("record_bench.py-rank3", "record_bench.py",
+     ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1", "--passes", "1"], "rref/record"),
 ]
 
 
-@pytest.mark.parametrize("script,args,marker", SCRIPTS, ids=[s for s, _, _ in SCRIPTS])
+@pytest.mark.parametrize("script,args,marker", [s[1:] for s in SCRIPTS], ids=[s[0] for s in SCRIPTS])
 def test_script_runs(script, args, marker):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
