@@ -96,10 +96,10 @@ def test_commutant_recursion_matches_dense_oracle(request, tower_name, psis, max
 def test_lattice_builds_each_krylov_product_once(monkeypatch, tower2, psi2_rank3):
     """At p = T^7+T^3+1 the first window 13 is too small, so the greedy runs
     at 13 and 19 and the stability check at 25.  Each greedy window first
-    asks for its stability window, so 19 and 25 are eliminated once each and
-    13 and the second 19 are cut from them: one ``linalg.nullspace`` per
-    distinct solved window, of m (D // n + 1) columns.  Each
-    psibar_T^(u+1) b is still formed once."""
+    asks for its stability window, so 19 and 25 are eliminated once each, 13
+    is cut from 19, and the second asks for 19 and 25 are answered from
+    ``found``: one ``linalg.nullspace`` per distinct solved window, of
+    m (D // n + 1) columns.  Each psibar_T^(u+1) b is still formed once."""
     red = reduce_at(psi2_rank3, poly_from_text("T^7+T^3+1", tower2))
     n, m = red.deg_p, red.ctx.degree
     windows, eliminated, products = [], [], []
@@ -222,6 +222,8 @@ def test_free_block_solve_raises_outside_the_span(monkeypatch, tower2, psi2_rank
     monkeypatch.setattr(invariants, "_vec", shifted)
     with pytest.raises(InconclusiveBasisError, match="does not lie in the A-span"):
         invariants.end_lattice_reduced(reduce_at(psi2_rank3, red.prime))
+
+
 def test_lattice_logs_each_window_at_debug(caplog, capsys, monkeypatch):
     """DEBUG lines name each window's commutant size and basis; survey stdout
     stays byte-identical to the golden file."""
