@@ -23,10 +23,12 @@ binds them:
 A stage's time excludes the stages it calls, and ``other`` is what is left
 of the record.  Cached data goes to the stage that builds it first (the
 blocks of psibar_T, for one, to the skew identity).  Every ``linalg.rref``
-call, those made inside ``nullspace`` and ``solve`` included, is counted for
-the innermost stage open at the call.  The script prints, per stage, the
-microseconds per record, its share of the record and the ``rref`` calls per
-record: each the least over ``--passes`` passes.
+call, those made inside ``nullspace`` and ``solve`` included, and every
+``linalg.RowSpace.add`` call (the endomorphism lattice's incremental
+elimination of its span) is counted for the innermost stage open at the
+call.  The script prints, per stage, the microseconds per record, its
+share of the record and the ``rref`` and ``RowSpace.add`` calls per record:
+each the least over ``--passes`` passes.
 """
 
 from __future__ import annotations
@@ -54,11 +56,16 @@ STAGES = {
 }
 
 
-def install(totals: dict[str, float], rrefs: dict[str, int]) -> None:
+# counted kernel -> (owner, attribute)
+KERNELS = {"rref": (linalg, "rref"), "add": (linalg.RowSpace, "add")}
+
+
+def install(totals: dict[str, float], calls: dict[str, dict[str, int]]) -> None:
     """Put a timing wrapper in place of every stage function, in every
-    ``drinfeld`` namespace bound to it, and a counter in place of
-    ``linalg.rref``.  ``stack`` holds, per open stage call, its name and the
-    time spent in the stages it called."""
+    ``drinfeld`` namespace bound to it, and a counter in place of each kernel
+    in ``KERNELS``; ``calls[kernel][stage]`` counts its calls.  ``stack``
+    holds, per open stage call, its name and the time spent in the stages it
+    called."""
     stack: list[list] = []
 
     def wrap(stage, fn):
@@ -75,13 +82,15 @@ def install(totals: dict[str, float], rrefs: dict[str, int]) -> None:
 
         return timed
 
-    rref = linalg.rref
+    def count(kernel, fn):
+        def counted(*args, **kwargs):
+            calls[kernel][stack[-1][0] if stack else "other"] += 1
+            return fn(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        rrefs[stack[-1][0] if stack else "other"] += 1
-        return rref(*args, **kwargs)
+        return counted
 
-    linalg.rref = counted
+    for kernel, (owner, name) in KERNELS.items():
+        setattr(owner, name, count(kernel, getattr(owner, name)))
 
     for stage, (module, name) in STAGES.items():
         fn = getattr(module, name)
@@ -106,17 +115,18 @@ def main(argv=None) -> int:
     options = SurveyOptions()
     names = [*STAGES, "other", "record"]
     totals = dict.fromkeys(STAGES, 0.0)
-    rrefs = dict.fromkeys(names, 0)
-    install(totals, rrefs)
+    calls = {kernel: dict.fromkeys(names, 0) for kernel in KERNELS}
+    install(totals, calls)
     best = dict.fromkeys(names, float("inf"))
-    least_rrefs = dict.fromkeys(names, float("inf"))
+    least = {kernel: dict.fromkeys(names, float("inf")) for kernel in KERNELS}
     records = 0
     for _ in range(max(1, args.passes)):
         psi = module_from_text(args.psi, tower)
         for stage in totals:
             totals[stage] = 0.0
-        for name in rrefs:
-            rrefs[name] = 0
+        for counts in calls.values():
+            for name in counts:
+                counts[name] = 0
         t0 = perf_counter()
         recs = [survey.compute_record(psi, p, options) for p in primes]
         wall = perf_counter() - t0
@@ -125,21 +135,24 @@ def main(argv=None) -> int:
         if errors:
             print(f"warning: {errors} records carry warnings", file=sys.stderr)
         times = {**totals, "record": wall, "other": wall - sum(totals.values())}
-        rrefs["record"] = sum(rrefs.values())
+        for kernel, counts in calls.items():
+            counts["record"] = sum(counts.values())
+            for name in names:
+                least[kernel][name] = min(least[kernel][name], counts[name])
         for name, t in times.items():
             best[name] = min(best[name], t)
-            least_rrefs[name] = min(least_rrefs[name], rrefs[name])
 
     print(f"q={args.q} psi={args.psi} degrees={args.deg}: {records} records, "
           f"least of {max(1, args.passes)} passes")
-    print(f"{'stage':<22}{'us/record':>10}{'share':>8}{'rref/record':>13}")
+    print(f"{'stage':<22}{'us/record':>10}{'share':>8}{'rref/record':>13}{'add/record':>12}")
     per = max(records, 1)
     for name in names:
         if name in STAGES and best[name] == 0.0:
             continue
         us = best[name] / per * 1e6
-        calls = least_rrefs[name] / per
-        print(f"{name:<22}{us:>10.1f}{best[name] / best['record']:>8.1%}{calls:>13.2f}")
+        rrefs, adds = (least[kernel][name] / per for kernel in KERNELS)
+        print(f"{name:<22}{us:>10.1f}{best[name] / best['record']:>8.1%}"
+              f"{rrefs:>13.2f}{adds:>12.2f}")
     return 0
 
 

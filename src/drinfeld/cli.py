@@ -85,6 +85,13 @@ def _degrees(text: str) -> list[int]:
     return degrees
 
 
+def _jobs(n: int) -> int:
+    """The --jobs worker count, at least 1."""
+    if n < 1:
+        raise UsageError(f"--jobs needs a positive integer, not {n}")
+    return n
+
+
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -255,13 +262,14 @@ def _cmd_abhyankar(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    jobs = _jobs(args.jobs)
     tower = _tower(args.q)
     psi = _module(args, tower)
     degrees = _degrees(args.deg)
     options = SurveyOptions(
         strict=args.strict,
         with_lattice_checks=args.full_checks,
-        jobs=args.jobs,
+        jobs=jobs,
     )
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -294,6 +302,7 @@ def _cmd_survey(args) -> int:
 def _cmd_density(args) -> int:
     if args.c_k < 1:
         raise UsageError(f"--c-k needs a positive integer, not {args.c_k}")
+    jobs = _jobs(args.jobs)
     tower = _tower(args.q)
     kind = args.kind
     if kind in ("noncm", "noncm_truncated_sum"):
@@ -311,7 +320,7 @@ def _cmd_density(args) -> int:
         if not args.deg:
             raise UsageError("--deg is required for per-degree density kinds")
         degrees = _degrees(args.deg)
-    options = SurveyOptions(jobs=args.jobs)
+    options = SurveyOptions(jobs=jobs)
     records = list(run_survey(psi, degrees, options))
     est = density_report(records, kind, q=args.q, c_k=args.c_k)
     print(

@@ -130,13 +130,10 @@ def weil_identity_holds(red: ReducedModule, weil: WeilPolynomial) -> bool:
     return not (acc % red.ctx.char).any()
 
 
-def _checked_weil(red: ReducedModule, coeffs: list[Poly]) -> WeilPolynomial:
-    """WeilPolynomial from c_0 .. c_{r-1}; raises unless c_0 = unit * p and
+def _checked_weil(red: ReducedModule, coeffs: list[Poly], unit: FFElem) -> WeilPolynomial:
+    """WeilPolynomial from c_0 = unit * p, c_1 .. c_{r-1}; raises unless
     P(tau^deg p) = 0."""
-    quot, rem = divmod(coeffs[0], red.prime)
-    if not rem.is_zero() or quot.degree() != 0:
-        raise DrinfeldError("constant Weil coefficient is not unit * p")
-    weil = WeilPolynomial(prime=red.prime, coeffs=tuple(coeffs), unit=quot[0])
+    weil = WeilPolynomial(prime=red.prime, coeffs=tuple(coeffs), unit=unit)
     if not weil_identity_holds(red, weil):
         raise DrinfeldError("Weil polynomial fails the skew identity")
     return weil
@@ -172,7 +169,8 @@ def weil_motive(red: ReducedModule) -> WeilPolynomial:
         tk = tower.frobenius_power(tk, 1)
         g = [tower.frobenius_power(x, 1) for x in g]
     ninv = tower.project(norm, red.source.base).inv()
-    coeffs = [red.prime.scale(-ninv if (r + n * (r - 1)) % 2 else ninv)]
+    unit = -ninv if (r + n * (r - 1)) % 2 else ninv
+    coeffs = [red.prime.scale(unit)]
     scale, block = tower.embed(-ninv, ctx), rows[1:]
     for s in range(r - 1, 0, -1):  # c_(r-s)(t) = (-1/N(g_r))^s (sum of the s-minors)
         minors = (ring_det([[block[u][v] for v in c] for u in c])
@@ -181,7 +179,7 @@ def weil_motive(red: ReducedModule) -> WeilPolynomial:
         if r * c.degree() > s * n:
             raise DrinfeldError("Riemann hypothesis bound violated; this is an implementation bug")
         coeffs.append(c)
-    return _checked_weil(red, coeffs)
+    return _checked_weil(red, coeffs, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +236,10 @@ def weil_general(psi: DrinfeldModule, p: Poly) -> WeilPolynomial:
         if c.degree() > n:
             raise DrinfeldError("reconstructed coefficient exceeds the degree bound")
         coeffs.append(c)
-    return _checked_weil(red, coeffs)
+    quot, rem = divmod(coeffs[0], red.prime)
+    if not rem.is_zero() or quot.degree() != 0:
+        raise DrinfeldError("constant Weil coefficient is not unit * p")
+    return _checked_weil(red, coeffs, quot[0])
 
 
 # ---------------------------------------------------------------------------
@@ -313,32 +314,34 @@ def _membership(red: ReducedModule, a_p: Poly, m: Poly) -> bool:
 # The solutions are m (floor(D/n) + 1) free prime coordinates cut down by
 # those constraints.  The blocks depend only on k mod n, and the recursion at
 # D is a prefix of the one at any larger window, so one ``Commutant`` per
-# prime (``ReducedModule.commutant``) grows with D.  A commutant element of
-# tau-degree <= D is therefore fixed by its free blocks e_0, e_n, e_2n, ...
+# lattice grows with the window.  A commutant element of tau-degree <= D is
+# therefore fixed by its free blocks e_0, e_n, e_2n, ...
 #
-# ``_commutant_nullspace`` returns the rref-canonical basis of the dense
-# system e psibar_T = psibar_T e in the prime coordinates of e_0, ..., e_D:
-# for each free column, the solution that is 1 there and 0 at the other free
-# columns.  A column is free exactly when it is the last nonzero coordinate
-# of some solution, i.e. a pivot of the rref of the solutions with their
-# columns reversed; that rref is the canonical basis.  The commutant at D is
-# the one at any W > D cut to tau-degree <= D, so its canonical basis is the
-# W solutions with at most D+1 rows, and a window below one already solved
-# costs no elimination.  ``end_lattice_reduced`` asks for the stability
-# window D + 2r before D, so each window it visits is eliminated once.
+# ``Commutant.solutions`` returns the rref-canonical basis of the dense system
+# e psibar_T = psibar_T e in the prime coordinates of e_0, ..., e_D: for each
+# free column, the solution that is 1 there and 0 at the other free columns.
+# A column is free exactly when it is the last nonzero coordinate of some
+# solution, i.e. a pivot of the rref of the solutions with their columns
+# reversed; that rref is the canonical basis.  The commutant at D is the one
+# at any W > D cut to tau-degree <= D, so its canonical basis is the W
+# solutions with at most D+1 rows.
 #
 # The A-span of a candidate basis is one prime matrix, ``_span_columns``.  Its
 # columns y^t psibar_T^u b come from a ``_Krylov`` cache, which forms each
 # product once and grows with the window.  Every column lies in the
 # commutant, so it is the sum of the canonical solutions weighted by its
-# entries at their free columns.  The greedy basis choice and the stability
-# check row-reduce just those entries (``_span_rows``): one number per
-# solution, not (D+1) m.  One solve, on the rows of the free blocks of the
-# span at the largest target degree, gives the coordinates of the products
-# e_i e_j (i, j > 1; e_1 = 1) and of pi = tau^n.
+# entries at their free columns, and a span is the row space
+# (``linalg.RowSpace``) of just those entries: one number per solution, not
+# (D+1) m.  ``end_lattice_reduced`` walks the windows D = n + 2r, n + 4r, ...;
+# each step solves the commutant once at W = D + 2r, cuts the solutions at D
+# from it, chooses a basis greedily at D, and stops when the basis spans the
+# solutions at D and at W (one more window of 2r brings nothing new).  One
+# solve, on the rows of the free blocks of the span at the largest target
+# degree, gives the coordinates of the products e_i e_j (i, j > 1; e_1 = 1)
+# and of pi = tau^n.
 
-# The tau-degree window D grows by 2r per step and is capped at 4 (n + r^2).
-WINDOW_GROWTH_PER_RANK = 2
+# The window D grows by 2r per step; the stability window D + 2r is capped at
+# 4 (n + r^2).
 WINDOW_CAP_FACTOR = 4
 
 log = logging.getLogger(__name__)
@@ -355,16 +358,14 @@ def _pad(x: np.ndarray, cols: int) -> np.ndarray:
 
 
 class Commutant:
-    """The tau-degree recursion of one reduced module, grown on demand; it
-    lives on the module as ``ReducedModule.commutant``.
+    """The tau-degree recursion of one reduced module, grown on demand.
 
     ``steps[i]``, for i = 0..n-1, holds the block M((t^(q^i) - t)^-1) (None
     at i = 0) and the blocks M(g_j^(q^i)) - K_j, j = 1..r (None where
     g_j = 0).  ``blocks[k]`` is the m x m (floor(k/n) + 1) prime matrix of e_k
     in terms of the free blocks e_0, e_n, ..., and ``constraints[c]`` the
-    equation at k = (c + 1) n in the free blocks below k.  ``found`` keeps the
-    solutions of each window asked for; a window below one already in
-    ``found`` is cut from the least such.
+    equation at k = (c + 1) n in the free blocks below k.  Each call of
+    ``solutions`` grows the recursion to its window and eliminates once.
     """
 
     def __init__(self, red: ReducedModule):
@@ -388,7 +389,6 @@ class Commutant:
             self.steps.append((inv, blocks))
         self.blocks = [np.eye(self.m, dtype=np.int64)]
         self.constraints: list[np.ndarray] = []
-        self.found: dict[int, list[np.ndarray]] = {}
 
     def _equation(self, k: int, lo: int) -> np.ndarray:
         """The terms j = lo..r (lo >= 1) of the tau^k equation, in the free
@@ -415,16 +415,9 @@ class Commutant:
                 self.blocks.append(free)
 
     def solutions(self, D: int) -> list[np.ndarray]:
-        if D in self.found:
-            return list(self.found[D])
-        larger = [w for w in self.found if w > D]
-        if larger:
-            # the commutant at D is the one at W > D cut to tau-degree <= D, and
-            # its canonical basis is the W solutions with pivot (last nonzero
-            # coordinate) at most (D+1) m, i.e. with at most D+1 rows
-            out = [x for x in self.found[min(larger)] if len(x) <= D + 1]
-            self.found[D] = out
-            return list(out)
+        """The canonical solutions e of e psibar_T = psibar_T e with
+        tau-degree <= D (see the comment above), as prime-coordinate arrays
+        without zero top rows, in (degree, code) order."""
         self._grow(D)
         m, p0 = self.m, self.p0
         cols = m * (D // self.n + 1)
@@ -441,20 +434,7 @@ class Commutant:
             out.append(x[: np.flatnonzero(x.any(axis=1))[-1] + 1])
         # (degree, codes) order: a code sum_i c_i p^i compares as the reversed row
         out.sort(key=lambda x: (len(x), x[:, ::-1].tolist()))
-        self.found[D] = out
-        return list(out)
-
-
-def _commutant_nullspace(red: ReducedModule, D: int) -> list[np.ndarray]:
-    """Solutions e of e psibar_T = psibar_T e with tau-degree <= D, as
-    prime-coordinate arrays without zero top rows, in (degree, code) order.
-
-    They are the rref-canonical null-space basis of the dense system in the
-    coordinates of e_0, ..., e_D, solved by the tau-degree recursion (see the
-    comment above); each prime keeps one recursion, grown to the largest
-    window asked for, and eliminates only at windows above every one solved.
-    """
-    return red.commutant.solutions(D)
+        return out
 
 
 def _vec(x: np.ndarray, D: int) -> np.ndarray:
@@ -524,24 +504,18 @@ def _free_coordinates(sols: list[np.ndarray]) -> list[int]:
     return [(len(x) - 1) * m + int(np.flatnonzero(x[-1])[-1]) for x in sols]
 
 
-def _span_rows(
-    krylov: _Krylov,
-    basis: list[np.ndarray],
-    D: int,
-    free: list[int],
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """The reduced echelon rows of the span columns of the basis at D in
-    solution coordinates, joined to the reduced rows already found."""
-    cols = _span_columns(krylov, basis, D)[0][free].T
-    if rows is not None:
-        cols = np.concatenate([rows, cols])
-    ech, pivots = linalg.rref(cols, krylov.red.ctx.char)
-    return ech[: len(pivots)]
-
-
-def _window_error(cap: int) -> InconclusiveBasisError:
-    return InconclusiveBasisError(f"no stable lattice basis within the window cap {cap}")
+def _span_space(
+    krylov: _Krylov, basis: list[np.ndarray], D: int, free: list[int],
+    space: linalg.RowSpace | None = None,
+) -> linalg.RowSpace:
+    """The span of the basis at D in solution coordinates, the entries of its
+    span columns at the free coordinates ``free``, added to ``space`` (a new
+    row space by default)."""
+    if space is None:
+        space = linalg.RowSpace(len(free), krylov.red.ctx.char)
+    for col in _span_columns(krylov, basis, D)[0][free].T:
+        space.add(col)
+    return space
 
 
 def end_lattice_reduced(red: ReducedModule) -> EndLattice:
@@ -550,30 +524,26 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
     ctx = red.ctx
     m = ctx.degree
     p0 = red.source.tower.char
-    growth = WINDOW_GROWTH_PER_RANK * r
     cap = WINDOW_CAP_FACTOR * (n + r * r)
-    D = n + 2 * r
+    commutant = Commutant(red)
     krylov = _Krylov(red)
 
+    D = n + 2 * r
     while True:
-        if D > cap:
-            raise _window_error(cap)
-        if D + 2 * r <= cap:
-            # eliminate once at the stability window; D, and later the grown D,
-            # are cut from it
-            _commutant_nullspace(red, D + 2 * r)
-        sols = _commutant_nullspace(red, D)
+        W = D + 2 * r  # the stability window, and the next D
+        if W > cap:
+            raise InconclusiveBasisError(f"no stable lattice basis within the window cap {cap}")
+        sols_w = commutant.solutions(W)
+        sols = [x for x in sols_w if len(x) <= D + 1]
         free = _free_coordinates(sols)
-        unit = np.eye(len(sols), dtype=np.int64)
         basis = [np.array([ctx.one_coords()], dtype=np.int64)]  # e_1 = 1 always lies in E
-        space = _span_rows(krylov, basis, D, free)
-        for s, u in zip(sols, unit):
+        space = _span_space(krylov, basis, D, free)
+        for s, u in zip(sols, np.eye(len(sols), dtype=np.int64)):
             if len(basis) == r:
                 break
-            if (space == u).all(axis=1).any():  # u lies in the span: a reduced row is u
-                continue
-            basis.append(s)
-            space = _span_rows(krylov, [s], D, free, space)
+            if not space.contains(u):
+                basis.append(s)
+                _span_space(krylov, [s], D, free, space)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
                 "lattice p=%s window D=%d: commutant %d parameter columns, %d constraint "
@@ -581,18 +551,13 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
                 poly_to_text(red.prime), D, m * (D // n + 1), m * (D // n + r),
                 len(sols), len(basis), r,
             )
-        if len(basis) < r or len(space) < len(sols):
-            D += growth
-            continue
-        # stability: one more window of 2r brings nothing new
-        D2 = D + 2 * r
-        if D2 > cap:
-            raise _window_error(cap)
-        sols2 = _commutant_nullspace(red, D2)
-        if len(_span_rows(krylov, basis, D2, _free_coordinates(sols2))) < len(sols2):
-            D = D2
-            continue
-        break
+        if (
+            len(basis) == r
+            and space.rank == len(sols)
+            and _span_space(krylov, basis, W, _free_coordinates(sols_w)).rank == len(sols_w)
+        ):
+            break
+        D = W
 
     # coordinates of the products e_i e_j and of pi = tau^n, by one solve
     # against the span matrix at the largest target degree.  Every column and

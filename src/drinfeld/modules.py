@@ -188,15 +188,6 @@ class ReducedModule:
         psibar_T (``skew.left_blocks``), built on first use."""
         return left_blocks(self.ctx, self.psibar_T.array())
 
-    @cached_property
-    def commutant(self):
-        """The tau-degree recursion for the commutant of psibar_T
-        (``invariants.Commutant``), built on first use and grown with the
-        endomorphism lattice's window, so each prime keeps one."""
-        from .invariants import Commutant  # invariants imports this module
-
-        return Commutant(self)
-
     def psibar_array(self, a: Poly) -> np.ndarray:
         """psibar_a as a prime-coordinate array, by Horner on
         acc <- psibar_T acc + a_k (A is commutative)."""

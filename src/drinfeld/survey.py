@@ -201,7 +201,7 @@ def run_survey(
     opt_kwargs = dataclasses.asdict(dataclasses.replace(options, jobs=1))
     results: dict[int, dict] = {}
     with ProcessPoolExecutor(
-        max_workers=options.jobs,
+        max_workers=min(options.jobs, len(primes)),
         initializer=_worker_init,
         initargs=(psi.tower.q, psi.tower.max_degree, g_codes, opt_kwargs),
     ) as pool:

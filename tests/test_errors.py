@@ -259,13 +259,13 @@ def _lattice_windows(monkeypatch, factor):
 
     monkeypatch.setattr(invariants, "WINDOW_CAP_FACTOR", factor)
     seen = []
-    inner = invariants._commutant_nullspace
+    inner = invariants.Commutant.solutions
 
-    def spy(red, D):
+    def spy(commutant, D):
         seen.append(D)
-        return inner(red, D)
+        return inner(commutant, D)
 
-    monkeypatch.setattr(invariants, "_commutant_nullspace", spy)
+    monkeypatch.setattr(invariants.Commutant, "solutions", spy)
     return seen
 
 
@@ -279,14 +279,15 @@ def test_end_lattice_window_cap_first_check(monkeypatch, tower3, psi3):
 
 
 def test_end_lattice_window_cap_stability_check(monkeypatch, tower3, psi3):
-    """At p = T the first window D = 5 fits the cap 1 * (1 + 2^2) = 5; the
-    stability window 9 does not."""
+    """At p = T the first window D = 5 fits the cap 1 * (1 + 2^2) = 5; its
+    stability window 9 does not, so the lattice raises before it solves any
+    window."""
     from drinfeld.invariants import end_lattice
 
     seen = _lattice_windows(monkeypatch, 1)
     with pytest.raises(InconclusiveBasisError, match="window cap 5"):
         end_lattice(psi3, Poly.x(tower3.base_field))
-    assert seen == [5]
+    assert seen == []
 
 
 def test_end_lattice_window_cap_is_a_record_warning(monkeypatch, tower2, psi2_rank3, capsys):
@@ -330,6 +331,20 @@ def test_nonpositive_c_k_is_a_usage_error(capsys, c_k):
     assert captured.err.startswith("usage error: --c-k ")
     with pytest.raises(DrinfeldError, match="c_K must be a positive integer"):
         density_report([], "bp_equals_one", c_k=int(c_k))
+
+
+@pytest.mark.parametrize("command", ["survey", "density"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_nonpositive_jobs_is_a_usage_error(capsys, command, jobs):
+    from drinfeld.cli import main
+
+    argv = [command, "--q", "3", "--psi", "T+1*t+1*t^2", "--deg", "1", "--jobs", jobs]
+    if command == "density":
+        argv += ["--kind", "bp_equals_one"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --jobs ")
 
 
 def test_density_with_every_prime_skipped_is_an_error(capsys):

@@ -65,9 +65,9 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("tower_name,psis,max_deg", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def test_commutant_recursion_matches_dense_oracle(request, tower_name, psis, max_deg):
     """Same arrays in the same order at D = n+2r, n+4r and n+2r+1, asked in
-    that order, so the recursion grows and then answers a smaller window; then,
-    on a fresh reduction, asked largest first, so each smaller window is cut
-    from a larger one without an elimination of its own."""
+    that order of one recursion, so it grows and then answers a smaller
+    window; and the solutions at D + 2r cut to at most D+1 rows, as the
+    lattice takes its window D from its stability window."""
     tower = request.getfixturevalue(tower_name)
     cases = 0
     for text in psis:
@@ -80,36 +80,33 @@ def test_commutant_recursion_matches_dense_oracle(request, tower_name, psis, max
                 except BadReductionError:
                     continue
                 n = red.deg_p
-                windows = (n + 2 * r, n + 4 * r, n + 2 * r + 1)
-                want = {D: _dense_commutant(red, D) for D in windows}
-                for order in (windows, sorted(windows, reverse=True)):
-                    red = reduce_at(psi, p)
-                    for D in order:
-                        got = invariants._commutant_nullspace(red, D)
-                        assert [x.tolist() for x in got] == [x.tolist() for x in want[D]], (
-                            text, p, D, order,
-                        )
-                        cases += 1
+                commutant = invariants.Commutant(red)
+                for D in (n + 2 * r, n + 4 * r, n + 2 * r + 1):
+                    want = [x.tolist() for x in _dense_commutant(red, D)]
+                    got = commutant.solutions(D)
+                    cut = [x for x in commutant.solutions(D + 2 * r) if len(x) <= D + 1]
+                    assert [x.tolist() for x in got] == want, (text, p, D)
+                    assert [x.tolist() for x in cut] == want, (text, p, D, "cut")
+                    cases += 2
     assert cases >= 60
 
 
 def test_lattice_builds_each_krylov_product_once(monkeypatch, tower2, psi2_rank3):
-    """At p = T^7+T^3+1 the first window 13 is too small, so the greedy runs
-    at 13 and 19 and the stability check at 25.  Each greedy window first
-    asks for its stability window, so 19 and 25 are eliminated once each, 13
-    is cut from 19, and the second asks for 19 and 25 are answered from
-    ``found``: one ``linalg.nullspace`` per distinct solved window, of
-    m (D // n + 1) columns.  Each psibar_T^(u+1) b is still formed once."""
+    """At p = T^7+T^3+1 the first window 13 is too small, so the walk runs
+    the greedy at 13 and 19 and the stability check at 25.  Each step solves
+    the commutant once, at its stability window: 19, then 25, one
+    ``linalg.nullspace`` each, of m (D // n + 1) columns; the window 13 is cut
+    from 19.  Each psibar_T^(u+1) b is still formed once."""
     red = reduce_at(psi2_rank3, poly_from_text("T^7+T^3+1", tower2))
     n, m = red.deg_p, red.ctx.degree
     windows, eliminated, products = [], [], []
-    inner_window = invariants._commutant_nullspace
+    inner_window = invariants.Commutant.solutions
     inner_nullspace = linalg.nullspace
     inner_mul = invariants.left_mul
 
-    def window_spy(red_, D):
+    def window_spy(commutant, D):
         windows.append(D)
-        return inner_window(red_, D)
+        return inner_window(commutant, D)
 
     def nullspace_spy(mat, p):
         eliminated.append(mat.shape[1])
@@ -120,13 +117,12 @@ def test_lattice_builds_each_krylov_product_once(monkeypatch, tower2, psi2_rank3
             products.append(x.tobytes())
         return inner_mul(blocks, x, p)
 
-    monkeypatch.setattr(invariants, "_commutant_nullspace", window_spy)
+    monkeypatch.setattr(invariants.Commutant, "solutions", window_spy)
     monkeypatch.setattr(linalg, "nullspace", nullspace_spy)
     monkeypatch.setattr(invariants, "left_mul", mul_spy)
     lat = invariants.end_lattice_reduced(red)
-    assert windows == [19, 13, 25, 19, 25] and lat.window == 19
+    assert windows == [19, 25] and lat.window == 19
     assert eliminated == [m * (D // n + 1) for D in (19, 25)]
-    assert sorted(red.commutant.found) == [13, 19, 25]
     assert products and len(products) == len(set(products))
 
 

@@ -56,6 +56,33 @@ def test_survey_determinism_and_jobs(tower3, psi3):
     assert a == c
 
 
+def test_survey_pool_has_at_most_one_worker_per_prime(tower3, psi3, monkeypatch):
+    """jobs=64 on the 3 primes of degree 1 asks the pool for 3 workers.  The
+    fake executor runs the worker initializer and tasks in this process, so
+    no process starts, and the records equal the serial ones."""
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(survey, "_WORKER_STATE", {})
+    pooled = [r.to_dict() for r in run_survey(psi3, [1], SurveyOptions(jobs=64))]
+    assert asked == [3]
+    assert pooled == [r.to_dict() for r in run_survey(psi3, [1])]
+
+
 def test_record_dict_equals_asdict(tower3, monkeypatch):
     """``to_dict`` gives what ``dataclasses.asdict`` gives, in CSV_COLUMNS
     order and with copied lists, on rank-2 and rank-3 records, a skipped
