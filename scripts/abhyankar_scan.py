@@ -9,12 +9,11 @@ import argparse
 import sys
 import time
 
-from drinfeld.cli import _apoly_text
 from drinfeld.config import SurveyOptions
 from drinfeld.division import abhyankar_poly
 from drinfeld.fields import FieldTower
 from drinfeld.survey import density_report, run_survey
-from drinfeld.textio import module_from_text
+from drinfeld.textio import module_from_text, x_poly_to_text
 
 
 def main() -> int:
@@ -28,7 +27,7 @@ def main() -> int:
     tower = FieldTower(args.q, max_degree=1024)
     psi = module_from_text(args.psi, tower)
     f = abhyankar_poly(psi)
-    print(f"# q = {args.q}, f_psi = {_apoly_text(f.coeffs)}")
+    print(f"# q = {args.q}, f_psi = {x_poly_to_text(f.coeffs, '+')}")
     t0 = time.time()
     recs = list(
         run_survey(psi, range(1, args.max_deg + 1), SurveyOptions(jobs=args.jobs))

@@ -3,17 +3,14 @@
     PYTHONPATH=src python scripts/linalg_bench.py [--mix NAME] [--repeats N] [--seed S]
 
 Each mix is a fixed list of matrix shapes with their counts per pass, as
-recorded from one pass of the benchmark workload of the same name (``rref``
-calls, including those inside ``solve`` and ``nullspace``).  The
-``lattice-deg12`` mixes hold the largest shapes of the rank-3 endomorphism
-lattice at q = 2, degree 12, one each:
+recorded by a spy on ``linalg.rref`` over one pass of the benchmark workload
+of the same name (``rref`` calls, including those inside ``solve`` and
+``nullspace``).  The ``lattice-deg12`` mixes hold the largest shapes of the
+rank-3 endomorphism lattice at q = 2, degree 12, one each:
 
-- ``lattice-deg12-free``: the final solve as the lattice makes it now, on
-  the rows of the free blocks e_0, e_n, e_2n, ... only: a 48 x 30 system and
-  its 5 targets, one 48 x 35 ``rref``;
-- ``lattice-deg12-tall``: the same solve on every row of tau-degree <= top,
-  with the 10 targets of all nine products and pi, one 444 x 40 ``rref``;
-  the lattice made this shape until it solved on the free blocks;
+- ``lattice-deg12-free``: the final solve, on the free blocks e_0, e_n,
+  e_2n, ... of the span columns and the targets: a 48 x 30 system and its 5
+  targets, one 48 x 35 ``rref``;
 - ``lattice-deg12-wide``: the canonical basis of the commutant solutions
   at the largest window.
 
@@ -44,21 +41,26 @@ from drinfeld import linalg
 # mix -> (p, [(rows, cols, count per pass)])
 MIXES = {
     "survey-r3-q2-torsion": (2, [
-        (5, 2, 66), (5, 5, 22), (3, 2, 18), (4, 2, 15), (8, 8, 12), (14, 14, 12),
-        (4, 8, 10), (4, 4, 8), (7, 8, 7), (3, 3, 6), (5, 10, 6), (25, 15, 6),
-        (30, 20, 6), (15, 15, 4), (8, 60, 4), (14, 90, 4), (105, 27, 4),
-        (8, 44, 3), (28, 20, 3), (14, 68, 3), (68, 24, 3), (16, 48, 2), (75, 22, 2),
+        (5, 5, 14), (1, 2, 13), (5, 10, 8), (4, 4, 6), (5, 6, 6), (30, 20, 6),
+        (14, 90, 4), (25, 22, 4), (4, 5, 3), (4, 8, 3), (14, 68, 3), (20, 19, 3),
+        (28, 20, 3), (3, 4, 2), (3, 6, 2), (3, 10, 2), (4, 13, 2), (5, 15, 2),
+        (5, 16, 2), (6, 10, 2), (14, 14, 2), (15, 17, 2), (15, 90, 2), (16, 14, 2),
+        (16, 48, 2), (24, 18, 2), (2, 3, 1), (2, 4, 1), (4, 9, 1), (5, 11, 1),
+        (10, 13, 1), (14, 30, 1), (20, 16, 1),
     ]),
     "survey-r2-q5-abhyankar": (5, [
-        (4, 8, 150), (4, 2, 150), (4, 5, 150), (4, 4, 50), (3, 6, 40), (3, 2, 40),
-        (3, 4, 40), (1, 2, 10), (2, 4, 10), (2, 2, 10), (2, 3, 10),
+        (4, 5, 150), (4, 8, 150), (3, 4, 40), (3, 6, 40), (4, 13, 30), (1, 2, 19),
+        (2, 3, 10), (2, 4, 10), (4, 4, 8), (4, 9, 6),
     ]),
     "sample-r2-q3-largefield": (3, [
-        (12, 12, 11), (14, 14, 8), (10, 20, 4), (10, 2, 4), (10, 11, 4), (11, 22, 4),
-        (12, 24, 4), (13, 26, 4), (14, 28, 4), (14, 2, 4), (14, 15, 4), (13, 13, 3),
+        (1, 2, 46), (13, 14, 36), (11, 12, 34), (10, 11, 31), (12, 13, 24),
+        (14, 15, 18), (12, 12, 9), (14, 14, 7), (10, 20, 4), (11, 22, 4), (12, 24, 4),
+        (13, 26, 4), (14, 28, 4), (11, 11, 2), (11, 23, 2), (1, 10, 1), (1, 11, 1),
+        (1, 12, 1), (1, 13, 1), (1, 14, 1), (10, 21, 1), (10, 31, 1), (11, 31, 1),
+        (12, 25, 1), (12, 35, 1), (12, 37, 1), (13, 39, 1), (13, 40, 1), (14, 42, 1),
+        (14, 43, 1),
     ]),
     "lattice-deg12-free": (2, [(48, 35, 1)]),
-    "lattice-deg12-tall": (2, [(444, 40, 1)]),
     "lattice-deg12-wide": (2, [(18, 300, 1)]),
 }
 

@@ -47,6 +47,7 @@ from .textio import (
     poly_from_text,
     poly_to_text,
     weil_to_text,
+    x_poly_to_text,
 )
 
 
@@ -94,23 +95,6 @@ def _jobs(n: int) -> int:
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _apoly_text(coeffs, var="x") -> str:
-    terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c.is_zero():
-            continue
-        ct = poly_to_text(c)
-        if "+" in ct:
-            ct = f"({ct})"
-        if k == 0:
-            terms.append(ct)
-        else:
-            xk = var if k == 1 else f"{var}^{k}"
-            terms.append(xk if ct == "1" else f"{ct}*{xk}")
-    return "+".join(terms) if terms else "0"
 
 
 def build_parser() -> _Parser:
@@ -252,11 +236,11 @@ def _cmd_abhyankar(args) -> int:
     psi = _module(args, tower)
     f = abhyankar_poly(psi)
     if not args.p:
-        print(_apoly_text(f.coeffs))
+        print(x_poly_to_text(f.coeffs, "+"))
         return 0
     p = _prime(args, tower)
     splits, report = abhyankar_splits_mod(psi, p)
-    out = {"f": _apoly_text(f.coeffs), "splits": splits, "b_1": poly_to_text(report["b_1"])}
+    out = {"f": x_poly_to_text(f.coeffs, "+"), "splits": splits, "b_1": poly_to_text(report["b_1"])}
     print(json.dumps(out))
     return 0
 

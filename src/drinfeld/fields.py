@@ -69,7 +69,7 @@ from .errors import (
     TowerMembershipError,
     ZeroInputError,
 )
-from .polys import int_prime_factors, rabin_irreducible
+from .polys import Poly, int_prime_factors, lex_min_root, rabin_irreducible
 
 TABLE_LIMIT = 1 << 14
 ZERO_LOG = -(1 << 40)  # the discrete log of 0 in Zech tables, negative after any step
@@ -891,8 +891,6 @@ class FieldTower:
     def _lex_min_root(self, sub: _FieldCtx, sup: _FieldCtx) -> FFElem:
         """The lex-smallest root in sup of sub's modulus, a polynomial over
         the prime field; its coefficients c enter sup as (c, 0, ..., 0)."""
-        from .polys import Poly, lex_min_root  # deferred to avoid an import cycle
-
         prime = self.field(1)
         f = Poly(prime, [FFElem(prime, (int(c),)) for c in sub.fid.modulus])
         pad = (0,) * (sup.degree - 1)

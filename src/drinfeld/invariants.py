@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fields import FFElem
 from .modules import DrinfeldModule, ReducedModule, reduce_at
-from .polys import Poly, enumerate_monic_irreducibles, factorize, crt, powint
+from .polys import Poly, crt, enumerate_monic_irreducibles, factorize, powint, squarefree_split
 from .skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
 from .textio import poly_to_text
 from .torsion import torsion_basis_reduced
@@ -256,8 +256,6 @@ def rank2_invariants(psi: DrinfeldModule, p: Poly) -> Rank2Invariants:
 
 
 def rank2_invariants_reduced(red: ReducedModule) -> Rank2Invariants:
-    from .polys import squarefree_split
-
     tower = red.source.tower
     base = tower.base_field
     weil = weil_rank2_reduced(red)
@@ -326,19 +324,22 @@ def _membership(red: ReducedModule, a_p: Poly, m: Poly) -> bool:
 # at any W > D cut to tau-degree <= D, so its canonical basis is the W
 # solutions with at most D+1 rows.
 #
-# The A-span of a candidate basis is one prime matrix, ``_span_columns``.  Its
-# columns y^t psibar_T^u b come from a ``_Krylov`` cache, which forms each
-# product once and grows with the window.  Every column lies in the
-# commutant, so it is the sum of the canonical solutions weighted by its
-# entries at their free columns, and a span is the row space
-# (``linalg.RowSpace``) of just those entries: one number per solution, not
-# (D+1) m.  ``end_lattice_reduced`` walks the windows D = n + 2r, n + 4r, ...;
-# each step solves the commutant once at W = D + 2r, cuts the solutions at D
-# from it, chooses a basis greedily at D, and stops when the basis spans the
-# solutions at D and at W (one more window of 2r brings nothing new).  One
-# solve, on the rows of the free blocks of the span at the largest target
-# degree, gives the coordinates of the products e_i e_j (i, j > 1; e_1 = 1)
-# and of pi = tau^n.
+# Every element the lattice handles lies in the commutant, so it is named by
+# its free blocks alone (``_free_blocks``): m (floor(D/n) + 1) prime
+# coordinates, not (D+1) m, and the map is injective on the commutant at D.
+# The A-span of a candidate basis is one matrix of free blocks,
+# ``_span_columns``.  Its columns y^t psibar_T^u b come from a ``_Krylov``
+# cache, which forms each product psibar_T^u b once and grows with the
+# window; the y-multiples multiply each block by M(y).  A span is the row
+# space (``linalg.RowSpace``) of those columns, so a solution lies in it
+# exactly when its free blocks do, and the span has rank len(sols) exactly
+# when it is the whole commutant at D.  ``end_lattice_reduced`` walks the
+# windows D = n + 2r, n + 4r, ...; each step solves the commutant once at
+# W = D + 2r, cuts the solutions at D from it, chooses a basis greedily at D,
+# and stops when the basis spans the solutions at D and at W (one more window
+# of 2r brings nothing new).  One solve on the same free-block matrix at the
+# largest target degree gives the coordinates of the products e_i e_j (i, j >
+# 1; e_1 = 1) and of pi = tau^n.
 
 # The window D grows by 2r per step; the stability window D + 2r is capped at
 # 4 (n + r^2).
@@ -437,83 +438,69 @@ class Commutant:
         return out
 
 
-def _vec(x: np.ndarray, D: int) -> np.ndarray:
-    """Prime coordinates of a skew array, one m-block per tau-degree 0..D."""
-    v = np.zeros((D + 1, x.shape[1]), dtype=np.int64)
-    v[: len(x)] = x
-    return v.ravel()
+def _free_blocks(x: np.ndarray, n: int, D: int) -> np.ndarray:
+    """Prime coordinates of the rows 0, n, 2n, ... <= D of a skew array,
+    zero-padded to m (floor(D/n) + 1): the free blocks, which fix an element
+    of the commutant of tau-degree <= D (see above)."""
+    rows = x[: D + 1 : n]
+    out = np.zeros((D // n + 1, x.shape[1]), dtype=np.int64)
+    out[: len(rows)] = rows
+    return out.ravel()
 
 
 class _Krylov:
-    """The y^t psibar_T^u b of each basis candidate b, u = 0, 1, ..., as
-    (e, k, m) stacks over t; each product is formed once, and the sequence
-    grows with the window."""
+    """The products psibar_T^u b of each basis candidate b, u = 0, 1, ...;
+    each is formed once, and the sequence grows with the window."""
 
     def __init__(self, red: ReducedModule):
-        tower = red.source.tower
         self.red = red
-        y = tower.embed(tower.gen(tower.base_field), red.ctx)
-        self.my_t = red.ctx.mult_matrix(y.coords).T  # x -> y x on the rows of x
         self.seqs: dict[bytes, list[np.ndarray]] = {}
 
-    def _orbit(self, x: np.ndarray) -> np.ndarray:
-        p0 = self.red.ctx.char
-        out = [x]
-        for _ in range(self.red.source.tower.base_degree - 1):
-            out.append((out[-1] @ self.my_t) % p0)
-        return np.stack(out)
-
     def powers(self, b: np.ndarray, D: int) -> list[np.ndarray]:
-        """The stacks for every u with tau-degree deg b + r u <= D."""
+        """The psibar_T^u b for every u with tau-degree deg b + r u <= D."""
         red = self.red
-        seq = self.seqs.setdefault(b.tobytes(), [self._orbit(b)])
+        seq = self.seqs.setdefault(b.tobytes(), [b])
         need = (D + 1 - len(b)) // red.rank + 1
         while len(seq) < need:
-            seq.append(self._orbit(left_mul(red.psibar_blocks, seq[-1][0], red.ctx.char)))
+            seq.append(left_mul(red.psibar_blocks, seq[-1], red.ctx.char))
         return seq[:need]
 
 
 def _span_columns(
     krylov: _Krylov, basis: list[np.ndarray], D: int
 ) -> tuple[np.ndarray, list[int]]:
-    """Prime matrix of the A-span of the basis, truncated at tau-degree D.
+    """Free-block matrix of the A-span of the basis, truncated at tau-degree D.
 
-    The columns are y^t psibar_T^u b for each b in turn, every u with
-    tau-degree <= D and t < e, in (b, u, t) order; their prime span is the
-    F_q-span of the psibar_T^u b.  Also returns the number of T-powers u
-    taken for each b.
+    The columns are the free blocks of y^t psibar_T^u b for each b in turn,
+    every u with tau-degree <= D and t < e, in (b, u, t) order; their prime
+    span is the F_q-span of the psibar_T^u b.  Also returns the number of
+    T-powers u taken for each b.
     """
+    red = krylov.red
+    tower, ctx, n = red.source.tower, red.ctx, red.deg_p
+    e = tower.base_degree
     seqs = [krylov.powers(b, D) for b in basis]
-    m = krylov.red.ctx.degree
-    e = krylov.red.source.tower.base_degree
-    mat = np.zeros(((D + 1) * m, e * sum(len(s) for s in seqs)), dtype=np.int64)
-    c = 0
-    for seq in seqs:
-        for stack in seq:
-            rows = stack.shape[1] * m
-            mat[:rows, c : c + e] = stack.reshape(e, rows).T
-            c += e
-    return mat, [len(s) for s in seqs]
-
-
-def _free_coordinates(sols: list[np.ndarray]) -> list[int]:
-    """The last nonzero coordinate of each canonical solution: it is 1 there
-    and the other solutions are 0, so an element of the commutant is the sum
-    of its entries there times the solutions."""
-    m = sols[0].shape[1]
-    return [(len(x) - 1) * m + int(np.flatnonzero(x[-1])[-1]) for x in sols]
+    vecs = np.stack([_free_blocks(x, n, D) for seq in seqs for x in seq], axis=1)
+    if e > 1:
+        # M(y) on every block, i.e. kron(I, M(y)), on all columns at once;
+        # y^t times column c becomes column c e + t
+        y = tower.embed(tower.gen(tower.base_field), ctx)
+        blocks = vecs.reshape(D // n + 1, ctx.degree, -1)
+        orbit = linalg.orbits([blocks], ctx.mult_matrix(y.coords), e, ctx.char)
+        vecs = np.stack(orbit, axis=3).reshape(len(vecs), -1)
+    return vecs, [len(s) for s in seqs]
 
 
 def _span_space(
-    krylov: _Krylov, basis: list[np.ndarray], D: int, free: list[int],
+    krylov: _Krylov, basis: list[np.ndarray], D: int,
     space: linalg.RowSpace | None = None,
 ) -> linalg.RowSpace:
-    """The span of the basis at D in solution coordinates, the entries of its
-    span columns at the free coordinates ``free``, added to ``space`` (a new
-    row space by default)."""
+    """The span of the basis at D, its free-block columns, added to
+    ``space`` (a new row space by default)."""
+    mat = _span_columns(krylov, basis, D)[0]
     if space is None:
-        space = linalg.RowSpace(len(free), krylov.red.ctx.char)
-    for col in _span_columns(krylov, basis, D)[0][free].T:
+        space = linalg.RowSpace(len(mat), krylov.red.ctx.char)
+    for col in mat.T:
         space.add(col)
     return space
 
@@ -535,15 +522,14 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
             raise InconclusiveBasisError(f"no stable lattice basis within the window cap {cap}")
         sols_w = commutant.solutions(W)
         sols = [x for x in sols_w if len(x) <= D + 1]
-        free = _free_coordinates(sols)
         basis = [np.array([ctx.one_coords()], dtype=np.int64)]  # e_1 = 1 always lies in E
-        space = _span_space(krylov, basis, D, free)
-        for s, u in zip(sols, np.eye(len(sols), dtype=np.int64)):
+        space = _span_space(krylov, basis, D)
+        for s in sols:
             if len(basis) == r:
                 break
-            if not space.contains(u):
+            if not space.contains(_free_blocks(s, n, D)):
                 basis.append(s)
-                _span_space(krylov, [s], D, free, space)
+                _span_space(krylov, [s], D, space)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
                 "lattice p=%s window D=%d: commutant %d parameter columns, %d constraint "
@@ -554,17 +540,17 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
         if (
             len(basis) == r
             and space.rank == len(sols)
-            and _span_space(krylov, basis, W, _free_coordinates(sols_w)).rank == len(sols_w)
+            and _span_space(krylov, basis, W).rank == len(sols_w)
         ):
             break
         D = W
 
     # coordinates of the products e_i e_j and of pi = tau^n, by one solve
-    # against the span matrix at the largest target degree.  Every column and
-    # target commutes with psibar_T, and such an element is fixed by its free
-    # blocks e_0, e_n, e_2n, ... (see above), so the solve keeps only their
-    # rows.  The basis is free over A, so the solution is unique.  e_1 = 1, so
-    # the products 1 e_j and e_i 1 are unit vectors and are not solved for.
+    # against the span matrix at the largest target degree, on the free
+    # blocks of the columns and the targets (every one commutes with
+    # psibar_T).  The basis is free over A, so the solution is unique.  e_1 =
+    # 1, so the products 1 e_j and e_i 1 are unit vectors and are not solved
+    # for.
     tau_n = np.zeros((n + 1, m), dtype=np.int64)
     tau_n[n, 0] = 1
     targets = []
@@ -574,9 +560,8 @@ def end_lattice_reduced(red: ReducedModule) -> EndLattice:
     targets.append(tau_n)
     top = max(len(t) for t in targets) - 1
     mat, counts = _span_columns(krylov, basis, top)
-    rhs = np.stack([_vec(t, top) for t in targets], axis=1)
-    free_rows = (np.arange(0, top + 1, n)[:, None] * m + np.arange(m)).ravel()
-    sol = linalg.solve(mat[free_rows], rhs[free_rows], p0)
+    rhs = np.stack([_free_blocks(t, n, top) for t in targets], axis=1)
+    sol = linalg.solve(mat, rhs, p0)
     if sol is None:
         raise InconclusiveBasisError("element does not lie in the A-span of the basis")
     coords = iter([_coords(sol[:, k], counts, red) for k in range(len(targets))])

@@ -743,17 +743,8 @@ def factorize(f: Poly) -> FactorizationA:
                     factors.append((irr, mult))
                 rem = rem.exact_div(gd)
                 h = h % rem
-    merged: dict = {}
-    order = []
-    for g, m in factors:
-        key = g.coeffs
-        if key in merged:
-            merged[key] = (g, merged[key][1] + m)
-        else:
-            merged[key] = (g, m)
-            order.append(key)
-    out = sorted(merged.values(), key=lambda t: t[0].lex_key())
-    return FactorizationA(f.field, unit, out)
+    # the squarefree parts are pairwise coprime, so no irreducible repeats
+    return FactorizationA(f.field, unit, sorted(factors, key=lambda t: t[0].lex_key()))
 
 
 def roots_in_field(f: Poly) -> list:

@@ -239,8 +239,6 @@ def skew_eval(f: SkewPoly, x: FFElem) -> FFElem:
     tower = f.ring.tower
     ctx = x.ctx
     if ctx.char != f.ring.char or ctx.degree % f.ring.degree:
-        from .errors import TowerMembershipError
-
         raise TowerMembershipError("point does not lie over the coefficient field")
     acc = FFElem(ctx, ctx.zero_coords())
     for i, c in enumerate(f.coeffs):

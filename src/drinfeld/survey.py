@@ -165,13 +165,12 @@ def _worker_init(q: int, max_degree: int, g_codes: list[list[int]], opt_kwargs: 
     _WORKER_STATE["options"] = SurveyOptions(**opt_kwargs)
 
 
-def _worker_run(task: tuple[int, list[int]]) -> tuple[int, dict]:
-    idx, p_codes = task
+def _worker_run(p_codes: list[int]) -> dict:
     psi = _WORKER_STATE["psi"]
     base = psi.base
     p = Poly(base, [base.dec_elem(c) for c in p_codes])
     rec = compute_record(psi, p, _WORKER_STATE["options"])
-    return idx, rec.to_dict()
+    return rec.to_dict()
 
 
 def run_survey(
@@ -195,22 +194,19 @@ def run_survey(
             yield rec
         return
     g_codes = [[c.int_code() for c in g.coeffs] for g in psi.g]
-    tasks = [
-        (i, [c.int_code() for c in p.coeffs]) for i, p in enumerate(primes)
-    ]
+    tasks = [[c.int_code() for c in p.coeffs] for p in primes]
     opt_kwargs = dataclasses.asdict(dataclasses.replace(options, jobs=1))
-    results: dict[int, dict] = {}
     with ProcessPoolExecutor(
         max_workers=min(options.jobs, len(primes)),
         initializer=_worker_init,
         initargs=(psi.tower.q, psi.tower.max_degree, g_codes, opt_kwargs),
     ) as pool:
-        for idx, d in pool.map(_worker_run, tasks):
-            results[idx] = d
-    for i in range(len(tasks)):
-        rec = SurveyRecord(**results[i])
-        _strict_gate(rec, options)
-        yield rec
+        # map yields the results in task order, each as soon as it and those
+        # before it are done
+        for d in pool.map(_worker_run, tasks):
+            rec = SurveyRecord(**d)
+            _strict_gate(rec, options)
+            yield rec
 
 
 def _strict_gate(rec: SurveyRecord, options: SurveyOptions):

@@ -180,13 +180,13 @@ def module_to_text(psi) -> str:
     return skew_to_text(psi.psi_T)
 
 
-def weil_to_text(weil) -> str:
-    """Weil polynomial in x, descending, e.g. 'x^2 + x + 2*T'."""
+def x_poly_to_text(coeffs, sep: str = " + ") -> str:
+    """A polynomial in x over A from its coefficients, low first, written
+    descending with the terms joined by ``sep``: 'x^2 + x + 2*T', or
+    'x^4+x+T' with sep '+'; '0' if every coefficient is zero."""
     terms = []
-    r = weil.rank
-    terms.append(f"x^{r}" if r > 1 else "x")
-    for i in range(r - 1, -1, -1):
-        c = weil.coeffs[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if c.is_zero():
             continue
         ct = poly_to_text(c)
@@ -197,7 +197,12 @@ def weil_to_text(weil) -> str:
         else:
             xi = "x" if i == 1 else f"x^{i}"
             terms.append(xi if ct == "1" else f"{ct}*{xi}")
-    return " + ".join(terms)
+    return sep.join(terms) if terms else "0"
+
+
+def weil_to_text(weil) -> str:
+    """Weil polynomial in x, descending, e.g. 'x^2 + x + 2*T'."""
+    return x_poly_to_text(weil.x_coeff_list())
 
 
 def quot_to_text(e) -> str:

@@ -142,9 +142,9 @@ def test_abhyankar_poly_examples(tower3, tower5, psi3):
     F = tower3.base_field
     f = abhyankar_poly(psi3)
     assert f.degree() == 4  # (3^2-1)/(3-1)
-    from drinfeld.cli import _apoly_text
+    from drinfeld.textio import x_poly_to_text
 
-    assert _apoly_text(f.coeffs) == "x^4+x+T"
+    assert x_poly_to_text(f.coeffs, "+") == "x^4+x+T"
     # q = 5: f = g x^6 + x + T
     F5 = tower5.base_field
     g = Poly.from_ints(F5, [3])

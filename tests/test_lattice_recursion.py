@@ -84,9 +84,13 @@ def test_commutant_recursion_matches_dense_oracle(request, tower_name, psis, max
                 for D in (n + 2 * r, n + 4 * r, n + 2 * r + 1):
                     want = [x.tolist() for x in _dense_commutant(red, D)]
                     got = commutant.solutions(D)
-                    cut = [x for x in commutant.solutions(D + 2 * r) if len(x) <= D + 1]
+                    sols_w = commutant.solutions(D + 2 * r)
+                    cut = [x for x in sols_w if len(x) <= D + 1]
                     assert [x.tolist() for x in got] == want, (text, p, D)
                     assert [x.tolist() for x in cut] == want, (text, p, D, "cut")
+                    # the free blocks name the commutant at D + 2r injectively
+                    blocks = np.stack([invariants._free_blocks(x, n, D + 2 * r) for x in sols_w])
+                    assert len(linalg.rref(blocks, red.ctx.char)[1]) == len(sols_w), (text, p, D)
                     cases += 2
     assert cases >= 60
 
@@ -128,13 +132,33 @@ def test_lattice_builds_each_krylov_product_once(monkeypatch, tower2, psi2_rank3
 
 def _all_rows_solve(red, basis, targets):
     """The oracle: the coordinates of the targets by one solve against every
-    row of the span matrix at the largest target degree, or None."""
+    row of tau-degree <= the largest target degree, or None.  The span
+    matrix has the prime coordinates of y^t psibar_T^u b in (b, u, t) order,
+    each y-multiple one product by M(y) per row."""
+    tower, ctx = red.source.tower, red.ctx
+    p0, m, e = ctx.char, ctx.degree, tower.base_degree
     top = max(len(t) for t in targets) - 1
-    mat, counts = invariants._span_columns(invariants._Krylov(red), basis, top)
-    rhs = np.stack([invariants._vec(t, top) for t in targets], axis=1)
-    sol = linalg.solve(mat, rhs, red.ctx.char)
+    my = ctx.mult_matrix(tower.embed(tower.gen(tower.base_field), ctx).coords)
+
+    def full(x):
+        v = np.zeros((top + 1, m), dtype=np.int64)
+        v[: len(x)] = x
+        return v
+
+    krylov = invariants._Krylov(red)
+    seqs = [krylov.powers(b, top) for b in basis]
+    cols = []
+    for seq in seqs:
+        for x in seq:
+            x = full(x)
+            for _ in range(e):
+                cols.append(x.ravel())
+                x = (x @ my.T) % p0
+    rhs = np.stack([full(t).ravel() for t in targets], axis=1)
+    sol = linalg.solve(np.stack(cols, axis=1), rhs, p0)
     if sol is None:
         return None
+    counts = [len(seq) for seq in seqs]
     return [[poly_to_text(c) for c in invariants._coords(sol[:, k], counts, red)]
             for k in range(len(targets))]
 
@@ -188,36 +212,42 @@ def test_free_block_solve_matches_all_rows_solve(request, tower_name, psis, max_
 
 
 def test_free_block_solve_raises_outside_the_span(monkeypatch, tower2, psi2_rank3):
-    """A target outside the A-span of the basis still raises: each target is
-    shifted by a unit vector whose free blocks the span columns do not reach,
-    and the all-rows oracle finds no solution either."""
+    """A target outside the A-span of the basis still raises: a ``left_mul``
+    spy shifts each target product e_i e_j (the products by blocks other
+    than psibar_T's) by a unit vector at a free block the span columns do
+    not reach, and the all-rows oracle finds no solution either."""
     red = reduce_at(psi2_rank3, poly_from_text("T^7+T^3+1", tower2))
     lat = invariants.end_lattice_reduced(red)
     basis, targets = _lattice_targets(lat)
     n, m, p0 = red.deg_p, red.ctx.degree, red.ctx.char
     top = max(len(t) for t in targets) - 1
     mat = invariants._span_columns(invariants._Krylov(red), basis, top)[0]
-    free = [k * m + i for k in range(0, top + 1, n) for i in range(m)]
     units = np.eye(len(mat), dtype=np.int64)
-    shift = next(c for c in free if linalg.solve(mat[free], units[free, c], p0) is None)
-    shifted_targets = []
-    for t in targets:
+    shift = next(c for c in range(len(mat)) if linalg.solve(mat, units[:, c], p0) is None)
+    row, col = shift // m * n, shift % m
+
+    def shifted(t):
         x = np.zeros((top + 1, m), dtype=np.int64)
         x[: len(t)] = t
-        x[shift // m, shift % m] += 1
-        shifted_targets.append(x % p0)
-    assert _all_rows_solve(red, basis, shifted_targets) is None
+        x[row, col] += 1
+        return x % p0
 
-    inner = invariants._vec
+    assert _all_rows_solve(red, basis, [shifted(t) for t in targets]) is None
 
-    def shifted(x, D):
-        v = inner(x, D)
-        v[shift] = (v[shift] + 1) % p0
-        return v
+    inner = invariants.left_mul
+    products = []
 
-    monkeypatch.setattr(invariants, "_vec", shifted)
+    def mul_spy(blocks, x, p):
+        out = inner(blocks, x, p)
+        if blocks is red.psibar_blocks:
+            return out
+        products.append(out)
+        return shifted(out)
+
+    monkeypatch.setattr(invariants, "left_mul", mul_spy)
     with pytest.raises(InconclusiveBasisError, match="does not lie in the A-span"):
-        invariants.end_lattice_reduced(reduce_at(psi2_rank3, red.prime))
+        invariants.end_lattice_reduced(red)
+    assert len(products) == (red.rank - 1) ** 2
 
 
 def test_lattice_logs_each_window_at_debug(caplog, capsys, monkeypatch):

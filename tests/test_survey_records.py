@@ -221,8 +221,7 @@ def test_unexpected_error_in_worker_is_kept_per_record(monkeypatch, caplog):
                   "jobs": 1}
     survey._worker_init(3, 64, [[1], [1]], opt_kwargs)  # psi_T = T + tau + tau^2
     with caplog.at_level(logging.ERROR, logger="drinfeld.survey"):
-        idx, d = survey._worker_run((7, [1, 1]))  # p = T + 1
-    assert idx == 7
+        d = survey._worker_run([1, 1])  # p = T + 1
     assert d["p"] == "T+1" and d["skipped"] is None
     assert d["warnings"] == ["error: RuntimeError: injected failure"]
     assert len(caplog.records) == 1
