@@ -1,10 +1,12 @@
 """Time the stages of one survey record, ``survey.compute_record``.
 
     PYTHONPATH=src python scripts/record_bench.py [--q Q] [--psi PSI] [--deg D,...] [--passes N]
+                                                  [--full-checks]
 
-One pass runs ``compute_record`` with the default survey options on every
-prime of the given degrees, for a module built afresh in the pass, so each
-pass builds its residue fields as a survey does; the tower, and with it the
+One pass runs ``compute_record`` with the default survey options (plus the
+lattice checks under ``--full-checks``, as in a survey) on every prime of the
+given degrees, for a module built afresh in the pass, so each pass builds its
+residue fields as a survey does; the tower, and with it the
 fields F_(q^n), is shared by the passes.  The stages are timed by plain
 wrappers put in place of these functions in every ``drinfeld`` namespace that
 binds them:
@@ -17,7 +19,13 @@ binds them:
 - ``module structure``: ``division.module_structure_reduced``, the closed
   form the oracle checks;
 - ``structure oracle``: ``torsion.module_structure_oracle_reduced``;
-- ``endomorphism lattice``: ``invariants.end_lattice_reduced`` (rank >= 3);
+- ``motive Frobenius``: ``modules.motive_frobenius``, the matrix Pi of pi
+  over F_p[T];
+- ``motive invariants``: ``invariants.motive_invariant_factors`` without the
+  matrix Pi, i.e. the powers of Pi and their Smith form (rank >= 3, or even
+  q);
+- ``endomorphism lattice``: ``invariants.end_lattice_reduced``, the b's
+  second route, which only ``--full-checks`` reaches;
 - ``Abhyankar``: ``division.abhyankar_splits_reduced``.
 
 A stage's time excludes the stages it calls, and ``other`` is what is left
@@ -51,6 +59,8 @@ STAGES = {
     "rank-2 invariants": (invariants, "rank2_invariants_reduced"),
     "module structure": (division, "module_structure_reduced"),
     "structure oracle": (torsion, "module_structure_oracle_reduced"),
+    "motive Frobenius": (modules, "motive_frobenius"),
+    "motive invariants": (invariants, "motive_invariant_factors"),
     "endomorphism lattice": (invariants, "end_lattice_reduced"),
     "Abhyankar": (division, "abhyankar_splits_reduced"),
 }
@@ -107,12 +117,13 @@ def main(argv=None) -> int:
     ap.add_argument("--psi", type=str, default="T+1*t+1*t^2")
     ap.add_argument("--deg", type=str, default="4", help="comma-separated prime degrees")
     ap.add_argument("--passes", type=int, default=7)
+    ap.add_argument("--full-checks", action="store_true", help="compare with the lattice's b's")
     args = ap.parse_args(argv)
 
     tower = FieldTower(args.q)
     degrees = [int(d) for d in args.deg.split(",")]
     primes = [p for d in degrees for p in enumerate_monic_irreducibles(tower.base_field, d)]
-    options = SurveyOptions()
+    options = SurveyOptions(with_lattice_checks=args.full_checks)
     names = [*STAGES, "other", "record"]
     totals = dict.fromkeys(STAGES, 0.0)
     calls = {kernel: dict.fromkeys(names, 0) for kernel in KERNELS}

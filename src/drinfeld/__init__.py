@@ -23,6 +23,7 @@ from .invariants import (
     disc_check,
     end_lattice,
     invariant_factors,
+    motive_invariant_factors,
     rank2_invariants,
     u_invariant,
     weil_general,

@@ -1,32 +1,46 @@
 """Matrix algorithms over the polynomial rings in play.
 
 Smith normal form runs over any Euclidean polynomial ring built on the
-generic Poly class (A itself, or (A/lA)[x] with quotient-field coefficients);
-pivots are chosen by minimal degree with ties broken by position, so outputs
-are deterministic.  Rational canonical forms reduce to the Smith form of
-xI - M over (A/lA)[x].
+generic Poly class (A itself, F_p[T] over a residue field, or (A/lA)[x] with
+quotient-field coefficients), on square matrices and on tall ones (more rows
+than columns); pivots are chosen by minimal degree with ties broken by
+position, so outputs are deterministic.  Rational canonical forms reduce to
+the Smith form of xI - M over (A/lA)[x].
 """
 
 from __future__ import annotations
 
 from .errors import NotIrreducibleError, SingularMatrixError
-from .polys import Poly, is_irreducible
+from .polys import Poly, is_irreducible, poly_gcd
 from .quotients import QuotElem, QuotRing
 
 
 def smith_normal_form(m: list[list[Poly]]) -> list[Poly]:
-    """Monic invariant factors d_1 | d_2 | ... | d_n of a square matrix."""
+    """Monic invariant factors d_1 | d_2 | ... | d_c of an n x c matrix with
+    n >= c rows (square matrices included) and full column rank.
+
+    Once a single column is left, d_c is the gcd of its entries; on a square
+    matrix that column is the one entry d_c."""
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise SingularMatrixError("matrix must be square")
+    c = len(m[0]) if m else 0
+    if any(len(row) != c for row in m) or n < c:
+        raise SingularMatrixError("matrix must have at least as many rows as columns")
     a = [list(row) for row in m]
     diag: list[Poly] = []
-    for k in range(n):
+    for k in range(c):
+        if k == c - 1 and n > c:
+            last = a[k][k]
+            for i in range(k + 1, n):
+                last = poly_gcd(last, a[i][k])
+            if last.is_zero():
+                raise SingularMatrixError("matrix has rank below its column count")
+            diag.append(last)
+            break
         while True:
             piv = None
             best = None
             for i in range(k, n):
-                for j in range(k, n):
+                for j in range(k, c):
                     e = a[i][j]
                     if e.is_zero():
                         continue
@@ -34,43 +48,48 @@ def smith_normal_form(m: list[list[Poly]]) -> list[Poly]:
                     if best is None or d < best:
                         best, piv = d, (i, j)
             if piv is None:
-                raise SingularMatrixError("matrix is singular over the fraction field")
+                raise SingularMatrixError("matrix has rank below its column count")
             pi, pj = piv
             if pi != k:
                 a[pi], a[k] = a[k], a[pi]
             if pj != k:
                 for row in a:
                     row[pj], row[k] = row[k], row[pj]
+            # rows and columns before k are zero off the diagonal, so the
+            # row and column operations touch entries from k on; a monic
+            # pivot (a unit row scaling) divides with no further inversion
             pivot = a[k][k]
+            if not pivot.is_monic():
+                inv = pivot.lead().inv()
+                a[k][k:] = [x.scale(inv) for x in a[k][k:]]
+                pivot = a[k][k]
             dirty = False
             for i in range(k + 1, n):
                 if a[i][k].is_zero():
                     continue
-                q = a[i][k] // pivot
-                a[i] = [a[i][t] - q * a[k][t] for t in range(n)]
-                if not a[i][k].is_zero():
-                    dirty = True
-            for j in range(k + 1, n):
+                q, a[i][k] = divmod(a[i][k], pivot)
+                for t in range(k + 1, c):
+                    a[i][t] = a[i][t] - q * a[k][t]
+                dirty = dirty or not a[i][k].is_zero()
+            for j in range(k + 1, c):
                 if a[k][j].is_zero():
                     continue
-                q = a[k][j] // pivot
-                for i in range(k, n):
-                    a[i][j] = a[i][j] - q * a[i][k]
-                if not a[k][j].is_zero():
-                    dirty = True
+                q, a[k][j] = divmod(a[k][j], pivot)
+                for i in range(k + 1, n):
+                    if not a[i][k].is_zero():
+                        a[i][j] = a[i][j] - q * a[i][k]
+                dirty = dirty or not a[k][j].is_zero()
             if dirty:
                 continue
-            # pivot must divide the remaining block for the divisibility chain
+            # pivot must divide the remaining block for the divisibility
+            # chain; a unit divides everything
             offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if not (a[i][j] % pivot).is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if pivot.degree():
+                offender = next((i for i in range(k + 1, n)
+                                 if any(not (a[i][j] % pivot).is_zero() for j in range(k + 1, c))),
+                                None)
             if offender is not None:
-                a[k] = [a[k][t] + a[offender][t] for t in range(n)]
+                a[k] = [a[k][t] + a[offender][t] for t in range(c)]
                 continue
             break
         diag.append(a[k][k])

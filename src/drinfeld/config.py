@@ -10,6 +10,8 @@ class SurveyOptions:
     """Options for the prime-survey engine."""
 
     strict: bool = False  # fail fast on a required per-record check
-    with_lattice_checks: bool = False  # cross-validate b_p via the SNF path
+    # cross-validate the b's (the conductor b_p at odd q in rank 2, the
+    # motive b's elsewhere) against the endomorphism lattice's
+    with_lattice_checks: bool = False
     with_abhyankar: bool = True  # test whether the Abhyankar polynomial splits mod p
     jobs: int = 1

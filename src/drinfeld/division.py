@@ -17,7 +17,7 @@ from .fields import FFElem
 from .invariants import (
     Rank2Invariants,
     WeilPolynomial,
-    invariant_factors,
+    motive_invariant_factors,
     rank2_invariants,
     rank2_invariants_reduced,
     weil_motive,
@@ -129,12 +129,13 @@ def module_structure_reduced(red: ReducedModule, inv: Rank2Invariants) -> Module
 
 
 def b_p_first(psi: DrinfeldModule, p: Poly) -> Poly:
-    """b_{p,1}: equals b_p in rank 2, else the first lattice invariant factor."""
+    """b_{p,1}: the conductor b_p in rank 2 at odd q, else the first
+    invariant factor of the motive Frobenius."""
     if psi.rank < 2:
         raise RankError("the b_{p,1} criteria need rank >= 2")
     if psi.rank == 2 and psi.tower.q % 2:
         return rank2_invariants(psi, p).b_p
-    return invariant_factors(psi, p).factors[0]
+    return motive_invariant_factors(reduce_at(psi, p)).factors[0]
 
 
 def jm_splits(psi: DrinfeldModule, p: Poly, m: Poly) -> bool:

@@ -497,15 +497,19 @@ class _FieldCtx:
 
     def poly_divmod(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Quotient and remainder of coordinate arrays, b nonzero; both come
-        back trimmed.  One field inversion makes b monic, and each quotient
-        row costs one scalar product of it."""
+        back trimmed.  One field inversion makes b monic (none when it is),
+        and each quotient row costs one scalar product of it."""
         p = self.char
         a, b = _trim_rows(a), _trim_rows(b)
         k = len(b)
         if len(a) < k:
             return a[:0], a
-        inv = np.array(self.inv(tuple(b[-1].tolist())), dtype=np.int64)
-        b = self.scale(b, inv)
+        lead = tuple(b[-1].tolist())
+        if lead == self.one_coords():
+            inv = None
+        else:
+            inv = np.array(self.inv(lead), dtype=np.int64)
+            b = self.scale(b, inv)
         r = a.copy()
         q = np.zeros((len(a) - k + 1, self.degree), dtype=np.int64)
         for i in range(len(a) - k, -1, -1):
@@ -513,7 +517,7 @@ class _FieldCtx:
             if c.any():
                 q[i] = c
                 r[i : i + k] = (r[i : i + k] - self.scale(b, c)) % p
-        return self.scale(q, inv), _trim_rows(r[: k - 1])
+        return q if inv is None else self.scale(q, inv), _trim_rows(r[: k - 1])
 
     def poly_gcd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The monic gcd of two coordinate arrays (no rows for zero).
@@ -563,6 +567,16 @@ class _FieldCtx:
         Toeplitz matrix of c with y^(n+j) folded back by the reduction rows,
         that is c contracted with the products y^i*y^j reduced mod m."""
         return self._fold(self._toeplitz_of(coords)).T
+
+    def mult_matrices(self, coords: np.ndarray) -> np.ndarray:
+        """``mult_matrix`` of every row of an N x degree coordinate array, as
+        one N x degree x degree array."""
+        n = self.degree
+        self._toeplitz_of(self.zero_coords())  # builds self._toeplitz on first use
+        padded = np.zeros((len(coords), 3 * n - 2), dtype=np.int64)
+        padded[:, n - 1 : 2 * n - 1] = coords
+        rows = self._fold(padded[:, self._toeplitz].reshape(-1, 2 * n - 1))
+        return rows.reshape(-1, n, n).transpose(0, 2, 1)
 
     def zero_coords(self):
         return (0,) * self.degree

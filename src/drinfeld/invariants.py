@@ -1,6 +1,6 @@
 """Frobenius invariants of reductions: Weil polynomials, the rank-2 conductor
-b_p and discriminant delta_p, the endomorphism lattice, and its invariant
-factors.
+b_p and discriminant delta_p, the invariant factors b_1 | ... | b_(r-1) of
+End(psi x F_p) over A[pi], and the endomorphism lattice.
 
 The Weil polynomial of every rank takes one route, ``weil_motive``: the
 characteristic polynomial of Frobenius on the Anderson motive, evaluated at
@@ -8,9 +8,11 @@ T = t as an O(n r^2) recurrence over F_p = A/p whose rank-2 case is Gekeler's
 coefficient recursion.  The skew identity P(tau^deg p) = 0 certifies every
 polynomial it returns, and ``weil_general`` (torsion Frobenius matrices glued
 by CRT) stays as the tests' independent oracle.  The conductor comes from
-skew right-division membership, while the invariant factors come from the
-lattice and a Smith normal form; the cross-checks are part of the acceptance
-gate."""
+skew right-division membership.  The invariant factors come from the matrix
+of Frobenius on the same motive over F_p[T] and one Smith normal form
+(``motive_invariant_factors``).  The endomorphism lattice is their second
+route: ``--full-checks``, ``disc_check`` and the tests run it, the survey
+does not.  The cross-checks are part of the acceptance gate."""
 
 from __future__ import annotations
 
@@ -28,9 +30,10 @@ from .errors import (
     EvenCharacteristicError,
     InconclusiveBasisError,
     RankError,
+    SingularMatrixError,
 )
 from .fields import FFElem
-from .modules import DrinfeldModule, ReducedModule, reduce_at
+from .modules import DrinfeldModule, ReducedModule, motive_frobenius, reduce_at
 from .polys import Poly, crt, enumerate_monic_irreducibles, factorize, powint, squarefree_split
 from .skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
 from .textio import poly_to_text
@@ -597,6 +600,42 @@ def _coords(x: np.ndarray, counts: list[int], red: ReducedModule) -> list[Poly]:
 # invariant factors and the discriminant identity
 
 
+def motive_invariant_factors(red: ReducedModule) -> InvariantFactors:
+    """b_1 | ... | b_{r-1} from the matrix Pi of pi on the Anderson motive
+    (``modules.motive_frobenius``), with no endomorphism lattice.
+
+    Anderson's functor is fully faithful, so End(psi x F_p) is the set of x in
+    F(pi) with x M in M, M = F_p{tau} free of rank r over F_p[T].  Tensoring
+    with F_p over F_q is flat, so the Smith invariants over F_p[T] of the r^2 x
+    r matrix [vec(I) | vec(Pi) | .. | vec(Pi^(r-1))] are 1, b_1, .., b_(r-1).
+    Subtracting the row of entry (0, 0) from those of (i, i) makes vec(I) the
+    unit vector at (0, 0), so the b's are the Smith invariants of the
+    (r^2 - 1) x (r - 1) matrix of the entries Pi^j_ik (i != k) and Pi^j_ii -
+    Pi^j_00 (i >= 1), j = 1..r-1.  Each factor is projected to A coefficient
+    by coefficient, which raises unless it lies in F_q[T].
+    """
+    tower, r = red.source.tower, red.rank
+    pi = motive_frobenius(red)
+    zero = Poly.zero(red.ctx)
+    powers, cur = [pi], pi
+    for _ in range(r - 2):
+        cur = [[sum((cur[i][l] * pi[l][k] for l in range(r)), zero) for k in range(r)]
+               for i in range(r)]
+        powers.append(cur)
+    rows = [[x[i][k] for x in powers] for i in range(r) for k in range(r) if i != k]
+    rows += [[x[i][i] - x[0][0] for x in powers] for i in range(1, r)]
+    try:
+        factors = smith_normal_form(rows)
+    except SingularMatrixError:
+        raise DrinfeldError(
+            "Frobenius powers on the motive are dependent; this is an implementation bug"
+        ) from None
+    base = tower.base_field
+    return InvariantFactors(
+        factors=[f.map_coeffs(lambda c: tower.project(c, base), base) for f in factors]
+    )
+
+
 def _coords_mul(lat: EndLattice, a: list[Poly], b: list[Poly]) -> list[Poly]:
     r = len(lat.basis)
     base = lat.red.source.tower.base_field
@@ -616,6 +655,8 @@ def _coords_mul(lat: EndLattice, a: list[Poly], b: list[Poly]) -> list[Poly]:
 
 
 def invariant_factors(psi: DrinfeldModule, p: Poly) -> InvariantFactors:
+    """The b's read off the endomorphism lattice, the second route of
+    ``motive_invariant_factors``."""
     lat = end_lattice(psi, p)
     return invariant_factors_from_lattice(lat)
 

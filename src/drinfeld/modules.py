@@ -219,25 +219,38 @@ def motive_frobenius(red: ReducedModule) -> list[list[Poly]]:
     tau^r = g_r^-1 (T - t - g_1 tau - .. - g_(r-1) tau^(r-1)).  Left
     multiplication by tau is q-semilinear, so pi has the matrix
     A^(n-1) .. A^(1) A, with A^(k) raising each coefficient to the q^k-th
-    power (Anderson, t-motives, Duke Math. J. 53, 1986).
+    power (Anderson, t-motives, Duke Math. J. 53, 1986).  Rows 0..r-2 of A
+    shift, so the rows of A^(k-1) .. A are the window R_k .. R_(k+r-1) of
+    one sequence that starts with the unit rows and continues as
+    g_r^(q^k) R_(k+r) = (T - t^(q^k)) R_k - sum_l g_l^(q^k) R_(k+l).
 
-    ``invariants.weil_motive`` forms this product at T = t only; the matrix
-    over F_p[T] serves ``torsion._splitting_degree`` and the tests.
+    ``invariants.weil_motive`` runs the same recurrence at T = t only; the
+    matrix over F_p[T] serves ``invariants.motive_invariant_factors`` (the
+    b's), ``torsion._splitting_degree`` and the tests.
     """
-    tower, ctx, r = red.source.tower, red.ctx, red.rank
-    g = red.psibar_T.coeffs  # t, g_1, .., g_r
-    zero, inv_top = Poly.zero(ctx), g[r].inv()
-    a = [[Poly.one(ctx) if k == j + 1 else zero for k in range(r)] for j in range(r - 1)]
-    a.append(
-        [(Poly.x(ctx) - Poly.constant(g[0])).scale(inv_top)]
-        + [Poly.constant(-g[i] * inv_top) for i in range(1, r)]
-    )
-    pi = a
-    for k in range(1, red.deg_p):
-        ak = [[e.map_coeffs(lambda c: tower.frobenius_power(c, k)) for e in row] for row in a]
-        pi = [[sum((ak[i][l] * pi[l][j] for l in range(r)), zero) for j in range(r)]
-              for i in range(r)]
-    return pi
+    tower, ctx, r, n = red.source.tower, red.ctx, red.rank, red.deg_p
+    m, p0 = ctx.degree, ctx.char
+    # step k multiplies by h^(q^k) for h = t/g_r, g_1/g_r, .., g_(r-1)/g_r
+    # and 1/g_r: the orbits under the q-power map, then all their matrices
+    # M(h^(q^k))^T at once
+    t, *g = red.psibar_T.coeffs
+    inv = g[-1].inv()
+    orbit = np.zeros((n, r + 1, m), dtype=np.int64)
+    orbit[0] = [(x * inv).coords for x in [t, *g[:-1]]] + [inv.coords]
+    frob = ctx.frob_p_matrix(tower.base_degree).T
+    for k in range(1, n):
+        orbit[k] = (orbit[k - 1] @ frob) % p0
+    mats = ctx.mult_matrices(orbit.reshape(-1, m)).reshape(n, r + 1, m, m).swapaxes(2, 3)
+    # rows[j, i] is entry i of R_(k+j), a (T-degree) x (prime coordinate)
+    # array; deg R_k <= k // r, so the rows of pi fit (n + r - 1) // r + 1
+    rows = np.zeros((r, r, (n + r - 1) // r + 1, m), dtype=np.int64)
+    rows[np.arange(r), np.arange(r), 0, 0] = 1
+    for k in range(n):
+        # an entry sums r + 1 products of two residues, below (r + 1) m p^2
+        new = -(rows @ mats[k, :r, None]).sum(axis=0)
+        new[:, 1:] += rows[0, :, :-1] @ mats[k, r]
+        rows = np.concatenate([rows[1:], (new % p0)[None]])
+    return [[Poly(ctx, ctx.array_elems(x)) for x in row] for row in rows]
 
 
 def reduce_at(psi: DrinfeldModule, p: Poly) -> ReducedModule:

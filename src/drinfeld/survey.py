@@ -23,6 +23,7 @@ from .fields import FieldTower
 from .invariants import (
     end_lattice_reduced,
     invariant_factors_from_lattice,
+    motive_invariant_factors,
     rank2_invariants_reduced,
     weil_motive,
 )
@@ -122,7 +123,7 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
                 else:
                     rec.warnings.append("lattice b_p disagrees with conductor b_p")
         else:
-            bfac = invariant_factors_from_lattice(end_lattice_reduced(red)).factors
+            bfac = motive_invariant_factors(red).factors
             rec.b_invariants = [poly_to_text(b) for b in bfac]
             if all(
                 (bfac[i + 1] % bfac[i]).is_zero() for i in range(len(bfac) - 1)
@@ -133,6 +134,11 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
             chi = sum(weil.coeffs, Poly.one(base)).monic()
             if len(oracle) <= psi.rank and prod(oracle, start=Poly.one(base)) == chi:
                 checks.append("structure_oracle")
+            if options.with_lattice_checks:
+                if invariant_factors_from_lattice(end_lattice_reduced(red)).factors == bfac:
+                    checks.append("b_lattice_agreement")
+                else:
+                    rec.warnings.append("lattice b disagrees with motive b")
         # the b_{p,1} criteria of the Abhyankar stage need rank >= 2
         if options.with_abhyankar and psi.rank >= 2 and p != Poly.x(base):
             b1 = inv.b_p if inv is not None else bfac[0]

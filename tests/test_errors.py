@@ -291,15 +291,18 @@ def test_end_lattice_window_cap_stability_check(monkeypatch, tower3, psi3):
 
 
 def test_end_lattice_window_cap_is_a_record_warning(monkeypatch, tower2, psi2_rank3, capsys):
+    """The lattice runs in a survey only under the lattice checks; there its
+    window cap is a record warning."""
     from drinfeld.config import SurveyOptions
     from drinfeld.survey import run_survey
 
     _lattice_windows(monkeypatch, 0)
-    recs = list(run_survey(psi2_rank3, [1], SurveyOptions()))
+    recs = list(run_survey(psi2_rank3, [1], SurveyOptions(with_lattice_checks=True)))
     assert [r.p for r in recs] == ["T", "T+1"]
     for rec in recs:
         assert rec.warnings == ["error: no stable lattice basis within the window cap 0"]
-        assert rec.b_invariants == []
+        assert rec.b_invariants == ["1", "1"]  # the motive b's, set before the lattice runs
+        assert rec.checks_passed == []
     assert capsys.readouterr().out == ""
 
 

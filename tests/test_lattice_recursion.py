@@ -3,6 +3,7 @@ against the dense commutation system; the solve on the free blocks, checked
 against the solve on every row; each window eliminated once and each Krylov
 product built once; the per-window DEBUG log."""
 
+import json
 import logging
 from pathlib import Path
 
@@ -251,13 +252,23 @@ def test_free_block_solve_raises_outside_the_span(monkeypatch, tower2, psi2_rank
 
 
 def test_lattice_logs_each_window_at_debug(caplog, capsys, monkeypatch):
-    """DEBUG lines name each window's commutant size and basis; survey stdout
-    stays byte-identical to the golden file."""
+    """The survey runs the lattice only under --full-checks.  There DEBUG
+    lines name each window's commutant size and basis, and survey stdout is
+    the golden file's with the lattice check added to every record; without
+    it stdout is the golden file byte for byte and nothing is logged."""
     monkeypatch.delenv("DF_MAX_EXT_DEGREE", raising=False)
     argv = ["survey", "--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1,2", "--format", "json"]
+    golden = (DATA / "survey_q2_r3_deg1-2.jsonl").read_text(encoding="utf-8")
     with caplog.at_level(logging.DEBUG, logger="drinfeld.invariants"):
         assert main(argv) == 0
-    assert capsys.readouterr().out == (DATA / "survey_q2_r3_deg1-2.jsonl").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+        assert not [r for r in caplog.records if r.name == "drinfeld.invariants"]
+        assert main([*argv, "--full-checks"]) == 0
+    want = [json.loads(line) for line in golden.splitlines()]
+    for rec in want:
+        rec["checks_passed"].insert(rec["checks_passed"].index("structure_oracle") + 1,
+                                    "b_lattice_agreement")
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == want
     lines = [r.getMessage() for r in caplog.records if r.name == "drinfeld.invariants"]
     # one window per prime; m = n, so D = n + 6 has m (D // n + 1) parameter
     # columns and m (D // n + 3) constraint rows

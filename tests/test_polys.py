@@ -195,6 +195,88 @@ def test_smith_normal_form_properties(tower3):
         assert prod == det.monic()
 
 
+def _random_matrix(field, rows, cols, rng, deg=2):
+    return [
+        [Poly(field, [field.dec_elem(rng.randrange(field.order)) for _ in range(deg + 1)])
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _determinantal_factors(m):
+    """d_k = D_k / D_(k-1), D_k the monic gcd of the k x k minors."""
+    from itertools import combinations
+
+    from drinfeld.amatrix import ring_det
+
+    field = m[0][0].field
+    prev, out = Poly.one(field), []
+    for k in range(1, len(m[0]) + 1):
+        g = Poly.zero(field)
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
+                g = poly_gcd(g, ring_det([[m[i][j] for j in cols] for i in rows]))
+        if g.is_zero():
+            return None
+        out.append(g.exact_div(prev))
+        prev = g
+    return out
+
+
+def test_smith_normal_form_tall_matches_the_square_form(tower3):
+    """Rows that are A-combinations of a square matrix's rows, or zero rows,
+    do not change its invariant factors."""
+    F = tower3.base_field
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(20):
+        n = rng.randrange(1, 4)
+        m = _random_matrix(F, n, n, rng)
+        try:
+            want = smith_normal_form(m)
+        except SingularMatrixError:
+            continue
+        comb = _random_matrix(F, rng.randrange(1, 4), n, rng, deg=1)
+        extra = [[sum((c[i] * m[i][j] for i in range(n)), Poly.zero(F)) for j in range(n)]
+                 for c in comb]
+        rows = m + extra + [[Poly.zero(F)] * n]
+        rng.shuffle(rows)
+        assert smith_normal_form(rows) == want
+        checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize("q,degree", [(3, 1), (4, 4), (9, 4)], ids=["A", "Fp[T]-q4", "Fp[T]-q9"])
+def test_smith_normal_form_tall_matches_determinantal_divisors(q, degree):
+    """On random n x c matrices, n >= c, over A and over F_p[T] with e = 2,
+    the invariant factors are the quotients of the determinantal divisors."""
+    from drinfeld.fields import FieldTower
+
+    field = FieldTower(q).field(degree)
+    rng = random.Random(53 + q)
+    checked = 0
+    for _ in range(12):
+        c = rng.randrange(1, 4)
+        m = _random_matrix(field, c + rng.randrange(0, 3), c, rng, deg=1 + (q < 9))
+        want = _determinantal_factors(m)
+        if want is None:
+            with pytest.raises(SingularMatrixError):
+                smith_normal_form(m)
+            continue
+        assert smith_normal_form(m) == want
+        checked += 1
+    assert checked >= 8
+
+
+def test_smith_normal_form_rejects_wide_and_deficient_matrices(tower3):
+    F = tower3.base_field
+    T, one, zero = Poly.x(F), Poly.one(F), Poly.zero(F)
+    with pytest.raises(SingularMatrixError, match="at least as many rows"):
+        smith_normal_form([[T, one]])
+    with pytest.raises(SingularMatrixError, match="rank below"):
+        smith_normal_form([[T, T], [one, one], [zero, zero]])
+
+
 def test_charpoly_coefficients_over_quotients(tower3):
     """det(xI - M) = x^3 - tr x^2 + (sum of principal 2-minors) x - det, over a
     field A/(T^2+1) and over the non-domain A/(T^2)."""

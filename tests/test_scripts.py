@@ -23,7 +23,10 @@ SCRIPTS = [
     ("record_bench.py", "record_bench.py", ["--q", "3", "--deg", "1", "--passes", "1"],
      "structure oracle"),
     ("record_bench.py-rank3", "record_bench.py",
-     ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1", "--passes", "1"], "rref/record"),
+     ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1", "--passes", "1"], "motive invariants"),
+    ("record_bench.py-full-checks", "record_bench.py",
+     ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1", "--passes", "1", "--full-checks"],
+     "endomorphism lattice"),
 ]
 
 

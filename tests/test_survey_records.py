@@ -80,8 +80,9 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
 
 
 def test_rank3_record_takes_the_motive_route(monkeypatch):
-    """A rank-3 record reduces at p once, checks the skew identity once and
-    never reaches the F_p[T] motive matrix, torsion or CRT."""
+    """A rank-3 record reduces at p once, checks the skew identity once,
+    builds the F_p[T] motive matrix once (for its b's) and never reaches the
+    endomorphism lattice, torsion or CRT."""
     from drinfeld import invariants, modules, polys, torsion
 
     tower = FieldTower(2, max_degree=64)
@@ -92,6 +93,7 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
         "weil_motive": _count_calls(monkeypatch, invariants, "weil_motive"),
         "weil_identity_holds": _count_calls(monkeypatch, invariants, "weil_identity_holds"),
         "motive_frobenius": _count_calls(monkeypatch, modules, "motive_frobenius"),
+        "end_lattice_reduced": _count_calls(monkeypatch, invariants, "end_lattice_reduced"),
         "weil_general": _count_calls(monkeypatch, invariants, "weil_general"),
         "torsion_basis_reduced": _count_calls(monkeypatch, torsion, "torsion_basis_reduced"),
         "crt": _count_calls(monkeypatch, polys, "crt"),
@@ -100,14 +102,15 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
     assert rec.skipped is None and not rec.warnings
     assert rec.b_invariants == ["1", "T+1"]
     assert {k: c[0] for k, c in counts.items()} == {
-        "reduce_at": 1, "weil_motive": 1, "weil_identity_holds": 1, "motive_frobenius": 0,
-        "weil_general": 0, "torsion_basis_reduced": 0, "crt": 0,
+        "reduce_at": 1, "weil_motive": 1, "weil_identity_holds": 1, "motive_frobenius": 1,
+        "end_lattice_reduced": 0, "weil_general": 0, "torsion_basis_reduced": 0, "crt": 0,
     }
 
 
 def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
     """The structure oracle runs by Krylov blocks and kernel ranks: an odd-q
-    rank-2 record takes no Smith form, a rank-3 record one (its lattice)."""
+    rank-2 record takes no Smith form, a rank-3 record exactly one (its
+    motive b's)."""
     from drinfeld import amatrix
 
     tower3 = FieldTower(3, max_degree=64)
@@ -119,9 +122,10 @@ def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
         rec = survey.compute_record(psi2, poly_from_text(prime, tower3), SurveyOptions())
         assert "structure_oracle" in rec.checks_passed and not rec.warnings
     assert calls[0] == 0
-    rec = survey.compute_record(psi3, poly_from_text("T^5+T^3+T^2+T+1", tower2), SurveyOptions())
-    assert "structure_oracle" in rec.checks_passed and not rec.warnings
-    assert calls[0] == 1
+    for k, prime in enumerate(("T^5+T^3+T^2+T+1", "T^4+T+1"), start=1):
+        rec = survey.compute_record(psi3, poly_from_text(prime, tower2), SurveyOptions())
+        assert "structure_oracle" in rec.checks_passed and not rec.warnings
+        assert calls[0] == k
 
 
 @pytest.mark.parametrize(
