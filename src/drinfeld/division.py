@@ -18,7 +18,6 @@ from .invariants import (
     Rank2Invariants,
     WeilPolynomial,
     motive_invariant_factors,
-    rank2_invariants,
     rank2_invariants_reduced,
     weil_motive,
 )
@@ -131,11 +130,16 @@ def module_structure_reduced(red: ReducedModule, inv: Rank2Invariants) -> Module
 def b_p_first(psi: DrinfeldModule, p: Poly) -> Poly:
     """b_{p,1}: the conductor b_p in rank 2 at odd q, else the first
     invariant factor of the motive Frobenius."""
+    return _b_first(reduce_at(psi, p))
+
+
+def _b_first(red: ReducedModule) -> Poly:
+    psi = red.source
     if psi.rank < 2:
         raise RankError("the b_{p,1} criteria need rank >= 2")
     if psi.rank == 2 and psi.tower.q % 2:
-        return rank2_invariants(psi, p).b_p
-    return motive_invariant_factors(reduce_at(psi, p)).factors[0]
+        return rank2_invariants_reduced(red).b_p
+    return motive_invariant_factors(red).factors[0]
 
 
 def jm_splits(psi: DrinfeldModule, p: Poly, m: Poly) -> bool:
@@ -187,7 +191,7 @@ def abhyankar_splits_mod(psi: DrinfeldModule, p: Poly) -> tuple[bool, dict]:
     if psi.rank == 2 and psi.tower.q % 2:
         inv = rank2_invariants_reduced(red)
         return abhyankar_splits_reduced(red, inv.b_p, inv)
-    return abhyankar_splits_reduced(red, b_p_first(psi, p))
+    return abhyankar_splits_reduced(red, _b_first(red))
 
 
 def abhyankar_splits_reduced(

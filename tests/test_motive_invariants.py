@@ -183,3 +183,21 @@ def test_invariants_command_takes_the_motive_route(capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert out["b_invariants"] == want
     assert _nontrivial(lattice_b)
+
+
+def test_b_first_criteria_take_the_motive_b_with_one_reduction(monkeypatch):
+    """Outside odd-q rank 2 (here q = 2), ``b_p_first`` (hence ``jm_splits``)
+    is the first motive b, and ``abhyankar_splits_mod`` reduces at p once."""
+    from drinfeld import division
+
+    tower = TOWERS[2]
+    psi = module_from_text("T+T*t+1*t^2", tower)
+    p = poly_from_text("T^3+T^2+1", tower)
+    b1 = motive_invariant_factors(reduce_at(psi, p)).factors[0]
+    assert poly_to_text(b1) == "T+1"
+    assert division.b_p_first(psi, p) == b1
+    assert division.jm_splits(psi, p, b1) and not division.jm_splits(psi, p, b1 * b1)
+    calls = []
+    monkeypatch.setattr(division, "reduce_at", lambda *a: calls.append(a) or reduce_at(*a))
+    splits, report = division.abhyankar_splits_mod(psi, p)
+    assert report["b_1"] == b1 and len(calls) == 1
