@@ -15,15 +15,18 @@ binds them:
   reduction);
 - ``Weil route``: ``invariants.weil_motive``;
 - ``skew identity``: ``invariants.weil_identity_holds``, inside the route;
-- ``rank-2 invariants``: ``invariants.rank2_invariants_reduced``;
+- ``rank-2 invariants``: ``invariants.rank2_invariants_reduced`` without
+  the motive stages it calls, i.e. d = a_p^2 - 4 u_p p and its squarefree
+  test;
 - ``module structure``: ``division.module_structure_reduced``, the closed
   form the oracle checks;
 - ``structure oracle``: ``torsion.module_structure_oracle_reduced``;
 - ``motive Frobenius``: ``modules.motive_frobenius``, the matrix Pi of pi
   over F_p[T];
 - ``motive invariants``: ``invariants.motive_invariant_factors`` without the
-  matrix Pi, i.e. the powers of Pi and their Smith form (rank >= 3, or even
-  q);
+  matrix Pi, i.e. the powers of Pi and their Smith form.  The two motive
+  stages run on every record in rank >= 3 or at even q, and in odd-q rank 2
+  only where d is not squarefree;
 - ``endomorphism lattice``: ``invariants.end_lattice_reduced``, the b's
   second route, which only ``--full-checks`` reaches;
 - ``Abhyankar``: ``division.abhyankar_splits_reduced``.

@@ -128,7 +128,8 @@ def module_structure_reduced(red: ReducedModule, inv: Rank2Invariants) -> Module
 
 
 def b_p_first(psi: DrinfeldModule, p: Poly) -> Poly:
-    """b_{p,1}: the conductor b_p in rank 2 at odd q, else the first
+    """b_{p,1}: the conductor b_p of ``rank2_invariants_reduced`` in rank 2
+    at odd q (1 on a squarefree d, else the motive gcd), else the first
     invariant factor of the motive Frobenius."""
     return _b_first(reduce_at(psi, p))
 

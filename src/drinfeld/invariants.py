@@ -7,12 +7,15 @@ characteristic polynomial of Frobenius on the Anderson motive, evaluated at
 T = t as an O(n r^2) recurrence over F_p = A/p whose rank-2 case is Gekeler's
 coefficient recursion.  The skew identity P(tau^deg p) = 0 certifies every
 polynomial it returns, and ``weil_general`` (torsion Frobenius matrices glued
-by CRT) stays as the tests' independent oracle.  The conductor comes from
-skew right-division membership.  The invariant factors come from the matrix
-of Frobenius on the same motive over F_p[T] and one Smith normal form
-(``motive_invariant_factors``).  The endomorphism lattice is their second
-route: ``--full-checks``, ``disc_check`` and the tests run it, the survey
-does not.  The cross-checks are part of the acceptance gate."""
+by CRT) stays as the tests' independent oracle.  The invariant factors come
+from the matrix of Frobenius on the same motive over F_p[T] and one Smith
+normal form (``motive_invariant_factors``).  In rank 2 at odd q, d = a_p^2 -
+4 u_p p = b_p^2 delta_p, so a squarefree d proves b_p = 1 and the motive gcd
+is taken only otherwise; the conductor loop (factoring d, then skew
+right-division membership) is the tests' oracle ``conductor_b_p``.  The
+endomorphism lattice is the b's second route: ``--full-checks``,
+``disc_check`` and the tests run it, the survey does not.  The cross-checks
+are part of the acceptance gate."""
 
 from __future__ import annotations
 
@@ -34,7 +37,15 @@ from .errors import (
 )
 from .fields import FFElem
 from .modules import DrinfeldModule, ReducedModule, motive_frobenius, reduce_at
-from .polys import Poly, crt, enumerate_monic_irreducibles, factorize, powint, squarefree_split
+from .polys import (
+    Poly,
+    crt,
+    enumerate_monic_irreducibles,
+    factorize,
+    poly_gcd,
+    powint,
+    squarefree_split,
+)
 from .skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
 from .textio import poly_to_text
 from .torsion import torsion_basis_reduced
@@ -246,7 +257,7 @@ def weil_general(psi: DrinfeldModule, p: Poly) -> WeilPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# rank-2 conductor by skew-division membership
+# rank-2 b_p and delta_p: a squarefree d, else the motive gcd
 
 
 def rank2_invariants(psi: DrinfeldModule, p: Poly) -> Rank2Invariants:
@@ -259,14 +270,39 @@ def rank2_invariants(psi: DrinfeldModule, p: Poly) -> Rank2Invariants:
 
 
 def rank2_invariants_reduced(red: ReducedModule) -> Rank2Invariants:
+    """a_p, u_p, d = a_p^2 - 4 u_p p = b_p^2 delta_p and the conductor b_p.
+
+    b_p is the index of A[pi] in End(psi x F_p), so b_p^2 | d (Gekeler,
+    Trans. AMS 360, 2008) and a squarefree d (gcd(d, d') = 1) proves b_p = 1.  Otherwise b_p is the
+    motive gcd(Pi_01, Pi_10, Pi_11 - Pi_00) (``motive_invariant_factors``).
+    ``conductor_b_p`` is the tests' second route."""
     tower = red.source.tower
-    base = tower.base_field
     weil = weil_rank2_reduced(red)
     a_p, u_p = weil.coeffs[1], weil.unit
     d = a_p * a_p - red.prime.scale(u_p * tower.from_int(4))
-    split = squarefree_split(d)
-    b_p = Poly.one(base)
-    for ell, mult in factorize(split.conductor_part).factors:
+    if poly_gcd(d, d.derivative()).is_one():
+        b_p, delta = Poly.one(tower.base_field), d
+    else:
+        b_p = motive_invariant_factors(red).factors[0]
+        delta = d.exact_div(b_p * b_p)
+    return Rank2Invariants(
+        a_p=a_p,
+        u_p=u_p,
+        d=d,
+        b_p=b_p,
+        delta_p=delta,
+        supersingular=a_p.is_zero(),
+        weil=weil,
+    )
+
+
+def conductor_b_p(red: ReducedModule, a_p: Poly, d: Poly) -> Poly:
+    """The monic b_p by the conductor loop, the oracle of
+    ``rank2_invariants_reduced``: for each prime power l^e with l^(2e) | d,
+    whether (2 pi + a_p) / l^e lies in End(psi x F_p), by skew
+    right-division."""
+    b_p = Poly.one(red.source.base)
+    for ell, mult in factorize(squarefree_split(d).conductor_part).factors:
         best = 0
         for e in range(1, mult + 1):
             if _membership(red, a_p, powint(ell, e)):
@@ -275,16 +311,7 @@ def rank2_invariants_reduced(red: ReducedModule) -> Rank2Invariants:
                 break
         if best:
             b_p = b_p * powint(ell, best)
-    delta = d.exact_div(b_p * b_p)
-    return Rank2Invariants(
-        a_p=a_p,
-        u_p=u_p,
-        d=d,
-        b_p=b_p.monic(),
-        delta_p=delta,
-        supersingular=a_p.is_zero(),
-        weil=weil,
-    )
+    return b_p.monic()
 
 
 def _membership(red: ReducedModule, a_p: Poly, m: Poly) -> bool:

@@ -121,7 +121,7 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
                 if lat_b == [inv.b_p]:
                     checks.append("b_lattice_agreement")
                 else:
-                    rec.warnings.append("lattice b_p disagrees with conductor b_p")
+                    rec.warnings.append("lattice b_p disagrees with record b_p")
         else:
             bfac = motive_invariant_factors(red).factors
             rec.b_invariants = [poly_to_text(b) for b in bfac]

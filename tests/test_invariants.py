@@ -2,12 +2,15 @@ import pytest
 
 from drinfeld.config import SurveyOptions
 from drinfeld.errors import EvenCharacteristicError, RankError
+from drinfeld.fields import FieldTower
 from drinfeld.invariants import (
     WeilPolynomial,
+    conductor_b_p,
     disc_check,
     end_lattice,
     invariant_factors,
     rank2_invariants,
+    rank2_invariants_reduced,
     u_invariant,
     weil_general,
     weil_identity_holds,
@@ -309,6 +312,38 @@ def test_membership_monotone(tower3):
                     for ell, mult in factorize(b).factors:
                         for e in range(1, mult + 1):
                             assert _membership(red, inv.a_p, powint(ell, e))
+
+
+# (q, psi_T, highest prime degree) of the b_p oracle comparison
+B_P_ORACLE_CASES = [
+    (3, "T+1*t+1*t^2", 6),
+    (5, "T+1*t+1*t^2", 4),
+    (7, "T+1*t+1*t^2", 3),
+    (9, "T+1*t+1*t^2", 2),
+    (3, "T+T*t+1*t^2", 5),
+    (5, "T+0*t+1*t^2", 3),
+]
+
+
+def test_rank2_b_p_equals_the_conductor_oracle():
+    """b_p and delta_p of ``rank2_invariants_reduced`` (1 and d on a
+    squarefree d, else the motive gcd) equal the conductor loop's on every
+    good prime of the cases above: 721 primes, 30 with nontrivial b_p."""
+    primes = nontrivial = 0
+    for q, text, top in B_P_ORACLE_CASES:
+        psi = module_from_text(text, FieldTower(q, max_degree=64))
+        for deg in range(1, top + 1):
+            for p in enumerate_monic_irreducibles(psi.base, deg):
+                if (psi.g[-1] % p).is_zero():
+                    continue
+                red = reduce_at(psi, p)
+                inv = rank2_invariants_reduced(red)
+                b_p = conductor_b_p(red, inv.a_p, inv.d)
+                assert (inv.b_p, inv.delta_p) == (b_p, inv.d.exact_div(b_p * b_p)), (
+                    q, text, poly_to_text(p))
+                primes += 1
+                nontrivial += b_p.degree() >= 1
+    assert primes == 721 and nontrivial >= 25
 
 
 def test_disc_check_examples(tower3, tower2, psi3, psi2_rank3):

@@ -1,8 +1,9 @@
 """The invariants b_1 | ... | b_(r-1) from the motive Frobenius
 (``invariants.motive_invariant_factors``) against their second routes: the
 endomorphism lattice in every rank and characteristic, and the rank-2
-conductor at odd q.  Also the ``--full-checks`` comparison of the two in a
-survey record, and the guards of the motive route."""
+conductor loop (``conductor_b_p``) at odd q.  Also the ``--full-checks``
+comparison of the two in a survey record, and the guards of the motive
+route."""
 
 import json
 import sys
@@ -16,6 +17,7 @@ from drinfeld.errors import DrinfeldError, TowerMembershipError
 from drinfeld.fields import FieldTower
 from drinfeld.invariants import (
     InvariantFactors,
+    conductor_b_p,
     end_lattice_reduced,
     invariant_factors_from_lattice,
     motive_invariant_factors,
@@ -60,7 +62,8 @@ def _nontrivial(factors) -> bool:
 
 def test_motive_b_equal_the_lattice_and_conductor_b():
     """The motive b's equal the lattice's on every case, and at odd q in
-    rank 2 also the conductor's; 49 cases have a nontrivial b."""
+    rank 2 also the record's b_p and the conductor loop's; 49 cases have a
+    nontrivial b."""
     nontrivial = 0
     covered = set()
     for q, text, degrees in CASES:
@@ -71,7 +74,8 @@ def test_motive_b_equal_the_lattice_and_conductor_b():
             assert b == invariant_factors_from_lattice(end_lattice_reduced(red)).factors, (
                 q, text, poly_to_text(red.prime))
             if psi.rank == 2 and q % 2:
-                assert b == [rank2_invariants_reduced(red).b_p]
+                inv = rank2_invariants_reduced(red)
+                assert b == [inv.b_p] == [conductor_b_p(red, inv.a_p, inv.d)]
             nontrivial += _nontrivial(b)
             covered.add((q, psi.rank))
     assert covered == {(q, r) for q in (2, 3, 4, 5, 9) for r in (2, 3)} | {(2, 4), (3, 4)}
@@ -80,13 +84,14 @@ def test_motive_b_equal_the_lattice_and_conductor_b():
 
 @pytest.mark.parametrize("q,degrees,floor", [(3, (1, 2, 3), 4), (5, (1, 2, 3), 20)])
 def test_motive_b_equal_the_conductor_on_cm_primes(q, degrees, floor):
-    """On the reference CM module the motive b equals the conductor b_p,
-    with nontrivial b_p on at least ``floor`` primes."""
+    """On the reference CM module the motive b equals the record's b_p and
+    the conductor loop's, with nontrivial b_p on at least ``floor`` primes."""
     psi, _ = cm_example(q, TOWERS[q])
     nontrivial = 0
     for red in _reductions(psi, degrees):
         b = motive_invariant_factors(red).factors
-        assert b == [rank2_invariants_reduced(red).b_p]
+        inv = rank2_invariants_reduced(red)
+        assert b == [inv.b_p] == [conductor_b_p(red, inv.a_p, inv.d)]
         nontrivial += _nontrivial(b)
     assert nontrivial >= floor
 

@@ -12,7 +12,7 @@ from drinfeld.cli import main
 from drinfeld.config import SurveyOptions
 from drinfeld.errors import DrinfeldError
 from drinfeld.fields import FieldTower
-from drinfeld.textio import module_from_text, poly_from_text
+from drinfeld.textio import fq_from_text, module_from_text, poly_from_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,11 +55,17 @@ def _count_calls(monkeypatch, module, name: str) -> list[int]:
 
 @pytest.mark.parametrize("prime", ["T^4+T^3+2*T+1", "T^3+2*T+1"], ids=["split", "nonsplit"])
 def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
-    from drinfeld import invariants, modules, polys
+    """An odd-q rank-2 record reduces at p once and builds each invariant
+    once.  Its b_p never takes the conductor loop: no ``factorize``,
+    ``squarefree_split`` or skew right-division.  The split prime has b_p =
+    T, so d is not squarefree and b_p comes from the motive matrix over
+    F_p[T]; the nonsplit prime has a squarefree d and needs no matrix."""
+    from drinfeld import invariants, modules, polys, skew
 
     tower = FieldTower(3, max_degree=64)
     psi = module_from_text("T+0*t+1*t^2", tower)
     p = poly_from_text(prime, tower)
+    split = prime == "T^4+T^3+2*T+1"
     counts = {
         "reduce_at": _count_calls(monkeypatch, modules, "reduce_at"),
         "is_irreducible": _count_calls(monkeypatch, polys, "is_irreducible"),
@@ -67,15 +73,19 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
         "weil_rank2_reduced": _count_calls(monkeypatch, invariants, "weil_rank2_reduced"),
         "weil_identity_holds": _count_calls(monkeypatch, invariants, "weil_identity_holds"),
         "motive_frobenius": _count_calls(monkeypatch, modules, "motive_frobenius"),
-        "factorize": _count_calls(monkeypatch, polys, "factorize"),  # the conductor only
+        "factorize": _count_calls(monkeypatch, polys, "factorize"),
+        "squarefree_split": _count_calls(monkeypatch, polys, "squarefree_split"),
+        "skew_right_divmod": _count_calls(monkeypatch, skew, "skew_right_divmod"),
     }
     rec = survey.compute_record(psi, p, SurveyOptions())
     assert rec.skipped is None and not rec.warnings
-    assert rec.splits_abhyankar is (prime == "T^4+T^3+2*T+1")
+    assert rec.splits_abhyankar is split
+    assert rec.b_invariants == (["T"] if split else ["1"])
     # the residue field proves p prime, so Rabin's test never runs, and the
     # Weil route forms pi at T = t without the motive matrix over F_p[T]
     assert {k: c[0] for k, c in counts.items()} == {
-        **dict.fromkeys(counts, 1), "is_irreducible": 0, "motive_frobenius": 0,
+        **dict.fromkeys(counts, 1), "is_irreducible": 0, "motive_frobenius": int(split),
+        "factorize": 0, "squarefree_split": 0, "skew_right_divmod": 0,
     }
 
 
@@ -109,19 +119,36 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
 
 def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
     """The structure oracle runs by Krylov blocks and kernel ranks: an odd-q
-    rank-2 record takes no Smith form, a rank-3 record exactly one (its
+    rank-2 record with a squarefree d takes no Smith form, one with a
+    non-squarefree d exactly one (the motive gcd for b_p, with one motive
+    matrix and no skew right-division), and a rank-3 record exactly one (its
     motive b's)."""
-    from drinfeld import amatrix
+    from drinfeld import amatrix, modules, skew
+    from drinfeld.polys import poly_gcd
 
     tower3 = FieldTower(3, max_degree=64)
     psi2 = module_from_text("T+1*t+1*t^2", tower3)
     tower2 = FieldTower(2, max_degree=64)
     psi3 = module_from_text("T+1*t+1*t^3", tower2)
     calls = _count_calls(monkeypatch, amatrix, "smith_normal_form")
-    for prime in ("T^3+2*T+1", "T^5+2*T^3+T^2+2*T+2"):  # cyclic, non-cyclic F_p
+    motives = _count_calls(monkeypatch, modules, "motive_frobenius")
+    divisions = _count_calls(monkeypatch, skew, "skew_right_divmod")
+
+    def squarefree_d(rec):
+        a_p, p = poly_from_text(rec.a_p, tower3), poly_from_text(rec.p, tower3)
+        d = a_p * a_p - p.scale(tower3.from_int(4) * fq_from_text(rec.u_p, tower3))
+        return poly_gcd(d, d.derivative()).is_one()
+
+    # cyclic F_p and a squarefree d, then non-cyclic F_p, whose d_1 | b_p
+    # makes d not squarefree
+    for prime, sqfree, b_p, taken in [
+        ("T^3+2*T+1", True, "1", (0, 0, 0)), ("T^5+2*T^3+T^2+2*T+2", False, "T+2", (1, 1, 0)),
+    ]:
         rec = survey.compute_record(psi2, poly_from_text(prime, tower3), SurveyOptions())
         assert "structure_oracle" in rec.checks_passed and not rec.warnings
-    assert calls[0] == 0
+        assert squarefree_d(rec) is sqfree and rec.b_invariants == [b_p]
+        assert (calls[0], motives[0], divisions[0]) == taken
+    calls[0] = 0
     for k, prime in enumerate(("T^5+T^3+T^2+T+1", "T^4+T+1"), start=1):
         rec = survey.compute_record(psi3, poly_from_text(prime, tower2), SurveyOptions())
         assert "structure_oracle" in rec.checks_passed and not rec.warnings
