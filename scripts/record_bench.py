@@ -7,12 +7,16 @@ One pass runs ``compute_record`` with the default survey options (plus the
 lattice checks under ``--full-checks``, as in a survey) on every prime of the
 given degrees, for a module built afresh in the pass, so each pass builds its
 residue fields as a survey does; the tower, and with it the
-fields F_(q^n), is shared by the passes.  The stages are timed by plain
-wrappers put in place of these functions in every ``drinfeld`` namespace that
-binds them:
+fields F_(q^n) and their log tables, is shared by the passes.  Each pass
+drops the fields' root tables, so it builds them once per degree, as a
+survey process does.  The stages are timed by plain wrappers put in place of
+these functions in every ``drinfeld`` namespace that binds them:
 
 - ``residue field``: ``modules.reduce_at`` (the residue field and the
-  reduction);
+  reduction), whose T-image is a lookup in the field's root table;
+- ``root table``: ``fields.orbit_roots``, the one walk over the Frobenius
+  orbits of F_(q^n) that builds that table, inside the first record of
+  each degree;
 - ``Weil route``: ``invariants.weil_motive``;
 - ``skew identity``: ``invariants.weil_identity_holds``, inside the route;
 - ``rank-2 invariants``: ``invariants.rank2_invariants_reduced`` without
@@ -48,7 +52,7 @@ import argparse
 import sys
 from time import perf_counter
 
-from drinfeld import division, invariants, linalg, modules, survey, torsion
+from drinfeld import division, fields, invariants, linalg, modules, survey, torsion
 from drinfeld.config import SurveyOptions
 from drinfeld.fields import FieldTower
 from drinfeld.polys import enumerate_monic_irreducibles
@@ -57,6 +61,7 @@ from drinfeld.textio import module_from_text
 # stage -> (module, function name)
 STAGES = {
     "residue field": (modules, "reduce_at"),
+    "root table": (fields, "orbit_roots"),
     "Weil route": (invariants, "weil_motive"),
     "skew identity": (invariants, "weil_identity_holds"),
     "rank-2 invariants": (invariants, "rank2_invariants_reduced"),
@@ -136,6 +141,8 @@ def main(argv=None) -> int:
     records = 0
     for _ in range(max(1, args.passes)):
         psi = module_from_text(args.psi, tower)
+        for ctx in tower._fields.values():
+            ctx._roots = None
         for stage in totals:
             totals[stage] = 0.0
         for counts in calls.values():

@@ -49,6 +49,9 @@ F_p[x]/(m) (``polys.FrobeniusStep``) does the work: applied a times to x it
 checks m | x^(p^a) - x, and on the bigger field it gives the traces that
 split off one root r inside the degree-a subfield; the answer is the
 smallest conjugate of r.  The prime field (modulus x) embeds without a root.
+A residue field's T-image is the smallest root of a prime of degree n = [F :
+F_q]; a table field finds it in its root table (``orbit_roots``), which one
+walk over the Frobenius orbits of F builds for all such primes at once.
 """
 
 from __future__ import annotations
@@ -272,6 +275,54 @@ def _log(x: "FFElem", lists: _LogLists) -> int:
     return x.log
 
 
+def orbit_roots(ctx: "_FieldCtx", r: int) -> dict[int, int]:
+    """The lex-smallest root in the table field F = ``ctx`` of every monic
+    irreducible of degree n = [F : F_q] over the tower base F_q: a map from
+    the prime's code sum c_j q^j (j < n, c_j the int code of the coefficient
+    of T^j, as in ``polys.enumerate_monic_irreducibles``) to the root's code.
+
+    The roots of the primes of degree n are the Frobenius orbits of n
+    elements, in logs the cyclotomic cosets {k q^i mod (|F| - 1)} of size n
+    (Lidl and Niederreiter, Finite Fields), plus the root 0 of T when n = 1.
+    One n x (|F| - 1) array of the logs k q^i gives every coset at once: its
+    least log names it, and the least code among its elements is the root.
+    The minimal polynomials prod_i (x - g^(k q^i)) are formed for all cosets
+    together, one linear factor per step, in discrete logs with Zech
+    logarithms for the sums.  Their coefficients lie in F_q: g^l is there
+    exactly when m | l for m = (|F| - 1)/(q - 1), and then it is
+    g_q^((l/m) r), with r from ``FieldTower._log_map`` of F_q into F.
+    """
+    tower = ctx.tower
+    q, n, N = tower.q, ctx.degree // tower.base_degree, ctx.order - 1
+    exp, _ = ctx._tables
+    base_exp, _ = tower.base_field._tables
+    ks = np.arange(N, dtype=np.int64)
+    orbit = np.empty((n, N), dtype=np.int64)
+    orbit[0] = ks
+    for i in range(1, n):
+        orbit[i] = orbit[i - 1] * q % N
+    logs = orbit[:, (orbit.min(axis=0) == ks) & (orbit[1:] != ks).all(axis=0)]
+    roots = exp[logs].min(axis=0)
+    # coefficients low first, in logs with -1 for 0; times x - g^l = x + g^(l + log(-1))
+    zech, neg = ctx._zech_logs(), ctx.neg_one_log()
+    coef = np.full((n + 1, logs.shape[1]), -1, dtype=np.int64)
+    coef[0] = 0
+    for i, l in enumerate(logs):  # rows 0..i hold the product so far
+        c = coef[: i + 2]
+        prod = np.where(c >= 0, (c + (l + neg)) % N, -1)
+        shifted = np.roll(c, 1, axis=0)
+        shifted[0] = -1
+        z = zech[(prod - shifted) % N]  # g^a + g^b = g^a (1 + g^(b - a))
+        total = np.where(z < 0, -1, (shifted + z) % N)
+        coef[: i + 2] = np.where(shifted < 0, prod, np.where(prod < 0, shifted, total))
+    low = coef[:n]  # coef[n] is the leading 1
+    codes = np.where(low < 0, 0, base_exp[low // (N // (q - 1)) * r % (q - 1)])
+    table = dict(zip((q ** np.arange(n, dtype=np.int64) @ codes).tolist(), roots.tolist()))
+    if n == 1:
+        table[0] = 0  # the prime T
+    return table
+
+
 class _FieldCtx:
     """Arithmetic context for one tower field (internal)."""
 
@@ -288,6 +339,7 @@ class _FieldCtx:
         self._tables = None
         self._zech = None
         self._logs = None
+        self._roots = None
         self._toeplitz = None
         table = self.order <= TABLE_LIMIT
         if table:
@@ -407,6 +459,17 @@ class _FieldCtx:
                     zech = self._zech_logs().tolist()
                     self._logs = _LogLists(n, zech, self.neg_one_log(), log_of, elems + elems)
         return self._logs
+
+    def root_table(self) -> dict[int, int] | None:
+        """The field's ``orbit_roots``, built on first use; None above the
+        table limit.  The log map of F_q into this field is taken before the
+        lock, since it takes the tower's lock and both fields' own."""
+        if self._roots is None and self._tables is not None:
+            r = self.tower._log_map(self.tower.base_field, self)[2]
+            with self._lock:
+                if self._roots is None:
+                    self._roots = orbit_roots(self, r)
+        return self._roots
 
     # -- raw coordinate operations ----------------------------------------------
 

@@ -6,13 +6,16 @@ degree deg(p)*[F_q:prime]; the image of T is the lex-smallest root of p
 there, and canonical representatives (degree < deg p) are recovered through a
 cached change-of-basis matrix, so reductions round-trip exactly.  The roots
 of p are the Frobenius orbit r, r^q, ..., r^(q^(n-1)) of any one root r
-(n = deg p).  ``polys.lex_min_root`` evaluates p at every element of a
-residue field with log tables and needs exactly n roots; above the table
-limit it tests p | x^(q^n) - x over F_q and finds one root in F_p.  It
-returns the smallest root.
+(n = deg p).  A residue field with log tables reads the smallest root from
+the field's root table (``_FieldCtx.root_table``), which one walk over the
+Frobenius orbits of F_(q^n) builds for every prime of degree n at once.
+Above the table limit ``polys.lex_min_root`` tests p | x^(q^n) - x over F_q,
+finds one root in F_p and returns the smallest of its conjugates.
 
-These checks also certify that p is prime: n distinct roots, or the split
-test, make p squarefree with its roots in F_p, and an orbit of exactly n
+Both routes also certify that p is prime.  The table's keys are exactly the
+minimal polynomials of the orbits of n elements, the monic irreducibles of
+degree n, so a p that is no key is reducible.  Above the limit, the split
+test makes p squarefree with its roots in F_p, and an orbit of exactly n
 roots gives the root a minimal polynomial of degree n, a factor of p.  So the
 residue field is the prime test of a reduction; a reducible p raises
 NotIrreducibleError there.
@@ -119,6 +122,13 @@ class ResidueField:
         self._basis_inv = inv
 
     def _find_t_image(self) -> FFElem:
+        table = self.ctx.root_table()
+        if table is not None:
+            q = self.tower.q
+            code = table.get(sum(c.int_code() * q**j for j, c in enumerate(self.prime.coeffs[:-1])))
+            if code is None:
+                raise NotIrreducibleError("reduction needs a prime modulus")
+            return self.ctx.dec_elem(code)
         return lex_min_root(
             self.prime,
             self.ctx,

@@ -29,7 +29,10 @@ is 0 (p = 2) or a nonzero square (odd p).  The same step applied to x
 certifies f | x^(s^m) - x for ``lex_min_root``.  Roots in a field with log
 tables come from evaluating at every element at once in discrete logs
 (``table_roots``); ``lex_min_root`` uses that route there and the trace
-splits above the table limit.
+splits above the table limit.  ``lex_min_root`` serves the tower's
+embeddings, the residue fields above the table limit and the tests: a
+residue field with log tables reads its T-image from the field's root
+table (``fields.orbit_roots``), built once for every prime of its degree.
 
 The monic primes of one degree come from a sieve, not from a test per
 candidate: a bitmap over all q^deg monic codes marks the products of smaller
@@ -798,6 +801,10 @@ def lex_min_root(f: Poly, field, embed, error: str, error_class=DrinfeldError):
     the answer is the smallest of its conjugates.  Either way an orbit of
     exactly m conjugates makes the minimal polynomial of the root, a factor
     of f, of degree m, so f is irreducible.
+
+    It serves the tower's embeddings and the residue fields above the table
+    limit, and it is the tests' oracle for the root table that gives the
+    other residue fields their T-image (``fields.orbit_roots``).
     """
     K = f.field
     m = f.degree()

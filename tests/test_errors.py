@@ -13,7 +13,7 @@ from drinfeld.errors import (
 )
 from drinfeld.fields import FieldTower
 from drinfeld.invariants import weil_general
-from drinfeld.modules import DrinfeldModule, good_reduction_at, reduce_at
+from drinfeld.modules import DrinfeldModule, ResidueField, good_reduction_at, reduce_at
 from drinfeld.polys import Poly, is_irreducible
 from drinfeld.textio import module_from_text, poly_from_text
 from drinfeld.torsion import torsion_basis
@@ -69,8 +69,8 @@ def test_reduction_needs_prime(tower3, psi3):
 
 def test_residue_field_certifies_the_prime(monkeypatch, tower3, psi3):
     """Where p does not divide g_r, the residue field is the prime test:
-    T(T+1) splits over F_3 with orbits of one root, not two, and T^2 fails
-    the split test.  Rabin's test is never reached."""
+    T(T+1), T^2 and a product of two quadratics over F_3 are no keys of the
+    field's root table.  Rabin's test is never reached."""
     from drinfeld import modules
 
     def no_rabin(p):
@@ -82,6 +82,34 @@ def test_residue_field_certifies_the_prime(monkeypatch, tower3, psi3):
     for p in (T * (T + one), T * T, (T * T + one) * (T * T + T + Poly.constant(F.dec_elem(2)))):
         with pytest.raises(NotIrreducibleError):
             reduce_at(psi3, p)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [["T^2+2", "T^2+3"], ["T^2+2", "T^2+2"], ["T+1", "T^3+T+1"]],
+    ids=["two-quadratics", "square-of-a-prime", "linear-factor"],
+)
+def test_root_table_rejects_a_reducible_p(factors, monkeypatch):
+    """On a table field a reducible monic p is no key of the root table, so
+    ``reduce_at`` and ``ResidueField`` raise NotIrreducibleError without a
+    root search or Rabin's test."""
+    from drinfeld import modules, polys
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a root search or Rabin's test ran")
+
+    searches = [(modules, "is_irreducible"), (modules, "lex_min_root"), (polys, "table_roots")]
+    for mod, name in searches:
+        monkeypatch.setattr(mod, name, no_search)
+    tower = FieldTower(5)
+    psi = module_from_text("T+1*t+1*t^2", tower)
+    parts = [poly_from_text(f, tower) for f in factors]
+    assert all(is_irreducible(f) for f in parts)
+    p = parts[0] * parts[1]
+    with pytest.raises(NotIrreducibleError):
+        reduce_at(psi, p)
+    with pytest.raises(NotIrreducibleError):
+        ResidueField(tower, p)
 
 
 def test_rabin_decides_where_no_residue_field_is_built(tower3):

@@ -25,6 +25,9 @@ SCRIPTS = [
     # d is not squarefree at some q = 5 primes of degree 3, so b_p takes the motive gcd
     ("record_bench.py-rank2-q5", "record_bench.py", ["--q", "5", "--deg", "1,2,3", "--passes", "1"],
      "motive invariants"),
+    # every pass rebuilds the root tables, so the stage shows in the least of two
+    ("record_bench.py-root-table", "record_bench.py", ["--q", "5", "--deg", "1,2", "--passes", "2"],
+     "root table"),
     ("record_bench.py-rank3", "record_bench.py",
      ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1", "--passes", "1"], "motive invariants"),
     ("record_bench.py-full-checks", "record_bench.py",

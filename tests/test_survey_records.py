@@ -89,6 +89,29 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
     }
 
 
+def test_q5_record_reads_its_t_image_from_the_root_table(monkeypatch):
+    """A q=5 record takes its T-image from the residue field's root table,
+    built once by one walk over the Frobenius orbits: no ``lex_min_root``
+    and no ``table_roots`` for it.  The one ``table_roots`` call left is the
+    Abhyankar split test's."""
+    from drinfeld import fields, polys
+
+    tower = FieldTower(5, max_degree=64)
+    psi = module_from_text("T+1*t+1*t^2", tower)
+    p = poly_from_text("T^4+T^2+T+1", tower)
+    counts = {
+        "lex_min_root": _count_calls(monkeypatch, polys, "lex_min_root"),
+        "table_roots": _count_calls(monkeypatch, polys, "table_roots"),
+        "orbit_roots": _count_calls(monkeypatch, fields, "orbit_roots"),
+    }
+    rec = survey.compute_record(psi, p, SurveyOptions())
+    assert rec.skipped is None and not rec.warnings
+    assert rec.splits_abhyankar is False
+    assert {k: c[0] for k, c in counts.items()} == {
+        "lex_min_root": 0, "table_roots": 1, "orbit_roots": 1,
+    }
+
+
 def test_rank3_record_takes_the_motive_route(monkeypatch):
     """A rank-3 record reduces at p once, checks the skew identity once,
     builds the F_p[T] motive matrix once (for its b's) and never reaches the
