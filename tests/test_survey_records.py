@@ -21,11 +21,17 @@ DATA = Path(__file__).parent / "data"
 # square-witness branch; the rank-3 files pin the general-rank route.  The
 # degree-5 file was written by the torsion + CRT route with the tower cap
 # raised to 1024 (its splitting fields reach degree 315); the motive route
-# reproduces it at the default cap.
+# reproduces it at the default cap.  The even-q rank-2 files pin the b route
+# and the split-prime disc(P) outside odd q: at q = 2 (71 records, 9
+# Abhyankar-split, 18 with b != 1) and at q = 4, where A = F_4[T] has e = 2
+# (30 records).
 GOLDEN = [
     ("survey_q3_t2_deg1-4.jsonl", ["--q", "3", "--psi", "T+0*t+1*t^2", "--deg", "1,2,3,4"]),
     ("survey_q2_r3_deg1-2.jsonl", ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1,2"]),
     ("survey_q2_r3_deg5.jsonl", ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "5"]),
+    ("survey_q2_t2_deg1-8.jsonl",
+     ["--q", "2", "--psi", "T+1*t+1*t^2", "--deg", "1,2,3,4,5,6,7,8"]),
+    ("survey_q4_t2_deg1-3.jsonl", ["--q", "4", "--psi", "T+1*t+1*t^2", "--deg", "1,2,3"]),
 ]
 
 
