@@ -20,8 +20,8 @@ these functions in every ``drinfeld`` namespace that binds them:
 - ``Weil route``: ``invariants.weil_motive``;
 - ``skew identity``: ``invariants.weil_identity_holds``, inside the route;
 - ``rank-2 invariants``: ``invariants.rank2_invariants_reduced`` without
-  the motive stages it calls, i.e. d = a_p^2 - 4 u_p p and its squarefree
-  test;
+  the motive stages it calls, i.e. d = a_p^2 - 4 u_p p, the squarefree test
+  of ``invariants.b_invariants`` and delta_p;
 - ``module structure``: ``division.module_structure_reduced``, the closed
   form the oracle checks;
 - ``structure oracle``: ``torsion.module_structure_oracle_reduced``;
@@ -29,11 +29,14 @@ these functions in every ``drinfeld`` namespace that binds them:
   over F_p[T];
 - ``motive invariants``: ``invariants.motive_invariant_factors`` without the
   matrix Pi, i.e. the powers of Pi and their Smith form.  The two motive
-  stages run on every record in rank >= 3 or at even q, and in odd-q rank 2
-  only where d is not squarefree;
+  stages run on every record in rank >= 3, and in rank 2 only where d is
+  not squarefree;
 - ``endomorphism lattice``: ``invariants.end_lattice_reduced``, the b's
   second route, which only ``--full-checks`` reaches;
-- ``Abhyankar``: ``division.abhyankar_splits_reduced``.
+- ``Abhyankar``: ``division.abhyankar_splits_reduced``, whose split test
+  counts the distinct roots of the reduced Abhyankar polynomial
+  (``polys.splits_separably``) and, on a split prime, takes disc(P) from the
+  Weil polynomial.
 
 A stage's time excludes the stages it calls, and ``other`` is what is left
 of the record.  Cached data goes to the stage that builds it first (the

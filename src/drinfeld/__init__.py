@@ -20,6 +20,7 @@ from .invariants import (
     InvariantFactors,
     Rank2Invariants,
     WeilPolynomial,
+    b_invariants,
     disc_check,
     end_lattice,
     invariant_factors,

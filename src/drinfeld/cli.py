@@ -25,7 +25,7 @@ from .division import (
 )
 from .errors import ConfigurationError, DrinfeldError, StrictModeError, UsageError
 from .fields import FieldTower
-from .invariants import motive_invariant_factors, rank2_invariants, weil_motive
+from .invariants import b_invariants, rank2_invariants, weil_motive
 from .modules import reduce_at
 from .polys import Poly
 from .survey import (
@@ -175,7 +175,7 @@ def _cmd_invariants(args) -> int:
     else:
         red = reduce_at(psi, p)
         weil = weil_motive(red)
-        bfac = motive_invariant_factors(red).factors
+        bfac = b_invariants(red, weil)
         out = {
             "weil": [poly_to_text(c) for c in weil.coeffs],
             "u_p": fq_to_text(weil.unit, tower),

@@ -1,6 +1,11 @@
 """Explicit global Frobenius data in division fields: the rank-2 conjugacy
 class matrix mod a, complete-splitting and scalar-splitting predicates, the
-A-module structure of the residue field, and Abhyankar trinomials."""
+A-module structure of the residue field, and Abhyankar trinomials.
+
+The J_m and Abhyankar criteria read b_{p,1}, the first of
+``invariants.b_invariants`` in every rank >= 2 and characteristic; only the
+closed forms that divide by 2 (class matrix, splitting, module structure)
+need rank 2 at odd q."""
 
 from __future__ import annotations
 
@@ -12,17 +17,16 @@ from .errors import (
     EvenCharacteristicError,
     RankError,
 )
-from .amatrix import discriminant
 from .fields import FFElem
 from .invariants import (
     Rank2Invariants,
     WeilPolynomial,
-    motive_invariant_factors,
+    b_invariants,
     rank2_invariants_reduced,
     weil_motive,
 )
 from .modules import DrinfeldModule, ReducedModule, reduce_at
-from .polys import Poly, poly_gcd, splits_into_linear_factors
+from .polys import Poly, poly_gcd, splits_separably
 from .quotients import QuotElem, QuotRing
 
 
@@ -128,19 +132,15 @@ def module_structure_reduced(red: ReducedModule, inv: Rank2Invariants) -> Module
 
 
 def b_p_first(psi: DrinfeldModule, p: Poly) -> Poly:
-    """b_{p,1}: the conductor b_p of ``rank2_invariants_reduced`` in rank 2
-    at odd q (1 on a squarefree d, else the motive gcd), else the first
-    invariant factor of the motive Frobenius."""
-    return _b_first(reduce_at(psi, p))
+    """b_{p,1}, the first of ``b_invariants``."""
+    red = reduce_at(psi, p)
+    return _b_first(red, weil_motive(red))
 
 
-def _b_first(red: ReducedModule) -> Poly:
-    psi = red.source
-    if psi.rank < 2:
+def _b_first(red: ReducedModule, weil: WeilPolynomial) -> Poly:
+    if red.rank < 2:
         raise RankError("the b_{p,1} criteria need rank >= 2")
-    if psi.rank == 2 and psi.tower.q % 2:
-        return rank2_invariants_reduced(red).b_p
-    return motive_invariant_factors(red).factors[0]
+    return b_invariants(red, weil)[0]
 
 
 def jm_splits(psi: DrinfeldModule, p: Poly, m: Poly) -> bool:
@@ -189,26 +189,21 @@ def _verify_abhyankar_identity(psi: DrinfeldModule, f: AbhyankarPolynomial):
 def abhyankar_splits_mod(psi: DrinfeldModule, p: Poly) -> tuple[bool, dict]:
     """Does f_psi split into linear factors mod p?  See abhyankar_splits_reduced."""
     red = reduce_at(psi, p)
-    if psi.rank == 2 and psi.tower.q % 2:
-        inv = rank2_invariants_reduced(red)
-        return abhyankar_splits_reduced(red, inv.b_p, inv)
-    return abhyankar_splits_reduced(red, _b_first(red))
+    weil = weil_motive(red)
+    return abhyankar_splits_reduced(red, _b_first(red, weil), weil)
 
 
 def abhyankar_splits_reduced(
-    red: ReducedModule,
-    b1: Poly,
-    inv: Rank2Invariants | None = None,
-    weil: WeilPolynomial | None = None,
+    red: ReducedModule, b1: Poly, weil: WeilPolynomial
 ) -> tuple[bool, dict]:
-    """Test whether f_psi splits into linear factors mod p
-    (``splits_into_linear_factors``: its roots divided out in logs on a table
-    field, one p-power step above), cross-checked against T | b_{p,1}; on a
-    split prime, also against T^2 | disc(P).
+    """Test whether f_psi splits into linear factors mod p, cross-checked
+    against T | b_{p,1}; on a split prime, also against T^2 | disc(P), the
+    ``disc`` of ``weil`` (d = a_p^2 - 4 u_p p in rank 2).
 
-    In rank 2 with odd q, ``inv`` gives disc(P) = d and the square witness;
-    otherwise disc(P) comes from ``weil``, computed by weil_motive on a split
-    prime when it is not given.
+    At p != T, psibar_T(x) = x fbar(x^(q-1)) has derivative t != 0, so fbar
+    is separable and splits iff it has deg fbar distinct roots in F_p
+    (``splits_separably``).  In rank 2 at odd q a split prime also gets the
+    square witness p = u alpha^2 + T^2 beta.
     """
     psi = red.source
     if psi.rank < 2:
@@ -220,34 +215,29 @@ def abhyankar_splits_reduced(
     fbar = Poly(red.ctx, [red.residue.reduce(c) for c in f.coeffs])
     if fbar.degree() != f.degree():
         raise DrinfeldError("Abhyankar polynomial drops degree mod p")  # g_r unit mod p
-    splits = splits_into_linear_factors(fbar)
+    splits = splits_separably(fbar)
     if splits != (b1 % T).is_zero():
         raise DrinfeldError(
             "Abhyankar splitting disagrees with the T | b_1 criterion"
         )
     report: dict = {"splits": splits, "b_1": b1}
     if splits:
-        if inv is not None:
-            disc = inv.d
-        else:
-            weil = weil or weil_motive(red)
-            disc = discriminant(weil.x_coeff_list(), psi.base)
-        if not (disc % (T * T)).is_zero():
+        if not (weil.disc % (T * T)).is_zero():
             raise DrinfeldError("split prime without T^2 | disc(P)")
-        report["disc"] = disc
-        if inv is not None:
-            report["witness"] = _square_witness(red, inv)
+        report["disc"] = weil.disc
+        if psi.rank == 2 and psi.tower.char != 2:
+            report["witness"] = _square_witness(red, weil)
     return splits, report
 
 
-def _square_witness(red: ReducedModule, inv: Rank2Invariants) -> dict:
+def _square_witness(red: ReducedModule, weil: WeilPolynomial) -> dict:
     """p = u alpha^2 + T^2 beta with u a unit, from d = a_p^2 - 4 u_p p."""
     base = red.source.base
     inv2 = red.source.tower.from_int(2).inv()
-    alpha = inv.a_p.scale(inv2)
-    u = inv.u_p.inv()
+    alpha = weil.a_p.scale(inv2)
+    u = weil.unit.inv()
     tsq = Poly.x(base) * Poly.x(base)
-    beta = (-inv.d.scale(inv2 * inv2)).exact_div(tsq).scale(u)
+    beta = (-weil.disc.scale(inv2 * inv2)).exact_div(tsq).scale(u)
     p_check = (alpha * alpha).scale(u) + tsq * beta
     if p_check != red.prime:
         raise DrinfeldError("square witness identity failed")  # unreachable

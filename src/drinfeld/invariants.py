@@ -9,9 +9,10 @@ coefficient recursion.  The skew identity P(tau^deg p) = 0 certifies every
 polynomial it returns, and ``weil_general`` (torsion Frobenius matrices glued
 by CRT) stays as the tests' independent oracle.  The invariant factors come
 from the matrix of Frobenius on the same motive over F_p[T] and one Smith
-normal form (``motive_invariant_factors``).  In rank 2 at odd q, d = a_p^2 -
-4 u_p p = b_p^2 delta_p, so a squarefree d proves b_p = 1 and the motive gcd
-is taken only otherwise; the conductor loop (factoring d, then skew
+normal form (``motive_invariant_factors``); ``b_invariants`` is the one place
+that picks their route.  In rank 2, b_p^2 divides d = a_p^2 - 4 u_p p in
+every characteristic, so a squarefree d proves b_p = 1 and the Smith form is
+taken only otherwise; the conductor loop (factoring d, then skew
 right-division membership) is the tests' oracle ``conductor_b_p``.  The
 endomorphism lattice is the b's second route: ``--full-checks``,
 ``disc_check`` and the tests run it, the survey does not.  The cross-checks
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -72,6 +74,16 @@ class WeilPolynomial:
         if self.rank != 2:
             raise RankError("a_p is the rank-2 x-coefficient")
         return self.coeffs[1]
+
+    @cached_property
+    def disc(self) -> Poly:
+        """disc(P): d = c_1^2 - 4 c_0 in rank 2, else a resultant
+        (``amatrix.discriminant``)."""
+        field = self.prime.field
+        if self.rank == 2:
+            c0, c1 = self.coeffs
+            return c1 * c1 - c0.scale(field.tower.from_int(4))
+        return discriminant(self.x_coeff_list(), field)
 
 
 @dataclass
@@ -257,7 +269,25 @@ def weil_general(psi: DrinfeldModule, p: Poly) -> WeilPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# rank-2 b_p and delta_p: a squarefree d, else the motive gcd
+# the b's: a squarefree rank-2 d, else the motive Smith form
+
+
+def b_invariants(red: ReducedModule, weil: WeilPolynomial) -> list[Poly]:
+    """The monic b_1 | ... | b_(r-1) of End(psi x F_p) over A[pi], from the
+    Weil polynomial ``weil`` of ``red``: none in rank 1.
+
+    In rank 2, b_p^2 divides d = disc(P) = c_1^2 - 4 c_0 whenever P is
+    separable (Gekeler, Trans. AMS 360, 2008), so a squarefree d (gcd(d, d')
+    = 1) proves b_p = 1 in every characteristic.  Otherwise, and in every
+    rank >= 3, the b's are the motive Smith form (``motive_invariant_factors``).
+    """
+    if red.rank < 2:
+        return []
+    if red.rank == 2:
+        d = weil.disc
+        if poly_gcd(d, d.derivative()).is_one():
+            return [Poly.one(red.source.base)]
+    return motive_invariant_factors(red).factors
 
 
 def rank2_invariants(psi: DrinfeldModule, p: Poly) -> Rank2Invariants:
@@ -270,21 +300,13 @@ def rank2_invariants(psi: DrinfeldModule, p: Poly) -> Rank2Invariants:
 
 
 def rank2_invariants_reduced(red: ReducedModule) -> Rank2Invariants:
-    """a_p, u_p, d = a_p^2 - 4 u_p p = b_p^2 delta_p and the conductor b_p.
-
-    b_p is the index of A[pi] in End(psi x F_p), so b_p^2 | d (Gekeler,
-    Trans. AMS 360, 2008) and a squarefree d (gcd(d, d') = 1) proves b_p = 1.  Otherwise b_p is the
-    motive gcd(Pi_01, Pi_10, Pi_11 - Pi_00) (``motive_invariant_factors``).
+    """a_p, u_p, d = a_p^2 - 4 u_p p = b_p^2 delta_p and the conductor b_p,
+    the index of A[pi] in End(psi x F_p), from ``b_invariants``.
     ``conductor_b_p`` is the tests' second route."""
-    tower = red.source.tower
     weil = weil_rank2_reduced(red)
-    a_p, u_p = weil.coeffs[1], weil.unit
-    d = a_p * a_p - red.prime.scale(u_p * tower.from_int(4))
-    if poly_gcd(d, d.derivative()).is_one():
-        b_p, delta = Poly.one(tower.base_field), d
-    else:
-        b_p = motive_invariant_factors(red).factors[0]
-        delta = d.exact_div(b_p * b_p)
+    a_p, u_p, d = weil.coeffs[1], weil.unit, weil.disc
+    (b_p,) = b_invariants(red, weil)
+    delta = d if b_p.is_one() else d.exact_div(b_p * b_p)
     return Rank2Invariants(
         a_p=a_p,
         u_p=u_p,
@@ -709,8 +731,7 @@ def disc_check(psi: DrinfeldModule, p: Poly) -> tuple[bool, dict]:
     lat = end_lattice(psi, p)
     red = lat.red
     base = psi.base
-    weil = weil_motive(red)
-    disc_p = discriminant(weil.x_coeff_list(), base)
+    disc_p = weil_motive(red).disc
     r = psi.rank
     # trace vector of the regular representation: Tr(e_j) = sum_l t_{j l l}
     trace_vec = []

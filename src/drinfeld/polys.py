@@ -26,10 +26,11 @@ tower field, u -> u^p is prime-linear on F[x]/(f), so one matrix of the rows
 x^(jp) mod f (``FrobeniusStep``) gives the trace of a random t to the prime
 field at every factor at once, and a gcd splits off the factors where it
 is 0 (p = 2) or a nonzero square (odd p).  The same step applied to x
-certifies f | x^(s^m) - x for ``lex_min_root``.  Roots in a field with log
-tables come from evaluating at every element at once in discrete logs
-(``table_roots``); ``lex_min_root`` uses that route there and the trace
-splits above the table limit.  ``lex_min_root`` serves the tower's
+certifies f | x^(s^m) - x for ``lex_min_root`` and f | x^Q - x for the
+split test ``splits_separably``.  Roots in a field with log tables come from
+evaluating at every element at once in discrete logs (``table_roots``);
+``lex_min_root`` and ``splits_separably`` use that route there and the
+p-power step above the table limit.  ``lex_min_root`` serves the tower's
 embeddings, the residue fields above the table limit and the tests: a
 residue field with log tables reads its T-image from the field's root
 table (``fields.orbit_roots``), built once for every prime of its degree.
@@ -527,43 +528,23 @@ def squarefree_split(f: Poly) -> SquarefreeSplit:
     return SquarefreeSplit(unit, c.monic(), d0.monic())
 
 
-def splits_into_linear_factors(f: Poly) -> bool:
-    """Whether f splits into linear factors over its coefficient field F_Q, a
-    tower field of degree k over F_p; a nonzero constant does.
+def splits_separably(f: Poly) -> bool:
+    """Whether f has deg f distinct roots in its coefficient field F_Q, a
+    tower field: f is a product of distinct linear factors (a nonzero
+    constant is the empty product), so a repeated root gives False.
 
-    With log tables the distinct roots come from evaluating f at every
-    element at once (``table_roots``), and each is divided out as often as it
-    divides, by ``divmod(f, x - r)``; f splits iff a constant is left.  Above the
-    table limit, f splits iff f | (x^Q - x)^(p^j) = x^(Q p^j) - x^(p^j) for
-    the least j with p^j >= deg f, which bounds every multiplicity.  One
-    ``FrobeniusStep`` for f applied j times to x gives x^(p^j) mod f, and k
-    more times x^(Q p^j) mod f.  Neither route builds the radical of f.
+    With log tables the roots come from evaluating f at every element at once
+    (``table_roots``).  Above the table limit, f | x^Q - x, checked by one
+    ``FrobeniusStep`` for f applied [F_Q : F_p] times to x.
     """
     if f.is_zero():
         raise ZeroInputError("splitting of zero")
-    F = f.field
     if f.degree() < 1:
         return True
-    f = f.monic()
+    F = f.field
     if _on_arrays(F):
-        step = FrobeniusStep(f)
-        u = step.x
-        power = 1
-        while power < f.degree():
-            u = step(u)
-            power *= F.char
-        w = u
-        for _ in range(F.degree):
-            w = step(w)
-        return np.array_equal(u, w)
-    for r in table_roots(f):
-        linear = Poly(F, (-r, F.one_elem()), normalize=False)
-        while f.degree() > 0:
-            quot, rem = divmod(f, linear)
-            if not rem.is_zero():
-                break
-            f = quot
-    return f.degree() == 0
+        return FrobeniusStep(f.monic()).fixes_x(F.degree)
+    return len(table_roots(f)) == f.degree()
 
 
 def powint(f: Poly, k: int) -> Poly:

@@ -18,12 +18,18 @@ from math import comb, prod
 from typing import Iterable, Iterator
 
 from .config import SurveyOptions
-from .errors import BadReductionError, DrinfeldError, EvenCharacteristicError, StrictModeError
+from .errors import (
+    BadReductionError,
+    DrinfeldError,
+    EvenCharacteristicError,
+    RankError,
+    StrictModeError,
+)
 from .fields import FieldTower
 from .invariants import (
+    b_invariants,
     end_lattice_reduced,
     invariant_factors_from_lattice,
-    motive_invariant_factors,
     rank2_invariants_reduced,
     weil_motive,
 )
@@ -101,8 +107,9 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
             rec.a_p = poly_to_text(weil.coeffs[-1])
         rec.u_p = fq_to_text(weil.unit, tower)
         checks = ["weil_identity"]  # asserted inside weil_motive
+        bfac = [inv.b_p] if inv is not None else b_invariants(red, weil)
+        rec.b_invariants = [poly_to_text(b) for b in bfac]
         if inv is not None:
-            rec.b_invariants = [poly_to_text(inv.b_p)]
             rec.delta_p = poly_to_text(inv.delta_p)
             rec.supersingular = inv.supersingular
             if 2 * inv.a_p.degree() <= p.degree():
@@ -116,15 +123,7 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
             mine = [f for f in (ms.d1, ms.d2) if f.degree() >= 1]
             if [f.coeffs for f in oracle] == [f.coeffs for f in mine]:
                 checks.append("structure_oracle")
-            if options.with_lattice_checks:
-                lat_b = invariant_factors_from_lattice(end_lattice_reduced(red)).factors
-                if lat_b == [inv.b_p]:
-                    checks.append("b_lattice_agreement")
-                else:
-                    rec.warnings.append("lattice b_p disagrees with record b_p")
         else:
-            bfac = motive_invariant_factors(red).factors
-            rec.b_invariants = [poly_to_text(b) for b in bfac]
             if all(
                 (bfac[i + 1] % bfac[i]).is_zero() for i in range(len(bfac) - 1)
             ):
@@ -134,15 +133,14 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
             chi = sum(weil.coeffs, Poly.one(base)).monic()
             if len(oracle) <= psi.rank and prod(oracle, start=Poly.one(base)) == chi:
                 checks.append("structure_oracle")
-            if options.with_lattice_checks:
-                if invariant_factors_from_lattice(end_lattice_reduced(red)).factors == bfac:
-                    checks.append("b_lattice_agreement")
-                else:
-                    rec.warnings.append("lattice b disagrees with motive b")
+        if options.with_lattice_checks:
+            if invariant_factors_from_lattice(end_lattice_reduced(red)).factors == bfac:
+                checks.append("b_lattice_agreement")
+            else:
+                rec.warnings.append("lattice b disagrees with record b")
         # the b_{p,1} criteria of the Abhyankar stage need rank >= 2
         if options.with_abhyankar and psi.rank >= 2 and p != Poly.x(base):
-            b1 = inv.b_p if inv is not None else bfac[0]
-            rec.splits_abhyankar, _ = abhyankar_splits_reduced(red, b1, inv, weil)
+            rec.splits_abhyankar, _ = abhyankar_splits_reduced(red, bfac[0], weil)
             checks.append("abhyankar_consistency")
         rec.checks_passed = checks
         for required in REQUIRED_CHECKS:
@@ -351,6 +349,11 @@ def density_report(
         ck_x = c_k if x % c_k == 0 else 0
         predicted = Fraction(ck_x * q**x, 2 * x)
         if kind == "cm_supersingular":
+            # the records say whether a_p = 0 only in rank 2 at odd q
+            if rank != 2:
+                raise RankError("cm_supersingular needs rank-2 records")
+            if q % 2 == 0:
+                raise EvenCharacteristicError("cm_supersingular needs odd q")
             observed = sum(1 for r in live if r.supersingular)
             note = (
                 "main term c_K(x)/2 * q^x/x for supersingular counts; the error "

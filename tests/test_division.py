@@ -183,17 +183,19 @@ def test_b1_criteria_need_rank_two(tower3):
     """J_m = F in rank 1, and the b_{p,1} criteria assume rank >= 2: each
     entry point raises RankError rather than answering."""
     from drinfeld.division import abhyankar_splits_reduced, b_p_first
+    from drinfeld.invariants import weil_motive
     from drinfeld.modules import reduce_at
 
     F = tower3.base_field
     T, one = Poly.x(F), Poly.one(F)
     psi1 = DrinfeldModule(tower3, [one])
     p = T + one
+    red = reduce_at(psi1, p)
     for call in (
         lambda: jm_splits(psi1, p, T),
         lambda: b_p_first(psi1, p),
         lambda: abhyankar_splits_mod(psi1, p),
-        lambda: abhyankar_splits_reduced(reduce_at(psi1, p), one),
+        lambda: abhyankar_splits_reduced(red, one, weil_motive(red)),
     ):
         with pytest.raises(RankError):
             call()

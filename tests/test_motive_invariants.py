@@ -2,7 +2,8 @@
 (``invariants.motive_invariant_factors``) against their second routes: the
 endomorphism lattice in every rank and characteristic, and the rank-2
 conductor loop (``conductor_b_p``) at odd q.  Also the ``--full-checks``
-comparison of the two in a survey record, and the guards of the motive
+comparison of the two in a survey record, the guards of the motive
+route, and ``invariants.b_invariants``, the one place that picks the b's
 route."""
 
 import json
@@ -17,11 +18,13 @@ from drinfeld.errors import DrinfeldError, TowerMembershipError
 from drinfeld.fields import FieldTower
 from drinfeld.invariants import (
     InvariantFactors,
+    b_invariants,
     conductor_b_p,
     end_lattice_reduced,
     invariant_factors_from_lattice,
     motive_invariant_factors,
     rank2_invariants_reduced,
+    weil_motive,
 )
 from drinfeld.modules import reduce_at
 from drinfeld.polys import Poly, enumerate_monic_irreducibles
@@ -98,7 +101,56 @@ def test_motive_b_equal_the_conductor_on_cm_primes(q, degrees, floor):
 
 def test_rank1_has_no_b():
     psi = module_from_text("T+1*t", TOWERS[3])
-    assert motive_invariant_factors(reduce_at(psi, poly_from_text("T+1", TOWERS[3]))).factors == []
+    red = reduce_at(psi, poly_from_text("T+1", TOWERS[3]))
+    assert motive_invariant_factors(red).factors == []
+    assert b_invariants(red, weil_motive(red)) == []
+
+
+# (q, psi_T, prime degrees, primes where a squarefree d certifies b = 1 at
+# even q).  At even q, d = a_p^2 is squarefree only when a_p is a nonzero
+# constant.
+B_ROUTE_CASES = [
+    (2, "T+1*t+1*t^2", (1, 2, 3, 4, 5, 6, 7, 8), 3),
+    (4, "T+1*t+1*t^2", (1, 2, 3, 4), 16),
+    (3, "T+T*t+1*t^2", (1, 2, 3), None),
+    (5, "T+T*t+1*t^2", (1, 2), None),
+    (9, "T+(z*T^2+1)*t+T*t^2", (1, 2), None),
+]
+
+
+@pytest.mark.parametrize(
+    "q,text,degrees,certified", B_ROUTE_CASES, ids=[f"q{c[0]}" for c in B_ROUTE_CASES]
+)
+def test_b_invariants_route_in_rank_two(q, text, degrees, certified, monkeypatch):
+    """``b_invariants`` in rank 2 equals the motive b on every prime, the
+    lattice's wherever the squarefree-d certificate replaces the Smith form
+    (and on every prime at odd q), and the conductor loop's at odd q.  At
+    even q the certificate fires on ``certified`` primes."""
+    psi = module_from_text(text, TOWERS[q])
+    smith_forms = [0]
+    motive = invariants.motive_invariant_factors
+
+    def counted(red):
+        smith_forms[0] += 1
+        return motive(red)
+
+    monkeypatch.setattr(invariants, "motive_invariant_factors", counted)
+    fired = 0
+    for red in _reductions(psi, degrees):
+        before = smith_forms[0]
+        b = b_invariants(red, weil_motive(red))
+        cert = smith_forms[0] == before
+        fired += cert
+        assert b == motive(red).factors, (q, poly_to_text(red.prime))
+        if cert or q % 2:
+            assert b == invariant_factors_from_lattice(end_lattice_reduced(red)).factors
+        if q % 2:
+            inv = rank2_invariants_reduced(red)
+            assert b == [inv.b_p] == [conductor_b_p(red, inv.a_p, inv.d)]
+    if certified is not None:
+        assert fired == certified
+    else:
+        assert fired
 
 
 def _fake_frobenius(monkeypatch, matrix):
@@ -164,7 +216,7 @@ def test_full_checks_warn_when_the_lattice_disagrees(monkeypatch):
         survey, "invariant_factors_from_lattice", lambda lat: InvariantFactors(factors=[T, T])
     )
     rec = compute_record(psi, T, SurveyOptions(with_lattice_checks=True))
-    assert rec.warnings == ["lattice b disagrees with motive b"]
+    assert rec.warnings == ["lattice b disagrees with record b"]
     assert "b_lattice_agreement" not in rec.checks_passed
 
 

@@ -33,8 +33,7 @@ from drinfeld.polys import (
     schoolbook_divmod,
     schoolbook_gcd,
     schoolbook_powmod,
-    splits_into_linear_factors,
-    squarefree_decomposition,
+    splits_separably,
     table_roots,
 )
 from drinfeld.skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
@@ -177,27 +176,22 @@ def factored_poly(draw, ctx):
 SPLIT_ROUTE_FIELDS = {**SPLIT_FIELDS, "F3^10": TOWER3.field(10), "F2^15": TOWER2.field(15)}
 
 
-def radical_split_oracle(f):
-    """The earlier split test: the radical s of f (the product of its
-    squarefree parts) divides x^Q - x, checked by one powmod."""
-    s = Poly.one(f.field)
-    for g, _ in squarefree_decomposition(f):
-        s = s * g
-    x = Poly.x(f.field)
-    return powmod(x, f.field.order, s) == x % s
+def factorization_split_oracle(f):
+    """Every factor of f linear and of multiplicity 1, by ``factorize``."""
+    return all(g.degree() == 1 and m == 1 for g, m in factorize(f).factors)
 
 
 @pytest.mark.parametrize("name", list(SPLIT_ROUTE_FIELDS))
 def test_split_predicate_matches_factorization(name):
-    """The split test agrees with the factorization and with the radical
-    predicate, on either side of the table limit."""
+    """The split test agrees with the factorization on either side of the
+    table limit: f has deg f distinct roots iff every factor is linear and
+    of multiplicity 1."""
     ctx = SPLIT_ROUTE_FIELDS[name]
 
     @given(f=factored_poly(ctx))
     @settings(max_examples=300 if ctx.order <= TABLE_LIMIT else 100, deadline=None)
     def check(f):
-        expected = all(g.degree() == 1 for g, _ in factorize(f).factors)
-        assert splits_into_linear_factors(f) == expected == radical_split_oracle(f)
+        assert splits_separably(f) == factorization_split_oracle(f)
 
     check()
 
@@ -206,7 +200,8 @@ def test_split_predicate_matches_factorization(name):
 def test_split_predicate_multiplicity_edges(name):
     """Multiplicities at the edges of the p-power bound: (x - a)^p and
     (x - a)^(p+1), and degrees p^j and p^j + 1 with and without a factor
-    that does not split."""
+    that does not split.  A repeated root gives False; distinct linear
+    factors and the constants give True."""
     ctx = SPLIT_ROUTE_FIELDS[name]
     p = ctx.char
     x, one = Poly.x(ctx), Poly.one(ctx)
@@ -215,22 +210,24 @@ def test_split_predicate_multiplicity_edges(name):
     quads = (x * x + x + Poly.constant(ctx.dec_elem(c)) for c in range(1, ctx.order))
     quad = next(g for g in quads if is_irreducible(g))
     cases = [
-        (la**p, True),
-        (la ** (p + 1), True),
-        (x**p, True),
-        (la ** (p * p), True),
-        (la ** (p * p + 1), True),
-        (la ** (p * p) * lb, True),
-        (la ** (p - 1) * lb ** (p * p - p + 1), True),
+        (la**p, False),
+        (la ** (p + 1), False),
+        (x**p, False),
+        (la ** (p * p), False),
+        (la ** (p * p + 1), False),
+        (la ** (p * p) * lb, False),
+        (la ** (p - 1) * lb ** (p * p - p + 1), False),
         (la ** (p * p - 2) * quad, False),
         (la ** (p * p - 1) * quad, False),
         (la ** (p - 1) * quad, False),
         (quad**p, False),
+        (la * lb, True),
+        (la * lb * quad, False),
         (Poly.constant(a), True),
         (one, True),
     ]
     for f, expected in cases:
-        assert splits_into_linear_factors(f) == expected == radical_split_oracle(f), f
+        assert splits_separably(f) == expected == factorization_split_oracle(f), f
 
 
 # q -> (tower, largest [F:K] for the roots_in_field oracle; F stays table-sized)

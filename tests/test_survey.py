@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from drinfeld.config import SurveyOptions
-from drinfeld.errors import DrinfeldError, EvenCharacteristicError
+from drinfeld.errors import DrinfeldError, EvenCharacteristicError, RankError
 from drinfeld.polys import Poly, count_monic_irreducibles, enumerate_monic_irreducibles
 from drinfeld.quotients import QuotRing
 from drinfeld import survey
@@ -153,6 +153,26 @@ def test_density_report_cm(tower3):
             list(run_survey(psi, [1, 2], SurveyOptions(with_abhyankar=False))),
             "cm_supersingular",
         )
+
+
+def test_cm_supersingular_density_needs_odd_q_rank_two(tower3):
+    """The records carry the supersingular flag only in rank 2 at odd q; the
+    cm_supersingular count raises a typed error elsewhere rather than
+    reporting 0 (at q = 2 the one degree-2 prime T^2+T+1 has a_p = 0)."""
+    from drinfeld.cli import main
+
+    psi3 = module_from_text("T+1*t+1*t^3", tower3)
+    recs = list(run_survey(psi3, [1], SurveyOptions(with_abhyankar=False)))
+    with pytest.raises(RankError):
+        density_report(recs, "cm_supersingular")
+    args = ["density", "--q", "2", "--psi", "T+1*t+1*t^2", "--kind", "cm_supersingular"]
+    psi2 = module_from_text("T+1*t+1*t^2", FieldTower(2))
+    recs = list(run_survey(psi2, [2], SurveyOptions(with_abhyankar=False)))
+    assert [(r.p, r.a_p, r.supersingular) for r in recs] == [("T^2+T+1", "0", None)]
+    with pytest.raises(EvenCharacteristicError):
+        density_report(recs, "cm_supersingular")
+    assert main([*args, "--deg", "2"]) == 1
+    assert main([*args[:-1], "bp_equals_one", "--deg", "2"]) == 0
 
 
 def test_density_report_abhyankar(tower5):
