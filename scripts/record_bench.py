@@ -13,7 +13,13 @@ survey process does.  The stages are timed by plain wrappers put in place of
 these functions in every ``drinfeld`` namespace that binds them:
 
 - ``residue field``: ``modules.reduce_at`` (the residue field and the
-  reduction), whose T-image is a lookup in the field's root table;
+  reduction).  Its T-image takes one of three routes: a lookup in the
+  field's root table (table fields), x in the field's own modulus
+  F_q[x]/(p) (prime q above the table limit, whose Frobenius matrix
+  ``polys.frobenius_matrix`` is built here) or ``polys.lex_min_root``
+  (q = p^e > p above the limit); -p_0 at degree 1;
+- ``prime test``: ``polys.rabin_irreducible``, Rabin's test, which certifies
+  the own modulus of a residue field;
 - ``root table``: ``fields.orbit_roots``, the one walk over the Frobenius
   orbits of F_(q^n) that builds that table, inside the first record of
   each degree;
@@ -55,7 +61,7 @@ import argparse
 import sys
 from time import perf_counter
 
-from drinfeld import division, fields, invariants, linalg, modules, survey, torsion
+from drinfeld import division, fields, invariants, linalg, modules, polys, survey, torsion
 from drinfeld.config import SurveyOptions
 from drinfeld.fields import FieldTower
 from drinfeld.polys import enumerate_monic_irreducibles
@@ -64,6 +70,7 @@ from drinfeld.textio import module_from_text
 # stage -> (module, function name)
 STAGES = {
     "residue field": (modules, "reduce_at"),
+    "prime test": (polys, "rabin_irreducible"),
     "root table": (fields, "orbit_roots"),
     "Weil route": (invariants, "weil_motive"),
     "skew identity": (invariants, "weil_identity_holds"),

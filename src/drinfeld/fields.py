@@ -33,9 +33,9 @@ Algebra, §8.4), and ``PolyModulus`` reduces by a Newton inverse.  Above the
 table limit, polynomial products, division and gcd run on these arrays
 too: a scalar times an array is one matmul by the scalar's Toeplitz matrix,
 and the gcd takes pseudo-remainders, so it inverts one field element in
-all.  The moduli come from the same kernel: ``lex_irreducible`` runs
-Rabin's test (``polys.rabin_irreducible``, one ``PolyModulus`` per
-candidate) over the prime field.
+all.  The moduli come from ``lex_irreducible``: candidates without a prime
+factor of small degree take Rabin's test (``polys.rabin_irreducible``, on
+one Frobenius matrix per candidate) over the prime field.
 
 Wherever a deterministic element choice is needed (embedding roots, torsion
 generators), elements are ordered by their integer codes sum(c_i * p^i).
@@ -52,6 +52,9 @@ smallest conjugate of r.  The prime field (modulus x) embeds without a root.
 A residue field's T-image is the smallest root of a prime of degree n = [F :
 F_q]; a table field finds it in its root table (``orbit_roots``), which one
 walk over the Frobenius orbits of F builds for all such primes at once.
+Above the table limit at prime q a residue field is a ``_FieldCtx`` of its
+own, F_q[x]/(p), that the tower does not register; its embeddings stay with
+it (``FieldTower._maps_of``).
 """
 
 from __future__ import annotations
@@ -72,7 +75,14 @@ from .errors import (
     TowerMembershipError,
     ZeroInputError,
 )
-from .polys import Poly, int_prime_factors, lex_min_root, rabin_irreducible
+from .polys import (
+    Poly,
+    _irreducible_codes,
+    _monic_coords,
+    int_prime_factors,
+    lex_min_root,
+    rabin_irreducible,
+)
 
 TABLE_LIMIT = 1 << 14
 ZERO_LOG = -(1 << 40)  # the discrete log of 0 in Zech tables, negative after any step
@@ -214,12 +224,14 @@ class PolyModulus:
 
 
 _LEX_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
+_SIEVE_COLUMNS = 1 << 10  # residue coordinates a candidate is reduced to, over all small primes
 
 
 def lex_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Lex-smallest monic irreducible of degree d over F_p, low-first tuple:
     the first candidate with a nonzero constant term, by the code of its
-    coefficients c_(d-1)..c_0 read from the top, that passes Rabin's test
+    coefficients c_(d-1)..c_0 read from the top, with no small prime factor
+    (``_small_factor_sieve``) that passes Rabin's test
     (``polys.rabin_irreducible``) over the prime field."""
     if d == 1:
         return (0, 1)
@@ -227,14 +239,49 @@ def lex_irreducible(p: int, d: int) -> tuple[int, ...]:
     if key in _LEX_CACHE:
         return _LEX_CACHE[key]
     prime = _prime_field(p)
+    has_small_factor = _small_factor_sieve(p, d)
     for code in range(p**d):
-        tail = [code // p**i % p for i in range(d)]  # tail[i] = coefficient of x^i
-        if tail[0] == 0:
+        tail = np.array([code // p**i % p for i in range(d)], dtype=np.int64)  # tail[i]: x^i
+        if tail[0] == 0 or has_small_factor(tail):
             continue
-        if rabin_irreducible(prime, np.array(tail + [1], dtype=np.int64).reshape(-1, 1)):
-            result = _LEX_CACHE[key] = tuple(tail + [1])
+        g = np.append(tail, 1)
+        if rabin_irreducible(prime, g.reshape(-1, 1)):
+            result = _LEX_CACHE[key] = tuple(g.tolist())
             return result
     raise DrinfeldError(f"no irreducible of degree {d} over F_{p}")  # unreachable
+
+
+def _small_factor_sieve(p: int, d: int):
+    """A test whether x^d + sum t_i x^i (i < d) has a monic prime factor h of
+    degree k <= K over F_p, K <= d/2 the largest degree that keeps the k
+    coordinates of every such h within ``_SIEVE_COLUMNS`` in all.  Most
+    reducible candidates have one, and Rabin's test would reject them only
+    at its last step.
+
+    For each k, the rows x^i mod h (i <= d) for all h at once come from d
+    steps of multiplication by x; the residue of a candidate is then its
+    row of x^d plus one product of t with the rows below."""
+    prime = _prime_field(p)
+    blocks, columns = [], 0
+    for k in range(1, d // 2 + 1):
+        h = _monic_coords(prime, _irreducible_codes(prime, k), k)[:, :k, 0]
+        columns += h.size
+        if columns > _SIEVE_COLUMNS:
+            break
+        rows = np.zeros((d + 1, *h.shape), dtype=np.int64)
+        rows[0, :, 0] = 1
+        for i in range(d):  # x^(i+1) = x * x^i, with x^k = -sum h_j x^j
+            rows[i + 1, :, 1:] = rows[i, :, :-1]
+            rows[i + 1] = (rows[i + 1] - rows[i, :, -1:] * h) % p
+        blocks.append((rows[d].ravel(), rows[:d].reshape(d, -1), h.shape))
+
+    def has_small_factor(t: np.ndarray) -> bool:
+        return any(
+            not ((top + t @ low) % p).reshape(shape).any(axis=1).all()
+            for top, low, shape in blocks
+        )
+
+    return has_small_factor
 
 
 @lru_cache(maxsize=None)
@@ -326,7 +373,9 @@ def orbit_roots(ctx: "_FieldCtx", r: int) -> dict[int, int]:
 class _FieldCtx:
     """Arithmetic context for one tower field (internal)."""
 
-    def __init__(self, tower: "FieldTower", fid: FieldId):
+    def __init__(self, tower: "FieldTower", fid: FieldId, frob: np.ndarray | None = None):
+        """``frob``: the p-power matrix (``frob_p_matrix(1)``), when the
+        caller has it already."""
         self.tower = tower
         self.fid = fid
         self.char = fid.char
@@ -334,7 +383,8 @@ class _FieldCtx:
         self.order = fid.char**fid.degree
         self.modulus = np.array(fid.modulus, dtype=np.int64)
         self._red = _reduction_rows(self.modulus, self.char)
-        self._frob_cache: dict[int, np.ndarray] = {}
+        self._frob_cache: dict[int, np.ndarray] = {} if frob is None else {1: frob}
+        self._maps: dict = {}  # embeddings to and from a field the tower does not register
         self._lock = threading.Lock()
         self._tables = None
         self._zech = None
@@ -858,7 +908,10 @@ class Embedding:
     def left_inverse(self) -> np.ndarray:
         """d_sub x d_sup matrix L with L @ matrix = 1 mod p: the inverse of
         d_sub independent rows of ``matrix`` (the pivots of the rref of its
-        transpose), zero on the other columns."""
+        transpose), zero on the other columns.  The prime field sits in the
+        first coordinate."""
+        if self.sub.degree == 1:
+            return np.eye(1, self.sup.degree, dtype=np.int64)
         p = self.sub.char
         _, rows = linalg.rref(self.matrix.T, p)
         out = linalg.zeros(self.matrix.T.shape)
@@ -872,7 +925,10 @@ class FieldTower:
     Extensions are created on demand and cached by their degree over the
     prime field; registration is serialized, reads are lock-free.  The cap
     ``max_degree`` bounds the degree over the prime field of any field that
-    may be created (default 64).
+    may be created (default 64).  Embeddings and log maps are keyed by the
+    fields' ``FieldId``.  A field with its own modulus that the tower does
+    not register (a residue field F_q[x]/(p) at prime q) keeps its
+    embeddings itself, so they go when it goes.
 
     Supported domain: q <= ``TABLE_LIMIT``, so that F_q has log tables
     (``z_generator`` and ``dlog_z`` read them), the lex search for moduli stays
@@ -889,22 +945,26 @@ class FieldTower:
         self.base_degree = e
         self.max_degree = max_degree
         self._fields: dict[int, _FieldCtx] = {}
-        self._embeddings: dict[tuple[int, int], Embedding] = {}
-        self._log_maps: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self._embeddings: dict[tuple[FieldId, FieldId], Embedding] = {}
+        self._log_maps: dict[tuple[FieldId, FieldId], tuple[int, int, int]] = {}
         self._lock = threading.RLock()
         self.base_field = self.field(e)
 
     # -- registry ---------------------------------------------------------------
+
+    def check_degree(self, degree: int) -> None:
+        """Raise ResourceLimitError for a field above the cap."""
+        if degree > self.max_degree:
+            raise ResourceLimitError(
+                f"degree {degree} over the prime field exceeds the cap {self.max_degree}"
+            )
 
     def field(self, degree: int) -> _FieldCtx:
         """Canonical field of the given degree over the prime field."""
         ctx = self._fields.get(degree)
         if ctx is not None:
             return ctx
-        if degree > self.max_degree:
-            raise ResourceLimitError(
-                f"degree {degree} over the prime field exceeds the cap {self.max_degree}"
-            )
+        self.check_degree(degree)
         with self._lock:
             if degree not in self._fields:
                 fid = FieldId(self.char, degree, lex_irreducible(self.char, degree))
@@ -915,14 +975,25 @@ class FieldTower:
         """The field of degree n over ``base``, registered with its embedding."""
         if n < 1:
             raise DrinfeldError("extension degree must be >= 1")
+        if n == 1:
+            return base
         ext = self.field(base.degree * n)
-        if ext.degree != base.degree:
-            self.embedding(base, ext)
+        self.embedding(base, ext)
         return ext
 
+    def _maps_of(self, sub: _FieldCtx, sup: _FieldCtx) -> dict:
+        """The dict that keeps the embedding of sub into sup, keyed by the
+        pair of ``FieldId``: the own maps of whichever field the tower does
+        not register, else the tower's."""
+        for ctx in (sub, sup):
+            if self._fields.get(ctx.degree) is not ctx:
+                return ctx._maps
+        return self._embeddings
+
     def embedding(self, sub: _FieldCtx, sup: _FieldCtx) -> Embedding:
-        key = (sub.degree, sup.degree)
-        emb = self._embeddings.get(key)
+        key = (sub.fid, sup.fid)
+        maps = self._maps_of(sub, sup)
+        emb = maps.get(key)
         if emb is not None:
             return emb
         if sup.degree % sub.degree != 0:
@@ -930,31 +1001,24 @@ class FieldTower:
                 f"no embedding of degree {sub.degree} into degree {sup.degree}"
             )
         with self._lock:
-            emb = self._embeddings.get(key)
+            emb = maps.get(key)
             if emb is None:
-                emb = self._compute_embedding(sub, sup)
-                self._embeddings[key] = emb
+                emb = maps[key] = self._compute_embedding(sub, sup)
             return emb
 
     def _compute_embedding(self, sub: _FieldCtx, sup: _FieldCtx) -> Embedding:
-        if sub.degree == sup.degree:
+        if sub.fid == sup.fid:
             return Embedding(sub.fid, sup.fid, np.eye(sub.degree, dtype=np.int64))
         # Compose through the largest registered intermediate field; this keeps
         # every triangle of registered embeddings commutative (the direct map is
         # defined to be the composition whenever a chain already exists).
-        mids = [
-            d
-            for d in sorted(self._fields, reverse=True)
-            if d not in (sub.degree, sup.degree)
-            and d % sub.degree == 0
-            and sup.degree % d == 0
-            and (sub.degree, d) in self._embeddings
-            and (d, sup.degree) in self._embeddings
-        ]
-        if mids:
-            lo = self._embeddings[(sub.degree, mids[0])]
-            hi = self._embeddings[(mids[0], sup.degree)]
-            return Embedding(sub.fid, sup.fid, (hi.matrix @ lo.matrix) % self.char)
+        for d, mid in sorted(self._fields.items(), reverse=True):
+            if d in (sub.degree, sup.degree) or d % sub.degree or sup.degree % d:
+                continue
+            lo = self._maps_of(sub, mid).get((sub.fid, mid.fid))
+            hi = self._maps_of(mid, sup).get((mid.fid, sup.fid))
+            if lo is not None and hi is not None:
+                return Embedding(sub.fid, sup.fid, (hi.matrix @ lo.matrix) % self.char)
         # column j is root^j; the prime field (modulus x) has the one column 1
         cur = FFElem(sup, sup.one_coords())
         cols = [cur.coords]
@@ -1019,7 +1083,7 @@ class FieldTower:
         = m * (a unit mod n_sub): an element g_sup^k lies in sub iff m | k,
         and then it is g_sub^((k / m) r).  Computed once per pair from the
         embedding matrix."""
-        key = (sub.degree, sup.degree)
+        key = (sub.fid, sup.fid)
         out = self._log_maps.get(key)
         if out is None:
             sub_lists, sup_lists = sub._log_lists(), sup._log_lists()

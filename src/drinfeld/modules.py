@@ -1,30 +1,43 @@
 """Drinfeld modules over F = F_q(T) with A-integral coefficients, and their
 reductions modulo primes of A.
 
-A residue field F_p = A/p is realized inside the tower's canonical field of
-degree deg(p)*[F_q:prime]; the image of T is the lex-smallest root of p
-there, and canonical representatives (degree < deg p) are recovered through a
-cached change-of-basis matrix, so reductions round-trip exactly.  The roots
-of p are the Frobenius orbit r, r^q, ..., r^(q^(n-1)) of any one root r
-(n = deg p).  A residue field with log tables reads the smallest root from
-the field's root table (``_FieldCtx.root_table``), which one walk over the
-Frobenius orbits of F_(q^n) builds for every prime of degree n at once.
-Above the table limit ``polys.lex_min_root`` tests p | x^(q^n) - x over F_q,
-finds one root in F_p and returns the smallest of its conjugates.
+A residue field F_p = A/p of degree n = deg p takes one of four routes:
 
-Both routes also certify that p is prime.  The table's keys are exactly the
+- *Degree 1.*  F_p is F_q, and T goes to -p_0.
+- *Root table.*  Below the log-table limit F_p is realized inside the
+  tower's canonical field of degree n [F_q : F_prime], and T goes to the
+  lex-smallest root of p there, read from the field's root table
+  (``_FieldCtx.root_table``), which one walk over the Frobenius orbits of
+  F_(q^n) builds for every prime of degree n at once.
+- *Own modulus.*  Above the limit at prime q, F_p is F_q[x]/(p) itself, a
+  field of its own (``FieldId(p0, n, p)``) that the tower does not
+  register: T goes to x, ``reduce`` is a remainder mod p and ``lift`` reads
+  off coordinates.  Its embeddings, into the splitting fields of torsion
+  for one, send x to a root of p and stay with it.
+- *Root search.*  Above the limit at q = p0^e with e > 1, F_p is again the
+  tower field, and ``polys.lex_min_root`` finds the T-image: it tests
+  p | x^(q^n) - x over F_q, finds one root in F_p and returns the smallest
+  of its conjugates.  An own modulus there would be a polynomial over F_q,
+  not over the prime field that every tower field is built on.
+
+The tower-field routes recover canonical representatives (degree < deg p)
+through a cached change-of-basis matrix, so reductions round-trip exactly.
+
+Every route certifies that p is prime.  The table's keys are exactly the
 minimal polynomials of the orbits of n elements, the monic irreducibles of
-degree n, so a p that is no key is reducible.  Above the limit, the split
-test makes p squarefree with its roots in F_p, and an orbit of exactly n
-roots gives the root a minimal polynomial of degree n, a factor of p.  So the
-residue field is the prime test of a reduction; a reducible p raises
-NotIrreducibleError there.
-Rabin's test (``polys.is_irreducible``) runs only where no residue field is
-built: when p divides g_r, or when F_p would exceed the tower cap.
+degree n, so a p that is no key is reducible.  The own modulus takes Rabin's
+test (``polys.rabin_irreducible``) on the field's q-power matrix, which
+then serves as its Frobenius.  The root search's split test makes p
+squarefree with its roots in F_p, and an orbit of exactly n roots gives the
+root a minimal polynomial of degree n, a factor of p.  So the residue field
+is the prime test of a reduction; a reducible p raises NotIrreducibleError
+there.  Beyond that Rabin's test runs only when p divides g_r, or when F_p
+would exceed the tower cap.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -36,8 +49,8 @@ from .errors import (
     NotIrreducibleError,
     ZeroInputError,
 )
-from .fields import FFElem, FieldTower, _FieldCtx
-from .polys import Poly, is_irreducible, lex_min_root
+from .fields import TABLE_LIMIT, FFElem, FieldId, FieldTower, _FieldCtx
+from .polys import Poly, frobenius_matrix, is_irreducible, lex_min_root, rabin_irreducible
 from .skew import AOverField, SkewPoly, left_blocks, left_mul
 
 
@@ -53,7 +66,8 @@ class DrinfeldModule:
         self.rank = len(self.g)
         A = AOverField(self.base)
         self.psi_T = SkewPoly(A, (Poly.x(self.base),) + self.g)
-        self._residues: dict = {}
+        # residue fields by prime, alive while some reduction holds them
+        self._residues = weakref.WeakValueDictionary()
         self._abhyankar = None  # division.abhyankar_poly, built on first use
 
     def __repr__(self):
@@ -84,11 +98,12 @@ def good_reduction_at(psi: DrinfeldModule, p: Poly) -> bool:
 
 
 class ResidueField:
-    """F_p = A/pA realized in the tower, with exact lift/reduce maps.
+    """F_p = A/pA with exact lift/reduce maps, by one of the routes of the
+    module docstring.
 
-    Building it proves p prime (see the module docstring): a reducible p
-    raises NotIrreducibleError, and a p of degree n with n [F_q : F_p] above
-    the tower cap raises ResourceLimitError.
+    Building it proves p prime: a reducible p raises NotIrreducibleError,
+    and a p of degree n with n [F_q : F_p] above the tower cap raises
+    ResourceLimitError.
     """
 
     def __init__(self, tower: FieldTower, p: Poly):
@@ -98,8 +113,20 @@ class ResidueField:
         n = p.degree()
         self.deg_p = n
         e = tower.base_degree
+        if e == 1 and tower.q**n > TABLE_LIMIT:
+            # F_p = F_q[x]/(p) itself: T is x, and coordinates are coefficients.
+            # Rabin's test runs on the field's own q-power matrix.
+            tower.check_degree(n)
+            g = tower.base_field.coeff_array(p.coeffs)
+            frob = frobenius_matrix(tower.base_field, g)
+            if not rabin_irreducible(tower.base_field, g, frob):
+                raise NotIrreducibleError("reduction needs a prime modulus")
+            self.ctx = _FieldCtx(tower, FieldId(tower.char, n, tuple(g[:, 0].tolist())), frob)
+            self.t_image = tower.gen(self.ctx)
+            self._basis_inv = None
+            return
         self.ctx = tower.field(n * e)
-        if n * e > tower.base_degree:
+        if n > 1:
             tower.embedding(tower.base_field, self.ctx)
         self.t_image = self._find_t_image()
         # change of basis: columns are vec(y^t * T^j) for the F_q-basis y^t
@@ -122,6 +149,8 @@ class ResidueField:
         self._basis_inv = inv
 
     def _find_t_image(self) -> FFElem:
+        if self.deg_p == 1:
+            return self.tower.embed(-self.prime.coeffs[0], self.ctx)
         table = self.ctx.root_table()
         if table is not None:
             q = self.tower.q
@@ -138,7 +167,11 @@ class ResidueField:
         )
 
     def reduce(self, f: Poly) -> FFElem:
-        """Image of f in F_p (evaluate at the T-image)."""
+        """Image of f in F_p: the remainder mod p on the own modulus, else
+        f evaluated at the T-image."""
+        if self._basis_inv is None:
+            coords = [c.coords[0] for c in (f % self.prime).coeffs]
+            return FFElem(self.ctx, tuple(coords + [0] * (self.deg_p - len(coords))))
         acc = FFElem(self.ctx, self.ctx.zero_coords())
         for c in reversed(f.coeffs):
             acc = acc * self.t_image + self.tower.embed(c, self.ctx)
@@ -147,12 +180,20 @@ class ResidueField:
     def lift(self, x: FFElem) -> Poly:
         """Canonical representative in A of degree < deg p."""
         e = self.tower.base_degree
-        y = (self._basis_inv @ x.vec()) % self.tower.char
+        y = x.vec() if self._basis_inv is None else (self._basis_inv @ x.vec()) % self.tower.char
         coeffs = []
         for j in range(self.deg_p):
             block = y[j * e : (j + 1) * e]
             coeffs.append(FFElem(self.tower.base_field, tuple(int(c) for c in block)))
         return Poly(self.tower.base_field, coeffs)
+
+    def in_lift_basis(self, mat: np.ndarray) -> np.ndarray:
+        """The prime matrix of a map on F_p, moved from the field's coordinates
+        to those of ``lift``, the F_q basis y^t T^j."""
+        if self._basis_inv is None:
+            return mat
+        p0 = self.tower.char
+        return (self._basis_inv @ ((mat @ self._basis) % p0)) % p0
 
     @property
     def order(self) -> int:
@@ -176,10 +217,10 @@ class ReducedModule:
                 raise BadReductionError(
                     f"bad reduction: p divides the top coefficient g_{source.rank}"
                 )
-        self.residue = source._residues.get(self.prime.coeffs)
+        key = tuple(c.coords for c in self.prime.coeffs)
+        self.residue = source._residues.get(key)
         if self.residue is None:
-            self.residue = ResidueField(tower, self.prime)
-            source._residues[self.prime.coeffs] = self.residue
+            self.residue = source._residues[key] = ResidueField(tower, self.prime)
         ctx = self.residue.ctx
         coeffs = [self.residue.t_image] + [self.residue.reduce(g) for g in source.g]
         self.psibar_T = SkewPoly(ctx, coeffs)

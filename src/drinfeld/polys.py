@@ -31,17 +31,20 @@ split test ``splits_separably``.  Roots in a field with log tables come from
 evaluating at every element at once in discrete logs (``table_roots``);
 ``lex_min_root`` and ``splits_separably`` use that route there and the
 p-power step above the table limit.  ``lex_min_root`` serves the tower's
-embeddings, the residue fields above the table limit and the tests: a
-residue field with log tables reads its T-image from the field's root
-table (``fields.orbit_roots``), built once for every prime of its degree.
+embeddings, the residue fields above the table limit at q = p^e > p and the
+tests: a residue field with log tables reads its T-image from the field's
+root table (``fields.orbit_roots``), built once for every prime of its
+degree, and one above the limit at prime q is F_q[x]/(p) with T-image x.
 
 The monic primes of one degree come from a sieve, not from a test per
 candidate: a bitmap over all q^deg monic codes marks the products of smaller
 primes with monic cofactors, formed in numpy batches of prime coordinates
 (``enumerate_monic_irreducibles``).  The package has one Rabin test, for
-polynomials over tower fields: ``rabin_irreducible`` on coordinate arrays,
-which keeps x^(Q^k) mod f as an array under one ``PolyModulus``.  It serves
-single polynomials through ``is_irreducible``, the tower's modulus search
+polynomials over tower fields: ``rabin_irreducible``, which takes x^(Q^k)
+mod f as Q^k x for the one prime-coordinate matrix Q of the Q-power map
+(``frobenius_matrix``).  It serves single polynomials through
+``is_irreducible``, the residue fields with their own modulus (whose
+Frobenius the matrix then is), the tower's modulus search
 (``fields.lex_irreducible``) over the prime field, and the tests as the
 sieve's oracle.
 """
@@ -410,32 +413,101 @@ def is_irreducible(f: Poly) -> bool:
     return rabin_irreducible(f.field, f.field.coeff_array(f.coeffs))
 
 
-def rabin_irreducible(F, g: np.ndarray) -> bool:
+def _x_power_rows(F, g: np.ndarray, k: int) -> np.ndarray:
+    """The (d, d, e) array whose row i holds x^(ik) mod g, for a monic g of
+    degree d >= 1 over the tower field F given as a (d + 1) x e coordinate
+    array (e = [F : F_p]) and k >= 1.
+
+    Row i is the previous one times x^k, by the prime-linear matrix of
+    multiplication by x^k on F[x]/(g): its column for y^t x^j is
+    y^t x^(j + k) mod g, and those come from x^k (no reduction below degree
+    d, else one ``PolyModulus`` power) by d - 1 steps of multiplication by
+    x.  For k < d the matrix is a shift but for its top k blocks, so a
+    product costs O(d k e^2)."""
+    from .fields import PolyModulus  # deferred: fields imports this module
+
+    d, p, e = len(g) - 1, F.char, F.degree
+    n = d * e
+    fold = F.mult_matrices((-g[:d]) % p)  # c x^d = -sum (c g_i) x^i
+    cur = np.zeros((d, e), dtype=np.int64)
+    if k < d:
+        cur[k, 0] = 1
+    else:
+        x = np.zeros((2, e), dtype=np.int64)
+        x[1, 0] = 1
+        xk = PolyModulus(F, g).pow(x, k)
+        cur[: len(xk)] = xk
+    rows = [cur]
+    for _ in range(d - 1):
+        nxt = np.zeros_like(cur)
+        nxt[1:] = cur[:-1]
+        cur = (nxt + fold @ cur[-1]) % p
+        rows.append(cur)
+    # blocks j < d - k of the matrix move x^j to x^(j + k), a shift of the
+    # low part, so only the top k blocks meet the product
+    low = max(d - k, 0) * e
+    top = _columns(F, rows)[:, low:]
+    cur = np.zeros(n, dtype=np.int64)
+    cur[0] = 1
+    out = [cur]
+    for _ in range(d - 1):
+        nxt = top @ cur[low:]
+        nxt[n - low :] += cur[:low]
+        cur = nxt % p
+        out.append(cur)
+    return np.array(out).reshape(d, d, e)
+
+
+def _columns(F, rows) -> np.ndarray:
+    """For d elements rows[j] of F[x]/(g), d x e coordinate arrays: the
+    d e x d e prime matrix whose column j e + t holds y^t rows[j]."""
+    rows = np.asarray(rows)
+    d, e = rows.shape[1:]
+    mats = F.mult_matrices(rows.reshape(-1, e)).reshape(d, d, e, e)
+    return mats.transpose(1, 2, 0, 3).reshape(d * e, d * e)
+
+
+def frobenius_matrix(F, g: np.ndarray) -> np.ndarray:
+    """The matrix of the Q-power map u -> u^Q of F[x]/(g), Q = |F|, for a
+    monic g of degree d >= 1 over the tower field F given as a (d + 1) x e
+    coordinate array (e = [F : F_p]).
+
+    The map is prime-linear, so on the d e prime coordinates (coordinate t
+    of the coefficient of x^i at i e + t) it is one matrix: y^t x^i goes to
+    y^t x^(iQ), since y^t lies in F (``_x_power_rows`` for the x^(iQ)).  At
+    e = 1 it is the p-power matrix of the field F_p[x]/(g) when g is
+    irreducible (``_FieldCtx.frob_p_matrix``)."""
+    return _columns(F, _x_power_rows(F, g, F.order))
+
+
+def rabin_irreducible(F, g: np.ndarray, frob: np.ndarray | None = None) -> bool:
     """Rabin's test for a monic g of degree d >= 2 over the tower field F,
     given as a (d + 1) x [F : F_p] coordinate array: g is irreducible iff
     g | x^(Q^d) - x and gcd(x^(Q^(d/l)) - x, g) = 1 for every prime l | d,
     Q = |F| (Rabin, SIAM J. Comput. 9, 1980; von zur Gathen-Gerhard, Modern
-    Computer Algebra, §14.9).  One ``PolyModulus`` serves all d powers
-    x^(Q^k) mod g, which stay arrays."""
-    from .fields import PolyModulus  # deferred: fields imports this module
+    Computer Algebra, §14.9).
 
-    d, p = len(g) - 1, F.char
-    mod = PolyModulus(F, g)
+    x^(Q^k) mod g is Q^k x for the one matrix ``frobenius_matrix(F, g)``
+    (built here unless the caller passes it), a matrix-vector product per
+    k.  The gcds at the checkpoints d/l are taken only once g | x^(Q^d) - x
+    holds, since most reducible g fail that; each is ``poly_gcd``, a
+    coefficient loop over table fields."""
+    d, p, e = len(g) - 1, F.char, F.degree
+    if frob is None:
+        frob = frobenius_matrix(F, g)
+    v = x = np.eye(d * e, dtype=np.int64)[e]
     checkpoints = {d // ell for ell in int_prime_factors(d)}
-
-    def minus_x(h: np.ndarray) -> np.ndarray:
-        out = np.zeros((max(len(h), 2), F.degree), dtype=np.int64)
-        out[: len(h)] = h
-        out[1, 0] -= 1
-        return out % p
-
-    h = np.zeros((2, F.degree), dtype=np.int64)
-    h[1, 0] = 1  # x
+    minus_x = {}
     for k in range(1, d + 1):
-        h = mod.pow(h, F.order)
-        if k in checkpoints and len(F.poly_gcd(minus_x(h), g)) > 1:
-            return False
-    return not minus_x(h).any()
+        v = (frob @ v) % p
+        if k in checkpoints:
+            minus_x[k] = (v - x) % p
+    if not np.array_equal(v, x):
+        return False
+    g_poly = Poly(F, F.array_elems(g))
+    return all(
+        poly_gcd(Poly(F, F.array_elems(h.reshape(d, e))), g_poly).is_one() for h in minus_x.values()
+    )
 
 
 def int_prime_factors(n: int) -> list[int]:
@@ -583,31 +655,6 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     return sorted(done, key=Poly.lex_key)
 
 
-def _x_power_rows(f: Poly) -> tuple[np.ndarray, np.ndarray]:
-    """For f monic of degree m >= 1 over a tower field K of degree e over the
-    prime field: the (m, m, e) array whose row j holds x^(jp) mod f, from
-    x^p mod f and m - 2 packed products, and the m x e array of x mod f."""
-    from .fields import PolyModulus  # deferred: fields imports this module
-
-    K = f.field
-    m = f.degree()
-    mod = PolyModulus(K, K.coeff_array(f.coeffs))
-    x = np.zeros((2, K.degree), dtype=np.int64)
-    x[1, 0] = 1
-    x = mod.rem(x)
-    xp = mod.pow(x, K.char)
-    rows = np.zeros((m, m, K.degree), dtype=np.int64)
-    rows[0, 0, 0] = 1
-    cur = xp
-    for j in range(1, m):
-        rows[j, : len(cur)] = cur
-        if j < m - 1:
-            cur = mod.mul(cur, xp)
-    x_mod = np.zeros((m, K.degree), dtype=np.int64)
-    x_mod[: len(x)] = x
-    return rows, x_mod
-
-
 class FrobeniusStep:
     """The p-power map u -> u^p on F[x]/(f), as a prime-linear map on m x d
     coordinate arrays (row j holds the coordinates of the coefficient of x^j).
@@ -629,14 +676,18 @@ class FrobeniusStep:
         K = f.field
         F = field or K
         self.f, self.field, self.m = f, F, f.degree()
-        self._rows = rows if rows is not None else _x_power_rows(f)
-        x_rows, self.x = self._rows
+        self._rows = rows if rows is not None else _x_power_rows(K, K.coeff_array(f.coeffs), K.char)
         p, e = F.char, K.degree
+        self.x = np.zeros((self.m, e), dtype=np.int64)  # x mod f
+        if self.m > 1:
+            self.x[1, 0] = 1
+        else:
+            self.x[0] = (-f.coeffs[0]).coords
         phi = F.frob_p_matrix(1)
         ys = [K.dec_elem(K.char**t) for t in range(e)]  # y^t, the prime basis of K
         gens = [(embed(y) if embed else y).coords for y in ys]
         self._b = np.hstack([((F.mult_matrix(g) @ phi) % p).T for g in gens])
-        self._x = x_rows.transpose(1, 0, 2).reshape(self.m, self.m * e)
+        self._x = self._rows.transpose(1, 0, 2).reshape(self.m, self.m * e)
 
     def over(self, field, embed) -> "FrobeniusStep":
         """The same step on F[x]/(f) for a field F that contains K through

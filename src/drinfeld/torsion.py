@@ -106,9 +106,7 @@ def torsion_basis_reduced(red: ReducedModule, a: Poly) -> TorsionBasis:
     s = _splitting_degree(red, a, tower.max_degree // ctx.degree)
 
     # the splitting field and the kernel inside it
-    L = tower.field(ctx.degree * s)
-    if L.degree != ctx.degree:
-        tower.embedding(ctx, L)
+    L = tower.make_extension(ctx, s)
     k_q = r * a.degree()
 
     # the kernel in L has full dimension exactly when L holds psi[a]: a check
@@ -305,11 +303,8 @@ def module_structure_oracle_reduced(red: ReducedModule) -> list[Poly]:
     blocks ``red.psibar_blocks``, is taken on the F_q basis T^j of F_p (the
     residue field's lift coordinates) and handed to ``fq_invariant_factors``.
     """
-    p0 = red.source.tower.char
-    res = red.residue
-    t_op = sum(k for k in red.psibar_blocks if k is not None) % p0
-    mt = (res._basis_inv @ ((t_op @ res._basis) % p0)) % p0
-    return fq_invariant_factors(mt, red.source.tower.base_field)
+    t_op = sum(k for k in red.psibar_blocks if k is not None) % red.source.tower.char
+    return fq_invariant_factors(red.residue.in_lift_basis(t_op), red.source.tower.base_field)
 
 
 def fq_invariant_factors(mt: np.ndarray, base: _FieldCtx) -> list[Poly]:

@@ -11,7 +11,7 @@ from drinfeld.errors import (
     NotIrreducibleError,
     ResourceLimitError,
 )
-from drinfeld.fields import FieldTower
+from drinfeld.fields import TABLE_LIMIT, FieldTower
 from drinfeld.invariants import weil_general
 from drinfeld.modules import DrinfeldModule, ResidueField, good_reduction_at, reduce_at
 from drinfeld.polys import Poly, is_irreducible
@@ -106,6 +106,35 @@ def test_root_table_rejects_a_reducible_p(factors, monkeypatch):
     parts = [poly_from_text(f, tower) for f in factors]
     assert all(is_irreducible(f) for f in parts)
     p = parts[0] * parts[1]
+    with pytest.raises(NotIrreducibleError):
+        reduce_at(psi, p)
+    with pytest.raises(NotIrreducibleError):
+        ResidueField(tower, p)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [["T^5+2*T+1", "T^5+T^4+T^2+1"], ["T^5+2*T+1", "T^5+2*T+1"], ["T+1", "T^9+2*T^3+T^2+T+2"]],
+    ids=["two-quintics", "square-of-a-prime", "linear-factor"],
+)
+def test_own_modulus_rejects_a_reducible_p(factors, monkeypatch):
+    """Above the table limit at prime q (here q = 3, degree 10) the residue
+    field is F_q[x]/(p) certified by Rabin's test: a reducible p raises
+    NotIrreducibleError with every root search patched to fail."""
+    from drinfeld import modules, polys
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a root search ran")
+
+    for mod, name in [(modules, "lex_min_root"), (polys, "lex_min_root"), (polys, "table_roots"),
+                      (modules, "is_irreducible")]:
+        monkeypatch.setattr(mod, name, no_search)
+    tower = FieldTower(3)
+    psi = module_from_text("T+1*t+1*t^2", tower)
+    parts = [poly_from_text(f, tower) for f in factors]
+    assert all(is_irreducible(f) for f in parts)
+    p = parts[0] * parts[1]
+    assert tower.q ** p.degree() > TABLE_LIMIT
     with pytest.raises(NotIrreducibleError):
         reduce_at(psi, p)
     with pytest.raises(NotIrreducibleError):

@@ -253,3 +253,24 @@ def test_dlog_z_round_trip_at_largest_q(deadline):
             assert 0 <= j < F.order - 1
             assert z**j == x
             assert fq_from_text(fq_to_text(x, tower), tower) == x
+
+
+@pytest.mark.parametrize("p,degrees", [(2, range(15, 21)), (3, range(9, 15)), (5, range(7, 9))])
+def test_lex_irreducible_matches_a_factorization_search(p, degrees, monkeypatch):
+    """The modulus search (small-factor sieve, then Rabin's test) picks the
+    same moduli as a search in the same order that tests each candidate by
+    its factorization."""
+    from drinfeld import fields
+    from drinfeld.polys import Poly, factorize
+
+    monkeypatch.setattr(fields, "_LEX_CACHE", {})
+    F = FieldTower(p).base_field
+    for d in degrees:
+        for code in range(p**d):
+            tail = [code // p**i % p for i in range(d)]
+            if not tail[0]:
+                continue
+            fac = factorize(Poly(F, [F.dec_elem(c) for c in tail + [1]])).factors
+            if len(fac) == 1 and fac[0][1] == 1:
+                break
+        assert lex_irreducible(p, d) == tuple(tail + [1]), (p, d)

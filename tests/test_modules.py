@@ -170,3 +170,50 @@ def test_module_structure_oracle_degree_14(tower3, psi3, deadline):
     assert [poly_to_text(f) for f in factors] == [
         "T^14+2*T^12+T^10+2*T^8+T^7+T^6+T^5+2*T^4+2*T^3+2*T^2+2"
     ]
+
+
+def test_own_modulus_residue_field_is_embedded_by_a_root():
+    """At prime q above the table limit a residue field is F_q[x]/(p), a
+    field of its own that shares no map with the tower's F_(q^n).  Torsion
+    embeds it into its splitting fields by a root of p, so the torsion route
+    agrees with the motive route on two degree-9 primes at q = 3, after the
+    tower's F_(3^9) and another degree-9 residue field exist; a map keyed by
+    degree would carry the other field's x into them."""
+    from drinfeld.fields import FieldTower
+    from drinfeld.invariants import weil_general, weil_motive
+    from drinfeld.textio import module_from_text, poly_from_text
+
+    tower = FieldTower(3, max_degree=400)
+    psi = module_from_text("T+1*t+1*t^2", tower)
+    tower.embedding(tower.base_field, tower.field(9))
+    other = reduce_at(psi, list(enumerate_monic_irreducibles(tower.base_field, 9))[1])
+    for text in ["T^9+2*T^3+T^2+T+2", "T^9+2*T^3+2*T^2+2"]:
+        p = poly_from_text(text, tower)
+        red = reduce_at(psi, p)
+        assert red.ctx is not tower.field(9) and red.ctx.fid.modulus != tower.field(9).fid.modulus
+        assert weil_general(psi, p).coeffs == weil_motive(red).coeffs
+    # the tower keeps no map of a residue field
+    residue_ids = {other.ctx.fid, red.ctx.fid}
+    assert not any(set(key) & residue_ids for key in tower._embeddings)
+
+
+def test_residue_fields_go_with_their_reductions():
+    """A module keeps a residue field only while a reduction holds it, so a
+    survey's residue fields (and their own maps) do not pile up."""
+    import gc
+    import weakref
+
+    from drinfeld.fields import FieldTower
+    from drinfeld.textio import module_from_text
+
+    tower = FieldTower(3)
+    psi = module_from_text("T+1*t+1*t^2", tower)
+    primes = list(enumerate_monic_irreducibles(tower.base_field, 9))[:3]
+    reds = [reduce_at(psi, p) for p in primes]
+    assert reduce_at(psi, primes[0]).residue is reds[0].residue
+    ctxs = [weakref.ref(red.ctx) for red in reds]
+    assert len(psi._residues) == 3
+    del reds
+    gc.collect()
+    assert len(psi._residues) == 0
+    assert all(ref() is None for ref in ctxs)

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from drinfeld.amatrix import (
+    bareiss_det,
     discriminant,
+    ring_det,
     rational_canonical_form,
     smith_normal_form,
 )
@@ -370,3 +372,60 @@ def test_discriminant_rank3_anchor(tower2):
     T, one, zero = Poly.x(F), Poly.one(F), Poly.zero(F)
     d = discriminant([T, one, zero, one], F)  # x^3 + x + T over F_2
     assert poly_to_text(d) == "T^2"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_bareiss_matches_cofactor_determinant_on_sylvester_matrices(q):
+    """The fraction-free determinant equals the cofactor expansion on the
+    Sylvester matrices of random pairs of polynomials in x over A; their
+    leading coefficients may be 0, so zero pivots occur."""
+    from drinfeld.amatrix import resultant
+    from drinfeld.fields import FieldTower
+
+    F = FieldTower(q).base_field
+    rng = random.Random(q)
+
+    def coeff():
+        return Poly(F, [F.dec_elem(rng.randrange(q)) for _ in range(rng.randrange(4))])
+
+    for _ in range(30):
+        a = [coeff() for _ in range(rng.randint(3, 5))]
+        b = [coeff() for _ in range(rng.randint(2, 4))]
+        da, db = len(a) - 1, len(b) - 1
+        zero = Poly.zero(F)
+        rows = [[zero] * i + a[::-1] + [zero] * (db - 1 - i) for i in range(db)]
+        rows += [[zero] * i + b[::-1] + [zero] * (da - 1 - i) for i in range(da)]
+        assert bareiss_det(rows) == ring_det(rows) == resultant(a, b, F)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_rank2_discriminant_is_the_closed_form(q):
+    """In rank 2 the resultant discriminant of x^2 + c_1 x + c_0 is c_1^2 - 4 c_0."""
+    from drinfeld.fields import FieldTower
+
+    F = FieldTower(q).base_field
+    rng = random.Random(q)
+    four = Poly.from_ints(F, [4])
+    for _ in range(30):
+        c0, c1 = (Poly(F, [F.dec_elem(rng.randrange(q)) for _ in range(rng.randrange(5))])
+                  for _ in "01")
+        assert discriminant([c0, c1, Poly.one(F)], F) == c1 * c1 - four * c0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_rabin_matches_factorize(q):
+    """Rabin's test on the Frobenius matrix agrees with the factorization on
+    random monic polynomials of degrees 2-16, and with the sieve on a few
+    primes of each degree, whose irreducibility it must confirm."""
+    from drinfeld.fields import FieldTower
+
+    F = FieldTower(q).base_field
+    rng = random.Random(q)
+    for d in range(2, 17):
+        polys = [Poly(F, [F.dec_elem(rng.randrange(q)) for _ in range(d)] + [F.one_elem()])
+                 for _ in range(4)]
+        primes = enumerate_monic_irreducibles(F, d) if q**d <= 1 << 16 else []
+        polys += [p for p, _ in zip(primes, range(2))]
+        for f in polys:
+            fac = factorize(f).factors
+            assert is_irreducible(f) == (len(fac) == 1 and fac[0][1] == 1), (q, f)

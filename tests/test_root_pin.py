@@ -4,14 +4,19 @@ Both are lex-smallest roots (by integer code) of an irreducible polynomial
 inside a tower field, and every reduction, torsion basis and survey line is
 written in the coordinates they fix.  Each case uses a fresh tower, because
 an embedding composes through the intermediate fields already registered.
+
+At prime q above the table limit the residue field is F_q[x]/(p) itself,
+with T-image x, so there the pinned code is the root ``lex_min_root`` finds
+in the tower field of the same degree: the root an embedding of the residue
+field into a tower field starts from.
 """
 
 import numpy as np
 import pytest
 
-from drinfeld.fields import FieldTower
+from drinfeld.fields import TABLE_LIMIT, FieldTower
 from drinfeld.modules import ResidueField
-from drinfeld.polys import Poly
+from drinfeld.polys import Poly, lex_min_root
 
 # (q, prime low-first as F_q codes, int code of the T-image in F_p)
 T_IMAGES = [
@@ -107,8 +112,19 @@ def test_t_image_pinned(q, prime, code):
     F = tower.base_field
     p = Poly(F, [F.dec_elem(c) for c in prime])
     res = ResidueField(tower, p)
-    assert res.t_image.int_code() == code
+    n = p.degree()
     assert p.map_coeffs(lambda c: tower.embed(c, res.ctx), res.ctx).eval(res.t_image).is_zero()
+    if tower.base_degree > 1 or q**n <= TABLE_LIMIT:
+        assert res.ctx is tower.field(n * tower.base_degree)
+        assert res.t_image.int_code() == code
+        return
+    # the own modulus: F_p = F_q[x]/(p), T -> x, no field of the tower
+    assert res.ctx.fid.modulus == tuple(prime)
+    assert res.t_image == tower.gen(res.ctx)
+    assert res.ctx is not tower._fields.get(n)
+    big = tower.field(n)
+    root = lex_min_root(p, big, lambda c: tower.embed(c, big), "not prime")
+    assert root.int_code() == code
 
 
 @pytest.mark.parametrize("q,sub,sup,columns", EMBEDDINGS)

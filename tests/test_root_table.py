@@ -56,3 +56,22 @@ def test_no_root_table_above_the_table_limit():
     tower = FieldTower(3)
     assert tower.field(9).order > TABLE_LIMIT
     assert tower.field(9).root_table() is None
+
+
+@pytest.mark.parametrize("q", [2, 5, 9])
+def test_degree_one_residue_field_takes_minus_p0(q, monkeypatch):
+    """A linear p = T + p_0 has the one root -p_0 in F_q: its residue field
+    builds no root table and searches no root."""
+    from drinfeld import fields, modules
+
+    def no_table(*args):
+        raise AssertionError("a root table or a root search ran")
+
+    monkeypatch.setattr(fields, "orbit_roots", no_table)
+    monkeypatch.setattr(modules, "lex_min_root", no_table)
+    tower = FieldTower(q)
+    for p in enumerate_monic_irreducibles(tower.base_field, 1):
+        res = ResidueField(tower, p)
+        assert res.ctx is tower.base_field
+        assert res.t_image == -p.coeffs[0]
+        assert res.lift(res.reduce(p)).is_zero()

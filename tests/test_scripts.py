@@ -28,6 +28,9 @@ SCRIPTS = [
     # every pass rebuilds the root tables, so the stage shows in the least of two
     ("record_bench.py-root-table", "record_bench.py", ["--q", "5", "--deg", "1,2", "--passes", "2"],
      "root table"),
+    # T^2+1 divides g_2, so its record takes Rabin's test before it is skipped
+    ("record_bench.py-prime-test", "record_bench.py",
+     ["--q", "3", "--psi", "T+1*t+(T^2+1)*t^2", "--deg", "2", "--passes", "1"], "prime test"),
     ("record_bench.py-rank3", "record_bench.py",
      ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1", "--passes", "1"], "motive invariants"),
     ("record_bench.py-full-checks", "record_bench.py",
