@@ -224,14 +224,14 @@ class PolyModulus:
 
 
 _LEX_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-_SIEVE_COLUMNS = 1 << 10  # residue coordinates a candidate is reduced to, over all small primes
+_SIEVE_COLUMNS = 1 << 10  # residue coordinates of a candidate, over all small primes
 
 
 def lex_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Lex-smallest monic irreducible of degree d over F_p, low-first tuple:
     the first candidate with a nonzero constant term, by the code of its
     coefficients c_(d-1)..c_0 read from the top, with no small prime factor
-    (``_small_factor_sieve``) that passes Rabin's test
+    (``_small_factor_test``) that passes Rabin's test
     (``polys.rabin_irreducible``) over the prime field."""
     if d == 1:
         return (0, 1)
@@ -239,7 +239,7 @@ def lex_irreducible(p: int, d: int) -> tuple[int, ...]:
     if key in _LEX_CACHE:
         return _LEX_CACHE[key]
     prime = _prime_field(p)
-    has_small_factor = _small_factor_sieve(p, d)
+    has_small_factor = _small_factor_test(prime, d)
     for code in range(p**d):
         tail = np.array([code // p**i % p for i in range(d)], dtype=np.int64)  # tail[i]: x^i
         if tail[0] == 0 or has_small_factor(tail):
@@ -251,20 +251,20 @@ def lex_irreducible(p: int, d: int) -> tuple[int, ...]:
     raise DrinfeldError(f"no irreducible of degree {d} over F_{p}")  # unreachable
 
 
-def _small_factor_sieve(p: int, d: int):
-    """A test whether x^d + sum t_i x^i (i < d) has a monic prime factor h of
-    degree k <= K over F_p, K <= d/2 the largest degree that keeps the k
-    coordinates of every such h within ``_SIEVE_COLUMNS`` in all.  Most
-    reducible candidates have one, and Rabin's test would reject them only
-    at its last step.
+def _small_factor_test(F, d: int):
+    """For the prime field F = F_p: a test whether x^d + sum t_i x^i (i < d),
+    given the array t, has a monic prime factor h of degree k <= K, K <= d/2
+    the largest degree that keeps the k coordinates of every such h within
+    ``_SIEVE_COLUMNS`` in all.  Most reducible polynomials have one,
+    and Rabin's test would reject them only at its last step.
 
     For each k, the rows x^i mod h (i <= d) for all h at once come from d
     steps of multiplication by x; the residue of a candidate is then its
     row of x^d plus one product of t with the rows below."""
-    prime = _prime_field(p)
+    p = F.char
     blocks, columns = [], 0
     for k in range(1, d // 2 + 1):
-        h = _monic_coords(prime, _irreducible_codes(prime, k), k)[:, :k, 0]
+        h = _monic_coords(F, _irreducible_codes(F, k), k)[:, :k, 0]
         columns += h.size
         if columns > _SIEVE_COLUMNS:
             break

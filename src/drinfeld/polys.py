@@ -40,13 +40,10 @@ The monic primes of one degree come from a sieve, not from a test per
 candidate: a bitmap over all q^deg monic codes marks the products of smaller
 primes with monic cofactors, formed in numpy batches of prime coordinates
 (``enumerate_monic_irreducibles``).  The package has one Rabin test, for
-polynomials over tower fields: ``rabin_irreducible``, which takes x^(Q^k)
-mod f as Q^k x for the one prime-coordinate matrix Q of the Q-power map
-(``frobenius_matrix``).  It serves single polynomials through
-``is_irreducible``, the residue fields with their own modulus (whose
-Frobenius the matrix then is), the tower's modulus search
-(``fields.lex_irreducible``) over the prime field, and the tests as the
-sieve's oracle.
+polynomials over tower fields: ``rabin_irreducible``, on the prime matrix of
+the Q-power map (``frobenius_matrix``).  It serves ``is_irreducible``, the
+residue fields with their own modulus, the tower's modulus search
+(``fields.lex_irreducible``), and the tests as the sieve's oracle.
 """
 
 from __future__ import annotations
@@ -414,16 +411,11 @@ def is_irreducible(f: Poly) -> bool:
 
 
 def _x_power_rows(F, g: np.ndarray, k: int) -> np.ndarray:
-    """The (d, d, e) array whose row i holds x^(ik) mod g, for a monic g of
-    degree d >= 1 over the tower field F given as a (d + 1) x e coordinate
-    array (e = [F : F_p]) and k >= 1.
-
-    Row i is the previous one times x^k, by the prime-linear matrix of
-    multiplication by x^k on F[x]/(g): its column for y^t x^j is
-    y^t x^(j + k) mod g, and those come from x^k (no reduction below degree
-    d, else one ``PolyModulus`` power) by d - 1 steps of multiplication by
-    x.  For k < d the matrix is a shift but for its top k blocks, so a
-    product costs O(d k e^2)."""
+    """The (d, d, e) array of x^(ik) mod g, i < d, for a monic g of degree
+    d >= 1 over the tower field F, as (d + 1) x e coordinates (e = [F : F_p]).
+    Each row is the one before times the prime matrix of multiplication by
+    x^k, whose columns y^t x^(j + k) mod g come from x^k by steps of
+    multiplication by x."""
     from .fields import PolyModulus  # deferred: fields imports this module
 
     d, p, e = len(g) - 1, F.char, F.degree
@@ -443,8 +435,7 @@ def _x_power_rows(F, g: np.ndarray, k: int) -> np.ndarray:
         nxt[1:] = cur[:-1]
         cur = (nxt + fold @ cur[-1]) % p
         rows.append(cur)
-    # blocks j < d - k of the matrix move x^j to x^(j + k), a shift of the
-    # low part, so only the top k blocks meet the product
+    # the blocks j < d - k only shift x^j to x^(j + k)
     low = max(d - k, 0) * e
     top = _columns(F, rows)[:, low:]
     cur = np.zeros(n, dtype=np.int64)
@@ -468,46 +459,35 @@ def _columns(F, rows) -> np.ndarray:
 
 
 def frobenius_matrix(F, g: np.ndarray) -> np.ndarray:
-    """The matrix of the Q-power map u -> u^Q of F[x]/(g), Q = |F|, for a
-    monic g of degree d >= 1 over the tower field F given as a (d + 1) x e
-    coordinate array (e = [F : F_p]).
-
-    The map is prime-linear, so on the d e prime coordinates (coordinate t
-    of the coefficient of x^i at i e + t) it is one matrix: y^t x^i goes to
-    y^t x^(iQ), since y^t lies in F (``_x_power_rows`` for the x^(iQ)).  At
-    e = 1 it is the p-power matrix of the field F_p[x]/(g) when g is
-    irreducible (``_FieldCtx.frob_p_matrix``)."""
+    """The prime matrix of u -> u^Q on F[x]/(g), Q = |F|, coordinate t of the
+    coefficient of x^i at i e + t: y^t x^i goes to y^t x^(iQ), as y^t lies in
+    F.  At e = 1, for g irreducible, it is the field's ``frob_p_matrix(1)``."""
     return _columns(F, _x_power_rows(F, g, F.order))
 
 
 def rabin_irreducible(F, g: np.ndarray, frob: np.ndarray | None = None) -> bool:
-    """Rabin's test for a monic g of degree d >= 2 over the tower field F,
-    given as a (d + 1) x [F : F_p] coordinate array: g is irreducible iff
-    g | x^(Q^d) - x and gcd(x^(Q^(d/l)) - x, g) = 1 for every prime l | d,
-    Q = |F| (Rabin, SIAM J. Comput. 9, 1980; von zur Gathen-Gerhard, Modern
-    Computer Algebra, §14.9).
-
-    x^(Q^k) mod g is Q^k x for the one matrix ``frobenius_matrix(F, g)``
-    (built here unless the caller passes it), a matrix-vector product per
-    k.  The gcds at the checkpoints d/l are taken only once g | x^(Q^d) - x
-    holds, since most reducible g fail that; each is ``poly_gcd``, a
-    coefficient loop over table fields."""
+    """Rabin's test for a monic g of degree d >= 2 over the tower field F, as
+    (d + 1) x [F : F_p] coordinates: g is irreducible iff g | x^(Q^d) - x and
+    gcd(x^(Q^(d/l)) - x, g) = 1 for every prime l | d, Q = |F| (Rabin, SIAM
+    J. Comput. 9, 1980).  x^(Q^k) mod g is Q^k x for Q =
+    ``frobenius_matrix(F, g)``, or the caller's ``frob``.  The gcds run only
+    once g | x^(Q^d) - x holds, which most reducible g fail."""
     d, p, e = len(g) - 1, F.char, F.degree
     if frob is None:
         frob = frobenius_matrix(F, g)
-    v = x = np.eye(d * e, dtype=np.int64)[e]
-    checkpoints = {d // ell for ell in int_prime_factors(d)}
-    minus_x = {}
-    for k in range(1, d + 1):
-        v = (frob @ v) % p
-        if k in checkpoints:
-            minus_x[k] = (v - x) % p
-    if not np.array_equal(v, x):
+    x = np.zeros(d * e, dtype=np.int64)
+    x[e] = 1
+    powers = [x]  # x^(Q^k) mod g, k = 0..d
+    for _ in range(d):
+        powers.append((frob @ powers[-1]) % p)
+    if not np.array_equal(powers[d], x):
         return False
     g_poly = Poly(F, F.array_elems(g))
-    return all(
-        poly_gcd(Poly(F, F.array_elems(h.reshape(d, e))), g_poly).is_one() for h in minus_x.values()
-    )
+    for ell in int_prime_factors(d):
+        h = (powers[d // ell] - x) % p
+        if not poly_gcd(Poly(F, F.array_elems(h.reshape(d, e))), g_poly).is_one():
+            return False
+    return True
 
 
 def int_prime_factors(n: int) -> list[int]:

@@ -161,6 +161,10 @@ def test_rabin_decides_where_no_residue_field_is_built(tower3):
         reduce_at(psi_small, (Ts * Ts + ones) * (Ts * Ts * Ts + Ts + Ts + ones))
     with pytest.raises(ResourceLimitError):
         reduce_at(psi_small, poly_from_text("T^5+2*T+1", small))
+    # above the table limit the residue field has its own modulus, under the same cap
+    capped = FieldTower(3, max_degree=8)
+    with pytest.raises(ResourceLimitError):
+        ResidueField(capped, poly_from_text("T^9+2*T^3+T^2+T+2", capped))
 
 
 def test_env_cap_override(monkeypatch, capsys):

@@ -59,13 +59,14 @@ def _draw(base, d: int, rng: random.Random) -> list[Poly]:
 
 
 def _cells():
-    """(tower, psi_T text, primes) per module and degree, primes drawn from a
-    generator seeded by the cell."""
+    """(tower, psi_T text, primes in degree order) per module, the primes of
+    each degree drawn from a generator seeded by the module and degree."""
     for q, degrees, psis in CELLS:
         tower = FieldTower(q)
         for text in psis:
-            for d in degrees:
-                yield tower, text, _draw(tower.base_field, d, random.Random(f"{q} {text} {d}"))
+            yield tower, text, [
+                p for d in degrees for p in _draw(tower.base_field, d, random.Random(f"{q} {text} {d}"))
+            ]
 
 
 def _lines(jobs: int) -> list[str]:

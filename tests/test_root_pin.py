@@ -122,6 +122,7 @@ def test_t_image_pinned(q, prime, code):
     assert res.ctx.fid.modulus == tuple(prime)
     assert res.t_image == tower.gen(res.ctx)
     assert res.ctx is not tower._fields.get(n)
+    assert res.lift(res.reduce(p * p + Poly.x(F))) == Poly.x(F)
     big = tower.field(n)
     root = lex_min_root(p, big, lambda c: tower.embed(c, big), "not prime")
     assert root.int_code() == code
