@@ -91,11 +91,18 @@ ZERO_LOG = -(1 << 40)  # the discrete log of 0 in Zech tables, negative after an
 @dataclass(frozen=True)
 class FieldId:
     """Canonical identity of a tower field: characteristic, degree over the
-    prime field, and the defining modulus (coefficients low-first)."""
+    prime field, and the defining modulus (coefficients low-first).  The
+    tower's maps are keyed by it on every embed, so its hash is kept."""
 
     char: int
     degree: int
     modulus: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.char, self.degree, self.modulus)))
+
+    def __hash__(self):
+        return self._hash
 
 
 # ---------------------------------------------------------------------------
