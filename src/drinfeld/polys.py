@@ -414,7 +414,8 @@ def _x_power_rows(F, g: np.ndarray, k: int) -> np.ndarray:
     """The (d, d, e) array of x^(ik) mod g, i < d, for a monic g of degree
     d >= 1 over the tower field F, as (d + 1) x e coordinates (e = [F : F_p]).
     Each row is the one before times the prime matrix of multiplication by
-    x^k, whose columns y^t x^(j + k) mod g come from x^k by steps of
+    x^k.  Its blocks j < d - k only shift x^j to x^(j + k); the others,
+    x^(j + k) mod g, come from x^d (or x^k for k >= d) by steps of
     multiplication by x."""
     from .fields import PolyModulus  # deferred: fields imports this module
 
@@ -423,21 +424,21 @@ def _x_power_rows(F, g: np.ndarray, k: int) -> np.ndarray:
     fold = F.mult_matrices((-g[:d]) % p)  # c x^d = -sum (c g_i) x^i
     cur = np.zeros((d, e), dtype=np.int64)
     if k < d:
-        cur[k, 0] = 1
+        cur[d - 1, 0] = 1
+        rows = []
     else:
         x = np.zeros((2, e), dtype=np.int64)
         x[1, 0] = 1
         xk = PolyModulus(F, g).pow(x, k)
         cur[: len(xk)] = xk
-    rows = [cur]
-    for _ in range(d - 1):
+        rows = [cur]
+    while len(rows) < min(k, d):
         nxt = np.zeros_like(cur)
         nxt[1:] = cur[:-1]
         cur = (nxt + fold @ cur[-1]) % p
         rows.append(cur)
-    # the blocks j < d - k only shift x^j to x^(j + k)
-    low = max(d - k, 0) * e
-    top = _columns(F, rows)[:, low:]
+    low = n - len(rows) * e
+    top = _columns(F, rows)
     cur = np.zeros(n, dtype=np.int64)
     cur[0] = 1
     out = [cur]
@@ -450,12 +451,12 @@ def _x_power_rows(F, g: np.ndarray, k: int) -> np.ndarray:
 
 
 def _columns(F, rows) -> np.ndarray:
-    """For d elements rows[j] of F[x]/(g), d x e coordinate arrays: the
-    d e x d e prime matrix whose column j e + t holds y^t rows[j]."""
+    """For m elements rows[j] of F[x]/(g), d x e coordinate arrays: the
+    d e x m e prime matrix whose column j e + t holds y^t rows[j]."""
     rows = np.asarray(rows)
-    d, e = rows.shape[1:]
-    mats = F.mult_matrices(rows.reshape(-1, e)).reshape(d, d, e, e)
-    return mats.transpose(1, 2, 0, 3).reshape(d * e, d * e)
+    m, d, e = rows.shape
+    mats = F.mult_matrices(rows.reshape(-1, e)).reshape(m, d, e, e)
+    return mats.transpose(1, 2, 0, 3).reshape(d * e, m * e)
 
 
 def frobenius_matrix(F, g: np.ndarray) -> np.ndarray:
