@@ -23,7 +23,8 @@ these functions in every ``drinfeld`` namespace that binds them:
 - ``root table``: ``fields.orbit_roots``, the one walk over the Frobenius
   orbits of F_(q^n) that builds that table, inside the first record of
   each degree;
-- ``Weil route``: ``invariants.weil_motive``;
+- ``Weil route``: ``invariants.weil_motive``, which reads the Weil
+  polynomial off the matrix Pi of pi on the Anderson motive at T = t;
 - ``skew identity``: ``invariants.weil_identity_holds``, inside the route;
 - ``rank-2 invariants``: ``invariants.rank2_invariants_reduced`` without
   the motive stages it calls, i.e. d = a_p^2 - 4 u_p p, the squarefree test
@@ -31,8 +32,12 @@ these functions in every ``drinfeld`` namespace that binds them:
 - ``module structure``: ``division.module_structure_reduced``, the closed
   form the oracle checks;
 - ``structure oracle``: ``torsion.module_structure_oracle_reduced``;
-- ``motive Frobenius``: ``modules.motive_frobenius``, the matrix Pi of pi
-  over F_p[T];
+- ``motive Frobenius``: ``modules.motive_frobenius``, Pi with entries in
+  F_p[T].  A reduction runs the recurrence that builds Pi
+  (``modules.motive_recurrence``) once and caches it, so its time goes to
+  whichever of ``Weil route`` and ``motive Frobenius`` asks first: on a
+  survey record the Weil route, which leaves ``motive Frobenius`` only the
+  conversion of the cached array to polynomials;
 - ``motive invariants``: ``invariants.motive_invariant_factors`` without the
   matrix Pi, i.e. the powers of Pi and their Smith form.  The two motive
   stages run on every record in rank >= 3, and in rank 2 only where d is

@@ -386,7 +386,7 @@ class _FieldCtx:
         self.tower = tower
         self.fid = fid
         self.char = fid.char
-        self.degree = fid.degree
+        self.degree = n = fid.degree
         self.order = fid.char**fid.degree
         self.modulus = np.array(fid.modulus, dtype=np.int64)
         self._red = _reduction_rows(self.modulus, self.char)
@@ -397,7 +397,8 @@ class _FieldCtx:
         self._zech = None
         self._logs = None
         self._roots = None
-        self._toeplitz = None
+        # gather index of the Toeplitz matrices of products (``_toeplitz_of``)
+        self._toeplitz = n - 1 + np.arange(2 * n - 1) - np.arange(n)[:, None]
         table = self.order <= TABLE_LIMIT
         if table:
             self._build_tables()
@@ -595,11 +596,8 @@ class _FieldCtx:
 
     def _toeplitz_of(self, c) -> np.ndarray:
         """The n x (2n - 1) matrix whose row j holds the coordinates of
-        c*y^j in F_p[y], unreduced, gathered through an index built on first
-        use."""
+        c*y^j in F_p[y], unreduced, gathered through ``_toeplitz``."""
         n = self.degree
-        if self._toeplitz is None:
-            self._toeplitz = n - 1 + np.arange(2 * n - 1) - np.arange(n)[:, None]
         padded = np.zeros(3 * n - 2, dtype=np.int64)
         padded[n - 1 : 2 * n - 1] = c
         return padded[self._toeplitz]
@@ -692,7 +690,6 @@ class _FieldCtx:
         """``mult_matrix`` of every row of an N x degree coordinate array, as
         one N x degree x degree array."""
         n = self.degree
-        self._toeplitz_of(self.zero_coords())  # builds self._toeplitz on first use
         padded = np.zeros((len(coords), 3 * n - 2), dtype=np.int64)
         padded[:, n - 1 : 2 * n - 1] = coords
         rows = self._fold(padded[:, self._toeplitz].reshape(-1, 2 * n - 1))

@@ -3,20 +3,20 @@ b_p and discriminant delta_p, the invariant factors b_1 | ... | b_(r-1) of
 End(psi x F_p) over A[pi], and the endomorphism lattice.
 
 The Weil polynomial of every rank takes one route, ``weil_motive``: the
-characteristic polynomial of Frobenius on the Anderson motive, evaluated at
-T = t as an O(n r^2) recurrence over F_p = A/p whose rank-2 case is Gekeler's
-coefficient recursion.  The skew identity P(tau^deg p) = 0 certifies every
-polynomial it returns, and ``weil_general`` (torsion Frobenius matrices glued
-by CRT) stays as the tests' independent oracle.  The invariant factors come
-from the matrix of Frobenius on the same motive over F_p[T] and one Smith
-normal form (``motive_invariant_factors``); ``b_invariants`` is the one place
-that picks their route.  In rank 2, b_p^2 divides d = a_p^2 - 4 u_p p in
-every characteristic, so a squarefree d proves b_p = 1 and the Smith form is
-taken only otherwise; the conductor loop (factoring d, then skew
-right-division membership) is the tests' oracle ``conductor_b_p``.  The
-endomorphism lattice is the b's second route: ``--full-checks``,
-``disc_check`` and the tests run it, the survey does not.  The cross-checks
-are part of the acceptance gate."""
+characteristic polynomial of Frobenius on the Anderson motive, read at T = t
+off the matrix Pi that the reduction builds once by the window recurrence of
+``modules.motive_recurrence`` (derived there).  The skew identity
+P(tau^deg p) = 0 certifies every polynomial it returns, and ``weil_general``
+(torsion Frobenius matrices glued by CRT) stays as the tests' independent
+oracle.  The invariant factors come from the same Pi over F_p[T] and one
+Smith normal form (``motive_invariant_factors``); ``b_invariants`` is the
+one place that picks their route.  In rank 2, b_p^2 divides
+d = a_p^2 - 4 u_p p in every characteristic, so a squarefree d proves
+b_p = 1 and the Smith form is taken only otherwise; the conductor loop
+(factoring d, then skew right-division membership) is the tests' oracle
+``conductor_b_p``.  The endomorphism lattice is the b's second route:
+``--full-checks``, ``disc_check`` and the tests run it, the survey does
+not.  The cross-checks are part of the acceptance gate."""
 
 from __future__ import annotations
 
@@ -166,42 +166,24 @@ def _checked_weil(red: ReducedModule, coeffs: list[Poly], unit: FFElem) -> WeilP
 
 
 def weil_motive(red: ReducedModule) -> WeilPolynomial:
-    """Weil polynomial det(x - pi) of Frobenius on the Anderson motive, with
-    pi = A^(n-1) .. A^(1) A (``modules.motive_frobenius``) evaluated at T = t.
+    """Weil polynomial det(x - Pi) of Frobenius on the Anderson motive, from
+    Pi at T = t (``modules.motive_recurrence``), i.e. mod p.
 
-    Rows 0..r-2 of A shift and its last row is (T - t, -g_1, .., -g_(r-1)) /
-    g_r, so the rows of A^(k-1) .. A are the window R_k .. R_(k+r-1) of one
-    sequence: R_0 .. R_(r-1) are the unit rows and, at T = t,
-    g_r^(q^k) R_(k+r) = (t - t^(q^k)) R_k - sum_l g_l^(q^k) R_(k+l).  Every
-    R_k with k >= 1 starts with 0, so det(x - pi(t)) = x det(x - B) for the
-    block B of pi(t) on rows and columns 1..r-1.  The window keeps those
-    columns and is multiplied by g_r^(q^k) at each step instead of dividing,
-    so it ends as N(g_r) times the rows of pi(t).  For j >= 1, deg c_j <=
-    (r - j) n / r < n (the Riemann hypothesis), so c_j is the lift of c_j(t);
-    c_0 = u p with u = (-1)^(r + n (r-1)) / N(g_r).  The skew identity
-    certifies the result.
+    At T = t, R_r = (t - t) R_0 - .. starts with 0, and so does every R_k
+    with k >= 1, so det(x - Pi(t)) = x det(x - B) for the block B of Pi(t) on
+    rows and columns 1..r-1.  For j >= 1, deg c_j <= (r - j) n / r < n (the
+    Riemann hypothesis), so c_j is the lift of c_j(t); c_0 = u p with
+    u = (-1)^(r + n (r-1)) / N(g_r).  The skew identity certifies the result.
     """
-    tower, ctx, r, n = red.source.tower, red.ctx, red.rank, red.deg_p
-    t, *g = red.psibar_T.coeffs  # t, g_1 .. g_r
-    zero, one = ctx.zero_elem(), ctx.one_elem()
-    rows = [[one if i == j else zero for i in range(1, r)] for j in range(r)]
-    tk, norm = t, one
-    for _ in range(n):
-        new = [(t - tk) * x for x in rows[0]]
-        for gl, row in zip(g, rows[1:]):
-            new = [a - gl * b for a, b in zip(new, row)]
-        rows = [[x * g[-1] for x in row] for row in rows[1:]] + [new]
-        norm = norm * g[-1]
-        tk = tower.frobenius_power(tk, 1)
-        g = [tower.frobenius_power(x, 1) for x in g]
-    ninv = tower.project(norm, red.source.base).inv()
+    ctx, r, n, t = red.ctx, red.rank, red.deg_p, red.psibar_T.coeffs[0]
+    rows, ninv = red.motive
+    block = [[Poly(ctx, ctx.array_elems(x)).eval(t) for x in row[1:]] for row in rows[1:]]
     unit = -ninv if (r + n * (r - 1)) % 2 else ninv
     coeffs = [red.prime.scale(unit)]
-    scale, block = tower.embed(-ninv, ctx), rows[1:]
-    for s in range(r - 1, 0, -1):  # c_(r-s)(t) = (-1/N(g_r))^s (sum of the s-minors)
-        minors = (ring_det([[block[u][v] for v in c] for u in c])
-                  for c in combinations(range(r - 1), s))
-        c = red.residue.lift(sum(minors, zero) * scale**s)
+    for s in range(r - 1, 0, -1):  # c_(r-s)(t) = (-1)^s (sum of the s-minors of B)
+        minors = sum((ring_det([[block[u][v] for v in c] for u in c])
+                      for c in combinations(range(r - 1), s)), ctx.zero_elem())
+        c = red.residue.lift(-minors if s % 2 else minors)
         if r * c.degree() > s * n:
             raise DrinfeldError("Riemann hypothesis bound violated; this is an implementation bug")
         coeffs.append(c)

@@ -33,6 +33,9 @@ root a minimal polynomial of degree n, a factor of p.  So the residue field
 is the prime test of a reduction; a reducible p raises NotIrreducibleError
 there.  Beyond that Rabin's test runs only when p divides g_r, or when F_p
 would exceed the tower cap.
+
+A reduction caches the matrix of Frobenius on its Anderson motive
+(``motive_recurrence``) for the Weil polynomial, the b's and torsion.
 """
 
 from __future__ import annotations
@@ -239,6 +242,11 @@ class ReducedModule:
         psibar_T (``skew.left_blocks``), built on first use."""
         return left_blocks(self.ctx, self.psibar_T.array())
 
+    @cached_property
+    def motive(self) -> tuple[np.ndarray, FFElem]:
+        """``motive_recurrence``: Pi's rows and N(g_r)^-1, built on first use."""
+        return motive_recurrence(self)
+
     def psibar_array(self, a: Poly) -> np.ndarray:
         """psibar_a as a prime-coordinate array, by Horner on
         acc <- psibar_T acc + a_k (A is commutative)."""
@@ -262,8 +270,9 @@ class ReducedModule:
         return self.source.tower.embed(c, self.residue.ctx)
 
 
-def motive_frobenius(red: ReducedModule) -> list[list[Poly]]:
-    """Matrix of pi = tau^(deg p) on the Anderson motive, entries in F_p[T].
+def motive_recurrence(red: ReducedModule) -> tuple[np.ndarray, FFElem]:
+    """The rows of the matrix Pi of pi = tau^(deg p) on the Anderson motive,
+    an (r, r, T-degree, prime coordinate) array, and N(g_r)^-1 in F_q.
 
     M = F_p{tau} is free over F_p[T] on 1, tau, .., tau^(r-1), T acting by
     right multiplication by psibar_T.  Row j of A holds tau * tau^j, and
@@ -274,34 +283,41 @@ def motive_frobenius(red: ReducedModule) -> list[list[Poly]]:
     shift, so the rows of A^(k-1) .. A are the window R_k .. R_(k+r-1) of
     one sequence that starts with the unit rows and continues as
     g_r^(q^k) R_(k+r) = (T - t^(q^k)) R_k - sum_l g_l^(q^k) R_(k+l).
-
-    ``invariants.weil_motive`` runs the same recurrence at T = t only; the
-    matrix over F_p[T] serves ``invariants.motive_invariant_factors`` (the
-    b's), ``torsion._splitting_degree`` and the tests.
+    deg R_k <= k // r, so Pi fits D = (n + r - 1) // r + 1 T-degrees.  The
+    product of the q-power orbit of 1/g_r is N(g_r)^-1.
     """
     tower, ctx, r, n = red.source.tower, red.ctx, red.rank, red.deg_p
     m, p0 = ctx.degree, ctx.char
-    # step k multiplies by h^(q^k) for h = t/g_r, g_1/g_r, .., g_(r-1)/g_r
-    # and 1/g_r: the orbits under the q-power map, then all their matrices
-    # M(h^(q^k))^T at once
+    # step k multiplies by h^(q^k) for h = -t/g_r, -g_1/g_r, .., -g_(r-1)/g_r
+    # and 1/g_r: the q-power orbits, then one stack of M(h^(q^k))^T per step
     t, *g = red.psibar_T.coeffs
     inv = g[-1].inv()
-    orbit = np.zeros((n, r + 1, m), dtype=np.int64)
-    orbit[0] = [(x * inv).coords for x in [t, *g[:-1]]] + [inv.coords]
+    orbit = np.empty((n, r + 1, m), dtype=np.int64)
+    orbit[0] = [(-(x * inv)).coords for x in (t, *g[:-1])] + [inv.coords]
     frob = ctx.frob_p_matrix(tower.base_degree).T
     for k in range(1, n):
         orbit[k] = (orbit[k - 1] @ frob) % p0
-    mats = ctx.mult_matrices(orbit.reshape(-1, m)).reshape(n, r + 1, m, m).swapaxes(2, 3)
-    # rows[j, i] is entry i of R_(k+j), a (T-degree) x (prime coordinate)
-    # array; deg R_k <= k // r, so the rows of pi fit (n + r - 1) // r + 1
-    rows = np.zeros((r, r, (n + r - 1) // r + 1, m), dtype=np.int64)
-    rows[np.arange(r), np.arange(r), 0, 0] = 1
+    mats = ctx.mult_matrices(orbit.reshape(-1, m)).swapaxes(1, 2).reshape(n, (r + 1) * m, m)
+    # columns j m .. (j + 1) m - 1 hold R_j, row 1 + i (D + 1) + d the T^d
+    # coefficient of entry i; rows 0 and 1 + i (D + 1) + D stay 0, so seq[:-1] is T seq[1:]
+    D = (n + r - 1) // r + 1
+    seq = np.zeros((1 + r * (D + 1), (n + r) * m), dtype=np.int64)
+    seq[1 :: D + 1, : r * m : m] = np.eye(r, dtype=np.int64)  # R_0 .. R_(r-1)
+    norm_inv, mw, mr = orbit[0, r], mats[:, : r * m], mats[:, r * m :]
     for k in range(n):
         # an entry sums r + 1 products of two residues, below (r + 1) m p^2
-        new = -(rows @ mats[k, :r, None]).sum(axis=0)
-        new[:, 1:] += rows[0, :, :-1] @ mats[k, r]
-        rows = np.concatenate([rows[1:], (new % p0)[None]])
-    return [[Poly(ctx, ctx.array_elems(x)) for x in row] for row in rows]
+        new = seq[1:, k * m : (k + r) * m] @ mw[k] + seq[:-1, k * m : (k + 1) * m] @ mr[k]
+        seq[1:, (k + r) * m : (k + r + 1) * m] = new % p0
+        if k:
+            norm_inv = (norm_inv @ mr[k]) % p0
+    rows = seq[1:, n * m :].reshape(r, D + 1, r, m)[:, :D].transpose(2, 0, 1, 3)
+    return rows, tower.project(FFElem(ctx, tuple(norm_inv.tolist())), red.source.base)
+
+
+def motive_frobenius(red: ReducedModule) -> list[list[Poly]]:
+    """Pi with entries in F_p[T] (``ReducedModule.motive``), for the b's,
+    the splitting degree of torsion and the tests."""
+    return [[Poly(red.ctx, red.ctx.array_elems(x)) for x in row] for row in red.motive[0]]
 
 
 def reduce_at(psi: DrinfeldModule, p: Poly) -> ReducedModule:

@@ -668,11 +668,23 @@ def test_weil_motive_matches_motive_minor_sum(q):
     check()
 
 
-@pytest.mark.parametrize("psi", ["T+1*t+1*t^2", "T+1*t+T*t^2+1*t^3"])
-def test_weil_motive_matches_motive_minor_sum_above_table_limit(psi):
-    """F_(3^10) computes on coordinates, not on logs."""
-    tower = FieldTower(3, max_degree=64)
-    red = reduce_at(module_from_text(psi, tower), poly_from_text("T^10+2*T^6+2*T^5+2*T^4+T+2", tower))
+@pytest.mark.parametrize(
+    "q,prime,psi",
+    [
+        pytest.param(3, "T^10+2*T^6+2*T^5+2*T^4+T+2", psi, id=psi)
+        for psi in ("T+1*t+1*t^2", "T+1*t+T*t^2+1*t^3")
+    ]
+    + [
+        pytest.param(4, "T^8+T^3+T+z", psi, id=f"F4^8-{psi}")
+        for psi in ("T+1*t+1*t^2", "T+1*t+T*t^2+1*t^3")
+    ],
+)
+def test_weil_motive_matches_motive_minor_sum_above_table_limit(q, prime, psi):
+    """F_(3^10), the prime-q residue field's own modulus, and F_(4^8) = F_(2^16),
+    whose T-image ``polys.lex_min_root`` finds, compute on coordinates, not
+    on logs."""
+    tower = FieldTower(q, max_degree=64)
+    red = reduce_at(module_from_text(psi, tower), poly_from_text(prime, tower))
     assert red.ctx.order > TABLE_LIMIT
     _assert_matches_minor_sum(red)
 

@@ -63,9 +63,10 @@ def _count_calls(monkeypatch, module, name: str) -> list[int]:
 def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
     """An odd-q rank-2 record reduces at p once and builds each invariant
     once.  Its b_p never takes the conductor loop: no ``factorize``,
-    ``squarefree_split`` or skew right-division.  The split prime has b_p =
-    T, so d is not squarefree and b_p comes from the motive matrix over
-    F_p[T]; the nonsplit prime has a squarefree d and needs no matrix."""
+    ``squarefree_split`` or skew right-division.  Both run the motive
+    recurrence once.  The split prime has b_p = T, so d is not squarefree
+    and b_p comes from the motive matrix over F_p[T]; the nonsplit prime has
+    a squarefree d and needs no matrix over F_p[T]."""
     from drinfeld import invariants, modules, polys, skew
 
     tower = FieldTower(3, max_degree=64)
@@ -78,6 +79,7 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
         "rank2_invariants_reduced": _count_calls(monkeypatch, invariants, "rank2_invariants_reduced"),
         "weil_rank2_reduced": _count_calls(monkeypatch, invariants, "weil_rank2_reduced"),
         "weil_identity_holds": _count_calls(monkeypatch, invariants, "weil_identity_holds"),
+        "motive_recurrence": _count_calls(monkeypatch, modules, "motive_recurrence"),
         "motive_frobenius": _count_calls(monkeypatch, modules, "motive_frobenius"),
         "factorize": _count_calls(monkeypatch, polys, "factorize"),
         "squarefree_split": _count_calls(monkeypatch, polys, "squarefree_split"),
@@ -87,8 +89,9 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
     assert rec.skipped is None and not rec.warnings
     assert rec.splits_abhyankar is split
     assert rec.b_invariants == (["T"] if split else ["1"])
-    # the residue field proves p prime, so Rabin's test never runs, and the
-    # Weil route forms pi at T = t without the motive matrix over F_p[T]
+    # the residue field proves p prime, so Rabin's test never runs; the Weil
+    # route reads Pi at T = t off the one recurrence, and only the split
+    # prime's b_p converts Pi to entries in F_p[T]
     assert {k: c[0] for k, c in counts.items()} == {
         **dict.fromkeys(counts, 1), "is_irreducible": 0, "motive_frobenius": int(split),
         "factorize": 0, "squarefree_split": 0, "skew_right_divmod": 0,
@@ -120,8 +123,9 @@ def test_q5_record_reads_its_t_image_from_the_root_table(monkeypatch):
 
 def test_rank3_record_takes_the_motive_route(monkeypatch):
     """A rank-3 record reduces at p once, checks the skew identity once,
-    builds the F_p[T] motive matrix once (for its b's) and never reaches the
-    endomorphism lattice, torsion or CRT."""
+    runs the motive recurrence once for both its Weil polynomial and its
+    b's, converts the matrix to F_p[T] once (for the b's) and never reaches
+    the endomorphism lattice, torsion or CRT."""
     from drinfeld import invariants, modules, polys, torsion
 
     tower = FieldTower(2, max_degree=64)
@@ -131,6 +135,7 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
         "reduce_at": _count_calls(monkeypatch, modules, "reduce_at"),
         "weil_motive": _count_calls(monkeypatch, invariants, "weil_motive"),
         "weil_identity_holds": _count_calls(monkeypatch, invariants, "weil_identity_holds"),
+        "motive_recurrence": _count_calls(monkeypatch, modules, "motive_recurrence"),
         "motive_frobenius": _count_calls(monkeypatch, modules, "motive_frobenius"),
         "end_lattice_reduced": _count_calls(monkeypatch, invariants, "end_lattice_reduced"),
         "weil_general": _count_calls(monkeypatch, invariants, "weil_general"),
@@ -141,8 +146,8 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
     assert rec.skipped is None and not rec.warnings
     assert rec.b_invariants == ["1", "T+1"]
     assert {k: c[0] for k, c in counts.items()} == {
-        "reduce_at": 1, "weil_motive": 1, "weil_identity_holds": 1, "motive_frobenius": 1,
-        "end_lattice_reduced": 0, "weil_general": 0, "torsion_basis_reduced": 0, "crt": 0,
+        "reduce_at": 1, "weil_motive": 1, "weil_identity_holds": 1, "motive_recurrence": 1,
+        "motive_frobenius": 1, "end_lattice_reduced": 0, "weil_general": 0, "torsion_basis_reduced": 0, "crt": 0,
     }
 
 
