@@ -18,8 +18,9 @@ these functions in every ``drinfeld`` namespace that binds them:
   F_q[x]/(p) (prime q above the table limit, whose Frobenius matrix
   ``polys.frobenius_matrix`` is built here) or ``polys.lex_min_root``
   (q = p^e > p above the limit); -p_0 at degree 1;
-- ``prime test``: ``polys.rabin_irreducible``, Rabin's test, which certifies
-  the own modulus of a residue field;
+- ``prime test``: ``polys.rabin_irreducible``, Rabin's first condition
+  Q^d x = x plus Berlekamp's rank of Q - I on the q-power matrix Q, which
+  certifies the own modulus of a residue field;
 - ``root table``: ``fields.orbit_roots``, the one walk over the Frobenius
   orbits of F_(q^n) that builds that table, inside the first record of
   each degree;
@@ -33,15 +34,14 @@ these functions in every ``drinfeld`` namespace that binds them:
   form the oracle checks;
 - ``structure oracle``: ``torsion.module_structure_oracle_reduced``;
 - ``motive Frobenius``: ``modules.motive_frobenius``, Pi with entries in
-  F_p[T].  A reduction runs the recurrence that builds Pi
+  F_p[T], for torsion and the tests; it no longer runs on survey records.
+  A reduction runs the recurrence whose windows are Pi, .., Pi^(r-1)
   (``modules.motive_recurrence``) once and caches it, so its time goes to
-  whichever of ``Weil route`` and ``motive Frobenius`` asks first: on a
-  survey record the Weil route, which leaves ``motive Frobenius`` only the
-  conversion of the cached array to polynomials;
+  the stage that asks first: on a survey record the Weil route;
 - ``motive invariants``: ``invariants.motive_invariant_factors`` without the
-  matrix Pi, i.e. the powers of Pi and their Smith form.  The two motive
-  stages run on every record in rank >= 3, and in rank 2 only where d is
-  not squarefree;
+  recurrence, i.e. the Smith form of the matrix of the recurrence's
+  windows.  It runs on every record in rank >= 3, and in rank 2 only where
+  d is not squarefree;
 - ``endomorphism lattice``: ``invariants.end_lattice_reduced``, the b's
   second route, which only ``--full-checks`` reaches;
 - ``Abhyankar``: ``division.abhyankar_splits_reduced``, whose split test

@@ -8,6 +8,7 @@ the field tower's degree cap (default 64).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import signal
@@ -252,23 +253,17 @@ def _cmd_survey(args) -> int:
     )
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
+        # a field with a comma (an error warning, say) is quoted
+        writer = csv.writer(sink, lineterminator="\n")
         if args.format == "csv":
-            print(",".join(CSV_COLUMNS), file=sink)
+            writer.writerow(CSV_COLUMNS)
         for rec in run_survey(psi, degrees, options):
             d = rec.to_dict()
             if args.format == "json":
                 print(json.dumps(d, sort_keys=False), file=sink)
-            else:
-                row = []
-                for col in CSV_COLUMNS:
-                    v = d[col]
-                    if isinstance(v, list):
-                        row.append(";".join(str(x) for x in v))
-                    elif v is None:
-                        row.append("")
-                    else:
-                        row.append(str(v))
-                print(",".join(row), file=sink)
+            else:  # the writer writes None as ""
+                writer.writerow(";".join(map(str, v)) if isinstance(v, list) else v
+                                for v in d.values())
     except StrictModeError as exc:
         print(f"survey aborted: {exc}", file=sys.stderr)
         return 2

@@ -34,8 +34,11 @@ table limit, polynomial products, division and gcd run on these arrays
 too: a scalar times an array is one matmul by the scalar's Toeplitz matrix,
 and the gcd takes pseudo-remainders, so it inverts one field element in
 all.  The moduli come from ``lex_irreducible``: candidates without a prime
-factor of small degree take Rabin's test (``polys.rabin_irreducible``, on
-one Frobenius matrix per candidate) over the prime field.
+factor of small degree take the prime test (``polys.rabin_irreducible``:
+Rabin's first condition, then Berlekamp's rank of Q - I, on one Frobenius
+matrix Q per candidate) over the prime field.  Every field's p-power
+matrix comes from the same builder, ``polys.frobenius_matrix`` over the
+prime field.
 
 Wherever a deterministic element choice is needed (embedding roots, torsion
 generators), elements are ordered by their integer codes sum(c_i * p^i).
@@ -79,6 +82,7 @@ from .polys import (
     Poly,
     _irreducible_codes,
     _monic_coords,
+    frobenius_matrix,
     int_prime_factors,
     lex_min_root,
     rabin_irreducible,
@@ -238,7 +242,7 @@ def lex_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Lex-smallest monic irreducible of degree d over F_p, low-first tuple:
     the first candidate with a nonzero constant term, by the code of its
     coefficients c_(d-1)..c_0 read from the top, with no small prime factor
-    (``_small_factor_test``) that passes Rabin's test
+    (``_small_factor_test``) that passes the prime test
     (``polys.rabin_irreducible``) over the prime field."""
     if d == 1:
         return (0, 1)
@@ -263,7 +267,7 @@ def _small_factor_test(F, d: int):
     given the array t, has a monic prime factor h of degree k <= K, K <= d/2
     the largest degree that keeps the k coordinates of every such h within
     ``_SIEVE_COLUMNS`` in all.  Most reducible polynomials have one,
-    and Rabin's test would reject them only at its last step.
+    and the prime test would reject them only after its d Frobenius steps.
 
     For each k, the rows x^i mod h (i <= d) for all h at once come from d
     steps of multiplication by x; the residue of a candidate is then its
@@ -293,7 +297,8 @@ def _small_factor_test(F, d: int):
 
 @lru_cache(maxsize=None)
 def _prime_field(p: int) -> "_FieldCtx":
-    """The prime field F_p that the modulus search tests candidates over."""
+    """The prime field F_p that the modulus search tests candidates over, and
+    over which every field's p-power matrix is built."""
     return FieldTower(p).base_field
 
 
@@ -659,26 +664,17 @@ class _FieldCtx:
         return self.scale(a, np.array(self.inv(tuple(a[-1].tolist())), dtype=np.int64))
 
     def frob_p_matrix(self, k: int) -> np.ndarray:
-        """Matrix of x -> x^(p^k) as a prime-linear map on coordinates."""
-        d = self.degree
-        k = k % d
+        """Matrix of x -> x^(p^k) as a prime-linear map on coordinates, the
+        k-th power of the p-power matrix of F_p[x]/(m) (``polys.frobenius_matrix``)."""
+        k = k % self.degree
         with self._lock:
-            if k in self._frob_cache:
-                return self._frob_cache[k]
-            if k == 0:
-                m = np.eye(d, dtype=np.int64)
-            else:
-                if 1 not in self._frob_cache:
-                    # column j is (x^p)^j
-                    xp = self.mult_matrix(self.pow(self.x_coords(), self.char))
-                    m1 = np.zeros((d, d), dtype=np.int64)
-                    m1[0, 0] = 1
-                    for j in range(1, d):
-                        m1[:, j] = xp @ m1[:, j - 1] % self.char
-                    self._frob_cache[1] = m1
-                m = linalg.matpow(self._frob_cache[1], k, self.char) if k > 1 else self._frob_cache[1]
-            self._frob_cache[k] = m
-            return m
+            if k not in self._frob_cache:
+                if k and 1 not in self._frob_cache:
+                    prime = _prime_field(self.char)
+                    self._frob_cache[1] = frobenius_matrix(prime, self.modulus[:, None])
+                self._frob_cache[k] = (linalg.matpow(self._frob_cache[1], k, self.char) if k
+                                       else np.eye(self.degree, dtype=np.int64))
+            return self._frob_cache[k]
 
     def mult_matrix(self, coords) -> np.ndarray:
         """Matrix of y -> c*y over the prime field: column j is c*y^j, the

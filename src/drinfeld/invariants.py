@@ -38,7 +38,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .fields import FFElem
-from .modules import DrinfeldModule, ReducedModule, motive_frobenius, reduce_at
+from .modules import DrinfeldModule, ReducedModule, reduce_at
 from .polys import (
     Poly,
     crt,
@@ -176,8 +176,8 @@ def weil_motive(red: ReducedModule) -> WeilPolynomial:
     u = (-1)^(r + n (r-1)) / N(g_r).  The skew identity certifies the result.
     """
     ctx, r, n, t = red.ctx, red.rank, red.deg_p, red.psibar_T.coeffs[0]
-    rows, ninv = red.motive
-    block = [[Poly(ctx, ctx.array_elems(x)).eval(t) for x in row[1:]] for row in rows[1:]]
+    powers, ninv = red.motive
+    block = [[Poly(ctx, ctx.array_elems(x)).eval(t) for x in row[1:]] for row in powers[0, 1:]]
     unit = -ninv if (r + n * (r - 1)) % 2 else ninv
     coeffs = [red.prime.scale(unit)]
     for s in range(r - 1, 0, -1):  # c_(r-s)(t) = (-1)^s (sum of the s-minors of B)
@@ -632,8 +632,8 @@ def _coords(x: np.ndarray, counts: list[int], red: ReducedModule) -> list[Poly]:
 
 
 def motive_invariant_factors(red: ReducedModule) -> InvariantFactors:
-    """b_1 | ... | b_{r-1} from the matrix Pi of pi on the Anderson motive
-    (``modules.motive_frobenius``), with no endomorphism lattice.
+    """b_1 | ... | b_{r-1} from the powers of the matrix Pi of pi on the
+    Anderson motive (``ReducedModule.motive``), with no endomorphism lattice.
 
     Anderson's functor is fully faithful, so End(psi x F_p) is the set of x in
     F(pi) with x M in M, M = F_p{tau} free of rank r over F_p[T].  Tensoring
@@ -642,19 +642,17 @@ def motive_invariant_factors(red: ReducedModule) -> InvariantFactors:
     Subtracting the row of entry (0, 0) from those of (i, i) makes vec(I) the
     unit vector at (0, 0), so the b's are the Smith invariants of the
     (r^2 - 1) x (r - 1) matrix of the entries Pi^j_ik (i != k) and Pi^j_ii -
-    Pi^j_00 (i >= 1), j = 1..r-1.  Each factor is projected to A coefficient
-    by coefficient, which raises unless it lies in F_q[T].
+    Pi^j_00 (i >= 1), j = 1..r-1.  Pi^j is a window of the motive recurrence,
+    so the matrix is formed on arrays and becomes polynomials only for the
+    Smith form.  Each factor is projected to A coefficient by coefficient,
+    which raises unless it lies in F_q[T].
     """
-    tower, r = red.source.tower, red.rank
-    pi = motive_frobenius(red)
-    zero = Poly.zero(red.ctx)
-    powers, cur = [pi], pi
-    for _ in range(r - 2):
-        cur = [[sum((cur[i][l] * pi[l][k] for l in range(r)), zero) for k in range(r)]
-               for i in range(r)]
-        powers.append(cur)
-    rows = [[x[i][k] for x in powers] for i in range(r) for k in range(r) if i != k]
-    rows += [[x[i][i] - x[0][0] for x in powers] for i in range(1, r)]
+    tower, ctx, r = red.source.tower, red.ctx, red.rank
+    powers = red.motive[0]
+    i, k = np.nonzero(~np.eye(r, dtype=bool))
+    diag = (powers[:, range(1, r), range(1, r)] - powers[:, :1, 0]) % ctx.char
+    entries = np.concatenate([powers[:, i, k], diag], axis=1).swapaxes(0, 1)
+    rows = [[Poly(ctx, ctx.array_elems(x)) for x in row] for row in entries]
     try:
         factors = smith_normal_form(rows)
     except SingularMatrixError:

@@ -25,17 +25,18 @@ through a cached change-of-basis matrix, so reductions round-trip exactly.
 
 Every route certifies that p is prime.  The table's keys are exactly the
 minimal polynomials of the orbits of n elements, the monic irreducibles of
-degree n, so a p that is no key is reducible.  The own modulus takes Rabin's
-test (``polys.rabin_irreducible``) on the field's q-power matrix, which
-then serves as its Frobenius.  The root search's split test makes p
+degree n, so a p that is no key is reducible.  The own modulus takes the
+prime test (``polys.rabin_irreducible``) on the field's q-power matrix,
+which then serves as its Frobenius.  The root search's split test makes p
 squarefree with its roots in F_p, and an orbit of exactly n roots gives the
 root a minimal polynomial of degree n, a factor of p.  So the residue field
 is the prime test of a reduction; a reducible p raises NotIrreducibleError
-there.  Beyond that Rabin's test runs only when p divides g_r, or when F_p
-would exceed the tower cap.
+there.  Beyond that the prime test runs only when p divides g_r, or when
+F_p would exceed the tower cap.
 
-A reduction caches the matrix of Frobenius on its Anderson motive
-(``motive_recurrence``) for the Weil polynomial, the b's and torsion.
+A reduction caches the matrix Pi of Frobenius on its Anderson motive and its
+powers up to Pi^(r-1), all windows of one recurrence (``motive_recurrence``),
+for the Weil polynomial, the b's and torsion.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class ResidueField:
         e = tower.base_degree
         if e == 1 and tower.q**n > TABLE_LIMIT:
             # F_p = F_q[x]/(p) itself: T is x, and coordinates are coefficients.
-            # Rabin's test runs on the field's own q-power matrix.
+            # The prime test runs on the field's own q-power matrix.
             tower.check_degree(n)
             g = tower.base_field.coeff_array(p.coeffs)
             frob = frobenius_matrix(tower.base_field, g)
@@ -210,7 +211,7 @@ class ReducedModule:
         self.source = source
         self.prime = p.monic()
         tower = source.tower
-        # p | g_r or a residue field above the cap: only Rabin's test tells a
+        # p | g_r or a residue field above the cap: only the prime test tells a
         # composite p from a bad or an oversized prime.  Otherwise the
         # residue field below proves p prime.
         if (source.g[-1] % self.prime).is_zero() or (
@@ -244,7 +245,7 @@ class ReducedModule:
 
     @cached_property
     def motive(self) -> tuple[np.ndarray, FFElem]:
-        """``motive_recurrence``: Pi's rows and N(g_r)^-1, built on first use."""
+        """``motive_recurrence``: Pi's powers and N(g_r)^-1, built on first use."""
         return motive_recurrence(self)
 
     def psibar_array(self, a: Poly) -> np.ndarray:
@@ -271,8 +272,9 @@ class ReducedModule:
 
 
 def motive_recurrence(red: ReducedModule) -> tuple[np.ndarray, FFElem]:
-    """The rows of the matrix Pi of pi = tau^(deg p) on the Anderson motive,
-    an (r, r, T-degree, prime coordinate) array, and N(g_r)^-1 in F_q.
+    """The powers Pi, Pi^2, .., Pi^J of the matrix Pi of pi = tau^(deg p) on
+    the Anderson motive, J = max(1, r - 1), as a (J, r, r, T-degree, prime
+    coordinate) array, and N(g_r)^-1 in F_q.
 
     M = F_p{tau} is free over F_p[T] on 1, tau, .., tau^(r-1), T acting by
     right multiplication by psibar_T.  Row j of A holds tau * tau^j, and
@@ -283,13 +285,15 @@ def motive_recurrence(red: ReducedModule) -> tuple[np.ndarray, FFElem]:
     shift, so the rows of A^(k-1) .. A are the window R_k .. R_(k+r-1) of
     one sequence that starts with the unit rows and continues as
     g_r^(q^k) R_(k+r) = (T - t^(q^k)) R_k - sum_l g_l^(q^k) R_(k+l).
-    deg R_k <= k // r, so Pi fits D = (n + r - 1) // r + 1 T-degrees.  The
-    product of the q-power orbit of 1/g_r is N(g_r)^-1.
+    The coefficients lie in F_p, so A^(k+n) = A^(k): the window at step j n
+    is Pi^j, and J n steps give every power the b's need.  deg R_k <= k // r,
+    so the windows fit D = (J n + r - 1) // r + 1 T-degrees.  The product of
+    the q-power orbit of 1/g_r is N(g_r)^-1.
     """
     tower, ctx, r, n = red.source.tower, red.ctx, red.rank, red.deg_p
     m, p0 = ctx.degree, ctx.char
     # step k multiplies by h^(q^k) for h = -t/g_r, -g_1/g_r, .., -g_(r-1)/g_r
-    # and 1/g_r: the q-power orbits, then one stack of M(h^(q^k))^T per step
+    # and 1/g_r: the q-power orbits, then one stack of M(h^(q^k))^T per k mod n
     t, *g = red.psibar_T.coeffs
     inv = g[-1].inv()
     orbit = np.empty((n, r + 1, m), dtype=np.int64)
@@ -300,29 +304,32 @@ def motive_recurrence(red: ReducedModule) -> tuple[np.ndarray, FFElem]:
     mats = ctx.mult_matrices(orbit.reshape(-1, m)).swapaxes(1, 2).reshape(n, (r + 1) * m, m)
     # columns j m .. (j + 1) m - 1 hold R_j, row 1 + i (D + 1) + d the T^d
     # coefficient of entry i; rows 0 and 1 + i (D + 1) + D stay 0, so seq[:-1] is T seq[1:]
-    D = (n + r - 1) // r + 1
-    seq = np.zeros((1 + r * (D + 1), (n + r) * m), dtype=np.int64)
+    J = max(1, r - 1)
+    D = (J * n + r - 1) // r + 1
+    seq = np.zeros((1 + r * (D + 1), (J * n + r) * m), dtype=np.int64)
     seq[1 :: D + 1, : r * m : m] = np.eye(r, dtype=np.int64)  # R_0 .. R_(r-1)
     norm_inv, mw, mr = orbit[0, r], mats[:, : r * m], mats[:, r * m :]
-    for k in range(n):
+    for k in range(J * n):
         # an entry sums r + 1 products of two residues, below (r + 1) m p^2
-        new = seq[1:, k * m : (k + r) * m] @ mw[k] + seq[:-1, k * m : (k + 1) * m] @ mr[k]
+        w, s = seq[1:, k * m : (k + r) * m], seq[:-1, k * m : (k + 1) * m]
+        new = w @ mw[k % n] + s @ mr[k % n]
         seq[1:, (k + r) * m : (k + r + 1) * m] = new % p0
-        if k:
+        if 0 < k < n:
             norm_inv = (norm_inv @ mr[k]) % p0
-    rows = seq[1:, n * m :].reshape(r, D + 1, r, m)[:, :D].transpose(2, 0, 1, 3)
-    return rows, tower.project(FFElem(ctx, tuple(norm_inv.tolist())), red.source.base)
+    rows = seq[1:].reshape(r, D + 1, -1, m)[:, :D].transpose(2, 0, 1, 3)  # rows[k] is R_k
+    powers = np.array([rows[j * n : j * n + r] for j in range(1, J + 1)])
+    return powers, tower.project(FFElem(ctx, tuple(norm_inv.tolist())), red.source.base)
 
 
 def motive_frobenius(red: ReducedModule) -> list[list[Poly]]:
-    """Pi with entries in F_p[T] (``ReducedModule.motive``), for the b's,
-    the splitting degree of torsion and the tests."""
-    return [[Poly(red.ctx, red.ctx.array_elems(x)) for x in row] for row in red.motive[0]]
+    """Pi with entries in F_p[T] (``ReducedModule.motive``), for the
+    splitting degree of torsion and the tests."""
+    return [[Poly(red.ctx, red.ctx.array_elems(x)) for x in row] for row in red.motive[0][0]]
 
 
 def reduce_at(psi: DrinfeldModule, p: Poly) -> ReducedModule:
     """The reduction at p; raises NotIrreducibleError for a non-prime p and
     BadReductionError when p divides g_r.  The residue field's root proves p
-    prime; Rabin's test runs only when p divides g_r or F_p exceeds the tower
-    cap (see the module docstring)."""
+    prime; the prime test runs only when p divides g_r or F_p exceeds the
+    tower cap (see the module docstring)."""
     return ReducedModule(psi, p)

@@ -39,11 +39,13 @@ degree, and one above the limit at prime q is F_q[x]/(p) with T-image x.
 The monic primes of one degree come from a sieve, not from a test per
 candidate: a bitmap over all q^deg monic codes marks the products of smaller
 primes with monic cofactors, formed in numpy batches of prime coordinates
-(``enumerate_monic_irreducibles``).  The package has one Rabin test, for
-polynomials over tower fields: ``rabin_irreducible``, on the prime matrix of
-the Q-power map (``frobenius_matrix``).  It serves ``is_irreducible``, the
-residue fields with their own modulus, the tower's modulus search
-(``fields.lex_irreducible``), and the tests as the sieve's oracle.
+(``enumerate_monic_irreducibles``).  The package has one prime test, for
+polynomials over tower fields: ``rabin_irreducible``, on the prime matrix Q
+of the |F|-power map (``frobenius_matrix``): Rabin's first condition
+Q^d x = x, then Berlekamp's count, the nullity of Q - I, and no gcd.  It
+serves ``is_irreducible``, the residue fields with their own modulus, the
+tower's modulus search (``fields.lex_irreducible``), and the tests as the
+sieve's oracle.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import linalg
 from .errors import (
     DrinfeldError,
     NotMonicError,
@@ -395,7 +398,7 @@ def _random_poly(field, deg_bound: int, rng: random.Random) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's irreducibility test over the coefficient field, a tower field
+    """The prime test over the coefficient field, a tower field
     (``rabin_irreducible`` on the monic associate's coordinate array)."""
     if f.is_zero():
         raise ZeroInputError("irreducibility of zero")
@@ -467,28 +470,26 @@ def frobenius_matrix(F, g: np.ndarray) -> np.ndarray:
 
 
 def rabin_irreducible(F, g: np.ndarray, frob: np.ndarray | None = None) -> bool:
-    """Rabin's test for a monic g of degree d >= 2 over the tower field F, as
-    (d + 1) x [F : F_p] coordinates: g is irreducible iff g | x^(Q^d) - x and
-    gcd(x^(Q^(d/l)) - x, g) = 1 for every prime l | d, Q = |F| (Rabin, SIAM
-    J. Comput. 9, 1980).  x^(Q^k) mod g is Q^k x for Q =
-    ``frobenius_matrix(F, g)``, or the caller's ``frob``.  The gcds run only
-    once g | x^(Q^d) - x holds, which most reducible g fail."""
+    """Irreducibility of a monic g of degree d >= 2 over the tower field F,
+    given as (d + 1) x [F : F_p] coordinates, from the prime matrix Q of
+    u -> u^|F| on F[x]/(g) (``frobenius_matrix(F, g)``, or the caller's
+    ``frob``).  Rabin's first condition g | x^(|F|^d) - x, i.e. Q^d x = x,
+    makes g squarefree, and most reducible g fail it (Rabin, SIAM J. Comput.
+    9, 1980).  A squarefree g is then irreducible iff its Berlekamp algebra,
+    the kernel of Q - I, is F itself: prime nullity [F : F_p] (Berlekamp,
+    Bell Syst. Tech. J. 46, 1967)."""
     d, p, e = len(g) - 1, F.char, F.degree
     if frob is None:
         frob = frobenius_matrix(F, g)
     x = np.zeros(d * e, dtype=np.int64)
     x[e] = 1
-    powers = [x]  # x^(Q^k) mod g, k = 0..d
+    u = x
     for _ in range(d):
-        powers.append((frob @ powers[-1]) % p)
-    if not np.array_equal(powers[d], x):
+        u = (frob @ u) % p
+    if not np.array_equal(u, x):
         return False
-    g_poly = Poly(F, F.array_elems(g))
-    for ell in int_prime_factors(d):
-        h = (powers[d // ell] - x) % p
-        if not poly_gcd(Poly(F, F.array_elems(h.reshape(d, e))), g_poly).is_one():
-            return False
-    return True
+    _, pivots = linalg.rref((frob - np.eye(d * e, dtype=np.int64)) % p, p)
+    return len(pivots) == (d - 1) * e
 
 
 def int_prime_factors(n: int) -> list[int]:

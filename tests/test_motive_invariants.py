@@ -8,7 +8,9 @@ route."""
 
 import json
 import sys
+from itertools import islice
 
+import numpy as np
 import pytest
 
 from drinfeld import invariants, survey
@@ -26,7 +28,7 @@ from drinfeld.invariants import (
     rank2_invariants_reduced,
     weil_motive,
 )
-from drinfeld.modules import reduce_at
+from drinfeld.modules import ReducedModule, motive_frobenius, reduce_at
 from drinfeld.polys import Poly, enumerate_monic_irreducibles
 from drinfeld.survey import cm_example, compute_record
 from drinfeld.textio import module_from_text, poly_from_text, poly_to_text
@@ -99,6 +101,49 @@ def test_motive_b_equal_the_conductor_on_cm_primes(q, degrees, floor):
     assert nontrivial >= floor
 
 
+# (q, psi_T, prime degrees, first primes taken per degree): ranks 3 and 4 at
+# q = 2, 3, 4, 9, then residue fields above the log-table limit, F_(3^9)
+# (own modulus) and F_(9^5) (root search)
+WINDOW_CASES = [
+    (2, "T+1*t+T*t^2+1*t^3", (1, 2, 3, 4), None),
+    (2, "T+T^2*t+T*t^2+T^2*t^3+1*t^4", (1, 2, 3), None),
+    (3, "T+1*t+T*t^2+1*t^3", (1, 2), None),
+    (3, "T+T*t+T*t^2+T*t^3+1*t^4", (1, 2), None),
+    (4, "T+z*t+T*t^2+z*t^3", (1, 2), None),
+    (4, "T+T*t+z*t^2+1*t^3+1*t^4", (1, 2), None),
+    (9, "T+1*t+1*t^3", (1,), None),
+    (9, "T+z*t+1*t^2+T*t^4", (1,), None),
+    (3, "T+1*t+T*t^2+1*t^3", (9,), 2),
+    (9, "T+z*t+1*t^2+T*t^4", (5,), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "q,text,degrees,first", WINDOW_CASES, ids=[f"q{c[0]}-{c[1]}-{c[2]}" for c in WINDOW_CASES]
+)
+def test_recurrence_windows_are_the_powers_of_pi(q, text, degrees, first):
+    """The windows of the motive recurrence at steps j deg p are Pi^j,
+    j = 1..r-1: Pi's powers by matrix products over F_p[T] equal them."""
+    psi = module_from_text(text, TOWERS[q])
+    seen = 0
+    for d in degrees:
+        primes = enumerate_monic_irreducibles(psi.base, d)
+        for p in islice(primes, first):
+            if (psi.g[-1] % p).is_zero():
+                continue
+            red = reduce_at(psi, p)
+            ctx, r = red.ctx, red.rank
+            powers = red.motive[0]
+            assert len(powers) == r - 1
+            pi = cur = motive_frobenius(red)
+            for window in powers:
+                assert [[Poly(ctx, ctx.array_elems(x)) for x in row] for row in window] == cur
+                cur = [[sum((cur[i][l] * pi[l][k] for l in range(r)), Poly.zero(ctx))
+                        for k in range(r)] for i in range(r)]
+            seen += 1
+    assert seen
+
+
 def test_rank1_has_no_b():
     psi = module_from_text("T+1*t", TOWERS[3])
     red = reduce_at(psi, poly_from_text("T+1", TOWERS[3]))
@@ -153,8 +198,20 @@ def test_b_invariants_route_in_rank_two(q, text, degrees, certified, monkeypatch
         assert fired
 
 
-def _fake_frobenius(monkeypatch, matrix):
-    monkeypatch.setattr(invariants, "motive_frobenius", lambda red: matrix(red.ctx))
+def _fake_motive(monkeypatch, matrix):
+    """Put the rank-2 Pi ``matrix(ctx)``, entries in F_p[T], in place of the
+    motive recurrence's window."""
+
+    def motive(red):
+        ctx, pi = red.ctx, matrix(red.ctx)
+        depth = max(len(x.coeffs) for row in pi for x in row)
+        powers = np.zeros((1, 2, 2, depth, ctx.degree), dtype=np.int64)
+        for i, row in enumerate(pi):
+            for k, x in enumerate(row):
+                powers[0, i, k, : len(x.coeffs)] = ctx.coeff_array(x.coeffs)
+        return powers, None
+
+    monkeypatch.setattr(ReducedModule, "motive", property(motive))
 
 
 def test_dependent_frobenius_powers_raise(monkeypatch):
@@ -167,7 +224,7 @@ def test_dependent_frobenius_powers_raise(monkeypatch):
         T, zero = Poly.x(ctx), Poly.zero(ctx)
         return [[T, zero], [zero, T]]
 
-    _fake_frobenius(monkeypatch, scalar)
+    _fake_motive(monkeypatch, scalar)
     with pytest.raises(DrinfeldError, match="implementation bug"):
         motive_invariant_factors(red)
 
@@ -184,7 +241,7 @@ def test_b_outside_fq_t_raise(monkeypatch):
         w = ctx.tower.gen(ctx)  # generates F_16, not in F_4
         return [[zero, zero], [zero, Poly(ctx, (w, ctx.one_elem()))]]
 
-    _fake_frobenius(monkeypatch, outside)
+    _fake_motive(monkeypatch, outside)
     with pytest.raises(TowerMembershipError):
         motive_invariant_factors(red)
 

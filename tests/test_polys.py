@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from drinfeld.amatrix import (
@@ -22,6 +23,7 @@ from drinfeld.polys import (
     crt,
     enumerate_monic_irreducibles,
     factorize,
+    frobenius_matrix,
     is_irreducible,
     mobius,
     poly_gcd,
@@ -412,20 +414,46 @@ def test_rank2_discriminant_is_the_closed_form(q):
         assert discriminant([c0, c1, Poly.one(F)], F) == c1 * c1 - four * c0
 
 
+def _is_prime(f: Poly) -> bool:
+    fac = factorize(f).factors
+    return len(fac) == 1 and fac[0][1] == 1
+
+
+def _fixes_x(F, f: Poly) -> bool:
+    """Rabin's first condition f | x^(|F|^d) - x: Q^d x = x for the matrix Q
+    of u -> u^|F| on F[x]/(f)."""
+    d, e = f.degree(), F.degree
+    frob = frobenius_matrix(F, F.coeff_array(f.coeffs))
+    x = u = np.eye(d * e, dtype=np.int64)[e]
+    for _ in range(d):
+        u = frob @ u % F.char
+    return np.array_equal(u, x)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_rabin_matches_factorize(q):
-    """Rabin's test on the Frobenius matrix agrees with the factorization on
-    random monic polynomials of degrees 2-16, and with the sieve on a few
-    primes of each degree, whose irreducibility it must confirm."""
+    """The prime test on the Frobenius matrix agrees with the factorization
+    on random monic polynomials of degrees 2-16, and with the sieve on a few
+    primes of each degree, whose irreducibility it must confirm.  At even d
+    it also rejects h1 h2, two distinct primes of degree d/2, which passes
+    Rabin's first condition so that only the rank of Q - I rejects it, and
+    h1^2, which only the first condition rejects."""
     from drinfeld.fields import FieldTower
 
     F = FieldTower(q).base_field
     rng = random.Random(q)
+
+    def monic(d):
+        return Poly(F, [F.dec_elem(rng.randrange(q)) for _ in range(d)] + [F.one_elem()])
+
     for d in range(2, 17):
-        polys = [Poly(F, [F.dec_elem(rng.randrange(q)) for _ in range(d)] + [F.one_elem()])
-                 for _ in range(4)]
+        polys = [monic(d) for _ in range(4)]
         primes = enumerate_monic_irreducibles(F, d) if q**d <= 1 << 16 else []
         polys += [p for p, _ in zip(primes, range(2))]
         for f in polys:
-            fac = factorize(f).factors
-            assert is_irreducible(f) == (len(fac) == 1 and fac[0][1] == 1), (q, f)
+            assert is_irreducible(f) == _is_prime(f), (q, f)
+        if d % 2 == 0 and count_monic_irreducibles(q, d // 2) > 1:  # not q = 2, d = 4
+            h1 = next(h for h in iter(lambda: monic(d // 2), None) if _is_prime(h))
+            h2 = next(h for h in iter(lambda: monic(d // 2), None) if _is_prime(h) and h != h1)
+            assert _fixes_x(F, h1 * h2) and not is_irreducible(h1 * h2), (q, d)
+            assert not _fixes_x(F, h1 * h1) and not is_irreducible(h1 * h1), (q, d)

@@ -319,6 +319,28 @@ def test_cli_survey_formats(tmp_path, capsys):
     assert len(csv_out) == 4
 
 
+def test_cli_survey_csv_quotes_a_warning_with_commas(capsys, monkeypatch):
+    """An error warning whose message holds commas is one quoted CSV field:
+    every parsed row has ``len(CSV_COLUMNS)`` fields."""
+    import csv
+
+    from drinfeld.cli import main
+
+    def fail(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together with shapes (3,) (4,)")
+
+    monkeypatch.setattr(survey, "module_structure_oracle_reduced", fail)
+    assert main([
+        "survey", "--q", "3", "--psi", "T+1*t+1*t^2", "--deg", "1", "--format", "csv",
+        "--jobs", "1",
+    ]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == CSV_COLUMNS and len(rows) == 4
+    assert {len(row) for row in rows} == {len(CSV_COLUMNS)}
+    warnings = [row[CSV_COLUMNS.index("warnings")] for row in rows[1:]]
+    assert all("ValueError: operands could not be broadcast" in w for w in warnings)
+
+
 def test_cli_rank1_survey_leaves_a_p_null(capsys):
     """A rank-1 Weil polynomial x + u_p p has no x^(r-1) coefficient apart
     from c_0, so the survey's a_p column stays null and u_p holds the unit."""

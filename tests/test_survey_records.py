@@ -64,9 +64,10 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
     """An odd-q rank-2 record reduces at p once and builds each invariant
     once.  Its b_p never takes the conductor loop: no ``factorize``,
     ``squarefree_split`` or skew right-division.  Both run the motive
-    recurrence once.  The split prime has b_p = T, so d is not squarefree
-    and b_p comes from the motive matrix over F_p[T]; the nonsplit prime has
-    a squarefree d and needs no matrix over F_p[T]."""
+    recurrence once and never convert Pi to a matrix over F_p[T]
+    (``motive_frobenius``).  The split prime has b_p = T, so d is not
+    squarefree and b_p comes from the Smith form of the recurrence's window;
+    the nonsplit prime has a squarefree d and needs no Smith form."""
     from drinfeld import invariants, modules, polys, skew
 
     tower = FieldTower(3, max_degree=64)
@@ -90,10 +91,9 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
     assert rec.splits_abhyankar is split
     assert rec.b_invariants == (["T"] if split else ["1"])
     # the residue field proves p prime, so Rabin's test never runs; the Weil
-    # route reads Pi at T = t off the one recurrence, and only the split
-    # prime's b_p converts Pi to entries in F_p[T]
+    # route and the split prime's b_p read Pi off the one recurrence
     assert {k: c[0] for k, c in counts.items()} == {
-        **dict.fromkeys(counts, 1), "is_irreducible": 0, "motive_frobenius": int(split),
+        **dict.fromkeys(counts, 1), "is_irreducible": 0, "motive_frobenius": 0,
         "factorize": 0, "squarefree_split": 0, "skew_right_divmod": 0,
     }
 
@@ -124,8 +124,9 @@ def test_q5_record_reads_its_t_image_from_the_root_table(monkeypatch):
 def test_rank3_record_takes_the_motive_route(monkeypatch):
     """A rank-3 record reduces at p once, checks the skew identity once,
     runs the motive recurrence once for both its Weil polynomial and its
-    b's, converts the matrix to F_p[T] once (for the b's) and never reaches
-    the endomorphism lattice, torsion or CRT."""
+    b's (Pi and Pi^2 are windows of it), never converts Pi to a matrix over
+    F_p[T] (``motive_frobenius``) and never reaches the endomorphism
+    lattice, torsion or CRT."""
     from drinfeld import invariants, modules, polys, torsion
 
     tower = FieldTower(2, max_degree=64)
@@ -147,16 +148,17 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
     assert rec.b_invariants == ["1", "T+1"]
     assert {k: c[0] for k, c in counts.items()} == {
         "reduce_at": 1, "weil_motive": 1, "weil_identity_holds": 1, "motive_recurrence": 1,
-        "motive_frobenius": 1, "end_lattice_reduced": 0, "weil_general": 0, "torsion_basis_reduced": 0, "crt": 0,
+        "motive_frobenius": 0, "end_lattice_reduced": 0, "weil_general": 0, "torsion_basis_reduced": 0, "crt": 0,
     }
 
 
 def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
     """The structure oracle runs by Krylov blocks and kernel ranks: an odd-q
     rank-2 record with a squarefree d takes no Smith form, one with a
-    non-squarefree d exactly one (the motive gcd for b_p, with one motive
-    matrix and no skew right-division), and a rank-3 record exactly one (its
-    motive b's)."""
+    non-squarefree d exactly one (the motive gcd for b_p, with no skew
+    right-division), and a rank-3 record exactly one (its motive b's).
+    Every record runs the motive recurrence once and never converts Pi to a
+    matrix over F_p[T] (``motive_frobenius``)."""
     from drinfeld import amatrix, modules, skew
     from drinfeld.polys import poly_gcd
 
@@ -166,6 +168,7 @@ def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
     psi3 = module_from_text("T+1*t+1*t^3", tower2)
     calls = _count_calls(monkeypatch, amatrix, "smith_normal_form")
     motives = _count_calls(monkeypatch, modules, "motive_frobenius")
+    recurrences = _count_calls(monkeypatch, modules, "motive_recurrence")
     divisions = _count_calls(monkeypatch, skew, "skew_right_divmod")
 
     def squarefree_d(rec):
@@ -175,18 +178,18 @@ def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
 
     # cyclic F_p and a squarefree d, then non-cyclic F_p, whose d_1 | b_p
     # makes d not squarefree
-    for prime, sqfree, b_p, taken in [
-        ("T^3+2*T+1", True, "1", (0, 0, 0)), ("T^5+2*T^3+T^2+2*T+2", False, "T+2", (1, 1, 0)),
-    ]:
+    for k, (prime, sqfree, b_p, smith) in enumerate([
+        ("T^3+2*T+1", True, "1", 0), ("T^5+2*T^3+T^2+2*T+2", False, "T+2", 1),
+    ], start=1):
         rec = survey.compute_record(psi2, poly_from_text(prime, tower3), SurveyOptions())
         assert "structure_oracle" in rec.checks_passed and not rec.warnings
         assert squarefree_d(rec) is sqfree and rec.b_invariants == [b_p]
-        assert (calls[0], motives[0], divisions[0]) == taken
-    calls[0] = 0
+        assert (calls[0], motives[0], recurrences[0], divisions[0]) == (smith, 0, k, 0)
+    calls[0] = recurrences[0] = 0
     for k, prime in enumerate(("T^5+T^3+T^2+T+1", "T^4+T+1"), start=1):
         rec = survey.compute_record(psi3, poly_from_text(prime, tower2), SurveyOptions())
         assert "structure_oracle" in rec.checks_passed and not rec.warnings
-        assert calls[0] == k
+        assert (calls[0], motives[0], recurrences[0]) == (k, 0, k)
 
 
 @pytest.mark.parametrize(
