@@ -26,7 +26,9 @@ these functions in every ``drinfeld`` namespace that binds them:
   each degree;
 - ``Weil route``: ``invariants.weil_motive``, which reads the Weil
   polynomial off the matrix Pi of pi on the Anderson motive at T = t;
-- ``skew identity``: ``invariants.weil_identity_holds``, inside the route;
+- ``skew identity``: ``invariants.weil_identity_holds``, inside the route:
+  P(pi) = 0 by one Horner pass in psibar_T over the T-degrees of the
+  Weil coefficients, deg p left multiplications;
 - ``rank-2 invariants``: ``invariants.rank2_invariants_reduced`` without
   the motive stages it calls, i.e. d = a_p^2 - 4 u_p p, the squarefree test
   of ``invariants.b_invariants`` and delta_p;
@@ -39,8 +41,10 @@ these functions in every ``drinfeld`` namespace that binds them:
   (``modules.motive_recurrence``) once and caches it, so its time goes to
   the stage that asks first: on a survey record the Weil route;
 - ``motive invariants``: ``invariants.motive_invariant_factors`` without the
-  recurrence, i.e. the Smith form of the matrix of the recurrence's
-  windows.  It runs on every record in rank >= 3, and in rank 2 only where
+  recurrence: in rank >= 3 the gcd of a few (r-1)-minors of the matrix of
+  the recurrence's windows, which certifies trivial b's, and the Smith form
+  of that matrix only where the certificate fails; in rank 2 the Smith
+  form.  It runs on every record in rank >= 3, and in rank 2 only where
   d is not squarefree;
 - ``endomorphism lattice``: ``invariants.end_lattice_reduced``, the b's
   second route, which only ``--full-checks`` reaches;
@@ -52,12 +56,14 @@ these functions in every ``drinfeld`` namespace that binds them:
 A stage's time excludes the stages it calls, and ``other`` is what is left
 of the record.  Cached data goes to the stage that builds it first (the
 blocks of psibar_T, for one, to the skew identity).  Every ``linalg.rref``
-call, those made inside ``nullspace`` and ``solve`` included, and every
+call, those made inside ``nullspace`` and ``solve`` included, every
 ``linalg.RowSpace.add`` call (the endomorphism lattice's incremental
-elimination of its span) is counted for the innermost stage open at the
-call.  The script prints, per stage, the microseconds per record, its
-share of the record and the ``rref`` and ``RowSpace.add`` calls per record:
-each the least over ``--passes`` passes.
+elimination of its span) and every ``amatrix.smith_normal_form`` call (so
+the share of rank-3 records the minors certify shows) is counted for the
+innermost stage open at the call.  The script prints, per stage, the
+microseconds per record, its share of the record and the ``rref``,
+``RowSpace.add`` and ``smith_normal_form`` calls per record: each the least
+over ``--passes`` passes.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ import argparse
 import sys
 from time import perf_counter
 
-from drinfeld import division, fields, invariants, linalg, modules, polys, survey, torsion
+from drinfeld import amatrix, division, fields, invariants, linalg, modules, polys, survey, torsion
 from drinfeld.config import SurveyOptions
 from drinfeld.fields import FieldTower
 from drinfeld.polys import enumerate_monic_irreducibles
@@ -90,7 +96,22 @@ STAGES = {
 
 
 # counted kernel -> (owner, attribute)
-KERNELS = {"rref": (linalg, "rref"), "add": (linalg.RowSpace, "add")}
+KERNELS = {
+    "rref": (linalg, "rref"),
+    "add": (linalg.RowSpace, "add"),
+    "smith": (amatrix, "smith_normal_form"),
+}
+
+
+def rebind(owner, name: str, new) -> None:
+    """Put ``new`` in place of ``owner.name`` there and in every
+    ``drinfeld`` namespace bound to the same function."""
+    fn = getattr(owner, name)
+    setattr(owner, name, new)
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.split(".")[0] == "drinfeld":
+            if mod.__dict__.get(name) is fn:
+                setattr(mod, name, new)
 
 
 def install(totals: dict[str, float], calls: dict[str, dict[str, int]]) -> None:
@@ -123,15 +144,10 @@ def install(totals: dict[str, float], calls: dict[str, dict[str, int]]) -> None:
         return counted
 
     for kernel, (owner, name) in KERNELS.items():
-        setattr(owner, name, count(kernel, getattr(owner, name)))
+        rebind(owner, name, count(kernel, getattr(owner, name)))
 
     for stage, (module, name) in STAGES.items():
-        fn = getattr(module, name)
-        wrapped = wrap(stage, fn)
-        for mod in list(sys.modules.values()):
-            if mod is not None and mod.__name__.split(".")[0] == "drinfeld":
-                if mod.__dict__.get(name) is fn:
-                    setattr(mod, name, wrapped)
+        rebind(module, name, wrap(stage, getattr(module, name)))
 
 
 def main(argv=None) -> int:
@@ -180,15 +196,16 @@ def main(argv=None) -> int:
 
     print(f"q={args.q} psi={args.psi} degrees={args.deg}: {records} records, "
           f"least of {max(1, args.passes)} passes")
-    print(f"{'stage':<22}{'us/record':>10}{'share':>8}{'rref/record':>13}{'add/record':>12}")
+    print(f"{'stage':<22}{'us/record':>10}{'share':>8}{'rref/record':>13}{'add/record':>12}"
+          f"{'smith/record':>14}")
     per = max(records, 1)
     for name in names:
         if name in STAGES and best[name] == 0.0:
             continue
         us = best[name] / per * 1e6
-        rrefs, adds = (least[kernel][name] / per for kernel in KERNELS)
+        rrefs, adds, smiths = (least[kernel][name] / per for kernel in KERNELS)
         print(f"{name:<22}{us:>10.1f}{best[name] / best['record']:>8.1%}"
-              f"{rrefs:>13.2f}{adds:>12.2f}")
+              f"{rrefs:>13.2f}{adds:>12.2f}{smiths:>14.2f}")
     return 0
 
 

@@ -6,11 +6,13 @@ The Weil polynomial of every rank takes one route, ``weil_motive``: the
 characteristic polynomial of Frobenius on the Anderson motive, read at T = t
 off the matrix Pi that the reduction builds once by the window recurrence of
 ``modules.motive_recurrence`` (derived there).  The skew identity
-P(tau^deg p) = 0 certifies every polynomial it returns, and ``weil_general``
-(torsion Frobenius matrices glued by CRT) stays as the tests' independent
-oracle.  The invariant factors come from the same Pi over F_p[T] and one
-Smith normal form (``motive_invariant_factors``); ``b_invariants`` is the
-one place that picks their route.  In rank 2, b_p^2 divides
+P(tau^deg p) = 0, one Horner pass in psibar_T, certifies every polynomial
+it returns, and ``weil_general`` (torsion Frobenius matrices glued by CRT)
+stays as the tests' independent oracle.  The invariant factors come from
+the same Pi over F_p[T] (``motive_invariant_factors``): in rank >= 3 a unit
+gcd of a few maximal minors proves them trivial, and otherwise one Smith
+normal form gives them; ``b_invariants`` is the one place that picks their
+route.  In rank 2, b_p^2 divides
 d = a_p^2 - 4 u_p p in every characteristic, so a squarefree d proves
 b_p = 1 and the Smith form is taken only otherwise; the conductor loop
 (factoring d, then skew right-division membership) is the tests' oracle
@@ -144,16 +146,39 @@ def weil_rank2_reduced(red: ReducedModule) -> WeilPolynomial:
 
 def weil_identity_holds(red: ReducedModule, weil: WeilPolynomial) -> bool:
     """P(tau^deg p) = tau^(n r) + sum_i psibar(c_i) tau^(n i) = 0 in F_p{tau},
-    checked exactly on one prime-coordinate array."""
-    n = red.deg_p
-    r = len(weil.coeffs)
-    terms = [(n * i, red.psibar_array(c)) for i, c in enumerate(weil.coeffs)]
-    rows = max([n * r + 1] + [s + len(x) for s, x in terms])
-    acc = np.zeros((rows, red.ctx.degree), dtype=np.int64)
-    acc[n * r, 0] = 1
-    for s, x in terms:
-        acc[s : s + len(x)] += x
-    return not (acc % red.ctx.char).any()
+    checked exactly on one prime-coordinate array.
+
+    The T^k coefficient c_(i,k) of c_i lies in F_q, so it commutes with tau,
+    and the sum is sum_k psibar_T^k L_k with L_k = sum_i c_(i,k) tau^(n i):
+    one Horner pass acc <- psibar_T acc + L_k over k, deg c_0 = n steps.
+    The accumulator grows only as tall as the terms added so far reach."""
+    ctx, n, r, p0 = red.ctx, red.deg_p, weil.rank, red.ctx.char
+    base, coeffs = red.source.base, weil.coeffs
+    emb = red.source.tower.embedding(base, ctx).matrix
+    # consts[k, i] = c_(i,k) in prime coordinates; tops[k] = the largest i
+    # with c_(i,k) != 0, so L_k has tau-degree n tops[k] (-1: L_k = 0)
+    consts = np.zeros((max(len(c.coeffs) for c in coeffs), r, ctx.degree), dtype=np.int64)
+    flat = [(k, i, x) for i, c in enumerate(coeffs) for k, x in enumerate(c.coeffs)]
+    ks, idx, xs = zip(*flat)
+    consts[ks, idx] = (base.coeff_array(xs) @ emb.T) % p0
+    tops = [-1] * len(consts)
+    for k, i, x in flat:  # i increases along flat
+        if not x.is_zero():
+            tops[k] = i
+    acc = np.zeros((0, ctx.degree), dtype=np.int64)
+    for k in range(len(consts) - 1, -1, -1):
+        acc = left_mul(red.psibar_blocks, acc, p0)
+        i = tops[k]
+        if i >= 0:
+            if n * i >= len(acc):
+                acc = np.concatenate([acc, np.zeros((n * i + 1 - len(acc), ctx.degree), np.int64)])
+            # entries below 2 p; left_mul and the check below reduce them
+            acc[: n * i + 1 : n] += consts[k, : i + 1]
+    # P(pi) = 0 iff the sum is -tau^(n r)
+    if len(acc) <= n * r:
+        return False
+    acc[n * r, 0] += 1
+    return not (acc % p0).any()
 
 
 def _checked_weil(red: ReducedModule, coeffs: list[Poly], unit: FFElem) -> WeilPolynomial:
@@ -251,7 +276,7 @@ def weil_general(psi: DrinfeldModule, p: Poly) -> WeilPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# the b's: a squarefree rank-2 d, else the motive Smith form
+# the b's: a squarefree rank-2 d, else the motive minors and Smith form
 
 
 def b_invariants(red: ReducedModule, weil: WeilPolynomial) -> list[Poly]:
@@ -261,7 +286,10 @@ def b_invariants(red: ReducedModule, weil: WeilPolynomial) -> list[Poly]:
     In rank 2, b_p^2 divides d = disc(P) = c_1^2 - 4 c_0 whenever P is
     separable (Gekeler, Trans. AMS 360, 2008), so a squarefree d (gcd(d, d')
     = 1) proves b_p = 1 in every characteristic.  Otherwise, and in every
-    rank >= 3, the b's are the motive Smith form (``motive_invariant_factors``).
+    rank >= 3, the b's come from the motive matrix
+    (``motive_invariant_factors``): in rank >= 3 a unit gcd of a few of its
+    (r-1)-minors proves them all 1, and only otherwise is its Smith form
+    taken.
     """
     if red.rank < 2:
         return []
@@ -641,25 +669,48 @@ def motive_invariant_factors(red: ReducedModule) -> InvariantFactors:
     r matrix [vec(I) | vec(Pi) | .. | vec(Pi^(r-1))] are 1, b_1, .., b_(r-1).
     Subtracting the row of entry (0, 0) from those of (i, i) makes vec(I) the
     unit vector at (0, 0), so the b's are the Smith invariants of the
-    (r^2 - 1) x (r - 1) matrix of the entries Pi^j_ik (i != k) and Pi^j_ii -
+    (r^2 - 1) x (r - 1) matrix W of the entries Pi^j_ik (i != k) and Pi^j_ii -
     Pi^j_00 (i >= 1), j = 1..r-1.  Pi^j is a window of the motive recurrence,
-    so the matrix is formed on arrays and becomes polynomials only for the
-    Smith form.  Each factor is projected to A coefficient by coefficient,
-    which raises unless it lies in F_q[T].
+    so W is formed on arrays and becomes polynomials row by row, as needed.
+
+    In rank >= 3 a certificate comes first: b_1 ... b_(r-1) is the gcd of
+    the (r-1)-minors of W (determinantal divisors over a PID; Newman,
+    *Integral Matrices*, 1972, ch. II), so a unit gcd of a few of them,
+    taken until the first unit, proves every b_i = 1 in every
+    characteristic.  Only where it fails does the Smith form run.
+    Each factor is projected to A coefficient by coefficient, which raises
+    unless it lies in F_q[T].
     """
     tower, ctx, r = red.source.tower, red.ctx, red.rank
+    base = tower.base_field
     powers = red.motive[0]
     i, k = np.nonzero(~np.eye(r, dtype=bool))
     diag = (powers[:, range(1, r), range(1, r)] - powers[:, :1, 0]) % ctx.char
     entries = np.concatenate([powers[:, i, k], diag], axis=1).swapaxes(0, 1)
-    rows = [[Poly(ctx, ctx.array_elems(x)) for x in row] for row in entries]
+    rows: dict[int, list[Poly]] = {}
+
+    def row(u: int) -> list[Poly]:
+        if u not in rows:
+            rows[u] = [Poly(ctx, ctx.array_elems(x)) for x in entries[u]]
+        return rows[u]
+
+    if r >= 3:
+        # the r + 1 consecutive blocks of r - 1 rows, then the even and the
+        # odd rows: in rank 3 (0,1), (2,3), (4,5), (6,7), (0,2), (1,3)
+        s = r - 1
+        rsets = [range(j * s, (j + 1) * s) for j in range(r + 1)]
+        g = Poly.zero(ctx)
+        for rset in rsets + [range(0, 2 * s, 2), range(1, 2 * s, 2)]:
+            minor = ring_det([row(u) for u in rset])
+            g = minor if g.is_zero() else poly_gcd(g, minor)
+            if g.degree() == 0:  # a unit
+                return InvariantFactors(factors=[Poly.one(base)] * (r - 1))
     try:
-        factors = smith_normal_form(rows)
+        factors = smith_normal_form([row(u) for u in range(len(entries))])
     except SingularMatrixError:
         raise DrinfeldError(
             "Frobenius powers on the motive are dependent; this is an implementation bug"
         ) from None
-    base = tower.base_field
     return InvariantFactors(
         factors=[f.map_coeffs(lambda c: tower.project(c, base), base) for f in factors]
     )

@@ -1,3 +1,6 @@
+from itertools import islice
+
+import numpy as np
 import pytest
 
 from drinfeld.config import SurveyOptions
@@ -82,6 +85,72 @@ def test_weil_identity_rejects_wrong_coefficients(request, tower_name, psi_text,
             continue
         coeffs = (red.prime.scale(u),) + weil.coeffs[1:]
         assert not weil_identity_holds(red, WeilPolynomial(prime=weil.prime, coeffs=coeffs, unit=u))
+
+
+def _identity_by_sums(red, weil) -> bool:
+    """The skew identity as tau^(n r) + sum_i psibar(c_i) tau^(n i), one
+    ``psibar_array`` Horner pass per coefficient: the oracle of the one-pass
+    ``weil_identity_holds``."""
+    n, r = red.deg_p, weil.rank
+    terms = [(n * i, red.psibar_array(c)) for i, c in enumerate(weil.coeffs)]
+    rows = max([n * r + 1] + [s + len(x) for s, x in terms])
+    acc = np.zeros((rows, red.ctx.degree), dtype=np.int64)
+    acc[n * r, 0] = 1
+    for s, x in terms:
+        acc[s : s + len(x)] += x
+    return not (acc % red.ctx.char).any()
+
+
+# (q, psi_T, prime degrees, first primes taken per degree): ranks 2-4 at
+# q = 2, 3, 4, ranks 2-3 at q = 5, 9, and F_(3^10), F_(3^9) above the
+# log-table limit
+IDENTITY_CASES = [
+    (2, "T+1*t+1*t^2", (1, 2, 3, 4), None),
+    (2, "T+1*t+1*t^3", (1, 2, 3, 4), None),
+    (2, "T+T^2*t+T*t^2+T^2*t^3+1*t^4", (1, 2, 3), None),
+    (3, "T+1*t+1*t^2", (1, 2, 3), None),
+    (3, "T+1*t+T*t^2+1*t^3", (1, 2), None),
+    (3, "T+T*t+T*t^2+T*t^3+1*t^4", (1, 2), None),
+    (4, "T+T^2*t+T*t^2", (1, 2), None),
+    (4, "T+z*t+T*t^2+z*t^3", (1, 2), None),
+    (4, "T+T*t+z*t^2+1*t^3+1*t^4", (1,), None),
+    (5, "T+T*t+1*t^2", (1, 2), None),
+    (5, "T+T*t+1*t^2+1*t^3", (1, 2), None),
+    (9, "T+(z*T^2+1)*t+T*t^2", (1,), None),
+    (9, "T+1*t+1*t^3", (1,), None),
+    (3, "T+1*t+1*t^2", (10,), 2),
+    (3, "T+1*t+T*t^2+1*t^3", (9,), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "q,text,degrees,first", IDENTITY_CASES,
+    ids=[f"q{c[0]}-{c[1]}-{c[2]}" for c in IDENTITY_CASES],
+)
+def test_one_pass_identity_matches_the_sum_of_psibar_images(q, text, degrees, first):
+    """The one Horner pass of ``weil_identity_holds`` and the sum of the
+    psibar(c_i) tau^(n i) both accept P_p and both reject P_p with any c_j
+    raised by 1 or by T p."""
+    tower = FieldTower(q, max_degree=256)
+    psi = module_from_text(text, tower)
+    T, one = Poly.x(tower.base_field), Poly.one(tower.base_field)
+    seen = 0
+    for d in degrees:
+        for p in islice(enumerate_monic_irreducibles(psi.base, d), first):
+            if (psi.g[-1] % p).is_zero():
+                continue
+            red = reduce_at(psi, p)
+            weil = weil_motive(red)
+            assert weil_identity_holds(red, weil) and _identity_by_sums(red, weil)
+            for j in range(psi.rank):
+                for delta in (one, T * p):
+                    coeffs = list(weil.coeffs)
+                    coeffs[j] = coeffs[j] + delta
+                    wrong = WeilPolynomial(prime=weil.prime, coeffs=tuple(coeffs), unit=weil.unit)
+                    assert not weil_identity_holds(red, wrong), (poly_to_text(p), j, delta)
+                    assert not _identity_by_sums(red, wrong), (poly_to_text(p), j, delta)
+            seen += 1
+    assert seen
 
 
 def test_production_path_makes_no_skew_products(monkeypatch, tower3, tower2):

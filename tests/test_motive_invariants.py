@@ -101,6 +101,48 @@ def test_motive_b_equal_the_conductor_on_cm_primes(q, degrees, floor):
     assert nontrivial >= floor
 
 
+# the rank >= 3 modules of CASES; q = 2, T+t+T*t^2+t^3 runs to degree 6,
+# where 17 of its 23 primes have a nontrivial b, so the Smith form runs
+# behind the certificate
+CERTIFICATE_CASES = [
+    (2, "T+1*t+T*t^2+1*t^3", (1, 2, 3, 4, 5, 6)),
+    (2, "T+T^2*t+T*t^2+T^2*t^3+1*t^4", (1, 2, 3)),
+    (3, "T+1*t+T*t^2+1*t^3", (1, 2)),
+    (3, "T+T*t+T*t^2+T*t^3+1*t^4", (1, 2)),
+    (4, "T+z*t+T*t^2+z*t^3", (1, 2)),
+    (5, "T+T*t+1*t^2+1*t^3", (1,)),
+    (9, "T+1*t+1*t^3", (1,)),
+]
+
+
+def test_minor_certificate_fires_exactly_on_trivial_lattice_b(monkeypatch):
+    """In rank >= 3 the gcd of a few (r-1)-minors of the motive matrix
+    certifies b = 1: it skips the Smith form exactly where the lattice's b's
+    are all 1, and elsewhere the Smith form gives the lattice's b's."""
+    smith_forms = [0]
+    smith = invariants.smith_normal_form
+
+    def counted(rows):
+        smith_forms[0] += 1
+        return smith(rows)
+
+    monkeypatch.setattr(invariants, "smith_normal_form", counted)
+    fired = nontrivial = 0
+    for q, text, degrees in CERTIFICATE_CASES:
+        psi = module_from_text(text, TOWERS[q])
+        assert psi.rank >= 3
+        for red in _reductions(psi, degrees):
+            before = smith_forms[0]
+            b = motive_invariant_factors(red).factors
+            cert = smith_forms[0] == before
+            lattice_b = invariant_factors_from_lattice(end_lattice_reduced(red)).factors
+            assert cert is not _nontrivial(lattice_b), (q, text, poly_to_text(red.prime))
+            assert b == lattice_b, (q, text, poly_to_text(red.prime))
+            fired += cert
+            nontrivial += _nontrivial(b)
+    assert fired == 32 and nontrivial == 32
+
+
 # (q, psi_T, prime degrees, first primes taken per degree): ranks 3 and 4 at
 # q = 2, 3, 4, 9, then residue fields above the log-table limit, F_(3^9)
 # (own modulus) and F_(9^5) (root search)

@@ -156,7 +156,8 @@ def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
     """The structure oracle runs by Krylov blocks and kernel ranks: an odd-q
     rank-2 record with a squarefree d takes no Smith form, one with a
     non-squarefree d exactly one (the motive gcd for b_p, with no skew
-    right-division), and a rank-3 record exactly one (its motive b's).
+    right-division), and a rank-3 record one where its b's are nontrivial
+    and none where two 2-minors of the motive matrix certify b = 1.
     Every record runs the motive recurrence once and never converts Pi to a
     matrix over F_p[T] (``motive_frobenius``)."""
     from drinfeld import amatrix, modules, skew
@@ -185,11 +186,15 @@ def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
         assert "structure_oracle" in rec.checks_passed and not rec.warnings
         assert squarefree_d(rec) is sqfree and rec.b_invariants == [b_p]
         assert (calls[0], motives[0], recurrences[0], divisions[0]) == (smith, 0, k, 0)
-    calls[0] = recurrences[0] = 0
-    for k, prime in enumerate(("T^5+T^3+T^2+T+1", "T^4+T+1"), start=1):
+    recurrences[0] = 0
+    for k, (prime, b, smith) in enumerate([
+        ("T^5+T^3+T^2+T+1", ["1", "T+1"], 1), ("T^4+T+1", ["1", "1"], 0),
+    ], start=1):
+        calls[0] = 0  # Smith forms of this record alone
         rec = survey.compute_record(psi3, poly_from_text(prime, tower2), SurveyOptions())
         assert "structure_oracle" in rec.checks_passed and not rec.warnings
-        assert (calls[0], motives[0], recurrences[0]) == (k, 0, k)
+        assert rec.b_invariants == b
+        assert (calls[0], motives[0], recurrences[0]) == (smith, 0, k)
 
 
 @pytest.mark.parametrize(
