@@ -30,8 +30,12 @@ these functions in every ``drinfeld`` namespace that binds them:
   P(pi) = 0 by one Horner pass in psibar_T over the T-degrees of the
   Weil coefficients, deg p left multiplications;
 - ``rank-2 invariants``: ``invariants.rank2_invariants_reduced`` without
-  the motive stages it calls, i.e. d = a_p^2 - 4 u_p p, the squarefree test
-  of ``invariants.b_invariants`` and delta_p;
+  the stages it calls, i.e. d = a_p^2 - 4 u_p p and delta_p;
+- ``b route``: ``invariants.b_invariants`` without the motive stages it
+  calls.  In rank 2 that is all of it: g = gcd(d, d'), which is 1 where d
+  is squarefree, and elsewhere the entries of the motive matrix taken mod g
+  in one product and their gcd with g, no Smith form.  In rank >= 3 it only
+  hands over to the motive invariants;
 - ``module structure``: ``division.module_structure_reduced``, the closed
   form the oracle checks;
 - ``structure oracle``: ``torsion.module_structure_oracle_reduced``;
@@ -41,11 +45,10 @@ these functions in every ``drinfeld`` namespace that binds them:
   (``modules.motive_recurrence``) once and caches it, so its time goes to
   the stage that asks first: on a survey record the Weil route;
 - ``motive invariants``: ``invariants.motive_invariant_factors`` without the
-  recurrence: in rank >= 3 the gcd of a few (r-1)-minors of the matrix of
-  the recurrence's windows, which certifies trivial b's, and the Smith form
-  of that matrix only where the certificate fails; in rank 2 the Smith
-  form.  It runs on every record in rank >= 3, and in rank 2 only where
-  d is not squarefree;
+  recurrence: the gcd of a few (r-1)-minors of the matrix of the
+  recurrence's windows, which certifies trivial b's, and the Smith form of
+  that matrix only where the certificate fails.  It runs on every record in
+  rank >= 3 and on no survey record in rank 2;
 - ``endomorphism lattice``: ``invariants.end_lattice_reduced``, the b's
   second route, which only ``--full-checks`` reaches;
 - ``Abhyankar``: ``division.abhyankar_splits_reduced``, whose split test
@@ -86,6 +89,7 @@ STAGES = {
     "Weil route": (invariants, "weil_motive"),
     "skew identity": (invariants, "weil_identity_holds"),
     "rank-2 invariants": (invariants, "rank2_invariants_reduced"),
+    "b route": (invariants, "b_invariants"),
     "module structure": (division, "module_structure_reduced"),
     "structure oracle": (torsion, "module_structure_oracle_reduced"),
     "motive Frobenius": (modules, "motive_frobenius"),

@@ -12,13 +12,13 @@ stays as the tests' independent oracle.  The invariant factors come from
 the same Pi over F_p[T] (``motive_invariant_factors``): in rank >= 3 a unit
 gcd of a few maximal minors proves them trivial, and otherwise one Smith
 normal form gives them; ``b_invariants`` is the one place that picks their
-route.  In rank 2, b_p^2 divides
-d = a_p^2 - 4 u_p p in every characteristic, so a squarefree d proves
-b_p = 1 and the Smith form is taken only otherwise; the conductor loop
-(factoring d, then skew right-division membership) is the tests' oracle
-``conductor_b_p``.  The endomorphism lattice is the b's second route:
-``--full-checks``, ``disc_check`` and the tests run it, the survey does
-not.  The cross-checks are part of the acceptance gate."""
+route.  In rank 2, b_p^2 divides d = a_p^2 - 4 u_p p (d != 0) in every
+characteristic, so b_p is the gcd of gcd(d, d') with the motive entries
+taken mod it, 1 where d is squarefree, and no Smith form runs; the
+conductor loop (factoring d, then skew right-division membership) is the
+tests' oracle ``conductor_b_p``.  The endomorphism lattice is the b's
+second route: ``--full-checks``, ``disc_check`` and the tests run it, the
+survey does not.  The cross-checks are part of the acceptance gate."""
 
 from __future__ import annotations
 
@@ -48,6 +48,7 @@ from .polys import (
     factorize,
     poly_gcd,
     powint,
+    remainder_matrix,
     squarefree_split,
 )
 from .skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
@@ -276,28 +277,52 @@ def weil_general(psi: DrinfeldModule, p: Poly) -> WeilPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# the b's: a squarefree rank-2 d, else the motive minors and Smith form
+# the b's: the rank-2 gcd, else the motive minors and Smith form
 
 
 def b_invariants(red: ReducedModule, weil: WeilPolynomial) -> list[Poly]:
     """The monic b_1 | ... | b_(r-1) of End(psi x F_p) over A[pi], from the
     Weil polynomial ``weil`` of ``red``: none in rank 1.
 
-    In rank 2, b_p^2 divides d = disc(P) = c_1^2 - 4 c_0 whenever P is
-    separable (Gekeler, Trans. AMS 360, 2008), so a squarefree d (gcd(d, d')
-    = 1) proves b_p = 1 in every characteristic.  Otherwise, and in every
-    rank >= 3, the b's come from the motive matrix
-    (``motive_invariant_factors``): in rank >= 3 a unit gcd of a few of its
-    (r-1)-minors proves them all 1, and only otherwise is its Smith form
-    taken.
+    In rank 2, b_p is the gcd of the entries of the motive matrix W, and
+    b_p^2 | d = disc(P) whenever d != 0 (Gekeler, Trans. AMS 360, 2008), so
+    b_p = gcd(g, W mod g) for g = gcd(d, d') (``_rank2_b``), and a
+    squarefree d (g = 1) proves b_p = 1; no Smith form runs.  In rank >= 3
+    a unit gcd of a few (r-1)-minors of W proves every b_i = 1, and only
+    otherwise is its Smith form taken (``motive_invariant_factors``).
     """
     if red.rank < 2:
         return []
     if red.rank == 2:
         d = weil.disc
-        if poly_gcd(d, d.derivative()).is_one():
-            return [Poly.one(red.source.base)]
+        g = poly_gcd(d, d.derivative())
+        return [g if g.is_one() else _rank2_b(red, g)]
     return motive_invariant_factors(red).factors
+
+
+def _rank2_b(red: ReducedModule, g: Poly) -> Poly:
+    """b_p = gcd(g, Pi_01, Pi_10, Pi_11 - Pi_00) for g = gcd(d, d') != 1, or
+    of the three entries when g = 0 (d = 0).  One product with the prime
+    matrix of reduction mod g (``remainder_matrix``) takes the entries, D x m
+    windows of the motive recurrence, mod g, so the gcds run at degree
+    < deg g; a nonzero constant makes the gcd 1.  b_p lies in F_q[T]."""
+    tower, ctx = red.source.tower, red.ctx
+    base, p0, m = tower.base_field, ctx.char, ctx.degree
+    pi = red.motive[0][0]
+    w = np.stack([pi[0, 1], pi[1, 0], (pi[1, 1] - pi[0, 0]) % p0])
+    h = np.zeros((0, m), dtype=np.int64)
+    if not g.is_zero():
+        h = (base.coeff_array(g.coeffs) @ tower.embedding(base, ctx).matrix.T) % p0
+        w = (w.reshape(3, -1) @ remainder_matrix(ctx, h, w.shape[1]).T) % p0
+        w = w.reshape(3, g.degree(), m)
+    for x in w:
+        if x.any():  # a nonzero constant x makes the gcd 1 with no Euclid
+            h = ctx.poly_gcd(h, x) if x[1:].any() else x[:1]
+        if len(h) == 1:
+            return Poly.one(base)
+    if not len(h):
+        raise DrinfeldError("Frobenius on the motive is scalar")  # unreachable
+    return Poly(base, [tower.project(c, base) for c in ctx.array_elems(h)])
 
 
 def rank2_invariants(psi: DrinfeldModule, p: Poly) -> Rank2Invariants:
@@ -679,7 +704,9 @@ def motive_invariant_factors(red: ReducedModule) -> InvariantFactors:
     taken until the first unit, proves every b_i = 1 in every
     characteristic.  Only where it fails does the Smith form run.
     Each factor is projected to A coefficient by coefficient, which raises
-    unless it lies in F_q[T].
+    unless it lies in F_q[T].  In rank 2 ``b_invariants`` takes the gcd of
+    W's three entries mod gcd(d, d') instead (``_rank2_b``), and this Smith
+    form is the tests' second route there.
     """
     tower, ctx, r = red.source.tower, red.ctx, red.rank
     base = tower.base_field

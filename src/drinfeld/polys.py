@@ -424,22 +424,16 @@ def _x_power_rows(F, g: np.ndarray, k: int) -> np.ndarray:
 
     d, p, e = len(g) - 1, F.char, F.degree
     n = d * e
-    fold = F.mult_matrices((-g[:d]) % p)  # c x^d = -sum (c g_i) x^i
     cur = np.zeros((d, e), dtype=np.int64)
     if k < d:
         cur[d - 1, 0] = 1
-        rows = []
+        rows = _x_steps(F, g, cur, k + 1)[1:]
     else:
         x = np.zeros((2, e), dtype=np.int64)
         x[1, 0] = 1
         xk = PolyModulus(F, g).pow(x, k)
         cur[: len(xk)] = xk
-        rows = [cur]
-    while len(rows) < min(k, d):
-        nxt = np.zeros_like(cur)
-        nxt[1:] = cur[:-1]
-        cur = (nxt + fold @ cur[-1]) % p
-        rows.append(cur)
+        rows = _x_steps(F, g, cur, d)
     low = n - len(rows) * e
     top = _columns(F, rows)
     cur = np.zeros(n, dtype=np.int64)
@@ -453,6 +447,20 @@ def _x_power_rows(F, g: np.ndarray, k: int) -> np.ndarray:
     return np.array(out).reshape(d, d, e)
 
 
+def _x_steps(F, g: np.ndarray, cur: np.ndarray, n: int) -> list[np.ndarray]:
+    """u, x u, .., x^(n-1) u mod the monic g of degree d over F, for u given
+    as d x e coordinates: each a shift, with c x^d = -sum (c g_i) x^i."""
+    d, p = len(g) - 1, F.char
+    fold = F.mult_matrices((-g[:d]) % p)
+    out = [cur]
+    for _ in range(n - 1):
+        nxt = np.zeros_like(cur)
+        nxt[1:] = cur[:-1]
+        cur = (nxt + fold @ cur[-1]) % p
+        out.append(cur)
+    return out
+
+
 def _columns(F, rows) -> np.ndarray:
     """For m elements rows[j] of F[x]/(g), d x e coordinate arrays: the
     d e x m e prime matrix whose column j e + t holds y^t rows[j]."""
@@ -460,6 +468,15 @@ def _columns(F, rows) -> np.ndarray:
     m, d, e = rows.shape
     mats = F.mult_matrices(rows.reshape(-1, e)).reshape(m, d, e, e)
     return mats.transpose(1, 2, 0, 3).reshape(d * e, m * e)
+
+
+def remainder_matrix(F, g: np.ndarray, n: int) -> np.ndarray:
+    """The d e x n e prime matrix of u -> u mod g on polynomials of degree
+    < n over F, for the monic g of degree d >= 1 given as (d + 1) x e
+    coordinates: the ``_columns`` of x^j mod g, j < n."""
+    one = np.zeros((len(g) - 1, F.degree), dtype=np.int64)
+    one[0, 0] = 1
+    return _columns(F, _x_steps(F, g, one, n))
 
 
 def frobenius_matrix(F, g: np.ndarray) -> np.ndarray:
@@ -651,7 +668,9 @@ class FrobeniusStep:
     M_t of multiplication by the image of y^t: one product of W with the
     d x ed block row of the (M_t Phi)^T, one with the m x me block row of
     the X_t^T (Cantor and Zassenhaus, Math. Comp. 36, 1981; von zur Gathen
-    and Shoup, Comput. Complexity 2, 1992).
+    and Shoup, Comput. Complexity 2, 1992).  The block row is
+    Phi^T [M_0^T | .. | M_(e-1)^T], one ``mult_matrices`` call on the e
+    images and one product.
     """
 
     def __init__(self, f: Poly, field=None, embed=None, rows=None):
@@ -665,10 +684,12 @@ class FrobeniusStep:
             self.x[1, 0] = 1
         else:
             self.x[0] = (-f.coeffs[0]).coords
-        phi = F.frob_p_matrix(1)
-        ys = [K.dec_elem(K.char**t) for t in range(e)]  # y^t, the prime basis of K
-        gens = [(embed(y) if embed else y).coords for y in ys]
-        self._b = np.hstack([((F.mult_matrix(g) @ phi) % p).T for g in gens])
+        ys = np.eye(e, dtype=np.int64)  # y^t, the prime basis of K
+        if embed:
+            ys = np.array([embed(y).coords for y in K.array_elems(ys)], dtype=np.int64)
+        d = F.degree
+        mats = F.mult_matrices(ys).transpose(2, 0, 1).reshape(d, e * d)  # the M_t^T side by side
+        self._b = (F.frob_p_matrix(1).T @ mats) % p
         self._x = self._rows.transpose(1, 0, 2).reshape(self.m, self.m * e)
 
     def over(self, field, embed) -> "FrobeniusStep":
@@ -738,30 +759,27 @@ def factorize(f: Poly) -> FactorizationA:
     """Complete factorization into monic irreducibles, deterministic order."""
     if f.is_zero():
         raise ZeroInputError("factorization of zero")
-    unit = f.lead()
-    rng = _poly_seed_rng(f)
-    factors: list[tuple[Poly, int]] = []
-    for g, mult in squarefree_decomposition(f):
-        # distinct-degree split of the squarefree g
-        q = f.field.order
-        x = Poly.x(f.field)
-        h = x
-        k = 0
-        rem = g
-        while rem.degree() > 0:
-            k += 1
-            if 2 * k > rem.degree():
-                factors.append((rem.monic(), mult))
-                break
-            h = powmod(h, q, rem)
-            gd = poly_gcd(h - x, rem)
-            if gd.degree() > 0:
-                for irr in _equal_degree_split(gd.monic(), k, rng):
-                    factors.append((irr, mult))
-                rem = rem.exact_div(gd)
-                h = h % rem
+    factors = [(irr, mult) for g, mult in squarefree_decomposition(f)
+               for irr in squarefree_factors(g)]
     # the squarefree parts are pairwise coprime, so no irreducible repeats
-    return FactorizationA(f.field, unit, sorted(factors, key=lambda t: t[0].lex_key()))
+    return FactorizationA(f.field, f.lead(), sorted(factors, key=lambda t: t[0].lex_key()))
+
+
+def squarefree_factors(g: Poly) -> list[Poly]:
+    """The monic irreducible factors of a monic squarefree g over a tower
+    field: distinct-degree splitting by x^(Q^k) mod g, Q = |F|, then
+    equal-degree splitting of each part, driven by a stream seeded from g."""
+    rng, x = _poly_seed_rng(g), Poly.x(g.field)
+    h, k, out = x, 0, []
+    while 2 * (k + 1) <= g.degree():
+        k += 1
+        h = powmod(h, g.field.order, g)
+        gd = poly_gcd(h - x, g)
+        if gd.degree() > 0:
+            out += _equal_degree_split(gd, k, rng)
+            g = g.exact_div(gd)
+            h = h % g
+    return out + [g.monic()] if g.degree() > 0 else out
 
 
 def roots_in_field(f: Poly) -> list:

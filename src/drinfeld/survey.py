@@ -8,10 +8,10 @@ runs and can cross process boundaries under --jobs; emission order is always
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import logging
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
@@ -200,7 +200,8 @@ def run_survey(
     g_codes = [[c.int_code() for c in g.coeffs] for g in psi.g]
     tasks = [[c.int_code() for c in p.coeffs] for p in primes]
     opt_kwargs = dataclasses.asdict(dataclasses.replace(options, jobs=1))
-    with ProcessPoolExecutor(
+    # the pool's modules (multiprocessing and its kin) load only here
+    with concurrent.futures.ProcessPoolExecutor(
         max_workers=min(options.jobs, len(primes)),
         initializer=_worker_init,
         initargs=(psi.tower.q, psi.tower.max_degree, g_codes, opt_kwargs),

@@ -46,7 +46,7 @@ from .errors import (
 from .fields import FFElem, FieldId, _FieldCtx
 from .linalg import orbits
 from .modules import DrinfeldModule, ReducedModule, motive_frobenius, reduce_at
-from .polys import Poly, factorize, poly_gcd, powint, squarefree_decomposition
+from .polys import Poly, factorize, poly_gcd, powint, squarefree_decomposition, squarefree_factors
 from .quotients import QuotElem, QuotRing, mat_is_identity, mat_mul
 from .skew import skew_eval
 from .amatrix import ring_det
@@ -327,8 +327,10 @@ def fq_invariant_factors(mt: np.ndarray, base: _FieldCtx) -> list[Poly]:
       the first one outside their span, the next start; the walk goes on
       until the blocks span everything.
     - Then each irreducible f of multiplicity m >= 2 in chi gets its
-      partition from the jumps of dim ker f(M)^k, k = 1..m (prime ranks
-      divided by e); f^(lambda_j) goes into the j-th factor from the top.
+      partition from the jumps of dim ker f(M)^k, k = 1, 2, .. until it
+      reaches m deg f, the generalized kernel (prime ranks divided by e);
+      f^(lambda_j) goes into the j-th factor from the top.  The f come
+      from splitting the squarefree parts of chi (``squarefree_factors``).
       Factors of multiplicity 1 all go into the top one.
     """
     p0, e = base.char, base.degree
@@ -364,14 +366,17 @@ def fq_invariant_factors(mt: np.ndarray, base: _FieldCtx) -> list[Poly]:
         if m == 1:
             from_top[0] = from_top[0] * g
             continue
-        for f, _ in factorize(g).factors:
+        for f in squarefree_factors(g):
             fm = _poly_at(f, mt, base)
             power, kernel, at_least = fm, 0, []  # at_least[k]: blocks of size > k
             for _ in range(m):
                 rank = len(linalg.rref(power, p0)[1])
                 grown = (dim - rank) // e
                 at_least.append((grown - kernel) // f.degree())
-                kernel, power = grown, (power @ fm) % p0
+                kernel = grown
+                if kernel == m * f.degree():  # the whole generalized kernel
+                    break
+                power = (power @ fm) % p0
             if kernel != m * f.degree():
                 raise DrinfeldError("generalized kernel of the wrong dimension")  # unreachable
             for i in range(at_least[0]):

@@ -17,7 +17,7 @@ from drinfeld import invariants, survey
 from drinfeld.cli import main
 from drinfeld.config import SurveyOptions
 from drinfeld.errors import DrinfeldError, TowerMembershipError
-from drinfeld.fields import FieldTower
+from drinfeld.fields import TABLE_LIMIT, FieldTower
 from drinfeld.invariants import (
     InvariantFactors,
     b_invariants,
@@ -29,7 +29,7 @@ from drinfeld.invariants import (
     weil_motive,
 )
 from drinfeld.modules import ReducedModule, motive_frobenius, reduce_at
-from drinfeld.polys import Poly, enumerate_monic_irreducibles
+from drinfeld.polys import Poly, enumerate_monic_irreducibles, poly_gcd
 from drinfeld.survey import cm_example, compute_record
 from drinfeld.textio import module_from_text, poly_from_text, poly_to_text
 
@@ -193,6 +193,58 @@ def test_rank1_has_no_b():
     assert b_invariants(red, weil_motive(red)) == []
 
 
+# (q, psi_T, prime degrees or primes, primes with gcd(d, d') != 1: d = 0, deg
+# gcd(d, d') >= 2, nontrivial b).  d = 0 is a_p = 0 at q = 2 and 4; the
+# primes of degrees 10-13 at q = 3 are the sample-r2-q3-largefield primes
+# with gcd(d, d') != 1, residue fields above the log-table limit, two with a
+# gcd(d, d') of degree 3.
+GCD_ROUTE_CASES = [
+    (2, "T+1*t+1*t^2", (1, 2, 3, 4, 5, 6), (20, 4, 16, 4)),
+    (4, "T+T*t+T*t^2", (1, 2, 3), (26, 5, 21, 20)),
+    (3, "T+T*t+1*t^2", (1, 2, 3, 4), (11, 0, 5, 3)),
+    (5, "T+T*t+1*t^2", (1, 2, 3), (8, 0, 1, 2)),
+    (9, "T+(z*T^2+1)*t+T*t^2", (1, 2), (11, 0, 0, 1)),
+    (3, "T+1*t+1*t^2", (
+        "T^10+2*T^9+2*T^7+2*T^6+T^4+T^2+T+1",
+        "T^10+2*T^9+T^8+2*T^7+2*T^6+2*T^5+2*T^4+2*T^2+T+1",
+        "T^11+2*T^6+T^5+2*T^4+2*T^3+2",
+        "T^11+T^10+T^9+2*T^8+2*T^7+T^6+T^3+2",
+        "T^12+2*T^11+2*T^10+T^9+T^8+T^6+2*T^5+T^4+2*T^3+T^2+T+2",
+        "T^13+T^10+2*T^9+T^5+2*T^3+T^2+T+1",
+        "T^13+2*T^11+2*T^10+T^7+2*T^6+T^5+2*T^4+2*T^3+T^2+T+2",
+    ), (7, 0, 2, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "q,text,primes,counts", GCD_ROUTE_CASES,
+    ids=[f"q{c[0]}-{c[1]}-{'large' if isinstance(c[2][0], str) else 'all'}" for c in GCD_ROUTE_CASES],
+)
+def test_rank2_gcd_route_equals_the_smith_form_and_the_lattice(q, text, primes, counts):
+    """Where g = gcd(d, d') != 1, ``b_invariants`` in rank 2 takes b_p as
+    gcd(g, W mod g) for the entries W of the motive matrix, or as the gcd of
+    W when d = 0: it equals the Smith form of W
+    (``motive_invariant_factors``) and the lattice's b on every such prime."""
+    psi = module_from_text(text, TOWERS[q])
+    if isinstance(primes[0], str):
+        reds = [reduce_at(psi, poly_from_text(p, TOWERS[q])) for p in primes]
+        assert all(red.ctx.order > TABLE_LIMIT for red in reds)
+    else:
+        reds = list(_reductions(psi, primes))
+    seen = [0, 0, 0, 0]
+    for red in reds:
+        weil = weil_motive(red)
+        g = poly_gcd(weil.disc, weil.disc.derivative())
+        if g.is_one():
+            continue
+        b = b_invariants(red, weil)
+        assert b == motive_invariant_factors(red).factors, (q, poly_to_text(red.prime))
+        assert b == invariant_factors_from_lattice(end_lattice_reduced(red)).factors
+        for k, hit in enumerate([True, g.is_zero(), g.degree() >= 2, _nontrivial(b)]):
+            seen[k] += hit
+    assert tuple(seen) == counts
+
+
 # (q, psi_T, prime degrees, primes where a squarefree d certifies b = 1 at
 # even q).  At even q, d = a_p^2 is squarefree only when a_p is a nonzero
 # constant.
@@ -208,27 +260,19 @@ B_ROUTE_CASES = [
 @pytest.mark.parametrize(
     "q,text,degrees,certified", B_ROUTE_CASES, ids=[f"q{c[0]}" for c in B_ROUTE_CASES]
 )
-def test_b_invariants_route_in_rank_two(q, text, degrees, certified, monkeypatch):
+def test_b_invariants_route_in_rank_two(q, text, degrees, certified):
     """``b_invariants`` in rank 2 equals the motive b on every prime, the
-    lattice's wherever the squarefree-d certificate replaces the Smith form
+    lattice's wherever the squarefree-d certificate gcd(d, d') = 1 gives it
     (and on every prime at odd q), and the conductor loop's at odd q.  At
     even q the certificate fires on ``certified`` primes."""
     psi = module_from_text(text, TOWERS[q])
-    smith_forms = [0]
-    motive = invariants.motive_invariant_factors
-
-    def counted(red):
-        smith_forms[0] += 1
-        return motive(red)
-
-    monkeypatch.setattr(invariants, "motive_invariant_factors", counted)
     fired = 0
     for red in _reductions(psi, degrees):
-        before = smith_forms[0]
-        b = b_invariants(red, weil_motive(red))
-        cert = smith_forms[0] == before
+        weil = weil_motive(red)
+        b = b_invariants(red, weil)
+        cert = poly_gcd(weil.disc, weil.disc.derivative()).is_one()
         fired += cert
-        assert b == motive(red).factors, (q, poly_to_text(red.prime))
+        assert b == motive_invariant_factors(red).factors, (q, poly_to_text(red.prime))
         if cert or q % 2:
             assert b == invariant_factors_from_lattice(end_lattice_reduced(red)).factors
         if q % 2:

@@ -18,6 +18,7 @@ from drinfeld.errors import (
 )
 from drinfeld.polys import (
     NEG_INF,
+    FrobeniusStep,
     Poly,
     count_monic_irreducibles,
     crt,
@@ -457,3 +458,28 @@ def test_rabin_matches_factorize(q):
             h2 = next(h for h in iter(lambda: monic(d // 2), None) if _is_prime(h) and h != h1)
             assert _fixes_x(F, h1 * h2) and not is_irreducible(h1 * h2), (q, d)
             assert not _fixes_x(F, h1 * h1) and not is_irreducible(h1 * h1), (q, d)
+
+
+@pytest.mark.parametrize("q,sup", [(3, None), (4, None), (4, 6), (9, 8), (3, 11)])
+def test_frobenius_step_block_row_is_the_per_generator_stack(q, sup):
+    """The step's d x ed block row of the (M_t Phi)^T, built by one
+    ``mult_matrices`` call and one product, equals the stack of one
+    ``mult_matrix`` product per basis element y^t of K, for F = K and for
+    ``over`` a larger field F (F_(3^11) lies above the table limit)."""
+    from drinfeld.fields import FieldTower
+
+    tower = FieldTower(q)
+    K = tower.base_field
+    rng = random.Random(q)
+    f = Poly(K, [K.dec_elem(rng.randrange(q)) for _ in range(3)] + [K.one_elem()])
+    step = FrobeniusStep(f)
+    F, embed = K, None
+    if sup is not None:
+        F = tower.field(sup)
+        embed = lambda c: tower.embed(c, F)  # noqa: E731
+        step = step.over(F, embed)
+    phi = F.frob_p_matrix(1)
+    ys = [K.dec_elem(K.char**t) for t in range(K.degree)]
+    gens = [(embed(y) if embed else y).coords for y in ys]
+    want = np.hstack([((F.mult_matrix(g) @ phi) % F.char).T for g in gens])
+    assert np.array_equal(step._b, want)

@@ -22,9 +22,9 @@ SCRIPTS = [
     ("field_bench.py", "field_bench.py", ["--ops", "1", "--repeats", "1"], "project"),
     ("record_bench.py", "record_bench.py", ["--q", "3", "--deg", "1", "--passes", "1"],
      "structure oracle"),
-    # d is not squarefree at some q = 5 primes of degree 3, so b_p takes the motive gcd
+    # every rank-2 record takes b_p from gcd(d, d'), and the motive gcd where d is not squarefree
     ("record_bench.py-rank2-q5", "record_bench.py", ["--q", "5", "--deg", "1,2,3", "--passes", "1"],
-     "motive invariants"),
+     "b route"),
     # every pass rebuilds the root tables, so the stage shows in the least of two
     ("record_bench.py-root-table", "record_bench.py", ["--q", "5", "--deg", "1,2", "--passes", "2"],
      "root table"),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -76,7 +77,7 @@ def test_survey_pool_has_at_most_one_worker_per_prime(tower3, psi3, monkeypatch)
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(survey, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(survey, "_WORKER_STATE", {})
     pooled = [r.to_dict() for r in run_survey(psi3, [1], SurveyOptions(jobs=64))]
     assert asked == [3]

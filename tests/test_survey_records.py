@@ -154,8 +154,8 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
 
 def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
     """The structure oracle runs by Krylov blocks and kernel ranks: an odd-q
-    rank-2 record with a squarefree d takes no Smith form, one with a
-    non-squarefree d exactly one (the motive gcd for b_p, with no skew
+    rank-2 record takes no Smith form, with a squarefree d or without one
+    (there b_p is the gcd of the motive entries mod gcd(d, d'), with no skew
     right-division), and a rank-3 record one where its b's are nontrivial
     and none where two 2-minors of the motive matrix certify b = 1.
     Every record runs the motive recurrence once and never converts Pi to a
@@ -180,7 +180,7 @@ def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
     # cyclic F_p and a squarefree d, then non-cyclic F_p, whose d_1 | b_p
     # makes d not squarefree
     for k, (prime, sqfree, b_p, smith) in enumerate([
-        ("T^3+2*T+1", True, "1", 0), ("T^5+2*T^3+T^2+2*T+2", False, "T+2", 1),
+        ("T^3+2*T+1", True, "1", 0), ("T^5+2*T^3+T^2+2*T+2", False, "T+2", 0),
     ], start=1):
         rec = survey.compute_record(psi2, poly_from_text(prime, tower3), SurveyOptions())
         assert "structure_oracle" in rec.checks_passed and not rec.warnings
