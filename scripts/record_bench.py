@@ -1,15 +1,16 @@
-"""Time the stages of one survey record, ``survey.compute_record``.
+"""Time the stages of survey records, built as a survey builds them.
 
     PYTHONPATH=src python scripts/record_bench.py [--q Q] [--psi PSI] [--deg D,...] [--passes N]
                                                   [--full-checks]
 
-One pass runs ``compute_record`` with the default survey options (plus the
-lattice checks under ``--full-checks``, as in a survey) on every prime of the
-given degrees, for a module built afresh in the pass, so each pass builds its
-residue fields as a survey does; the tower, and with it the
-fields F_(q^n) and their log tables, is shared by the passes.  Each pass
-drops the fields' root tables, so it builds them once per degree, as a
-survey process does.  The stages are timed by plain wrappers put in place of
+One pass runs the survey's chunk path (``survey.chunk_records`` on the
+chunks ``survey.chunked`` makes of each degree, as ``run_survey`` does with
+one worker) with the default survey options (plus the lattice checks under
+``--full-checks``) on every prime of the given degrees, for a module built
+afresh in the pass, so each pass builds its residue fields as a survey does;
+the tower, and with it the fields F_(q^n) and their log tables, is shared
+by the passes.  Each pass drops the fields' root tables, so it builds them
+once per degree, as a survey process does.  The stages are timed by plain wrappers put in place of
 these functions in every ``drinfeld`` namespace that binds them:
 
 - ``residue field``: ``modules.reduce_at`` (the residue field and the
@@ -24,11 +25,17 @@ these functions in every ``drinfeld`` namespace that binds them:
 - ``root table``: ``fields.orbit_roots``, the one walk over the Frobenius
   orbits of F_(q^n) that builds that table, inside the first record of
   each degree;
-- ``Weil route``: ``invariants.weil_motive``, which reads the Weil
-  polynomial off the matrix Pi of pi on the Anderson motive at T = t;
-- ``skew identity``: ``invariants.weil_identity_holds``, inside the route:
-  P(pi) = 0 by one Horner pass in psibar_T over the T-degrees of the
-  Weil coefficients, deg p left multiplications;
+- ``Weil batch``: ``invariants.weil_batch``, once per chunk whose residue
+  fields share one context (every route but the own modulus) and that
+  holds two or more reduced primes: one stacked motive recurrence and the
+  blocks of psibar_T for the whole chunk, each prime's Weil polynomial read
+  off its Pi at T = t, and one stacked Horner pass of the skew identity;
+- ``Weil route``: ``invariants.weil_motive``, which returns the polynomial
+  the batch certified, and elsewhere reads it off the matrix Pi of pi on
+  the Anderson motive at T = t;
+- ``skew identity``: ``invariants.weil_identity_holds``, inside the route
+  where no batch ran: P(pi) = 0 by one Horner pass in psibar_T over the
+  T-degrees of the Weil coefficients, deg p left multiplications;
 - ``rank-2 invariants``: ``invariants.rank2_invariants_reduced`` without
   the stages it calls, i.e. d = a_p^2 - 4 u_p p and delta_p;
 - ``b route``: ``invariants.b_invariants`` without the motive stages it
@@ -42,8 +49,10 @@ these functions in every ``drinfeld`` namespace that binds them:
 - ``motive Frobenius``: ``modules.motive_frobenius``, Pi with entries in
   F_p[T], for torsion and the tests; it no longer runs on survey records.
   A reduction runs the recurrence whose windows are Pi, .., Pi^(r-1)
-  (``modules.motive_recurrence``) once and caches it, so its time goes to
-  the stage that asks first: on a survey record the Weil route;
+  (``modules.motive_recurrence``, or the chunk's stacked
+  ``modules.motive_batch``) once and caches it, so its time goes to the
+  stage that asks first: on a survey record the Weil batch or the Weil
+  route;
 - ``motive invariants``: ``invariants.motive_invariant_factors`` without the
   recurrence: the gcd of a few (r-1)-minors of the matrix of the
   recurrence's windows, which certifies trivial b's, and the Smith form of
@@ -57,9 +66,10 @@ these functions in every ``drinfeld`` namespace that binds them:
   Weil polynomial.
 
 A stage's time excludes the stages it calls, and ``other`` is what is left
-of the record.  Cached data goes to the stage that builds it first (the
-blocks of psibar_T, for one, to the skew identity).  Every ``linalg.rref``
-call, those made inside ``nullspace`` and ``solve`` included, every
+of the records.  Cached data goes to the stage that builds it first (the
+blocks of psibar_T, for one, to the Weil batch or the skew identity).
+Every ``linalg.rref`` call, those made inside ``nullspace`` and ``solve``
+included, every
 ``linalg.RowSpace.add`` call (the endomorphism lattice's incremental
 elimination of its span) and every ``amatrix.smith_normal_form`` call (so
 the share of rank-3 records the minors certify shows) is counted for the
@@ -86,6 +96,7 @@ STAGES = {
     "residue field": (modules, "reduce_at"),
     "prime test": (polys, "rabin_irreducible"),
     "root table": (fields, "orbit_roots"),
+    "Weil batch": (invariants, "weil_batch"),
     "Weil route": (invariants, "weil_motive"),
     "skew identity": (invariants, "weil_identity_holds"),
     "rank-2 invariants": (invariants, "rank2_invariants_reduced"),
@@ -165,7 +176,7 @@ def main(argv=None) -> int:
 
     tower = FieldTower(args.q)
     degrees = [int(d) for d in args.deg.split(",")]
-    primes = [p for d in degrees for p in enumerate_monic_irreducibles(tower.base_field, d)]
+    chunks = [c for d in degrees for c in survey.chunked(enumerate_monic_irreducibles(tower.base_field, d))]
     options = SurveyOptions(with_lattice_checks=args.full_checks)
     names = [*STAGES, "other", "record"]
     totals = dict.fromkeys(STAGES, 0.0)
@@ -184,7 +195,7 @@ def main(argv=None) -> int:
             for name in counts:
                 counts[name] = 0
         t0 = perf_counter()
-        recs = [survey.compute_record(psi, p, options) for p in primes]
+        recs = [rec for chunk in chunks for rec in survey.chunk_records(psi, chunk, options)]
         wall = perf_counter() - t0
         records = sum(1 for r in recs if r.skipped is None)
         errors = sum(1 for r in recs if r.warnings)

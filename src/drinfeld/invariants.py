@@ -8,17 +8,21 @@ off the matrix Pi that the reduction builds once by the window recurrence of
 ``modules.motive_recurrence`` (derived there).  The skew identity
 P(tau^deg p) = 0, one Horner pass in psibar_T, certifies every polynomial
 it returns, and ``weil_general`` (torsion Frobenius matrices glued by CRT)
-stays as the tests' independent oracle.  The invariant factors come from
-the same Pi over F_p[T] (``motive_invariant_factors``): in rank >= 3 a unit
-gcd of a few maximal minors proves them trivial, and otherwise one Smith
-normal form gives them; ``b_invariants`` is the one place that picks their
-route.  In rank 2, b_p^2 divides d = a_p^2 - 4 u_p p (d != 0) in every
-characteristic, so b_p is the gcd of gcd(d, d') with the motive entries
-taken mod it, 1 where d is squarefree, and no Smith form runs; the
-conductor loop (factoring d, then skew right-division membership) is the
-tests' oracle ``conductor_b_p``.  The endomorphism lattice is the b's
-second route: ``--full-checks``, ``disc_check`` and the tests run it, the
-survey does not.  The cross-checks are part of the acceptance gate."""
+stays as the tests' independent oracle.  A survey chunk runs both for many
+primes at once (``weil_batch``): one stacked recurrence, each polynomial
+read as ``weil_motive`` reads it, and one stacked Horner pass, whose
+certified polynomials ``weil_motive`` then returns.  The invariant
+factors come from the same Pi over F_p[T] (``motive_invariant_factors``):
+in rank >= 3 a unit gcd of a few maximal minors proves them trivial, and
+otherwise one Smith normal form gives them; ``b_invariants`` is the one
+place that picks their route.  In rank 2, b_p^2 divides
+d = a_p^2 - 4 u_p p (d != 0) in every characteristic, so b_p is the gcd of
+gcd(d, d') with the motive entries taken mod it, 1 where d is squarefree,
+and no Smith form runs; the conductor loop (factoring d, then skew
+right-division membership) is the tests' oracle ``conductor_b_p``.  The
+endomorphism lattice is the b's second route: ``--full-checks``,
+``disc_check`` and the tests run it, the survey does not.  The
+cross-checks are part of the acceptance gate."""
 
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .fields import FFElem
-from .modules import DrinfeldModule, ReducedModule, reduce_at
+from .modules import DrinfeldModule, ReducedModule, motive_batch, reduce_at
 from .polys import (
     Poly,
     crt,
@@ -51,7 +55,7 @@ from .polys import (
     remainder_matrix,
     squarefree_split,
 )
-from .skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
+from .skew import SkewPoly, left_blocks, left_mul, left_mul_many, skew_right_divmod
 from .textio import poly_to_text
 from .torsion import torsion_basis_reduced
 
@@ -182,10 +186,8 @@ def weil_identity_holds(red: ReducedModule, weil: WeilPolynomial) -> bool:
     return not (acc % p0).any()
 
 
-def _checked_weil(red: ReducedModule, coeffs: list[Poly], unit: FFElem) -> WeilPolynomial:
-    """WeilPolynomial from c_0 = unit * p, c_1 .. c_{r-1}; raises unless
-    P(tau^deg p) = 0."""
-    weil = WeilPolynomial(prime=red.prime, coeffs=tuple(coeffs), unit=unit)
+def _checked_weil(red: ReducedModule, weil: WeilPolynomial) -> WeilPolynomial:
+    """``weil``, unless P(tau^deg p) != 0, which raises."""
     if not weil_identity_holds(red, weil):
         raise DrinfeldError("Weil polynomial fails the skew identity")
     return weil
@@ -193,13 +195,20 @@ def _checked_weil(red: ReducedModule, coeffs: list[Poly], unit: FFElem) -> WeilP
 
 def weil_motive(red: ReducedModule) -> WeilPolynomial:
     """Weil polynomial det(x - Pi) of Frobenius on the Anderson motive, from
-    Pi at T = t (``modules.motive_recurrence``), i.e. mod p.
+    Pi at T = t (``modules.motive_recurrence``), i.e. mod p, certified by the
+    skew identity; the polynomial a survey chunk certified already
+    (``weil_batch``), where there is one."""
+    return red.weil or _checked_weil(red, _weil_at_t(red))
+
+
+def _weil_at_t(red: ReducedModule) -> WeilPolynomial:
+    """det(x - Pi(t)), not yet certified.
 
     At T = t, R_r = (t - t) R_0 - .. starts with 0, and so does every R_k
     with k >= 1, so det(x - Pi(t)) = x det(x - B) for the block B of Pi(t) on
     rows and columns 1..r-1.  For j >= 1, deg c_j <= (r - j) n / r < n (the
     Riemann hypothesis), so c_j is the lift of c_j(t); c_0 = u p with
-    u = (-1)^(r + n (r-1)) / N(g_r).  The skew identity certifies the result.
+    u = (-1)^(r + n (r-1)) / N(g_r).
     """
     ctx, r, n, t = red.ctx, red.rank, red.deg_p, red.psibar_T.coeffs[0]
     powers, ninv = red.motive
@@ -213,7 +222,74 @@ def weil_motive(red: ReducedModule) -> WeilPolynomial:
         if r * c.degree() > s * n:
             raise DrinfeldError("Riemann hypothesis bound violated; this is an implementation bug")
         coeffs.append(c)
-    return _checked_weil(red, coeffs, unit)
+    return WeilPolynomial(prime=red.prime, coeffs=tuple(coeffs), unit=unit)
+
+
+def weil_batch(reds: list[ReducedModule]) -> None:
+    """The Weil polynomials of a survey chunk: reductions of one module at
+    primes of one degree on one residue field context.
+
+    One stacked recurrence (``modules.motive_batch``) fills every
+    reduction's motive and psibar_T blocks; each Weil polynomial is read off
+    its own Pi(t) as ``weil_motive`` reads it; one stacked Horner pass
+    (``_identities_hold``) checks P(pi) = 0 for all of them.  Only a
+    polynomial that passes is cached (``ReducedModule.weil``); a prime whose
+    polynomial fails, or whose reading raises, is left to ``weil_motive``,
+    which meets the same failure there.
+    """
+    blocks = motive_batch(reds)
+    live, weils = [], []
+    for i, red in enumerate(reds):
+        try:
+            weils.append(_weil_at_t(red))
+        except DrinfeldError:
+            continue
+        live.append(i)
+    held = _identities_hold([reds[i] for i in live], weils, blocks[live])
+    for i, weil, ok in zip(live, weils, held):
+        if ok:
+            reds[i].weil = weil
+
+
+def _identities_hold(reds: list[ReducedModule], weils: list[WeilPolynomial],
+                     blocks: np.ndarray) -> list[bool]:
+    """``weil_identity_holds`` for each reduction and its polynomial, as one
+    Horner pass over the stacked (P, height, m) accumulator; ``blocks`` are
+    their psibar_T blocks as ``modules.motive_batch`` stacks them.
+
+    The accumulator grows as the tallest prime's does; the others' rows
+    above their own height stay zero, since psibar_T times zero rows is
+    zero, so each prime's rows are exactly its own pass's, zero-padded, and
+    the end test reads the same: P(pi) = 0 iff the rows are -tau^(n r)."""
+    if not reds:
+        return []
+    red0 = reds[0]
+    ctx, n, r, base = red0.ctx, red0.deg_p, red0.rank, red0.source.base
+    P, m, p0 = len(reds), ctx.degree, ctx.char
+    emb = red0.source.tower.embedding(base, ctx).matrix
+    # consts[u, k, i] = c_(i,k) of prime u in prime coordinates; tops[k] = the
+    # largest i with c_(i,k) != 0 for some prime (-1: none)
+    flat = [(u, k, i, x) for u, weil in enumerate(weils)
+            for i, c in enumerate(weil.coeffs) for k, x in enumerate(c.coeffs)]
+    us, ks, idx, xs = zip(*flat)
+    consts = np.zeros((P, max(ks) + 1, r, m), dtype=np.int64)
+    consts[us, ks, idx] = (base.coeff_array(xs) @ emb.T) % p0
+    tops = [max(np.flatnonzero(row), default=-1) for row in consts.any(axis=(0, 3))]
+    kt = blocks.transpose(0, 3, 1, 2).reshape(P, m, -1)  # [K_0^T .. K_r^T] per prime
+    acc = np.zeros((P, 0, m), dtype=np.int64)
+    for k in range(len(tops) - 1, -1, -1):
+        if acc.shape[1]:
+            acc = left_mul_many(kt, acc, p0)
+        i = tops[k]
+        if i >= 0:
+            if n * i >= acc.shape[1]:
+                pad = np.zeros((P, n * i + 1 - acc.shape[1], m), dtype=np.int64)
+                acc = np.concatenate([acc, pad], axis=1)
+            acc[:, : n * i + 1 : n] += consts[:, k, : i + 1]
+    if acc.shape[1] <= n * r:
+        return [False] * P
+    acc[:, n * r, 0] += 1
+    return (~(acc % p0).any(axis=(1, 2))).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +349,7 @@ def weil_general(psi: DrinfeldModule, p: Poly) -> WeilPolynomial:
     quot, rem = divmod(coeffs[0], red.prime)
     if not rem.is_zero() or quot.degree() != 0:
         raise DrinfeldError("constant Weil coefficient is not unit * p")
-    return _checked_weil(red, coeffs, quot[0])
+    return _checked_weil(red, WeilPolynomial(prime=red.prime, coeffs=tuple(coeffs), unit=quot[0]))
 
 
 # ---------------------------------------------------------------------------

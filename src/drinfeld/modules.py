@@ -36,7 +36,13 @@ F_p would exceed the tower cap.
 
 A reduction caches the matrix Pi of Frobenius on its Anderson motive and its
 powers up to Pi^(r-1), all windows of one recurrence (``motive_recurrence``),
-for the Weil polynomial, the b's and torsion.
+for the Weil polynomial, the b's and torsion.  A survey fills these caches
+for many reductions at once (``motive_batch``): primes of one degree whose
+residue fields share one context (every route but the own modulus) take
+one stacked recurrence, each step one batched product over the primes, and
+the blocks of psibar_T for all of them come from one ``mult_matrices``
+call.  The per-prime recurrence stays the route of a single reduction and
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -101,6 +107,12 @@ def good_reduction_at(psi: DrinfeldModule, p: Poly) -> bool:
     return not (psi.g[-1] % p).is_zero()
 
 
+def own_modulus(tower: FieldTower, n: int) -> bool:
+    """Whether a residue field of degree n is F_q[x]/(p) itself, one field
+    per prime (the own-modulus route of the module docstring)."""
+    return tower.base_degree == 1 and tower.q**n > TABLE_LIMIT
+
+
 class ResidueField:
     """F_p = A/pA with exact lift/reduce maps, by one of the routes of the
     module docstring.
@@ -117,7 +129,7 @@ class ResidueField:
         n = p.degree()
         self.deg_p = n
         e = tower.base_degree
-        if e == 1 and tower.q**n > TABLE_LIMIT:
+        if own_modulus(tower, n):
             # F_p = F_q[x]/(p) itself: T is x, and coordinates are coefficients.
             # The prime test runs on the field's own q-power matrix.
             tower.check_degree(n)
@@ -232,6 +244,9 @@ class ReducedModule:
             raise BadReductionError("tau-degree dropped under reduction")  # unreachable
         self.rank = source.rank
         self.deg_p = self.prime.degree()
+        # the Weil polynomial, once a survey chunk has certified it
+        # (``invariants.weil_batch``); ``invariants.weil_motive`` returns it
+        self.weil = None
 
     @property
     def ctx(self) -> _FieldCtx:
@@ -319,6 +334,64 @@ def motive_recurrence(red: ReducedModule) -> tuple[np.ndarray, FFElem]:
     rows = seq[1:].reshape(r, D + 1, -1, m)[:, :D].transpose(2, 0, 1, 3)  # rows[k] is R_k
     powers = np.array([rows[j * n : j * n + r] for j in range(1, J + 1)])
     return powers, tower.project(FFElem(ctx, tuple(norm_inv.tolist())), red.source.base)
+
+
+def motive_batch(reds: list[ReducedModule]) -> np.ndarray:
+    """``motive_recurrence`` and ``psibar_blocks`` for reductions of one
+    module at primes of one degree on one residue field context, as one
+    stacked pass over the P primes.
+
+    The coefficients of every psibar_T go through one ``mult_matrices``
+    call, and so does each q-power step of every prime's orbit; each
+    recurrence step is one batched product on a (P, rows, cols) array.
+    These are the steps of the per-prime recurrence on the same shapes, so
+    every cache gets the arrays ``motive_recurrence`` and ``left_blocks``
+    give.  Returns the blocks K_0..K_r stacked as a (P, r + 1, m, m) array,
+    zero where a block is None, for the stacked skew identity.
+    """
+    red0 = reds[0]
+    source, ctx, r, n = red0.source, red0.ctx, red0.rank, red0.deg_p
+    if any(red.source is not source or red.ctx is not ctx or red.deg_p != n for red in reds):
+        raise DrinfeldError("a batch needs one module, one degree and one residue field")
+    tower, P, m, p0 = source.tower, len(reds), ctx.degree, ctx.char
+    e = tower.base_degree
+    # coeffs holds t, g_1, .., g_r and h the orbit of -t/g_r, -g_1/g_r, ..,
+    # -g_(r-1)/g_r, 1/g_r, r + 1 rows per prime; mats[k] stacks M(h^(q^k))^T
+    coeffs, h = [], []
+    for red in reds:
+        t, *g = red.psibar_T.coeffs
+        inv = g[-1].inv()
+        coeffs += red.psibar_T.coeffs
+        h += [-(x * inv) for x in (t, *g[:-1])] + [inv]
+    coeffs, h = ctx.coeff_array(coeffs), ctx.coeff_array(h)
+    frobs = np.stack([ctx.frob_p_matrix(e * j) for j in range(r + 1)])
+    blocks = (ctx.mult_matrices(coeffs).reshape(P, r + 1, m, m) @ frobs) % p0
+    norm_inv, frob = h[r :: r + 1], frobs[1].T
+    mats = np.empty((n, P, (r + 1) * m, m), dtype=np.int64)
+    for k in range(n):
+        if k:
+            h = (h @ frob) % p0
+        mats[k] = ctx.mult_matrices(h).swapaxes(1, 2).reshape(P, (r + 1) * m, m)
+    # the layout of motive_recurrence, one such buffer per prime
+    J = max(1, r - 1)
+    D = (J * n + r - 1) // r + 1
+    seq = np.zeros((P, 1 + r * (D + 1), (J * n + r) * m), dtype=np.int64)
+    seq[:, 1 :: D + 1, : r * m : m] = np.eye(r, dtype=np.int64)
+    mw, mr = mats[:, :, : r * m], mats[:, :, r * m :]
+    for k in range(J * n):
+        w, s = seq[:, 1:, k * m : (k + r) * m], seq[:, :-1, k * m : (k + 1) * m]
+        new = w @ mw[k % n] + s @ mr[k % n]
+        seq[:, 1:, (k + r) * m : (k + r + 1) * m] = new % p0
+        if 0 < k < n:
+            norm_inv = (norm_inv[:, None] @ mr[k])[:, 0] % p0
+    rows = seq[:, 1:].reshape(P, r, D + 1, -1, m)[:, :, :D].transpose(0, 3, 1, 2, 4)
+    windows = [j * n + i for j in range(1, J + 1) for i in range(r)]
+    powers = rows[:, windows].reshape(P, J, r, r, D, m)
+    nonzero = coeffs.reshape(P, r + 1, m).any(axis=2).tolist()
+    for red, pw, ni, kb, nz in zip(reds, powers, norm_inv.tolist(), blocks, nonzero):
+        red.motive = pw, tower.project(FFElem(ctx, tuple(ni)), source.base)
+        red.psibar_blocks = [kj if z else None for kj, z in zip(kb, nz)]
+    return blocks
 
 
 def motive_frobenius(red: ReducedModule) -> list[list[Poly]]:

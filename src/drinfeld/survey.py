@@ -4,11 +4,18 @@ the reference CM module, and exact density estimates.
 Records are plain text/int/bool data so they serialize identically across
 runs and can cross process boundaries under --jobs; emission order is always
 (degree, lexicographic prime) regardless of completion order.
+
+A survey runs the primes of each degree in chunks of consecutive primes
+(``chunked``), and a chunk is the unit of work of a --jobs worker.  Where
+the chunk's residue fields share one context, ``chunk_records`` reduces
+every prime first and takes all their Weil polynomials in one batch
+(``invariants.weil_batch``), then builds each record with
+``compute_record`` on the reduction the batch filled; otherwise, and for a
+prime whose reduction raises, each record takes the per-prime route.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import logging
 import random
@@ -31,15 +38,21 @@ from .invariants import (
     end_lattice_reduced,
     invariant_factors_from_lattice,
     rank2_invariants_reduced,
+    weil_batch,
     weil_motive,
 )
 from .division import abhyankar_splits_reduced, module_structure_reduced
-from .modules import DrinfeldModule, reduce_at
+from .modules import DrinfeldModule, ReducedModule, own_modulus, reduce_at
 from .polys import Poly, count_monic_irreducibles, enumerate_monic_irreducibles, powint
 from .textio import poly_to_text, fq_to_text
 from .torsion import module_structure_oracle_reduced
 
 REQUIRED_CHECKS = ("weil_identity", "structure_oracle")
+
+# the most primes in one chunk: it bounds the stacked arrays of a batch
+# (a 6.4 MB peak at q = 2, rank 3, degree 10), and from about 64 primes on a
+# batch costs no less per prime (q = 5, degree 4)
+CHUNK = 64
 
 logger = logging.getLogger(__name__)
 
@@ -76,11 +89,14 @@ class SurveyRecord:
 CSV_COLUMNS = [f.name for f in dataclasses.fields(SurveyRecord)]
 
 
-def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> SurveyRecord:
-    """One record for the prime p.  The reduction at p and the invariants are
-    computed once and shared by every check.  A failure becomes the record
-    warning ``error: ...``, so one bad prime never aborts a survey; an
-    unexpected exception also logs its traceback."""
+def compute_record(
+    psi: DrinfeldModule, p: Poly, options: SurveyOptions, red: ReducedModule | None = None
+) -> SurveyRecord:
+    """One record for the prime p.  The reduction at p (``red``, when a
+    survey chunk has built it and filled its caches, else built here) and
+    the invariants are computed once and shared by every check.  A failure
+    becomes the record warning ``error: ...``, so one bad prime never aborts
+    a survey; an unexpected exception also logs its traceback."""
     tower = psi.tower
     psi_texts = [poly_to_text(g) for g in psi.g]
     base = psi.base
@@ -100,7 +116,7 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
         checks_passed=[],
     )
     try:
-        red = reduce_at(psi, p)
+        red = red or reduce_at(psi, p)
         inv = rank2_invariants_reduced(red) if psi.rank == 2 and tower.q % 2 else None
         weil = inv.weil if inv is not None else weil_motive(red)
         if psi.rank >= 2:  # c_(r-1); in rank 1, c_0 = u_p p is all there is
@@ -156,6 +172,38 @@ def compute_record(psi: DrinfeldModule, p: Poly, options: SurveyOptions) -> Surv
     return rec
 
 
+def chunked(primes: Iterable[Poly], jobs: int = 1) -> list[list[Poly]]:
+    """The primes of one degree in consecutive chunks of
+    min(CHUNK, ceil(len(primes) / jobs)), so that every worker gets one."""
+    primes = list(primes)
+    size = max(1, min(CHUNK, -(-len(primes) // jobs)))
+    return [primes[i : i + size] for i in range(0, len(primes), size)]
+
+
+def chunk_records(
+    psi: DrinfeldModule, primes: list[Poly], options: SurveyOptions
+) -> Iterator[SurveyRecord]:
+    """The records of consecutive primes of one degree, in order, each built
+    as the first is asked for.  When there are two or more primes and their
+    residue fields share one context (all routes but the own modulus), every
+    prime is reduced first and the reductions go through one
+    ``invariants.weil_batch`` before any record is built, so the first
+    record carries the batch's time.  A single prime, a degree with own
+    moduli and a prime whose reduction raises take the per-prime route."""
+    reds: list[ReducedModule | None] = [None] * len(primes)
+    if len(primes) > 1 and not own_modulus(psi.tower, primes[0].degree()):
+        for i, p in enumerate(primes):
+            try:
+                reds[i] = reduce_at(psi, p)
+            except Exception:
+                pass  # compute_record reduces p again and records the failure
+        live = [red for red in reds if red is not None]
+        if len(live) > 1:
+            weil_batch(live)
+    for p, red in zip(primes, reds):
+        yield compute_record(psi, p, options, red)
+
+
 # -- worker-pool plumbing -------------------------------------------------------
 
 _WORKER_STATE: dict = {}
@@ -169,12 +217,12 @@ def _worker_init(q: int, max_degree: int, g_codes: list[list[int]], opt_kwargs: 
     _WORKER_STATE["options"] = SurveyOptions(**opt_kwargs)
 
 
-def _worker_run(p_codes: list[int]) -> dict:
+def _worker_run(chunk: list[list[int]]) -> list[dict]:
+    """The records of one chunk, given by the primes' coefficient codes."""
     psi = _WORKER_STATE["psi"]
     base = psi.base
-    p = Poly(base, [base.dec_elem(c) for c in p_codes])
-    rec = compute_record(psi, p, _WORKER_STATE["options"])
-    return rec.to_dict()
+    primes = [Poly(base, [base.dec_elem(c) for c in codes]) for codes in chunk]
+    return [rec.to_dict() for rec in chunk_records(psi, primes, _WORKER_STATE["options"])]
 
 
 def run_survey(
@@ -183,35 +231,40 @@ def run_survey(
     options: SurveyOptions | None = None,
 ) -> Iterator[SurveyRecord]:
     """One record per monic prime of each requested degree, in (degree, lex)
-    order; bad-reduction primes carry a skip marker."""
+    order; bad-reduction primes carry a skip marker.  Each degree runs in
+    chunks (``chunked``, ``chunk_records``); under --jobs N a worker takes
+    a chunk at a time, and the chunks' records are merged in order."""
     options = options or SurveyOptions()
     degs = sorted(set(degrees))
     if not degs:
         raise DrinfeldError("no degrees requested")
-    primes: list[Poly] = []
-    for x in degs:
-        primes.extend(enumerate_monic_irreducibles(psi.base, x))
-    if options.jobs <= 1:
-        for p in primes:
-            rec = compute_record(psi, p, options)
-            _strict_gate(rec, options)
-            yield rec
+    jobs = max(1, options.jobs)
+    chunks = [c for x in degs for c in chunked(enumerate_monic_irreducibles(psi.base, x), jobs)]
+    if jobs == 1:
+        for chunk in chunks:
+            for rec in chunk_records(psi, chunk, options):
+                _strict_gate(rec, options)
+                yield rec
         return
     g_codes = [[c.int_code() for c in g.coeffs] for g in psi.g]
-    tasks = [[c.int_code() for c in p.coeffs] for p in primes]
+    tasks = [[[c.int_code() for c in p.coeffs] for p in chunk] for chunk in chunks]
     opt_kwargs = dataclasses.asdict(dataclasses.replace(options, jobs=1))
-    # the pool's modules (multiprocessing and its kin) load only here
+    # the pool's modules (concurrent.futures, multiprocessing and their kin)
+    # load only here
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(options.jobs, len(primes)),
+        max_workers=min(jobs, len(tasks)),
         initializer=_worker_init,
         initargs=(psi.tower.q, psi.tower.max_degree, g_codes, opt_kwargs),
     ) as pool:
         # map yields the results in task order, each as soon as it and those
         # before it are done
-        for d in pool.map(_worker_run, tasks):
-            rec = SurveyRecord(**d)
-            _strict_gate(rec, options)
-            yield rec
+        for dicts in pool.map(_worker_run, tasks):
+            for d in dicts:
+                rec = SurveyRecord(**d)
+                _strict_gate(rec, options)
+                yield rec
 
 
 def _strict_gate(rec: SurveyRecord, options: SurveyOptions):

@@ -77,10 +77,11 @@ def _lines(jobs: int) -> list[str]:
             recs = [survey.compute_record(psi, p, SurveyOptions()).to_dict() for p in primes]
         else:
             g_codes = [[c.int_code() for c in g.coeffs] for g in psi.g]
-            tasks = [[c.int_code() for c in p.coeffs] for p in primes]
+            # one-prime chunks, since the sample mixes degrees
+            tasks = [[[c.int_code() for c in p.coeffs]] for p in primes]
             init = (tower.q, tower.max_degree, g_codes, {})
             with ProcessPoolExecutor(jobs, initializer=survey._worker_init, initargs=init) as pool:
-                recs = list(pool.map(survey._worker_run, tasks))
+                recs = [d for chunk in pool.map(survey._worker_run, tasks) for d in chunk]
         out += [json.dumps(d, sort_keys=False) + "\n" for d in recs]
     return out
 

@@ -25,6 +25,9 @@ SCRIPTS = [
     # every rank-2 record takes b_p from gcd(d, d'), and the motive gcd where d is not squarefree
     ("record_bench.py-rank2-q5", "record_bench.py", ["--q", "5", "--deg", "1,2,3", "--passes", "1"],
      "b route"),
+    # each degree runs as one chunk, so its primes take the stacked Weil batch
+    ("record_bench.py-weil-batch", "record_bench.py", ["--q", "5", "--deg", "1,2", "--passes", "1"],
+     "Weil batch"),
     # every pass rebuilds the root tables, so the stage shows in the least of two
     ("record_bench.py-root-table", "record_bench.py", ["--q", "5", "--deg", "1,2", "--passes", "2"],
      "root table"),
