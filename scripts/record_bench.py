@@ -25,17 +25,14 @@ these functions in every ``drinfeld`` namespace that binds them:
 - ``root table``: ``fields.orbit_roots``, the one walk over the Frobenius
   orbits of F_(q^n) that builds that table, inside the first record of
   each degree;
-- ``Weil batch``: ``invariants.weil_batch``, once per chunk whose residue
-  fields share one context (every route but the own modulus) and that
-  holds two or more reduced primes: one stacked motive recurrence and the
-  blocks of psibar_T for the whole chunk, each prime's Weil polynomial read
-  off its Pi at T = t, and one stacked Horner pass of the skew identity;
+- ``Weil batch``: ``invariants.weil_batch``, once per group of a chunk's
+  reductions that share one residue field context, and so once per prime
+  on an own-modulus field, a batch of one: one stacked motive recurrence
+  and the blocks of psibar_T for the group, each prime's Weil polynomial
+  read off its Pi at T = t, and one stacked Horner pass of the skew
+  identity P(pi) = 0;
 - ``Weil route``: ``invariants.weil_motive``, which returns the polynomial
-  the batch certified, and elsewhere reads it off the matrix Pi of pi on
-  the Anderson motive at T = t;
-- ``skew identity``: ``invariants.weil_identity_holds``, inside the route
-  where no batch ran: P(pi) = 0 by one Horner pass in psibar_T over the
-  T-degrees of the Weil coefficients, deg p left multiplications;
+  the batch certified;
 - ``rank-2 invariants``: ``invariants.rank2_invariants_reduced`` without
   the stages it calls, i.e. d = a_p^2 - 4 u_p p and delta_p;
 - ``b route``: ``invariants.b_invariants`` without the motive stages it
@@ -49,10 +46,8 @@ these functions in every ``drinfeld`` namespace that binds them:
 - ``motive Frobenius``: ``modules.motive_frobenius``, Pi with entries in
   F_p[T], for torsion and the tests; it no longer runs on survey records.
   A reduction runs the recurrence whose windows are Pi, .., Pi^(r-1)
-  (``modules.motive_recurrence``, or the chunk's stacked
-  ``modules.motive_batch``) once and caches it, so its time goes to the
-  stage that asks first: on a survey record the Weil batch or the Weil
-  route;
+  (``modules.motive_batch``) once and caches it, so its time goes to the
+  stage that asks first: on a survey record the Weil batch;
 - ``motive invariants``: ``invariants.motive_invariant_factors`` without the
   recurrence: the gcd of a few (r-1)-minors of the matrix of the
   recurrence's windows, which certifies trivial b's, and the Smith form of
@@ -67,7 +62,7 @@ these functions in every ``drinfeld`` namespace that binds them:
 
 A stage's time excludes the stages it calls, and ``other`` is what is left
 of the records.  Cached data goes to the stage that builds it first (the
-blocks of psibar_T, for one, to the Weil batch or the skew identity).
+blocks of psibar_T, for one, to the Weil batch).
 Every ``linalg.rref`` call, those made inside ``nullspace`` and ``solve``
 included, every
 ``linalg.RowSpace.add`` call (the endomorphism lattice's incremental
@@ -98,7 +93,6 @@ STAGES = {
     "root table": (fields, "orbit_roots"),
     "Weil batch": (invariants, "weil_batch"),
     "Weil route": (invariants, "weil_motive"),
-    "skew identity": (invariants, "weil_identity_holds"),
     "rank-2 invariants": (invariants, "rank2_invariants_reduced"),
     "b route": (invariants, "b_invariants"),
     "module structure": (division, "module_structure_reduced"),

@@ -5,20 +5,20 @@ End(psi x F_p) over A[pi], and the endomorphism lattice.
 The Weil polynomial of every rank takes one route, ``weil_motive``: the
 characteristic polynomial of Frobenius on the Anderson motive, read at T = t
 off the matrix Pi that the reduction builds once by the window recurrence of
-``modules.motive_recurrence`` (derived there).  The skew identity
-P(tau^deg p) = 0, one Horner pass in psibar_T, certifies every polynomial
-it returns, and ``weil_general`` (torsion Frobenius matrices glued by CRT)
-stays as the tests' independent oracle.  A survey chunk runs both for many
-primes at once (``weil_batch``): one stacked recurrence, each polynomial
-read as ``weil_motive`` reads it, and one stacked Horner pass, whose
-certified polynomials ``weil_motive`` then returns.  The invariant
-factors come from the same Pi over F_p[T] (``motive_invariant_factors``):
-in rank >= 3 a unit gcd of a few maximal minors proves them trivial, and
-otherwise one Smith normal form gives them; ``b_invariants`` is the one
-place that picks their route.  In rank 2, b_p^2 divides
-d = a_p^2 - 4 u_p p (d != 0) in every characteristic, so b_p is the gcd of
-gcd(d, d') with the motive entries taken mod it, 1 where d is squarefree,
-and no Smith form runs; the conductor loop (factoring d, then skew
+``modules.motive_batch`` (derived there).  The skew identity
+P(tau^deg p) = 0, one Horner pass in psibar_T (``_identities_hold``),
+certifies every polynomial it returns, and ``weil_general`` (torsion
+Frobenius matrices glued by CRT) stays as the tests' independent oracle.
+Both passes run for many primes at once (``weil_batch``): one stacked
+recurrence and one stacked Horner pass, whose certified polynomials
+``weil_motive`` then returns.  A single reduction is a batch of one.  The
+invariant factors come from the same Pi over F_p[T]
+(``motive_invariant_factors``): in rank >= 3 a unit gcd of a few maximal
+minors proves them trivial, and otherwise one Smith normal form gives them;
+``b_invariants`` is the one place that picks their route.  In rank 2,
+b_p^2 divides d = a_p^2 - 4 u_p p (d != 0) in every characteristic, so b_p
+is the gcd of gcd(d, d') with the motive entries taken mod it, 1 where d
+is squarefree, and no Smith form runs; the conductor loop (factoring d, then skew
 right-division membership) is the tests' oracle ``conductor_b_p``.  The
 endomorphism lattice is the b's second route: ``--full-checks``,
 ``disc_check`` and the tests run it, the survey does not.  The
@@ -55,7 +55,7 @@ from .polys import (
     remainder_matrix,
     squarefree_split,
 )
-from .skew import SkewPoly, left_blocks, left_mul, left_mul_many, skew_right_divmod
+from .skew import SkewPoly, left_blocks, left_mul, skew_right_divmod
 from .textio import poly_to_text
 from .torsion import torsion_basis_reduced
 
@@ -150,40 +150,11 @@ def weil_rank2_reduced(red: ReducedModule) -> WeilPolynomial:
 
 
 def weil_identity_holds(red: ReducedModule, weil: WeilPolynomial) -> bool:
-    """P(tau^deg p) = tau^(n r) + sum_i psibar(c_i) tau^(n i) = 0 in F_p{tau},
-    checked exactly on one prime-coordinate array.
-
-    The T^k coefficient c_(i,k) of c_i lies in F_q, so it commutes with tau,
-    and the sum is sum_k psibar_T^k L_k with L_k = sum_i c_(i,k) tau^(n i):
-    one Horner pass acc <- psibar_T acc + L_k over k, deg c_0 = n steps.
-    The accumulator grows only as tall as the terms added so far reach."""
-    ctx, n, r, p0 = red.ctx, red.deg_p, weil.rank, red.ctx.char
-    base, coeffs = red.source.base, weil.coeffs
-    emb = red.source.tower.embedding(base, ctx).matrix
-    # consts[k, i] = c_(i,k) in prime coordinates; tops[k] = the largest i
-    # with c_(i,k) != 0, so L_k has tau-degree n tops[k] (-1: L_k = 0)
-    consts = np.zeros((max(len(c.coeffs) for c in coeffs), r, ctx.degree), dtype=np.int64)
-    flat = [(k, i, x) for i, c in enumerate(coeffs) for k, x in enumerate(c.coeffs)]
-    ks, idx, xs = zip(*flat)
-    consts[ks, idx] = (base.coeff_array(xs) @ emb.T) % p0
-    tops = [-1] * len(consts)
-    for k, i, x in flat:  # i increases along flat
-        if not x.is_zero():
-            tops[k] = i
-    acc = np.zeros((0, ctx.degree), dtype=np.int64)
-    for k in range(len(consts) - 1, -1, -1):
-        acc = left_mul(red.psibar_blocks, acc, p0)
-        i = tops[k]
-        if i >= 0:
-            if n * i >= len(acc):
-                acc = np.concatenate([acc, np.zeros((n * i + 1 - len(acc), ctx.degree), np.int64)])
-            # entries below 2 p; left_mul and the check below reduce them
-            acc[: n * i + 1 : n] += consts[k, : i + 1]
-    # P(pi) = 0 iff the sum is -tau^(n r)
-    if len(acc) <= n * r:
-        return False
-    acc[n * r, 0] += 1
-    return not (acc % p0).any()
+    """P(tau^deg p) = 0 in F_p{tau} for one reduction, by the stacked pass
+    (``_identities_hold``) on a batch of one."""
+    m = red.ctx.degree
+    blocks = np.array([[np.zeros((m, m), np.int64) if k is None else k for k in red.psibar_blocks]])
+    return _identities_hold([red], [weil], blocks)[0]
 
 
 def _checked_weil(red: ReducedModule, weil: WeilPolynomial) -> WeilPolynomial:
@@ -195,7 +166,7 @@ def _checked_weil(red: ReducedModule, weil: WeilPolynomial) -> WeilPolynomial:
 
 def weil_motive(red: ReducedModule) -> WeilPolynomial:
     """Weil polynomial det(x - Pi) of Frobenius on the Anderson motive, from
-    Pi at T = t (``modules.motive_recurrence``), i.e. mod p, certified by the
+    Pi at T = t (``modules.motive_batch``), i.e. mod p, certified by the
     skew identity; the polynomial a survey chunk certified already
     (``weil_batch``), where there is one."""
     return red.weil or _checked_weil(red, _weil_at_t(red))
@@ -242,8 +213,8 @@ def weil_batch(reds: list[ReducedModule]) -> None:
     for i, red in enumerate(reds):
         try:
             weils.append(_weil_at_t(red))
-        except DrinfeldError:
-            continue
+        except Exception:
+            continue  # weil_motive meets the failure again, in the record
         live.append(i)
     held = _identities_hold([reds[i] for i in live], weils, blocks[live])
     for i, weil, ok in zip(live, weils, held):
@@ -253,43 +224,59 @@ def weil_batch(reds: list[ReducedModule]) -> None:
 
 def _identities_hold(reds: list[ReducedModule], weils: list[WeilPolynomial],
                      blocks: np.ndarray) -> list[bool]:
-    """``weil_identity_holds`` for each reduction and its polynomial, as one
-    Horner pass over the stacked (P, height, m) accumulator; ``blocks`` are
-    their psibar_T blocks as ``modules.motive_batch`` stacks them.
+    """P(tau^deg p) = tau^(n r) + sum_i psibar(c_i) tau^(n i) = 0 in F_p{tau}
+    for each reduction and its polynomial, checked exactly on one stacked
+    (P, height, m) prime-coordinate array; ``blocks`` are their psibar_T
+    blocks as ``modules.motive_batch`` stacks them.
 
-    The accumulator grows as the tallest prime's does; the others' rows
-    above their own height stay zero, since psibar_T times zero rows is
+    The T^k coefficient c_(i,k) of c_i lies in F_q, so it commutes with tau,
+    and the sum is sum_k psibar_T^k L_k with L_k = sum_i c_(i,k) tau^(n i):
+    one Horner pass acc <- psibar_T acc + L_k over k, deg c_0 = n steps.
+    Row t of psibar_T acc is sum_j K_j acc_(t-j), one product of the rows
+    t - s .. t of acc, read as one window, with the blocks stacked in
+    reverse (s = deg psibar_T).  The accumulator grows only as tall as the
+    terms added so far reach, and as the tallest prime's does; the others'
+    rows above their own height stay zero, since psibar_T times zero rows is
     zero, so each prime's rows are exactly its own pass's, zero-padded, and
     the end test reads the same: P(pi) = 0 iff the rows are -tau^(n r)."""
     if not reds:
         return []
     red0 = reds[0]
-    ctx, n, r, base = red0.ctx, red0.deg_p, red0.rank, red0.source.base
-    P, m, p0 = len(reds), ctx.degree, ctx.char
+    ctx, n, r, base = red0.ctx, red0.deg_p, weils[0].rank, red0.source.base
+    P, m, p0, s = len(reds), ctx.degree, ctx.char, blocks.shape[1] - 1
     emb = red0.source.tower.embedding(base, ctx).matrix
     # consts[u, k, i] = c_(i,k) of prime u in prime coordinates; tops[k] = the
-    # largest i with c_(i,k) != 0 for some prime (-1: none)
-    flat = [(u, k, i, x) for u, weil in enumerate(weils)
-            for i, c in enumerate(weil.coeffs) for k, x in enumerate(c.coeffs)]
+    # largest i with c_(i,k) != 0 for some prime (-1: none), so L_k has
+    # tau-degree n tops[k]; no accumulator, and no -tau^(n r), is taller than H
+    flat = [(u, k, i, x) for i in range(r) for u, weil in enumerate(weils)
+            for k, x in enumerate(weil.coeffs[i].coeffs)]
     us, ks, idx, xs = zip(*flat)
     consts = np.zeros((P, max(ks) + 1, r, m), dtype=np.int64)
     consts[us, ks, idx] = (base.coeff_array(xs) @ emb.T) % p0
-    tops = [max(np.flatnonzero(row), default=-1) for row in consts.any(axis=(0, 3))]
-    kt = blocks.transpose(0, 3, 1, 2).reshape(P, m, -1)  # [K_0^T .. K_r^T] per prime
-    acc = np.zeros((P, 0, m), dtype=np.int64)
+    tops = [-1] * consts.shape[1]
+    for _, k, i, x in flat:  # i never decreases along flat
+        if x:
+            tops[k] = i
+    H = max([n * r + 1] + [n * i + 1 + s * k for k, i in enumerate(tops) if i >= 0])
+    # buf rows s .. s + h - 1 hold the accumulator and the others stay zero;
+    # win[:, t] is rows t .. t + s of buf, flat (buf has H + 2 s rows, so no
+    # window runs past it), and kb stacks K_s^T .. K_0^T to match
+    buf = np.zeros((P, H + 2 * s, m), dtype=np.int64)
+    win = np.lib.stride_tricks.as_strided(buf, (P, H + s, (s + 1) * m), buf.strides, writeable=False)
+    kb = blocks[:, ::-1].transpose(0, 1, 3, 2).reshape(P, (s + 1) * m, m)
+    h = 0
     for k in range(len(tops) - 1, -1, -1):
-        if acc.shape[1]:
-            acc = left_mul_many(kt, acc, p0)
+        if h:
+            # an entry sums (s + 1) m products below 2 p^2, far inside int64
+            buf[:, s : 2 * s + h] = (win[:, : h + s] @ kb) % p0
+            h += s
         i = tops[k]
         if i >= 0:
-            if n * i >= acc.shape[1]:
-                pad = np.zeros((P, n * i + 1 - acc.shape[1], m), dtype=np.int64)
-                acc = np.concatenate([acc, pad], axis=1)
-            acc[:, : n * i + 1 : n] += consts[:, k, : i + 1]
-    if acc.shape[1] <= n * r:
-        return [False] * P
-    acc[:, n * r, 0] += 1
-    return (~(acc % p0).any(axis=(1, 2))).tolist()
+            # entries below 2 p; the next product and the check below reduce them
+            buf[:, s : s + n * i + 1 : n] += consts[:, k, : i + 1]
+            h = max(h, n * i + 1)
+    buf[:, s + n * r, 0] += 1
+    return (~(buf % p0).any(axis=(1, 2))).tolist()
 
 
 # ---------------------------------------------------------------------------

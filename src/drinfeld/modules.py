@@ -35,14 +35,13 @@ there.  Beyond that the prime test runs only when p divides g_r, or when
 F_p would exceed the tower cap.
 
 A reduction caches the matrix Pi of Frobenius on its Anderson motive and its
-powers up to Pi^(r-1), all windows of one recurrence (``motive_recurrence``),
-for the Weil polynomial, the b's and torsion.  A survey fills these caches
-for many reductions at once (``motive_batch``): primes of one degree whose
-residue fields share one context (every route but the own modulus) take
-one stacked recurrence, each step one batched product over the primes, and
-the blocks of psibar_T for all of them come from one ``mult_matrices``
-call.  The per-prime recurrence stays the route of a single reduction and
-the tests' oracle.
+powers up to Pi^(r-1), all windows of one recurrence (``motive_batch``),
+for the Weil polynomial, the b's and torsion.  The recurrence runs for
+many reductions at once: primes of one degree whose residue fields share
+one context take one stacked pass, each step one batched product over the
+primes, and the blocks of psibar_T for all of them come from one
+``mult_matrices`` call.  A single reduction, an own-modulus one for
+instance, is a batch of one.
 """
 
 from __future__ import annotations
@@ -107,12 +106,6 @@ def good_reduction_at(psi: DrinfeldModule, p: Poly) -> bool:
     return not (psi.g[-1] % p).is_zero()
 
 
-def own_modulus(tower: FieldTower, n: int) -> bool:
-    """Whether a residue field of degree n is F_q[x]/(p) itself, one field
-    per prime (the own-modulus route of the module docstring)."""
-    return tower.base_degree == 1 and tower.q**n > TABLE_LIMIT
-
-
 class ResidueField:
     """F_p = A/pA with exact lift/reduce maps, by one of the routes of the
     module docstring.
@@ -129,7 +122,7 @@ class ResidueField:
         n = p.degree()
         self.deg_p = n
         e = tower.base_degree
-        if own_modulus(tower, n):
+        if e == 1 and tower.q**n > TABLE_LIMIT:
             # F_p = F_q[x]/(p) itself: T is x, and coordinates are coefficients.
             # The prime test runs on the field's own q-power matrix.
             tower.check_degree(n)
@@ -260,8 +253,10 @@ class ReducedModule:
 
     @cached_property
     def motive(self) -> tuple[np.ndarray, FFElem]:
-        """``motive_recurrence``: Pi's powers and N(g_r)^-1, built on first use."""
-        return motive_recurrence(self)
+        """Pi's powers and N(g_r)^-1 (``motive_batch``), built on first use
+        as a batch of one."""
+        motive_batch([self])  # sets self.motive, which shadows this property
+        return self.motive
 
     def psibar_array(self, a: Poly) -> np.ndarray:
         """psibar_a as a prime-coordinate array, by Horner on
@@ -286,7 +281,7 @@ class ReducedModule:
         return self.source.tower.embed(c, self.residue.ctx)
 
 
-def motive_recurrence(red: ReducedModule) -> tuple[np.ndarray, FFElem]:
+def motive_batch(reds: list[ReducedModule]) -> np.ndarray:
     """The powers Pi, Pi^2, .., Pi^J of the matrix Pi of pi = tau^(deg p) on
     the Anderson motive, J = max(1, r - 1), as a (J, r, r, T-degree, prime
     coordinate) array, and N(g_r)^-1 in F_q.
@@ -304,90 +299,60 @@ def motive_recurrence(red: ReducedModule) -> tuple[np.ndarray, FFElem]:
     is Pi^j, and J n steps give every power the b's need.  deg R_k <= k // r,
     so the windows fit D = (J n + r - 1) // r + 1 T-degrees.  The product of
     the q-power orbit of 1/g_r is N(g_r)^-1.
-    """
-    tower, ctx, r, n = red.source.tower, red.ctx, red.rank, red.deg_p
-    m, p0 = ctx.degree, ctx.char
-    # step k multiplies by h^(q^k) for h = -t/g_r, -g_1/g_r, .., -g_(r-1)/g_r
-    # and 1/g_r: the q-power orbits, then one stack of M(h^(q^k))^T per k mod n
-    t, *g = red.psibar_T.coeffs
-    inv = g[-1].inv()
-    orbit = np.empty((n, r + 1, m), dtype=np.int64)
-    orbit[0] = [(-(x * inv)).coords for x in (t, *g[:-1])] + [inv.coords]
-    frob = ctx.frob_p_matrix(tower.base_degree).T
-    for k in range(1, n):
-        orbit[k] = (orbit[k - 1] @ frob) % p0
-    mats = ctx.mult_matrices(orbit.reshape(-1, m)).swapaxes(1, 2).reshape(n, (r + 1) * m, m)
-    # columns j m .. (j + 1) m - 1 hold R_j, row 1 + i (D + 1) + d the T^d
-    # coefficient of entry i; rows 0 and 1 + i (D + 1) + D stay 0, so seq[:-1] is T seq[1:]
-    J = max(1, r - 1)
-    D = (J * n + r - 1) // r + 1
-    seq = np.zeros((1 + r * (D + 1), (J * n + r) * m), dtype=np.int64)
-    seq[1 :: D + 1, : r * m : m] = np.eye(r, dtype=np.int64)  # R_0 .. R_(r-1)
-    norm_inv, mw, mr = orbit[0, r], mats[:, : r * m], mats[:, r * m :]
-    for k in range(J * n):
-        # an entry sums r + 1 products of two residues, below (r + 1) m p^2
-        w, s = seq[1:, k * m : (k + r) * m], seq[:-1, k * m : (k + 1) * m]
-        new = w @ mw[k % n] + s @ mr[k % n]
-        seq[1:, (k + r) * m : (k + r + 1) * m] = new % p0
-        if 0 < k < n:
-            norm_inv = (norm_inv @ mr[k]) % p0
-    rows = seq[1:].reshape(r, D + 1, -1, m)[:, :D].transpose(2, 0, 1, 3)  # rows[k] is R_k
-    powers = np.array([rows[j * n : j * n + r] for j in range(1, J + 1)])
-    return powers, tower.project(FFElem(ctx, tuple(norm_inv.tolist())), red.source.base)
 
-
-def motive_batch(reds: list[ReducedModule]) -> np.ndarray:
-    """``motive_recurrence`` and ``psibar_blocks`` for reductions of one
-    module at primes of one degree on one residue field context, as one
-    stacked pass over the P primes.
-
-    The coefficients of every psibar_T go through one ``mult_matrices``
-    call, and so does each q-power step of every prime's orbit; each
-    recurrence step is one batched product on a (P, rows, cols) array.
-    These are the steps of the per-prime recurrence on the same shapes, so
-    every cache gets the arrays ``motive_recurrence`` and ``left_blocks``
-    give.  Returns the blocks K_0..K_r stacked as a (P, r + 1, m, m) array,
-    zero where a block is None, for the stacked skew identity.
+    Fills ``ReducedModule.motive`` (those powers and N(g_r)^-1) and
+    ``psibar_blocks`` for reductions of one module at primes of one degree
+    on one residue field context in one stacked pass; a single reduction is
+    a batch of one.  The q-power orbits come first, one Frobenius product
+    per step, then one ``mult_matrices`` call for their elements and the
+    coefficients of every psibar_T, and each recurrence step is one batched
+    product on a (P, rows, cols) array.  Returns the blocks K_0..K_r as a
+    (P, r + 1, m, m) array, zero where a block is None, for the stacked
+    skew identity.
     """
     red0 = reds[0]
     source, ctx, r, n = red0.source, red0.ctx, red0.rank, red0.deg_p
     if any(red.source is not source or red.ctx is not ctx or red.deg_p != n for red in reds):
         raise DrinfeldError("a batch needs one module, one degree and one residue field")
     tower, P, m, p0 = source.tower, len(reds), ctx.degree, ctx.char
-    e = tower.base_degree
-    # coeffs holds t, g_1, .., g_r and h the orbit of -t/g_r, -g_1/g_r, ..,
-    # -g_(r-1)/g_r, 1/g_r, r + 1 rows per prime; mats[k] stacks M(h^(q^k))^T
+    # orbit[0] holds t, g_1, .., g_r and orbit[1] -t/g_r, -g_1/g_r, ..,
+    # -g_(r-1)/g_r, 1/g_r, r + 1 rows per prime; orbit[k + 1] holds their
+    # q^k-th powers, by which step k multiplies
     coeffs, h = [], []
     for red in reds:
         t, *g = red.psibar_T.coeffs
         inv = g[-1].inv()
         coeffs += red.psibar_T.coeffs
         h += [-(x * inv) for x in (t, *g[:-1])] + [inv]
-    coeffs, h = ctx.coeff_array(coeffs), ctx.coeff_array(h)
-    frobs = np.stack([ctx.frob_p_matrix(e * j) for j in range(r + 1)])
-    blocks = (ctx.mult_matrices(coeffs).reshape(P, r + 1, m, m) @ frobs) % p0
-    norm_inv, frob = h[r :: r + 1], frobs[1].T
-    mats = np.empty((n, P, (r + 1) * m, m), dtype=np.int64)
-    for k in range(n):
-        if k:
-            h = (h @ frob) % p0
-        mats[k] = ctx.mult_matrices(h).swapaxes(1, 2).reshape(P, (r + 1) * m, m)
-    # the layout of motive_recurrence, one such buffer per prime
+    frobs = np.array([ctx.frob_p_matrix(tower.base_degree * j) for j in range(r + 1)])
+    orbit = np.empty((n + 1, P * (r + 1), m), dtype=np.int64)
+    orbit[:2] = ctx.coeff_array(coeffs + h).reshape(2, -1, m)
+    for k in range(2, n + 1):
+        orbit[k] = (orbit[k - 1] @ frobs[1].T) % p0
+    # one mult_matrices call: the blocks M(g_j) Phi^(e j), and mats[k]
+    # stacking the M(h^(q^k))^T of each prime
+    mats = ctx.mult_matrices(orbit.reshape(-1, m)).reshape(n + 1, P, r + 1, m, m)
+    blocks = (mats[0] @ frobs) % p0
+    mats = mats[1:].swapaxes(3, 4).reshape(n, P, (r + 1) * m, m)
+    # per prime, columns j m .. (j + 1) m - 1 hold R_j, row 1 + i (D + 1) + d
+    # the T^d coefficient of entry i; rows 0 and 1 + i (D + 1) + D stay 0, so
+    # seq[:, :-1] is T seq[:, 1:]
     J = max(1, r - 1)
     D = (J * n + r - 1) // r + 1
     seq = np.zeros((P, 1 + r * (D + 1), (J * n + r) * m), dtype=np.int64)
-    seq[:, 1 :: D + 1, : r * m : m] = np.eye(r, dtype=np.int64)
-    mw, mr = mats[:, :, : r * m], mats[:, :, r * m :]
+    seq[:, 1 :: D + 1, : r * m : m] = np.eye(r, dtype=np.int64)  # R_0 .. R_(r-1)
+    norm_inv, mw, mr = orbit[1, r :: r + 1], mats[:, :, : r * m], mats[:, :, r * m :]
     for k in range(J * n):
+        # an entry sums r + 1 products of two residues, below (r + 1) m p^2
         w, s = seq[:, 1:, k * m : (k + r) * m], seq[:, :-1, k * m : (k + 1) * m]
         new = w @ mw[k % n] + s @ mr[k % n]
         seq[:, 1:, (k + r) * m : (k + r + 1) * m] = new % p0
         if 0 < k < n:
             norm_inv = (norm_inv[:, None] @ mr[k])[:, 0] % p0
-    rows = seq[:, 1:].reshape(P, r, D + 1, -1, m)[:, :, :D].transpose(0, 3, 1, 2, 4)
+    rows = seq[:, 1:].reshape(P, r, D + 1, -1, m)[:, :, :D].transpose(0, 3, 1, 2, 4)  # rows[u, k] is R_k
     windows = [j * n + i for j in range(1, J + 1) for i in range(r)]
     powers = rows[:, windows].reshape(P, J, r, r, D, m)
-    nonzero = coeffs.reshape(P, r + 1, m).any(axis=2).tolist()
+    nonzero = orbit[0].reshape(P, r + 1, m).any(axis=2).tolist()
     for red, pw, ni, kb, nz in zip(reds, powers, norm_inv.tolist(), blocks, nonzero):
         red.motive = pw, tower.project(FFElem(ctx, tuple(ni)), source.base)
         red.psibar_blocks = [kj if z else None for kj, z in zip(kb, nz)]

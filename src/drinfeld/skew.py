@@ -12,10 +12,10 @@ per coefficient: the term f_j tau^j sends row i to row i + j by the
 prime-linear map K_j = M(f_j) Phi^(e j), with M(f_j) multiplication by f_j,
 Phi the p-power Frobenius matrix and e the base degree (``left_blocks``,
 ``left_mul``).  The reduced modules act with psibar_T this way, through its
-per-prime blocks K_0..K_r, and a survey chunk acts on many primes' arrays
-at once (``left_mul_many``); ``SkewPoly`` products stay as the tests' oracle
-(cf. Caruso and Le Borgne, "Fast multiplication for skew polynomials",
-ISSAC 2017).
+per-prime blocks K_0..K_r; the skew identity stacks them for many primes
+at once (``invariants._identities_hold``).  ``SkewPoly`` products stay as
+the tests' oracle (cf. Caruso and Le Borgne, "Fast multiplication for skew
+polynomials", ISSAC 2017).
 """
 
 from __future__ import annotations
@@ -281,18 +281,4 @@ def left_mul(blocks: list, x: np.ndarray, p: int) -> np.ndarray:
     for j, kj in enumerate(blocks):
         if kj is not None:
             out[j : j + k] += x @ kj.T
-    return out % p
-
-
-def left_mul_many(blocks: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    """``left_mul`` for P skew polynomials at once: ``blocks`` is the
-    (P, m, (s + 1) m) array [K_0^T .. K_s^T] of each and x a (P, k, m) array;
-    one batched product, then s + 1 shifted adds."""
-    P, k, m = x.shape
-    prod = x @ blocks
-    width = blocks.shape[2] // m
-    out = np.zeros((P, k + width - 1, m), dtype=np.int64)
-    # entries stay far inside int64, as in left_mul
-    for j in range(width):
-        out[:, j : j + k] += prod[:, :, j * m : (j + 1) * m]
     return out % p

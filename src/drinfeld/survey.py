@@ -6,12 +6,12 @@ runs and can cross process boundaries under --jobs; emission order is always
 (degree, lexicographic prime) regardless of completion order.
 
 A survey runs the primes of each degree in chunks of consecutive primes
-(``chunked``), and a chunk is the unit of work of a --jobs worker.  Where
-the chunk's residue fields share one context, ``chunk_records`` reduces
-every prime first and takes all their Weil polynomials in one batch
-(``invariants.weil_batch``), then builds each record with
-``compute_record`` on the reduction the batch filled; otherwise, and for a
-prime whose reduction raises, each record takes the per-prime route.
+(``chunked``), and a chunk is the unit of work of a --jobs worker.
+``chunk_records`` reduces every prime first and takes the Weil polynomials
+of the primes whose residue fields share one context in one batch
+(``invariants.weil_batch``; an own-modulus prime is a batch of one), then
+builds each record with ``compute_record`` on the reduction the batch
+filled.  A prime whose reduction raises builds its record alone.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .invariants import (
     weil_motive,
 )
 from .division import abhyankar_splits_reduced, module_structure_reduced
-from .modules import DrinfeldModule, ReducedModule, own_modulus, reduce_at
+from .modules import DrinfeldModule, ReducedModule, reduce_at
 from .polys import Poly, count_monic_irreducibles, enumerate_monic_irreducibles, powint
 from .textio import poly_to_text, fq_to_text
 from .torsion import module_structure_oracle_reduced
@@ -184,22 +184,27 @@ def chunk_records(
     psi: DrinfeldModule, primes: list[Poly], options: SurveyOptions
 ) -> Iterator[SurveyRecord]:
     """The records of consecutive primes of one degree, in order, each built
-    as the first is asked for.  When there are two or more primes and their
-    residue fields share one context (all routes but the own modulus), every
-    prime is reduced first and the reductions go through one
+    as the first is asked for.  Every prime is reduced first, and the
+    reductions that share one residue field context go through one
     ``invariants.weil_batch`` before any record is built, so the first
-    record carries the batch's time.  A single prime, a degree with own
-    moduli and a prime whose reduction raises take the per-prime route."""
+    record carries the batches' time; an own-modulus prime, with a field of
+    its own, is a batch of one.  A prime whose reduction raises, and the
+    primes of a batch that raises, are left to ``compute_record``, which
+    meets the failure alone."""
     reds: list[ReducedModule | None] = [None] * len(primes)
-    if len(primes) > 1 and not own_modulus(psi.tower, primes[0].degree()):
-        for i, p in enumerate(primes):
-            try:
-                reds[i] = reduce_at(psi, p)
-            except Exception:
-                pass  # compute_record reduces p again and records the failure
-        live = [red for red in reds if red is not None]
-        if len(live) > 1:
-            weil_batch(live)
+    groups = {}
+    for i, p in enumerate(primes):
+        try:
+            reds[i] = reduce_at(psi, p)
+        except Exception:
+            continue  # compute_record reduces p again and records the failure
+        groups.setdefault(reds[i].ctx, []).append(reds[i])
+    for group in groups.values():
+        try:
+            weil_batch(group)
+        except Exception:
+            # weil_motive builds each of the group's Weil polynomials again
+            logger.exception("Weil batch of %d primes failed", len(group))
     for p, red in zip(primes, reds):
         yield compute_record(psi, p, options, red)
 

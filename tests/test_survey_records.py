@@ -64,7 +64,8 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
     """An odd-q rank-2 record reduces at p once and builds each invariant
     once.  Its b_p never takes the conductor loop: no ``factorize``,
     ``squarefree_split`` or skew right-division.  Both run the motive
-    recurrence once and never convert Pi to a matrix over F_p[T]
+    recurrence once (``motive_batch``, a batch of one) and never convert
+    Pi to a matrix over F_p[T]
     (``motive_frobenius``).  The split prime has b_p = T, so d is not
     squarefree and b_p comes from the Smith form of the recurrence's window;
     the nonsplit prime has a squarefree d and needs no Smith form."""
@@ -80,7 +81,7 @@ def test_rank2_record_builds_each_invariant_once(prime, monkeypatch):
         "rank2_invariants_reduced": _count_calls(monkeypatch, invariants, "rank2_invariants_reduced"),
         "weil_rank2_reduced": _count_calls(monkeypatch, invariants, "weil_rank2_reduced"),
         "weil_identity_holds": _count_calls(monkeypatch, invariants, "weil_identity_holds"),
-        "motive_recurrence": _count_calls(monkeypatch, modules, "motive_recurrence"),
+        "motive_batch": _count_calls(monkeypatch, modules, "motive_batch"),
         "motive_frobenius": _count_calls(monkeypatch, modules, "motive_frobenius"),
         "factorize": _count_calls(monkeypatch, polys, "factorize"),
         "squarefree_split": _count_calls(monkeypatch, polys, "squarefree_split"),
@@ -136,7 +137,7 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
         "reduce_at": _count_calls(monkeypatch, modules, "reduce_at"),
         "weil_motive": _count_calls(monkeypatch, invariants, "weil_motive"),
         "weil_identity_holds": _count_calls(monkeypatch, invariants, "weil_identity_holds"),
-        "motive_recurrence": _count_calls(monkeypatch, modules, "motive_recurrence"),
+        "motive_batch": _count_calls(monkeypatch, modules, "motive_batch"),
         "motive_frobenius": _count_calls(monkeypatch, modules, "motive_frobenius"),
         "end_lattice_reduced": _count_calls(monkeypatch, invariants, "end_lattice_reduced"),
         "weil_general": _count_calls(monkeypatch, invariants, "weil_general"),
@@ -147,7 +148,7 @@ def test_rank3_record_takes_the_motive_route(monkeypatch):
     assert rec.skipped is None and not rec.warnings
     assert rec.b_invariants == ["1", "T+1"]
     assert {k: c[0] for k, c in counts.items()} == {
-        "reduce_at": 1, "weil_motive": 1, "weil_identity_holds": 1, "motive_recurrence": 1,
+        "reduce_at": 1, "weil_motive": 1, "weil_identity_holds": 1, "motive_batch": 1,
         "motive_frobenius": 0, "end_lattice_reduced": 0, "weil_general": 0, "torsion_basis_reduced": 0, "crt": 0,
     }
 
@@ -169,7 +170,7 @@ def test_structure_oracle_takes_no_smith_form_on_rank2(monkeypatch):
     psi3 = module_from_text("T+1*t+1*t^3", tower2)
     calls = _count_calls(monkeypatch, amatrix, "smith_normal_form")
     motives = _count_calls(monkeypatch, modules, "motive_frobenius")
-    recurrences = _count_calls(monkeypatch, modules, "motive_recurrence")
+    recurrences = _count_calls(monkeypatch, modules, "motive_batch")
     divisions = _count_calls(monkeypatch, skew, "skew_right_divmod")
 
     def squarefree_d(rec):
