@@ -24,7 +24,10 @@ DATA = Path(__file__).parent / "data"
 # reproduces it at the default cap.  The even-q rank-2 files pin the b route
 # and the split-prime disc(P) outside odd q: at q = 2 (71 records, 9
 # Abhyankar-split, 18 with b != 1) and at q = 4, where A = F_4[T] has e = 2
-# (30 records).
+# (30 records).  The rank-4 and rank-5 files at q = 3 reach the size-3 and
+# size-4 principal minors of the motive matrix, which the Weil polynomial
+# reads: rank 4 has 32 records, 21 with b = (1, 1, T+2), and rank 5 has 14,
+# 8 with b = (1, 1, 1, T+2); ``--full-checks`` passes on every record of both.
 GOLDEN = [
     ("survey_q3_t2_deg1-4.jsonl", ["--q", "3", "--psi", "T+0*t+1*t^2", "--deg", "1,2,3,4"]),
     ("survey_q2_r3_deg1-2.jsonl", ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1,2"]),
@@ -32,6 +35,9 @@ GOLDEN = [
     ("survey_q2_t2_deg1-8.jsonl",
      ["--q", "2", "--psi", "T+1*t+1*t^2", "--deg", "1,2,3,4,5,6,7,8"]),
     ("survey_q4_t2_deg1-3.jsonl", ["--q", "4", "--psi", "T+1*t+1*t^2", "--deg", "1,2,3"]),
+    ("survey_q3_r4_deg1-4.jsonl",
+     ["--q", "3", "--psi", "T+1*t+T*t^2+1*t^3+1*t^4", "--deg", "1,2,3,4"]),
+    ("survey_q3_r5_deg1-3.jsonl", ["--q", "3", "--psi", "T+1*t+T*t^3+1*t^5", "--deg", "1,2,3"]),
 ]
 
 
