@@ -14,11 +14,12 @@ once per degree, as a survey process does.  The stages are timed by plain wrappe
 these functions in every ``drinfeld`` namespace that binds them:
 
 - ``residue field``: ``modules.reduce_at`` (the residue field and the
-  reduction).  Its T-image takes one of three routes: a lookup in the
-  field's root table (table fields), x in the field's own modulus
-  F_q[x]/(p) (prime q above the table limit, whose Frobenius matrix
-  ``polys.frobenius_matrix`` is built here) or ``polys.lex_min_root``
-  (q = p^e > p above the limit); -p_0 at degree 1;
+  reduction): the field context, the T-image and the reduced coefficients
+  of psibar_T, with no change of basis.  The T-image takes one of three
+  routes: a lookup in the field's root table (table fields), x in the
+  field's own modulus F_q[x]/(p) (prime q above the table limit, whose
+  Frobenius matrix ``polys.frobenius_matrix`` is built here) or
+  ``polys.lex_min_root`` (q = p^e > p above the limit); -p_0 at degree 1;
 - ``prime test``: ``polys.rabin_irreducible``, Rabin's first condition
   Q^d x = x plus Berlekamp's rank of Q - I on the q-power matrix Q, which
   certifies the own modulus of a residue field;
@@ -29,8 +30,8 @@ these functions in every ``drinfeld`` namespace that binds them:
   reductions that share one residue field context, and so once per prime
   on an own-modulus field, a batch of one: one stacked motive recurrence
   and the blocks of psibar_T for the group, each prime's Weil polynomial
-  read off its Pi at T = t, and one stacked Horner pass of the skew
-  identity P(pi) = 0;
+  read off the principal-minor sums of its Pi over F_p[T] and projected
+  to A, and one stacked Horner pass of the skew identity P(pi) = 0;
 - ``Weil route``: ``invariants.weil_motive``, which returns the polynomial
   the batch certified;
 - ``rank-2 invariants``: ``invariants.rank2_invariants_reduced`` without
@@ -42,7 +43,8 @@ these functions in every ``drinfeld`` namespace that binds them:
   hands over to the motive invariants;
 - ``module structure``: ``division.module_structure_reduced``, the closed
   form the oracle checks;
-- ``structure oracle``: ``torsion.module_structure_oracle_reduced``;
+- ``structure oracle``: ``torsion.module_structure_oracle_reduced``, in
+  the residue field's own coordinates;
 - ``motive Frobenius``: ``modules.motive_frobenius``, Pi with entries in
   F_p[T], for torsion and the tests; it no longer runs on survey records.
   A reduction runs the recurrence whose windows are Pi, .., Pi^(r-1)

@@ -147,24 +147,23 @@ def _slot_dtype(bound: int) -> np.dtype:
 
 
 def _kron_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The product of two polynomials over F_p[y], as a (ka+kb-1) x (2n-1)
-    array mod p, from one big-int product.
-
-    Each array goes into one Python int with x^i y^j in slot i*(2n-1) + j.
-    A product coefficient is a sum of at most min(ka, kb)*n products below
-    p^2, so fixed slots of that width never carry into each other.
+    """sum_k a_k b_k for stacks of K polynomials over F_p[y] (K x ka x n and
+    K x kb x n arrays), as a (ka+kb-1) x (2n-1) array mod p, from K big-int
+    products: x^i y^j goes in slot i*(2n-1) + j of one Python int per
+    polynomial, and a coefficient sums at most K*min(ka, kb)*n products
+    below p^2, so fixed slots of that width never carry into each other.
     """
-    (ka, n), kb = a.shape, b.shape[0]
+    (K, ka, n), kb = a.shape, b.shape[1]
     w = 2 * n - 1
-    dt = _slot_dtype(min(ka, kb) * n * (p - 1) ** 2)
+    dt = _slot_dtype(K * min(ka, kb) * n * (p - 1) ** 2)
 
-    def pack(m: np.ndarray) -> int:
-        z = np.zeros((m.shape[0], w), dtype=dt)
-        z[:, :n] = m
-        return int.from_bytes(z.tobytes(), "little")
+    def pack(m: np.ndarray) -> list[int]:
+        z = np.zeros((K, m.shape[1], w), dtype=dt)
+        z[:, :, :n] = m
+        return [int.from_bytes(x.tobytes(), "little") for x in z]
 
     pa = pack(a)
-    prod = pa * pa if b is a else pa * pack(b)
+    prod = sum(x * y for x, y in zip(pa, pa if b is a else pack(b)))
     rows = ka + kb - 1
     buf = np.frombuffer(prod.to_bytes(rows * w * dt.itemsize, "little"), dtype=dt)
     return (buf % p).astype(np.int64).reshape(rows, w)
@@ -589,6 +588,12 @@ class _FieldCtx:
         product over F_p[y], then y^(n+j) folded back by the reduction rows."""
         if not len(a) or not len(b):
             return np.zeros((0, self.degree), dtype=np.int64)
+        stack = a[None]
+        return self.poly_dot(stack, stack if b is a else b[None])
+
+    def poly_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_k a_k b_k for two stacks of K polynomials (K x len x degree
+        coordinate arrays, len >= 1), summed packed, then folded once."""
         return self._fold(_kron_mul(a, b, self.char))
 
     def _fold(self, c: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@ b_p and discriminant delta_p, the invariant factors b_1 | ... | b_(r-1) of
 End(psi x F_p) over A[pi], and the endomorphism lattice.
 
 The Weil polynomial of every rank takes one route, ``weil_motive``: the
-characteristic polynomial of Frobenius on the Anderson motive, read at T = t
-off the matrix Pi that the reduction builds once by the window recurrence of
-``modules.motive_batch`` (derived there).  The skew identity
+characteristic polynomial of Frobenius on the Anderson motive, read off the
+principal minors of the matrix Pi over F_p[T] that the reduction builds once
+by the window recurrence of ``modules.motive_batch`` (derived there), and
+projected to A like every invariant read off Pi (``_project``).  The skew identity
 P(tau^deg p) = 0, one Horner pass in psibar_T (``_identities_hold``),
 certifies every polynomial it returns, and ``weil_general`` (torsion
 Frobenius matrices glued by CRT) stays as the tests' independent oracle.
@@ -42,6 +43,7 @@ from .errors import (
     InconclusiveBasisError,
     RankError,
     SingularMatrixError,
+    TowerMembershipError,
 )
 from .fields import FFElem
 from .modules import DrinfeldModule, ReducedModule, motive_batch, reduce_at
@@ -146,7 +148,7 @@ def weil_rank2_reduced(red: ReducedModule) -> WeilPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# any rank: Frobenius on the Anderson motive at T = t
+# any rank: Frobenius on the Anderson motive over F_p[T]
 
 
 def weil_identity_holds(red: ReducedModule, weil: WeilPolynomial) -> bool:
@@ -166,34 +168,58 @@ def _checked_weil(red: ReducedModule, weil: WeilPolynomial) -> WeilPolynomial:
 
 def weil_motive(red: ReducedModule) -> WeilPolynomial:
     """Weil polynomial det(x - Pi) of Frobenius on the Anderson motive, from
-    Pi at T = t (``modules.motive_batch``), i.e. mod p, certified by the
-    skew identity; the polynomial a survey chunk certified already
+    Pi over F_p[T] (``modules.motive_batch``), certified by the skew
+    identity; the polynomial a survey chunk certified already
     (``weil_batch``), where there is one."""
-    return red.weil or _checked_weil(red, _weil_at_t(red))
+    return red.weil or _checked_weil(red, _weil_from_minors(red))
 
 
-def _weil_at_t(red: ReducedModule) -> WeilPolynomial:
-    """det(x - Pi(t)), not yet certified.
+def _weil_from_minors(red: ReducedModule) -> WeilPolynomial:
+    """det(x - Pi) over F_p[T], not yet certified.
 
-    At T = t, R_r = (t - t) R_0 - .. starts with 0, and so does every R_k
-    with k >= 1, so det(x - Pi(t)) = x det(x - B) for the block B of Pi(t) on
-    rows and columns 1..r-1.  For j >= 1, deg c_j <= (r - j) n / r < n (the
-    Riemann hypothesis), so c_j is the lift of c_j(t); c_0 = u p with
+    c_(r-s) = (-1)^s (sum of the principal s-minors of Pi): the trace, the
+    2-minors as one stacked product of entry pairs (``_FieldCtx.poly_dot``),
+    the larger ones by cofactors; each is projected to A (``_project``) and
+    meets the Riemann hypothesis, deg c_(r-s) <= s n / r.  c_0 = u p with
     u = (-1)^(r + n (r-1)) / N(g_r).
     """
-    ctx, r, n, t = red.ctx, red.rank, red.deg_p, red.psibar_T.coeffs[0]
+    ctx, r, n, p0 = red.ctx, red.rank, red.deg_p, red.ctx.char
     powers, ninv = red.motive
-    block = [[Poly(ctx, ctx.array_elems(x)).eval(t) for x in row[1:]] for row in powers[0, 1:]]
+    pi = powers[0, :, :, : (n + r - 1) // r + 1]  # Pi's rows are R_n .. R_(n+r-1)
+    sums = [np.trace(pi) % p0]  # sums[s - 1]: the s-minors, summed
+    if r >= 3:
+        # Pi_ii Pi_jj and -Pi_ij Pi_ji for i < j, from Pi's r^2 entries
+        pairs = list(combinations(range(r), 2))
+        flat = pi.reshape(r * r, *pi.shape[2:])
+        a = flat[[i * (r + 1) for i, _ in pairs] + [i * r + j for i, j in pairs]]
+        b = flat[[j * (r + 1) for _, j in pairs] + [j * r + i for i, j in pairs]]
+        a[len(pairs):] = -a[len(pairs):] % p0
+        sums.append(ctx.poly_dot(a, b))
+    if r >= 4:
+        entries = [[Poly(ctx, ctx.array_elems(x)) for x in row] for row in pi]
+        for size in range(3, r):
+            minors = sum((ring_det([[entries[u][v] for v in c] for u in c])
+                          for c in combinations(range(r), size)), Poly.zero(ctx))
+            sums.append(ctx.coeff_array(minors.coeffs))
     unit = -ninv if (r + n * (r - 1)) % 2 else ninv
     coeffs = [red.prime.scale(unit)]
-    for s in range(r - 1, 0, -1):  # c_(r-s)(t) = (-1)^s (sum of the s-minors of B)
-        minors = sum((ring_det([[block[u][v] for v in c] for u in c])
-                      for c in combinations(range(r - 1), s)), ctx.zero_elem())
-        c = red.residue.lift(-minors if s % 2 else minors)
+    for s in range(r - 1, 0, -1):
+        c = _project(red, -sums[s - 1] % p0 if s % 2 else sums[s - 1])
         if r * c.degree() > s * n:
             raise DrinfeldError("Riemann hypothesis bound violated; this is an implementation bug")
         coeffs.append(c)
     return WeilPolynomial(prime=red.prime, coeffs=tuple(coeffs), unit=unit)
+
+
+def _project(red: ReducedModule, rows: np.ndarray) -> Poly:
+    """The polynomial in A whose coefficients are the F_p elements with the
+    prime coordinates ``rows``; TowerMembershipError unless all lie in F_q."""
+    tower, base = red.source.tower, red.source.base
+    emb = tower.embedding(base, red.ctx)
+    low = (rows @ emb.left_inverse.T) % tower.char
+    if ((low @ emb.matrix.T - rows) % tower.char).any():
+        raise TowerMembershipError("a coefficient does not lie in F_q")
+    return Poly(base, base.array_elems(low))
 
 
 def weil_batch(reds: list[ReducedModule]) -> None:
@@ -202,7 +228,7 @@ def weil_batch(reds: list[ReducedModule]) -> None:
 
     One stacked recurrence (``modules.motive_batch``) fills every
     reduction's motive and psibar_T blocks; each Weil polynomial is read off
-    its own Pi(t) as ``weil_motive`` reads it; one stacked Horner pass
+    its own Pi over F_p[T] as ``weil_motive`` reads it; one stacked Horner pass
     (``_identities_hold``) checks P(pi) = 0 for all of them.  Only a
     polynomial that passes is cached (``ReducedModule.weil``); a prime whose
     polynomial fails, or whose reading raises, is left to ``weil_motive``,
@@ -212,7 +238,7 @@ def weil_batch(reds: list[ReducedModule]) -> None:
     live, weils = [], []
     for i, red in enumerate(reds):
         try:
-            weils.append(_weil_at_t(red))
+            weils.append(_weil_from_minors(red))
         except Exception:
             continue  # weil_motive meets the failure again, in the record
         live.append(i)
@@ -385,7 +411,7 @@ def _rank2_b(red: ReducedModule, g: Poly) -> Poly:
             return Poly.one(base)
     if not len(h):
         raise DrinfeldError("Frobenius on the motive is scalar")  # unreachable
-    return Poly(base, [tower.project(c, base) for c in ctx.array_elems(h)])
+    return _project(red, h)
 
 
 def rank2_invariants(psi: DrinfeldModule, p: Poly) -> Rank2Invariants:
@@ -766,13 +792,12 @@ def motive_invariant_factors(red: ReducedModule) -> InvariantFactors:
     *Integral Matrices*, 1972, ch. II), so a unit gcd of a few of them,
     taken until the first unit, proves every b_i = 1 in every
     characteristic.  Only where it fails does the Smith form run.
-    Each factor is projected to A coefficient by coefficient, which raises
-    unless it lies in F_q[T].  In rank 2 ``b_invariants`` takes the gcd of
+    Each factor is projected to A (``_project``), which raises unless it
+    lies in F_q[T].  In rank 2 ``b_invariants`` takes the gcd of
     W's three entries mod gcd(d, d') instead (``_rank2_b``), and this Smith
     form is the tests' second route there.
     """
-    tower, ctx, r = red.source.tower, red.ctx, red.rank
-    base = tower.base_field
+    ctx, r, base = red.ctx, red.rank, red.source.base
     powers = red.motive[0]
     i, k = np.nonzero(~np.eye(r, dtype=bool))
     diag = (powers[:, range(1, r), range(1, r)] - powers[:, :1, 0]) % ctx.char
@@ -801,9 +826,7 @@ def motive_invariant_factors(red: ReducedModule) -> InvariantFactors:
         raise DrinfeldError(
             "Frobenius powers on the motive are dependent; this is an implementation bug"
         ) from None
-    return InvariantFactors(
-        factors=[f.map_coeffs(lambda c: tower.project(c, base), base) for f in factors]
-    )
+    return InvariantFactors(factors=[_project(red, ctx.coeff_array(f.coeffs)) for f in factors])
 
 
 def _coords_mul(lat: EndLattice, a: list[Poly], b: list[Poly]) -> list[Poly]:

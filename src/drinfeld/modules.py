@@ -11,8 +11,7 @@ A residue field F_p = A/p of degree n = deg p takes one of four routes:
   F_(q^n) builds for every prime of degree n at once.
 - *Own modulus.*  Above the limit at prime q, F_p is F_q[x]/(p) itself, a
   field of its own (``FieldId(p0, n, p)``) that the tower does not
-  register: T goes to x, ``reduce`` is a remainder mod p and ``lift`` reads
-  off coordinates.  Its embeddings, into the splitting fields of torsion
+  register: T goes to x, and ``reduce`` is a remainder mod p.  Its embeddings, into the splitting fields of torsion
   for one, send x to a root of p and stay with it.
 - *Root search.*  Above the limit at q = p0^e with e > 1, F_p is again the
   tower field, and ``polys.lex_min_root`` finds the T-image: it tests
@@ -20,8 +19,8 @@ A residue field F_p = A/p of degree n = deg p takes one of four routes:
   of its conjugates.  An own modulus there would be a polynomial over F_q,
   not over the prime field that every tower field is built on.
 
-The tower-field routes recover canonical representatives (degree < deg p)
-through a cached change-of-basis matrix, so reductions round-trip exactly.
+No route builds a change of basis: the invariants read Pi over F_p[T] and
+project to A, and the structure oracle runs in the field's coordinates.
 
 Every route certifies that p is prime.  The table's keys are exactly the
 minimal polynomials of the orbits of n elements, the monic irreducibles of
@@ -51,7 +50,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     BadReductionError,
     DrinfeldError,
@@ -107,8 +105,8 @@ def good_reduction_at(psi: DrinfeldModule, p: Poly) -> bool:
 
 
 class ResidueField:
-    """F_p = A/pA with exact lift/reduce maps, by one of the routes of the
-    module docstring.
+    """F_p = A/pA: its field context, the T-image and ``reduce``, by one of
+    the routes of the module docstring.
 
     Building it proves p prime: a reducible p raises NotIrreducibleError,
     and a p of degree n with n [F_q : F_p] above the tower cap raises
@@ -122,7 +120,8 @@ class ResidueField:
         n = p.degree()
         self.deg_p = n
         e = tower.base_degree
-        if e == 1 and tower.q**n > TABLE_LIMIT:
+        self._own_modulus = e == 1 and tower.q**n > TABLE_LIMIT
+        if self._own_modulus:
             # F_p = F_q[x]/(p) itself: T is x, and coordinates are coefficients.
             # The prime test runs on the field's own q-power matrix.
             tower.check_degree(n)
@@ -132,30 +131,9 @@ class ResidueField:
                 raise NotIrreducibleError("reduction needs a prime modulus")
             self.ctx = _FieldCtx(tower, FieldId(tower.char, n, tuple(g[:, 0].tolist())), frob)
             self.t_image = tower.gen(self.ctx)
-            self._basis_inv = None
             return
         self.ctx = tower.field(n * e)
-        if n > 1:
-            tower.embedding(tower.base_field, self.ctx)
         self.t_image = self._find_t_image()
-        # change of basis: columns are vec(y^t * T^j) for the F_q-basis y^t
-        m = self.ctx.degree
-        cols = np.zeros((m, m), dtype=np.int64)
-        y = tower.embed(tower.gen(tower.base_field), self.ctx)
-        tj = FFElem(self.ctx, self.ctx.one_coords())
-        idx = 0
-        for j in range(n):
-            yt = tj
-            for t in range(e):
-                cols[:, idx] = yt.vec()
-                yt = yt * y
-                idx += 1
-            tj = tj * self.t_image
-        self._basis = cols
-        inv = linalg.solve(cols, np.eye(m, dtype=np.int64), tower.char)
-        if inv is None:
-            raise DrinfeldError("residue basis is singular")  # unreachable
-        self._basis_inv = inv
 
     def _find_t_image(self) -> FFElem:
         if self.deg_p == 1:
@@ -178,35 +156,13 @@ class ResidueField:
     def reduce(self, f: Poly) -> FFElem:
         """Image of f in F_p: the remainder mod p on the own modulus, else
         f evaluated at the T-image."""
-        if self._basis_inv is None:
+        if self._own_modulus:
             coords = [c.coords[0] for c in (f % self.prime).coeffs]
             return FFElem(self.ctx, tuple(coords + [0] * (self.deg_p - len(coords))))
         acc = FFElem(self.ctx, self.ctx.zero_coords())
         for c in reversed(f.coeffs):
             acc = acc * self.t_image + self.tower.embed(c, self.ctx)
         return acc
-
-    def lift(self, x: FFElem) -> Poly:
-        """Canonical representative in A of degree < deg p."""
-        e = self.tower.base_degree
-        y = x.vec() if self._basis_inv is None else (self._basis_inv @ x.vec()) % self.tower.char
-        coeffs = []
-        for j in range(self.deg_p):
-            block = y[j * e : (j + 1) * e]
-            coeffs.append(FFElem(self.tower.base_field, tuple(int(c) for c in block)))
-        return Poly(self.tower.base_field, coeffs)
-
-    def in_lift_basis(self, mat: np.ndarray) -> np.ndarray:
-        """The prime matrix of a map on F_p, moved from the field's coordinates
-        to those of ``lift``, the F_q basis y^t T^j."""
-        if self._basis_inv is None:
-            return mat
-        p0 = self.tower.char
-        return (self._basis_inv @ ((mat @ self._basis) % p0)) % p0
-
-    @property
-    def order(self) -> int:
-        return self.tower.q**self.deg_p
 
 
 class ReducedModule:

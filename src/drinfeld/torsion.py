@@ -20,12 +20,13 @@ first element whose A-order modulo the current span is a, and repeat r times;
 Frobenius images are expressed through the evaluation map (A/aA)^r -> psi[a]
 by solving one linear system.
 
-The structure oracle gives F_p itself as an A-module through psibar_T, on the
-same block coordinates.  The prime matrix M of psibar_T is the sum of the
-reduced module's cached blocks M(g_j) Phi^(e j).  det(T - M) comes from
-Krylov blocks, one ``rref`` per start: it is the answer itself when the
-Krylov space of 1, or else of 1 + T + ... + T^(n-1), is all of F_p (the
-cyclic case).  Otherwise the walk goes on over unit starts outside the span,
+The structure oracle gives F_p itself as an A-module through psibar_T, in
+the field's own prime coordinates, where M, the sum of the reduced module's
+cached blocks M(g_j) Phi^(e j), is the prime matrix of psibar_T and F_q acts
+by the multiplications by its embedded basis.  det(T - M) comes from Krylov
+blocks, one ``rref`` per start: it is the answer itself when the Krylov
+space of 1, or else of 1 + t + ... + t^(n-1), is all of F_p (the cyclic
+case).  Otherwise the walk goes on over the starts t^j outside the span,
 and the elementary divisors come from the ranks of f(M)^k for the repeated
 irreducible factors f.  No Smith form over F_q[T] is taken.
 """
@@ -124,8 +125,9 @@ def torsion_basis_reduced(red: ReducedModule, a: Poly) -> TorsionBasis:
     basis_vecs = _fq_basis_from_nullspace(null, my_L, e, p0, k_q)
     # columns (i, t) = y^t b_i: block coordinates -> prime coordinates in L
     expanded = np.stack(orbits(basis_vecs, my_L, e, p0), axis=1)
-    # multiplication by y on block coordinates
-    my_blocks = np.kron(np.eye(k_q, dtype=np.int64), base.mult_matrix(y.coords))
+    # multiplication by y^t on block coordinates, and by y
+    act = np.kron(np.eye(k_q, dtype=np.int64)[None], base.mult_matrices(np.eye(e, dtype=np.int64)))
+    my_blocks = act[1] if e > 1 else None
 
     def on_kernel(op: np.ndarray) -> np.ndarray:
         mat = linalg.solve(expanded, (op @ expanded) % p0, p0)
@@ -136,7 +138,7 @@ def torsion_basis_reduced(red: ReducedModule, a: Poly) -> TorsionBasis:
     t_mat = on_kernel(_linearized_operator(red, list(red.psibar_T.coeffs), L))
     frob_on_kernel = on_kernel(L.frob_p_matrix((e * n) % L.degree))
 
-    gens = _greedy_module_basis(a, t_mat, my_blocks, base, r)
+    gens = _greedy_module_basis(a, t_mat, act, base, r)
 
     # evaluation map (A/aA)^r -> kernel, columns (i, k, t) = y^t T^k g_i, and
     # the Frobenius matrix in that basis
@@ -236,17 +238,18 @@ def _fq_basis_from_nullspace(
 
 
 def _greedy_module_basis(
-    a: Poly, t_mat: np.ndarray, my_blocks: np.ndarray, base: _FieldCtx, r: int
+    a: Poly, t_mat: np.ndarray, act: np.ndarray, base: _FieldCtx, r: int
 ) -> list[np.ndarray]:
     """r kernel elements whose A-span is free, greedily by element order.
 
     Candidates are walked by code; the base-p digits of the code, low digit
     first, are the block coordinates of the candidate.  It is kept when no
-    maximal divisor d of a kills it modulo the current span.
+    maximal divisor d of a kills it modulo the current span.  ``act[t]`` is
+    multiplication by y^t on block coordinates.
     """
-    p0 = base.char
-    dim = my_blocks.shape[0]
-    divisor_mats = [_poly_at(a.exact_div(g), t_mat, base) for g, _ in factorize(a).factors]
+    p0, e = base.char, base.degree
+    dim = t_mat.shape[0]
+    divisor_mats = [_poly_at(a.exact_div(g), t_mat, act) for g, _ in factorize(a).factors]
     span = linalg.RowSpace(dim, p0)
     digit_weights = [p0**i for i in range(dim)]
     gens: list[np.ndarray] = []
@@ -262,28 +265,20 @@ def _greedy_module_basis(
         if found is None:
             raise DrinfeldError("no element of maximal order found")  # unreachable
         gens.append(found)
-        for w in orbits(orbits([found], t_mat, a.degree(), p0), my_blocks, base.degree, p0):
+        for w in orbits(orbits([found], t_mat, a.degree(), p0), act[1] if e > 1 else None, e, p0):
             span.add(w)
     if span.rank != dim:
         raise DrinfeldError("torsion module basis does not span")  # unreachable
     return gens
 
 
-def _poly_at(d: Poly, t_mat: np.ndarray, base: _FieldCtx) -> np.ndarray:
-    """Prime matrix of d(T) on block coordinates, by Horner.  A coefficient
-    c adds diag(M(c), ..., M(c)); at e = 1 that is c on the diagonal."""
-    p0 = base.char
-    dim = t_mat.shape[0]
-    eye = np.eye(dim // base.degree, dtype=np.int64)
-    diag = np.diag_indices(dim)
-    out = np.zeros_like(t_mat)
+def _poly_at(d: Poly, t_mat: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """Prime matrix of d(T) by Horner, ``t_mat`` being that of T and
+    ``act[t]`` that of multiplication by y^t: a coefficient c of d adds
+    sum_t c_t act[t]."""
+    flat, out = act.reshape(len(act), -1), np.zeros_like(t_mat)
     for c in reversed(d.coeffs):
-        out = t_mat @ out
-        if base.degree == 1:
-            out[diag] += int(c.coords[0])
-        else:
-            out += np.kron(eye, base.mult_matrix(c.coords))
-        out %= p0
+        out = (t_mat @ out + (np.array(c.coords) @ flat).reshape(out.shape)) % d.field.char
     return out
 
 
@@ -297,33 +292,42 @@ def module_structure_oracle(psi: DrinfeldModule, p: Poly) -> list[Poly]:
 
 
 def module_structure_oracle_reduced(red: ReducedModule) -> list[Poly]:
-    """Invariant factors of F_p as an A-module through psibar, nonunits ascending.
+    """Invariant factors of F_p as an A-module through psibar, nonunits
+    ascending, by ``fq_invariant_factors`` in the field's own coordinates
+    (see the module docstring); the powers t^j of the T-image are built
+    only when 1 does not generate."""
+    ctx, tower = red.ctx, red.source.tower
+    p0, base = ctx.char, tower.base_field
+    t_op = sum(k for k in red.psibar_blocks if k is not None) % p0
+    act = ctx.mult_matrices(tower.embedding(base, ctx).matrix.T)
+    one = np.array(ctx.one_coords(), dtype=np.int64)
 
-    psibar_T acts F_q-linearly on F_p; its prime matrix, the sum of the
-    blocks ``red.psibar_blocks``, is taken on the F_q basis T^j of F_p (the
-    residue field's lift coordinates) and handed to ``fq_invariant_factors``.
-    """
-    t_op = sum(k for k in red.psibar_blocks if k is not None) % red.source.tower.char
-    return fq_invariant_factors(red.residue.in_lift_basis(t_op), red.source.tower.base_field)
+    def t_powers() -> list[np.ndarray]:
+        return orbits([one], ctx.mult_matrix(red.residue.t_image.coords), red.deg_p, p0)
+
+    return fq_invariant_factors(t_op, base, act, one, t_powers)
 
 
-def fq_invariant_factors(mt: np.ndarray, base: _FieldCtx) -> list[Poly]:
+def fq_invariant_factors(
+    mt: np.ndarray, base: _FieldCtx, act: np.ndarray, start: np.ndarray, units
+) -> list[Poly]:
     """Monic nonunit invariant factors d_1 | d_2 | ... of an F_q-linear map.
 
-    ``mt`` is the prime matrix of the map on F_q^n in e-block coordinates
-    (e = [F_q:F_p0]), so it commutes with multiplication by the generator y
-    of F_q on every block.  The factors are those of the Smith form of
-    T*I - M over F_q[T], found without polynomial elimination:
+    ``mt`` is the prime matrix of the map on an F_q-space of dimension n,
+    ``act[t]`` that of multiplication by y^t for the generator y of F_q,
+    ``start`` the first start and ``units()`` an F_q-basis, asked for only
+    when ``start`` does not generate.  The factors, those of the Smith form
+    of T*I - M over F_q[T], do not depend on the prime coordinates (every
+    ``rref`` sees the same row space), and no polynomial elimination runs:
 
     - chi = det(T - M) is the product of the relative minimal polynomials of
       Krylov blocks (as in Storjohann's Frobenius-form algorithm, ISSAC
       1998).  Each start costs one elimination: see ``_krylov_blocks``.
-    - Cyclic case: the starts u_0 (the first block unit) and u_0 + ... +
-      u_(n-1) (all block units) are tried in turn, each with its Krylov
-      vectors up to M^n; when the first n are independent, chi is read off
-      the last one and is the only factor.
+    - Cyclic case: ``start`` and then the sum of the units are tried in
+      turn, each with its Krylov vectors up to M^n; when the first n are
+      independent, chi is read off the last one and is the only factor.
     - Otherwise the elimination of the second start also carries the Krylov
-      block of u_0 relative to it, and the block units after the blocks name
+      block of the first relative to it, and the units after the blocks name
       the first one outside their span, the next start; the walk goes on
       until the blocks span everything.
     - Then each irreducible f of multiplicity m >= 2 in chi gets its
@@ -336,29 +340,26 @@ def fq_invariant_factors(mt: np.ndarray, base: _FieldCtx) -> list[Poly]:
     p0, e = base.char, base.degree
     dim = mt.shape[0]
     n = dim // e
-    # y on every block; orbits of length e = 1 never use it
-    my = np.kron(np.eye(n, dtype=np.int64), base.mult_matrix(base.x_coords())) if e > 1 else None
+    my = act[1] if e > 1 else None  # orbits of length e = 1 never use it
 
     def krylov(v: np.ndarray, length: int) -> list[np.ndarray]:
         return orbits(orbits([v], mt, length + 1, p0), my, e, p0)
 
-    starts = np.zeros((2, dim), dtype=np.int64)
-    starts[0, 0] = starts[1, ::e] = 1  # u_0, and the sum of all block units
-    first = krylov(starts[0], n)
+    first = krylov(start, n)
     (chi,), _, _ = _krylov_blocks([], [first], [], base)
     if chi.degree() == n:
         return [chi]
     k = chi.degree()
-    units = list(np.eye(dim, dtype=np.int64)[::e])
+    tail = units()
     (chi, rel), span, outside = _krylov_blocks(
-        [], [krylov(starts[1], n), first[: (k + 1) * e]], units, base
+        [], [krylov(sum(tail) % p0, n), first[: (k + 1) * e]], tail, base
     )
     if chi.degree() == n:
         return [chi]
     chi = chi * rel
     while outside:
         (rel,), span, outside = _krylov_blocks(
-            span, [krylov(units[outside[0]], n - len(span) // e)], units, base
+            span, [krylov(tail[outside[0]], n - len(span) // e)], tail, base
         )
         chi = chi * rel
     from_top = [Poly.one(base)]
@@ -367,7 +368,7 @@ def fq_invariant_factors(mt: np.ndarray, base: _FieldCtx) -> list[Poly]:
             from_top[0] = from_top[0] * g
             continue
         for f in squarefree_factors(g):
-            fm = _poly_at(f, mt, base)
+            fm = _poly_at(f, mt, act)
             power, kernel, at_least = fm, 0, []  # at_least[k]: blocks of size > k
             for _ in range(m):
                 rank = len(linalg.rref(power, p0)[1])

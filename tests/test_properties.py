@@ -629,32 +629,42 @@ def test_splitting_degree_matches_oracle(deadline):
         check()
 
 
-def _motive_minor_sum(red):
-    """c_0 .. c_(r-1) of det(x - pi) over F_p[T], from the sums of principal
-    minors of ``modules.motive_frobenius``, projected to F_q[T]."""
-    tower, base, r = red.source.tower, red.source.base, red.rank
+def _weil_at_t(red):
+    """c_0 .. c_(r-1) of det(x - Pi), with c_1 .. c_(r-1) read at T = t.
+
+    Every R_k of the motive recurrence with k >= 1 starts with 0 at T = t,
+    so det(x - Pi(t)) = x det(x - B) for the block B of Pi(t) on rows and
+    columns 1..r-1, and c_(r-s)(t) = (-1)^s (sum of the s-minors of B).  By
+    the Riemann hypothesis deg c_j < n for j >= 1, so c_j is the lift of
+    c_j(t): one solve against the F_q basis y^u t^j of F_p.  c_0 =
+    (-1)^r det Pi over F_p[T], projected to F_q[T]."""
+    tower, ctx, r, n = red.source.tower, red.ctx, red.rank, red.deg_p
+    base, e, p0, t = tower.base_field, tower.base_degree, ctx.char, red.residue.t_image
     pi = motive_frobenius(red)
-    zero = Poly.zero(red.ctx)
-    coeffs = []
-    for j in range(r):  # c_j = (-1)^(r-j) * (sum of the principal (r-j)-minors)
-        minors = (ring_det([[pi[u][v] for v in s] for u in s])
-                  for s in combinations(range(r), r - j))
-        c = sum(minors, zero)
-        c = -c if (r - j) % 2 else c
-        coeffs.append(c.map_coeffs(lambda x: tower.project(x, base), base))
+    det = ring_det(pi)
+    coeffs = [(-det if r % 2 else det).map_coeffs(lambda x: tower.project(x, base), base)]
+    y = tower.embed(tower.gen(base), ctx)
+    basis = np.stack([(y**u * t**j).vec() for j in range(n) for u in range(e)], axis=1)
+    block = [[x.eval(t) for x in row[1:]] for row in pi[1:]]
+    for s in range(r - 1, 0, -1):
+        minors = sum((ring_det([[block[u][v] for v in c] for u in c])
+                      for c in combinations(range(r - 1), s)), ctx.zero_elem())
+        value = -minors if s % 2 else minors
+        lifted = linalg.solve(basis, value.vec()[:, None], p0)[:, 0]
+        coeffs.append(Poly(base, base.array_elems(lifted.reshape(n, e))))
     return coeffs
 
 
-def _assert_matches_minor_sum(red):
+def _assert_matches_reading_at_t(red):
     weil = weil_motive(red)
-    assert list(weil.coeffs) == _motive_minor_sum(red)
+    assert list(weil.coeffs) == _weil_at_t(red)
     assert weil.coeffs[0] == red.prime.scale(weil.unit)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_weil_motive_matches_motive_minor_sum(q):
-    """The recurrence at T = t equals det(x - pi) over F_p[T] in ranks 1..5,
-    deg p below r - 1 included."""
+    """The minor sums of Pi over F_p[T] equal the reading at T = t, lifted
+    by a solve, in ranks 1..5, deg p below r - 1 included."""
     tower = ROOT_TOWERS[q][0]
 
     @given(data=st.data())
@@ -663,7 +673,7 @@ def test_weil_motive_matches_motive_minor_sum(q):
         rank = data.draw(st.integers(min_value=1, max_value=5))
         deg_p = data.draw(st.integers(min_value=1, max_value=4 if rank <= 3 else 2))
         psi, p = data.draw(module_and_prime(tower, rank, deg_p))
-        _assert_matches_minor_sum(reduce_at(psi, p))
+        _assert_matches_reading_at_t(reduce_at(psi, p))
 
     check()
 
@@ -686,19 +696,22 @@ def test_weil_motive_matches_motive_minor_sum_above_table_limit(q, prime, psi):
     tower = FieldTower(q, max_degree=64)
     red = reduce_at(module_from_text(psi, tower), poly_from_text(prime, tower))
     assert red.ctx.order > TABLE_LIMIT
-    _assert_matches_minor_sum(red)
+    _assert_matches_reading_at_t(red)
 
 
-def test_weil_motive_raises_on_a_wrong_lift(monkeypatch):
-    """A lift off by T^(n-1) breaks the degree bound or the skew identity."""
+def test_weil_motive_raises_on_a_wrong_projection(monkeypatch):
+    """A projection to A off by T^(n-1) breaks the degree bound or the skew
+    identity."""
+    from drinfeld import invariants
+
     tower = FieldTower(3, max_degree=64)
     red = reduce_at(module_from_text("T+1*t+1*t^2", tower), poly_from_text("T^3+2*T+1", tower))
-    lift = ResidueField.lift
+    project = invariants._project
 
-    def wrong(self, x):
-        return lift(self, x) + powint(Poly.x(tower.base_field), self.deg_p - 1)
+    def wrong(red_, rows):
+        return project(red_, rows) + powint(Poly.x(tower.base_field), red_.deg_p - 1)
 
-    monkeypatch.setattr(ResidueField, "lift", wrong)
+    monkeypatch.setattr(invariants, "_project", wrong)
     with pytest.raises(DrinfeldError):
         weil_motive(red)
 
@@ -941,6 +954,17 @@ def fq_operator(draw, ctx):
     return mt
 
 
+def _block_frame(ctx, dim):
+    """The F_q action, first start and units of e-block coordinates on
+    F_q^(dim/e), as ``fq_invariant_factors`` takes them: kron(I, M(y^t)),
+    the first block unit, and all block units."""
+    e = ctx.degree
+    eye = np.eye(dim // e, dtype=np.int64)
+    act = np.array([np.kron(eye, x) for x in ctx.mult_matrices(np.eye(e, dtype=np.int64))])
+    units = list(np.eye(dim, dtype=np.int64)[::e])
+    return act, units[0], lambda: units
+
+
 def _generates(mt, v, ctx):
     """Whether the F_q-Krylov space of v under the prime block matrix mt is
     everything."""
@@ -975,7 +999,9 @@ def test_fq_invariant_factors_match_smith_form(q):
         u0[0] = units[::e] = 1
         assert not _generates(mt, u0, ctx)
         assert _generates(mt, units, ctx) is by_units
-        assert [d.coeffs for d in fq_invariant_factors(mt, ctx)] == [chi.coeffs]
+        assert [d.coeffs for d in fq_invariant_factors(mt, ctx, *_block_frame(ctx, len(mt)))] == [
+            chi.coeffs
+        ]
 
     @given(mt=fq_operator(ctx))
     @settings(max_examples=40, deadline=None)
@@ -990,16 +1016,78 @@ def test_fq_invariant_factors_match_smith_form(q):
             for i in range(n)
         ]
         smith = [f for f in smith_normal_form(xmat) if f.degree() >= 1]
-        assert [f.coeffs for f in fq_invariant_factors(mt, ctx)] == [f.coeffs for f in smith]
+        got = fq_invariant_factors(mt, ctx, *_block_frame(ctx, len(mt)))
+        assert [f.coeffs for f in got] == [f.coeffs for f in smith]
+
+    check()
+
+
+def _invertible(rng, dim, p0):
+    """A uniformly random invertible dim x dim prime matrix and its inverse."""
+    while True:
+        g = rng.integers(0, p0, (dim, dim))
+        inv = linalg.solve(g, np.eye(dim, dtype=np.int64), p0)
+        if inv is not None:
+            return g, inv
+
+
+def _oracle_in_frame(mt, ctx, act, start, units, monkeypatch):
+    """``fq_invariant_factors`` and the number of its ``rref`` calls."""
+    calls, rref = [0], linalg.rref
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    factors = [f.coeffs for f in fq_invariant_factors(mt, ctx, act, start, units)]
+    monkeypatch.setattr(linalg, "rref", rref)
+    return factors, calls[0]
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_FIELDS))
+def test_fq_invariant_factors_do_not_depend_on_coordinates(q, monkeypatch):
+    """The operator, the F_q action, the start and the units carried to new
+    prime coordinates by a random invertible G give the same factors with
+    the same number of ``rref`` calls: every elimination sees the same row
+    space.  diag(C(T^2 + T), C(T^2 + T + 1)) is one case where the first
+    start does not generate, so the walk takes the units."""
+    ctx = KERNEL_FIELDS[q]
+    p0 = ctx.char
+    zero, one = ctx.zero_elem(), ctx.one_elem()
+    fixed = _prime_blocks(ctx, _block_diag(ctx, _companion(ctx, [zero, one]), _companion(ctx, [one, one])))
+
+    def compare(mt, seed):
+        act, start, units = _block_frame(ctx, len(mt))
+        g, inv = _invertible(np.random.default_rng(seed), len(mt), p0)
+
+        def moved(x):
+            return (g @ x) % p0
+
+        want = _oracle_in_frame(mt, ctx, act, start, units, monkeypatch)
+        got = _oracle_in_frame(
+            (moved(mt) @ inv) % p0, ctx, np.array([(moved(x) @ inv) % p0 for x in act]),
+            moved(start), lambda: [moved(u) for u in units()], monkeypatch,
+        )
+        assert got == want
+        return want
+
+    assert not _generates(fixed, _block_frame(ctx, len(fixed))[1], ctx)
+    assert compare(fixed, 0)[1] > 1
+
+    @given(mt=fq_operator(ctx), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def check(mt, seed):
+        compare(mt, seed)
 
     check()
 
 
 @pytest.mark.parametrize("q", sorted(KERNEL_FIELDS))
 def test_poly_at_matches_kron_horner(q):
-    """``_poly_at`` equals Horner with kron(I, M(c)) added for every
-    coefficient c: at e = 1 (q = 2, 3) it adds c on the diagonal instead, at
-    e = 2 (q = 4, 9, 25) it builds the kron."""
+    """``_poly_at`` on the block action kron(I, M(y^t)) equals Horner with
+    kron(I, M(c)) added for every coefficient c, at e = 1 (q = 2, 3) and at
+    e = 2 (q = 4, 9, 25)."""
     ctx = KERNEL_FIELDS[q]
     p0 = ctx.char
 
@@ -1010,7 +1098,7 @@ def test_poly_at_matches_kron_horner(q):
         want = np.zeros_like(mt)
         for c in reversed(d.coeffs):
             want = (mt @ want + np.kron(eye, ctx.mult_matrix(c.coords))) % p0
-        assert _poly_at(d, mt, ctx).tolist() == want.tolist()
+        assert _poly_at(d, mt, _block_frame(ctx, len(mt))[0]).tolist() == want.tolist()
 
     check()
 

@@ -12,7 +12,7 @@ import pytest
 
 from drinfeld.fields import TABLE_LIMIT, FieldTower
 from drinfeld.modules import ResidueField
-from drinfeld.polys import enumerate_monic_irreducibles, lex_min_root
+from drinfeld.polys import Poly, enumerate_monic_irreducibles, lex_min_root
 
 # (q, largest degree n): every table field F_(q^n) with q^n <= TABLE_LIMIT,
 # at prime q and at e = [F_q : F_p] = 2
@@ -74,4 +74,5 @@ def test_degree_one_residue_field_takes_minus_p0(q, monkeypatch):
         res = ResidueField(tower, p)
         assert res.ctx is tower.base_field
         assert res.t_image == -p.coeffs[0]
-        assert res.lift(res.reduce(p)).is_zero()
+        assert res.reduce(p).is_zero()
+        assert res.reduce(p * p + Poly.x(tower.base_field)) == res.t_image

@@ -36,6 +36,13 @@ SCRIPTS = [
      ["--q", "3", "--psi", "T+1*t+(T^2+1)*t^2", "--deg", "2", "--passes", "1"], "prime test"),
     ("record_bench.py-rank3", "record_bench.py",
      ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1", "--passes", "1"], "motive invariants"),
+    # rank 4 at q = 3 reads the size-3 principal minors of Pi, and its b's
+    # (1, 1, T+2) at degree 2 take the Smith form
+    ("record_bench.py-rank4", "record_bench.py",
+     ["--q", "3", "--psi", "T+1*t+T*t^2+1*t^3+1*t^4", "--deg", "1,2", "--passes", "1"],
+     "motive invariants"),
+    ("poly_bench.py", "poly_bench.py",
+     ["--q", "3", "--max-order", "9", "--deg", "2", "--pairs", "2", "--repeats", "1"], "divmod"),
     ("record_bench.py-full-checks", "record_bench.py",
      ["--q", "2", "--psi", "T+1*t+1*t^3", "--deg", "1", "--passes", "1", "--full-checks"],
      "endomorphism lattice"),

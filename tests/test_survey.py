@@ -136,7 +136,7 @@ def test_cm_supersingular_iff_T_nonsquare_small(tower3):
                 continue
             red = reduce_at(psi, p)
             t_img = red.residue.t_image
-            order = red.residue.order
+            order = red.ctx.order
             is_square = (t_img ** ((order - 1) // 2)).is_one()
             inv = rank2_invariants(psi, p)
             assert inv.supersingular == (not is_square)

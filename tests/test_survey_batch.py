@@ -133,7 +133,7 @@ def test_a_faulty_prime_gets_its_per_prime_record(monkeypatch):
     psi = module_from_text("T+1*t+1*t^2", tower)
     primes = list(enumerate_monic_irreducibles(psi.base, 2))
     unreduced, broken, wrong = primes[2], primes[4], primes[6]
-    reduce_original, weil_original = survey.reduce_at, invariants._weil_at_t
+    reduce_original, weil_original = survey.reduce_at, invariants._weil_from_minors
 
     def reduce_at_patched(psi_, p):
         if p == unreduced:
@@ -150,7 +150,7 @@ def test_a_faulty_prime_gets_its_per_prime_record(monkeypatch):
         return WeilPolynomial(weil.prime, (c0, c1 + Poly.one(psi.base)), weil.unit)
 
     monkeypatch.setattr(survey, "reduce_at", reduce_at_patched)
-    monkeypatch.setattr(invariants, "_weil_at_t", weil_patched)
+    monkeypatch.setattr(invariants, "_weil_from_minors", weil_patched)
     options = SurveyOptions(with_abhyankar=True)
     alone = [json.dumps(survey.compute_record(psi, p, options).to_dict()) for p in primes]
     batches = _spy(monkeypatch, invariants, "weil_batch")
