@@ -178,10 +178,9 @@ def _weil_from_minors(red: ReducedModule) -> WeilPolynomial:
     """det(x - Pi) over F_p[T], not yet certified.
 
     c_(r-s) = (-1)^s (sum of the principal s-minors of Pi): the trace, the
-    2-minors as one stacked product of entry pairs (``_FieldCtx.poly_dot``),
-    the larger ones by cofactors; each is projected to A (``_project``) and
-    meets the Riemann hypothesis, deg c_(r-s) <= s n / r.  c_0 = u p with
-    u = (-1)^(r + n (r-1)) / N(g_r).
+    2-minors as one stacked product (``_FieldCtx.poly_dot``), larger ones by
+    cofactors; each is projected to A (``_project``) and meets the Riemann
+    hypothesis, deg c_(r-s) <= s n / r.  c_0 = u p, u = (-1)^(r + n (r-1)) / N(g_r).
     """
     ctx, r, n, p0 = red.ctx, red.rank, red.deg_p, red.ctx.char
     powers, ninv = red.motive

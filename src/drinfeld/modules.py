@@ -11,8 +11,9 @@ A residue field F_p = A/p of degree n = deg p takes one of four routes:
   F_(q^n) builds for every prime of degree n at once.
 - *Own modulus.*  Above the limit at prime q, F_p is F_q[x]/(p) itself, a
   field of its own (``FieldId(p0, n, p)``) that the tower does not
-  register: T goes to x, and ``reduce`` is a remainder mod p.  Its embeddings, into the splitting fields of torsion
-  for one, send x to a root of p and stay with it.
+  register: T goes to x, and ``reduce`` is a remainder mod p.  Its
+  embeddings, into the splitting fields of torsion for one, send x to a
+  root of p and stay with it.
 - *Root search.*  Above the limit at q = p0^e with e > 1, F_p is again the
   tower field, and ``polys.lex_min_root`` finds the T-image: it tests
   p | x^(q^n) - x over F_q, finds one root in F_p and returns the smallest

@@ -20,10 +20,9 @@ first element whose A-order modulo the current span is a, and repeat r times;
 Frobenius images are expressed through the evaluation map (A/aA)^r -> psi[a]
 by solving one linear system.
 
-The structure oracle gives F_p itself as an A-module through psibar_T, in
-the field's own prime coordinates, where M, the sum of the reduced module's
-cached blocks M(g_j) Phi^(e j), is the prime matrix of psibar_T and F_q acts
-by the multiplications by its embedded basis.  det(T - M) comes from Krylov
+The structure oracle gives F_p itself as an A-module through psibar_T in
+the field's own coordinates: its prime matrix M is the sum of the reduced
+module's cached blocks M(g_j) Phi^(e j).  det(T - M) comes from Krylov
 blocks, one ``rref`` per start: it is the answer itself when the Krylov
 space of 1, or else of 1 + t + ... + t^(n-1), is all of F_p (the cyclic
 case).  Otherwise the walk goes on over the starts t^j outside the span,
@@ -293,32 +292,31 @@ def module_structure_oracle(psi: DrinfeldModule, p: Poly) -> list[Poly]:
 
 def module_structure_oracle_reduced(red: ReducedModule) -> list[Poly]:
     """Invariant factors of F_p as an A-module through psibar, nonunits
-    ascending, by ``fq_invariant_factors`` in the field's own coordinates
-    (see the module docstring); the powers t^j of the T-image are built
-    only when 1 does not generate."""
+    ascending, in the field's own coordinates (see the module docstring)."""
     ctx, tower = red.ctx, red.source.tower
     p0, base = ctx.char, tower.base_field
     t_op = sum(k for k in red.psibar_blocks if k is not None) % p0
-    act = ctx.mult_matrices(tower.embedding(base, ctx).matrix.T)
     one = np.array(ctx.one_coords(), dtype=np.int64)
+
+    def action() -> np.ndarray:
+        return ctx.mult_matrices(tower.embedding(base, ctx).matrix.T)
 
     def t_powers() -> list[np.ndarray]:
         return orbits([one], ctx.mult_matrix(red.residue.t_image.coords), red.deg_p, p0)
 
-    return fq_invariant_factors(t_op, base, act, one, t_powers)
+    return fq_invariant_factors(t_op, base, action, one, t_powers)
 
 
 def fq_invariant_factors(
-    mt: np.ndarray, base: _FieldCtx, act: np.ndarray, start: np.ndarray, units
+    mt: np.ndarray, base: _FieldCtx, action, start: np.ndarray, units
 ) -> list[Poly]:
     """Monic nonunit invariant factors d_1 | d_2 | ... of an F_q-linear map.
 
-    ``mt`` is the prime matrix of the map on an F_q-space of dimension n,
-    ``act[t]`` that of multiplication by y^t for the generator y of F_q,
-    ``start`` the first start and ``units()`` an F_q-basis, asked for only
-    when ``start`` does not generate.  The factors, those of the Smith form
-    of T*I - M over F_q[T], do not depend on the prime coordinates (every
-    ``rref`` sees the same row space), and no polynomial elimination runs:
+    ``mt`` is the prime matrix of the map on F_q^n in any prime coordinates,
+    ``action()[t]`` that of multiplication by y^t (y generates F_q), and
+    ``start`` and ``units()`` (an F_q-basis) the starts below; the callables
+    run only when needed.  The factors are those of the Smith form of
+    T*I - M over F_q[T], found without polynomial elimination:
 
     - chi = det(T - M) is the product of the relative minimal polynomials of
       Krylov blocks (as in Storjohann's Frobenius-form algorithm, ISSAC
@@ -340,10 +338,10 @@ def fq_invariant_factors(
     p0, e = base.char, base.degree
     dim = mt.shape[0]
     n = dim // e
-    my = act[1] if e > 1 else None  # orbits of length e = 1 never use it
+    act = action() if e > 1 else None  # orbits of length e = 1 never use y
 
     def krylov(v: np.ndarray, length: int) -> list[np.ndarray]:
-        return orbits(orbits([v], mt, length + 1, p0), my, e, p0)
+        return orbits(orbits([v], mt, length + 1, p0), act[1] if e > 1 else None, e, p0)
 
     first = krylov(start, n)
     (chi,), _, _ = _krylov_blocks([], [first], [], base)
@@ -368,6 +366,7 @@ def fq_invariant_factors(
             from_top[0] = from_top[0] * g
             continue
         for f in squarefree_factors(g):
+            act = action() if act is None else act
             fm = _poly_at(f, mt, act)
             power, kernel, at_least = fm, 0, []  # at_least[k]: blocks of size > k
             for _ in range(m):

@@ -957,12 +957,13 @@ def fq_operator(draw, ctx):
 def _block_frame(ctx, dim):
     """The F_q action, first start and units of e-block coordinates on
     F_q^(dim/e), as ``fq_invariant_factors`` takes them: kron(I, M(y^t)),
-    the first block unit, and all block units."""
+    the first block unit, and all block units; the action and the units as
+    callables."""
     e = ctx.degree
     eye = np.eye(dim // e, dtype=np.int64)
     act = np.array([np.kron(eye, x) for x in ctx.mult_matrices(np.eye(e, dtype=np.int64))])
     units = list(np.eye(dim, dtype=np.int64)[::e])
-    return act, units[0], lambda: units
+    return lambda: act, units[0], lambda: units
 
 
 def _generates(mt, v, ctx):
@@ -1031,7 +1032,7 @@ def _invertible(rng, dim, p0):
             return g, inv
 
 
-def _oracle_in_frame(mt, ctx, act, start, units, monkeypatch):
+def _oracle_in_frame(mt, ctx, action, start, units, monkeypatch):
     """``fq_invariant_factors`` and the number of its ``rref`` calls."""
     calls, rref = [0], linalg.rref
 
@@ -1040,7 +1041,7 @@ def _oracle_in_frame(mt, ctx, act, start, units, monkeypatch):
         return rref(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "rref", counted)
-    factors = [f.coeffs for f in fq_invariant_factors(mt, ctx, act, start, units)]
+    factors = [f.coeffs for f in fq_invariant_factors(mt, ctx, action, start, units)]
     monkeypatch.setattr(linalg, "rref", rref)
     return factors, calls[0]
 
@@ -1058,15 +1059,15 @@ def test_fq_invariant_factors_do_not_depend_on_coordinates(q, monkeypatch):
     fixed = _prime_blocks(ctx, _block_diag(ctx, _companion(ctx, [zero, one]), _companion(ctx, [one, one])))
 
     def compare(mt, seed):
-        act, start, units = _block_frame(ctx, len(mt))
+        action, start, units = _block_frame(ctx, len(mt))
         g, inv = _invertible(np.random.default_rng(seed), len(mt), p0)
 
         def moved(x):
             return (g @ x) % p0
 
-        want = _oracle_in_frame(mt, ctx, act, start, units, monkeypatch)
+        want = _oracle_in_frame(mt, ctx, action, start, units, monkeypatch)
         got = _oracle_in_frame(
-            (moved(mt) @ inv) % p0, ctx, np.array([(moved(x) @ inv) % p0 for x in act]),
+            (moved(mt) @ inv) % p0, ctx, lambda: np.array([(moved(x) @ inv) % p0 for x in action()]),
             moved(start), lambda: [moved(u) for u in units()], monkeypatch,
         )
         assert got == want
@@ -1098,7 +1099,7 @@ def test_poly_at_matches_kron_horner(q):
         want = np.zeros_like(mt)
         for c in reversed(d.coeffs):
             want = (mt @ want + np.kron(eye, ctx.mult_matrix(c.coords))) % p0
-        assert _poly_at(d, mt, _block_frame(ctx, len(mt))[0]).tolist() == want.tolist()
+        assert _poly_at(d, mt, _block_frame(ctx, len(mt))[0]()).tolist() == want.tolist()
 
     check()
 
